@@ -21,10 +21,9 @@ controlled in exactly one place.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import partial
 
 from .core import COSP, ROSP, PolicyParams
-from .quadrature import adaptive_simpson
 
 __all__ = [
     "min_density_mass",
@@ -54,8 +53,6 @@ __all__ = [
 # Exponent above which the alternating closed form of pow_over_x_integral
 # loses precision in doubles; switch to the equivalent positive tail series.
 _CLOSED_FORM_MAX = 20
-
-ROSP_QUAD_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -370,44 +367,56 @@ def rosp_case5(m: int, k: int, m2: int, params: PolicyParams) -> float:
     return a + b + c + d + e
 
 
-@lru_cache(maxsize=4096)
-def _rosp_c6_m_part(m: int, theta: float, tau: float) -> float:
+# The case-6 pieces below integrate the chosen-order case-6 terms against
+# (1-(1-t)^m) over the top prediction's arrival t in [tau, 1].  Swapping the
+# integration order leaves finite sums of pt(n) = Integral_tau^1 (1-x)^n/x dx,
+# so they serve scalars (pt = pow_over_x_integral) and tune's arrays alike.
+
+def _rosp_c6_floor_weight(m: int, tau):
+    # Integral_tau^1 (1-(1-t)^m) (1-t)^m dt, the weight of (1-th)/(1+th)
+    u = 1.0 - tau
+    return u ** (m + 1) / (m + 1) - u ** (2 * m + 1) / (2 * m + 1)
+
+
+def _rosp_c6_pre_part(m: int, tau, pt):
+    # Integral_tau^1 (1-(1-t)^m) * pre-switch-sum(m, t) dt
+    return tau * (pt(1) - (1.0 + 1.0 / (m + 1)) * pt(m + 1) + pt(2 * m + 1) / (m + 1))
+
+
+def _rosp_c6_m_part(m: int, theta: float, tau: float, pt) -> float:
     # Integral_tau^1 (1-(1-t)^m) [ (1-t)^m (1-th)/(1+th) + pre-switch sum(t) ] dt
-    floor = prediction_floor(theta)
-
-    def f(t: float) -> float:
-        w = 1.0 - (1.0 - t) ** m
-        inner = (1.0 - t) ** m * floor + tau * (
-            math.log(t / tau) - pow_over_x_integral(tau, t, m)
-        )
-        return w * inner
-
-    return adaptive_simpson(f, tau, 1.0, abs_tol=0.5 * ROSP_QUAD_TOL)
+    return prediction_floor(theta) * _rosp_c6_floor_weight(m, tau) + _rosp_c6_pre_part(m, tau, pt)
 
 
-@lru_cache(maxsize=8192)
-def _rosp_c6_k_part(m: int, k: int, tau: float) -> float:
-    # Integral_tau^1 (1-(1-t)^m)^2 * post-switch-sum(k, t) dt
-    if k == 0:
-        return 0.0
+def _rosp_c6_k_part(m: int, k: int, tau, lnit, pt):
+    # Integral_tau^1 (1-(1-t)^m)^2 * post-switch-sum(k, t) dt; lnit = ln(1/tau)
+    u = 1.0 - tau
+    s_k = lnit - pt(k)
+    weight = 2.0 * u ** (m + 1) / (m + 1) - u ** (2 * m + 1) / (2 * m + 1)
+    return tau * (
+        u
+        - u ** (k + 1) / (k + 1)
+        - (tau + weight) * s_k
+        + 2.0 * (pt(m + 1) - pt(m + 1 + k)) / (m + 1)
+        - (pt(2 * m + 1) - pt(2 * m + 1 + k)) / (2 * m + 1)
+    )
 
-    def f(t: float) -> float:
-        w = 1.0 - (1.0 - t) ** m
-        return w * w * _sum_post(k, tau, t)
 
-    return adaptive_simpson(f, tau, 1.0, abs_tol=0.5 * ROSP_QUAD_TOL)
+def _rosp_c6_log_part(m: int, tau, lnit, pt):
+    # tau * Integral_tau^1 (1-(1-t)^m)^2 ln(1/t) dt, from
+    # Integral_tau^1 (1-t)^n ln(1/t) dt = ((1-tau)^{n+1} ln(1/tau) - pt(n+1)) / (n+1)
+    u = 1.0 - tau
+
+    def j(n):
+        return (u ** (n + 1) * lnit - pt(n + 1)) / (n + 1)
+
+    return tau * (j(0) - 2.0 * j(m) + j(2 * m))
 
 
-def _rosp_c6_tail_part(m: int, k: int, m2: int, tau: float, delta: float) -> float:
+def _rosp_c6_tail_part(m: int, k: int, m2: int, tau, delta, pt):
     # Integral_tau^1 (1-(1-t)^m) (1-t)^{k+1}/(k+1) (1-(1-t)^{m2}) (1-delta) tau/t dt
     # expands into four pow_over_x integrals.
-    p = pow_over_x_integral
-    combo = (
-        p(tau, 1.0, k + 1)
-        - p(tau, 1.0, k + 1 + m)
-        - p(tau, 1.0, k + 1 + m2)
-        + p(tau, 1.0, k + 1 + m + m2)
-    )
+    combo = pt(k + 1) - pt(k + 1 + m) - pt(k + 1 + m2) + pt(k + 1 + m + m2)
     return (1.0 - delta) * tau / (k + 1) * combo
 
 
@@ -416,22 +425,24 @@ def rosp_case6(m: int, k: int, m2: int, params: PolicyParams) -> float:
     averaged over [0,1].
 
     The third contribution integrates the chosen-order case-6 expression over
-    the top prediction's arrival time; it is evaluated by adaptive quadrature
-    (absolute tolerance 1e-10), split linearly into an m-only part, an
-    (m,k) part, and a closed-form tail.
+    the top prediction's arrival time.  With the integration order swapped it
+    is a closed form in pow_over_x_integral(tau, 1, n) terms: an m-only part,
+    an (m,k) part, and an (m,k,m2) tail.  No quadrature is involved.
     """
     theta, tau, delta = params.theta, params.tau, params.delta
     _check_profile_args(m, k, m2, m_min=0)
     head = prediction_floor(theta) / (m + 1)
-    early = tau * math.log(1.0 / tau) * _one_minus_pow_int(m, tau)
+    lnit = math.log(1.0 / tau)
+    early = tau * lnit * _one_minus_pow_int(m, tau)
     if m == 0:
         return head + early
+    pt = partial(pow_over_x_integral, tau, 1.0)
     return (
         head
         + early
-        + _rosp_c6_m_part(m, theta, tau)
-        + _rosp_c6_k_part(m, k, tau)
-        + _rosp_c6_tail_part(m, k, m2, tau, delta)
+        + _rosp_c6_m_part(m, theta, tau, pt)
+        + _rosp_c6_k_part(m, k, tau, lnit, pt)
+        + _rosp_c6_tail_part(m, k, m2, tau, delta, pt)
     )
 
 
@@ -654,17 +665,15 @@ def _rosp_regime_value(
         # m small: only k may be large here (m2 <= m is small too)
         if not lk:
             raise ValueError("rosp case-6 regime with all parameters small is exact")
+        # the large k replaces the post-switch sum by c_k tau ln(1/t)
+        pt = partial(pow_over_x_integral, tau, 1.0)
         c_k = _shrink(ut, tk + 1)
-        floor = prediction_floor(theta)
-
-        def f(t: float) -> float:
-            w = 1.0 - (1.0 - t) ** m
-            inner = (1.0 - t) ** m * floor + tau * (
-                math.log(t / tau) - pow_over_x_integral(tau, t, m)
-            ) + c_k * tau * math.log(1.0 / t) * w
-            return w * inner
-
-        return head + early + adaptive_simpson(f, tau, 1.0, abs_tol=ROSP_QUAD_TOL)
+        return (
+            head
+            + early
+            + _rosp_c6_m_part(m, theta, tau, pt)
+            + c_k * _rosp_c6_log_part(m, tau, math.log(1.0 / tau), pt)
+        )
 
     raise ValueError(f"case {case_id} has no large-regime form")
 

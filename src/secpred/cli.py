@@ -217,12 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .quadrature import QuadratureError
-
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, QuadratureError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

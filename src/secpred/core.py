@@ -11,6 +11,7 @@ mistakes below it).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,6 +139,8 @@ def build_instance(values: Sequence[float], predictions: Sequence[float]) -> Ins
         raise ValueError("empty instance")
     if len(values) != len(predictions):
         raise ValueError(f"length mismatch: {len(values)} values, {len(predictions)} predictions")
+    if not all(map(math.isfinite, [*values, *predictions])):
+        raise ValueError("values and predictions must be finite")
     if any(v < 0 for v in values) or any(p < 0 for p in predictions):
         raise ValueError("values and predictions must be nonnegative")
     if any(v == 0 for v in values):

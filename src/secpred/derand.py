@@ -4,13 +4,13 @@ Under random-order arrivals the first arrival time is itself a perfect
 randomness source: if t1 is the minimum of n i.i.d. uniforms, then
 U = 1 - (1 - t1)^n is uniform on [0, 1] by the probability integral
 transform, and its binary expansion supplies unbiased bits.  The
-derandomized trial replays the policy with every probabilistic hire
-decision driven by bits extracted from U instead of an external stream.
+derandomized trial replays the policy with its one probabilistic hire
+decision (the top prediction's) driven by the leading bits of U instead of
+an external stream.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 from .core import Instance, PolicyParams, Schedule
@@ -22,17 +22,22 @@ __all__ = [
     "derandomized_trial",
 ]
 
-MANTISSA_BITS = 52     # native float mantissa: bits extractable from U directly
 BITS_PER_DECISION = 32
 
 
 def uniform_from_first_arrival(t1: float, n: int) -> float:
-    """CDF of the minimum of n uniforms evaluated at t1: 1 - (1 - t1)^n."""
+    """CDF of the minimum of n uniforms evaluated at t1: 1 - (1 - t1)^n.
+
+    Evaluated as -expm1(n log1p(-t1)), which keeps full relative precision
+    for small t1 where the direct form rounds to 0.
+    """
     if not 0.0 <= t1 <= 1.0:
         raise ValueError(f"t1={t1} outside [0, 1]")
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    return 1.0 - (1.0 - t1) ** n
+    if t1 == 1.0:
+        return 1.0
+    return -math.expm1(n * math.log1p(-t1))
 
 
 def bits_from_uniform(u: float, count: int) -> list[int]:
@@ -51,38 +56,25 @@ def bits_from_uniform(u: float, count: int) -> list[int]:
     return bits
 
 
-class _BitSource:
-    """52 mantissa bits of U, then a SHA-256 keystream keyed by U.
+class _OneDraw:
+    """Stream stand-in for run_trial holding the first BITS_PER_DECISION bits
+    of U.
 
-    The theoretical construction assumes an infinite binary expansion; a
-    double only carries 52 meaningful bits, so decisions past that budget
-    fall back to a deterministic keystream derived from U.
+    run_trial draws at most one uniform per trial: only the top prediction's
+    hire is randomized, and it arrives once.  A double's 52 mantissa bits
+    cover that one decision, so a second draw is a bug, not a refill.
     """
 
     def __init__(self, u: float):
         u = min(u, 1.0 - 2.0**-53)  # U = 1.0 only at the measure-zero t1 = 1
-        self._pool = bits_from_uniform(u, MANTISSA_BITS) if u > 0.0 else [0] * MANTISSA_BITS
-        self._key = math.floor(u * 2.0**MANTISSA_BITS).to_bytes(8, "big")
-        self._counter = 0
+        self._value = math.floor(u * 2.0**BITS_PER_DECISION) / 2.0**BITS_PER_DECISION
+        self._drawn = False
 
-    def _refill(self) -> None:
-        block = hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
-        self._counter += 1
-        for byte in block:
-            for shift in range(7, -1, -1):
-                self._pool.append((byte >> shift) & 1)
-
-    def take_uniform(self) -> float:
-        while len(self._pool) < BITS_PER_DECISION:
-            self._refill()
-        chunk, self._pool = self._pool[:BITS_PER_DECISION], self._pool[BITS_PER_DECISION:]
-        acc = 0
-        for b in chunk:
-            acc = (acc << 1) | b
-        return acc / float(1 << BITS_PER_DECISION)
-
-    # duck-types policy's stream: run_trial only calls uniform()
-    uniform = take_uniform
+    def uniform(self) -> float:
+        if self._drawn:
+            raise RuntimeError("derandomized trial asked for a second uniform")
+        self._drawn = True
+        return self._value
 
 
 def derandomized_trial(
@@ -96,4 +88,4 @@ def derandomized_trial(
         raise ValueError("schedule must contain at least one arrival")
     t1 = min(schedule.arrival_times)
     u = uniform_from_first_arrival(t1, instance.n)
-    return run_trial(instance, schedule, params, _BitSource(u))
+    return run_trial(instance, schedule, params, _OneDraw(u))

@@ -11,9 +11,8 @@ meets B.
 
 All cell values are evaluated vectorized across the whole grid via shared
 tables of the pow-over-x integrals (computed by their positive tail series,
-which is cancellation-free).  The C6 quadratures use 64-node Gauss-Legendre
-during the search; the reported winner is re-certified with the exact
-enumeration at full thresholds.
+which is cancellation-free); the reported winner is re-certified with the
+exact enumeration at full thresholds.
 """
 
 from __future__ import annotations
@@ -23,13 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import (
+    _rosp_c6_floor_weight,
+    _rosp_c6_k_part,
+    _rosp_c6_log_part,
+    _rosp_c6_pre_part,
+    _rosp_c6_tail_part,
+)
 from .certify import certify
 from .core import COSP, PolicyParams
 
 __all__ = ["GridSpec", "grid_search", "SEARCH_THRESHOLDS"]
 
 SEARCH_THRESHOLDS = (10, 10)
-_GL_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -196,7 +201,6 @@ def _cosp_components(tau, beta, gam, dlt, tm, tk):
 # ---------------------------------------------------------------------------
 
 def _rosp_components(tau, gam, dlt, tm, tk):
-    P = tau.shape[0]
     ut = 1.0 - tau
     lnit = np.log(1.0 / tau)
     l_pre = lnit - 1.0 + tau          # integral of ln(t/tau)
@@ -310,53 +314,23 @@ def _rosp_components(tau, gam, dlt, tm, tk):
     v6 = early_l + cm1 * (cm1 * tau * l_pre + cm1 * ck * tau * l_post)  # large m and k
     np.minimum(static, v6, out=static)
 
-    # quadrature pieces for exact case 6 (Gauss-Legendre on [tau, 1])
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
-    tnode = tau[None, :] + (1.0 - tau[None, :]) * (0.5 * (x[:, None] + 1.0))
-    wnode = (1.0 - tau[None, :]) * 0.5 * w[:, None]
-    # per node: pow tables for P(tau, t, m) and P(t, 1, k)
-    p_tt = np.empty((_GL_NODES, tm + 1, P))
-    p_t1 = np.empty((_GL_NODES, tk + 1, P))
-    for i in range(_GL_NODES):
-        p_tt[i] = _pow_tables(tau, tnode[i], tm)
-        p_t1[i] = _pow_tables(tnode[i], np.ones_like(tau), tk)
-    omt = 1.0 - tnode  # (nodes, P)
-    w2 = [pw[m + 1] / (m + 1) - pw[2 * m + 1] / (2 * m + 1) for m in range(0, tm + 1)]
-
-    mq = [None]
-    wfac = {}
-    for m in range(1, tm + 1):
-        wfac[m] = 1.0 - omt**m
-        inner = tau[None, :] * (np.log(tnode / tau[None, :]) - p_tt[:, m, :])
-        mq.append(np.sum(wnode * wfac[m] * inner, axis=0))
-    sumk_node = {}
-    for k in range(1, tk + 1):
-        sumk_node[k] = tau[None, :] * (np.log(1.0 / tnode) - p_t1[:, k, :])
-    lnq2 = [None] + [
-        tau * np.sum(wnode * np.log(1.0 / tnode) * wfac[m] ** 2, axis=0)
-        for m in range(1, tm + 1)
-    ]
-
-    def tail6(m, k, m2):
-        combo = pt1[k + 1] - pt1[k + 1 + m] - pt1[k + 1 + m2] + pt1[k + 1 + m + m2]
-        return (1.0 - dlt) * tau / (k + 1) * combo
-
+    # exact case 6: the closed-form pieces shared with the scalar bound, over
+    # pt1; the (1-th)/(1+th) weight becomes the fixpoint coefficient of r := B
+    pt = pt1.__getitem__
     bases, coefs = [], []
     for m in range(1, tm + 1):
-        head_coef = 1.0 / (m + 1) + w2[m]
-        early = tau * lnit * ompint[m]
+        head_coef = 1.0 / (m + 1) + _rosp_c6_floor_weight(m, tau)
+        base_m = tau * lnit * ompint[m] + _rosp_c6_pre_part(m, tau, pt)
         for k in range(1, tk + 1):
-            kq = np.sum(wnode * wfac[m] ** 2 * sumk_node[k], axis=0)
             lo = max(0, m - k)
-            tmin = tail6(m, k, lo)
+            tmin = _rosp_c6_tail_part(m, k, lo, tau, dlt, pt)
             for m2 in range(lo + 1, m + 1):
-                np.minimum(tmin, tail6(m, k, m2), out=tmin)
-            bases.append(early + mq[m] + kq + tmin)
-            coefs.append(np.broadcast_to(head_coef, tau.shape).copy())
+                np.minimum(tmin, _rosp_c6_tail_part(m, k, m2, tau, dlt, pt), out=tmin)
+            bases.append(base_m + _rosp_c6_k_part(m, k, tau, lnit, pt) + tmin)
+            coefs.append(head_coef)
         # large-k regime for this small m
-        base = early + mq[m] + ck * lnq2[m]
-        bases.append(base)
-        coefs.append(np.broadcast_to(head_coef, tau.shape).copy())
+        bases.append(base_m + ck * _rosp_c6_log_part(m, tau, lnit, pt))
+        coefs.append(head_coef)
     return static, np.stack(bases), np.stack(coefs)
 
 

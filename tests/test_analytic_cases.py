@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from secpred import THEOREM_COSP_PARAMS as P, THEOREM_ROSP_PARAMS as Q
@@ -127,6 +129,14 @@ def test_rosp_case6_m0():
     from secpred.analytic import _one_minus_pow_int
 
     assert _one_minus_pow_int(1, tau) == pytest.approx(tau**2 / 2, abs=1e-15)
+
+
+def test_rosp_case6_large_m_matches_oracle():
+    # T=40 cells; the closed form keeps case 6 at float accuracy for large m
+    q = replace(Q, tau=0.37)
+    for m, k, m2 in ((38, 1, 37), (39, 3, 36)):
+        got = case_bound("rosp", 6, m, k, m2, q)
+        assert abs(got - ROSP_ORACLES[6](m, k, m2, q)) < 1e-11, (m, k, m2)
 
 
 def test_rosp_case_oracle_equivalence():

@@ -11,7 +11,6 @@ from secpred import (
 from secpred.analytic import prediction_floor
 from secpred.certify import iter_small_cells, small_cell_count
 from secpred.core import CaseProfile
-from secpred.quadrature import QuadratureError
 
 
 def test_cell_000_only_case6():
@@ -95,17 +94,6 @@ def test_report_json_stable():
     assert len(obj["regimes"]) == 7
     infeasible = [r for r in obj["regimes"] if not r["feasible"]]
     assert len(infeasible) == 2  # (m2 large, m small) patterns are empty
-
-
-def test_quadrature_failure_carries_cell_identity(monkeypatch):
-    from secpred import analytic
-
-    def boom(model, cid, m, k, m2, params):
-        raise QuadratureError("cap hit")
-
-    monkeypatch.setattr(analytic, "case_bound", boom)
-    with pytest.raises(QuadratureError, match=r"C\d at \(m="):
-        certify_cell("rosp", Q, CaseProfile(2, 1, 1))
 
 
 def test_precondition_errors():

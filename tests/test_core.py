@@ -36,6 +36,11 @@ def test_build_errors():
         build_instance([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         build_instance([1.0, -1.0], [1.0, 1.0])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            build_instance([1.0, bad], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            build_instance([1.0, 1.0], [1.0, bad])
 
 
 def test_perturbation_breaks_ties_and_preserves_epsilon():

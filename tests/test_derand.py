@@ -8,6 +8,8 @@ from secpred import (
     bits_from_uniform,
     build_instance,
     derandomized_trial,
+    gen_case_family,
+    gen_overestimated_top,
     gen_underestimated_best,
     make_rosp_schedule,
     run_trial,
@@ -20,6 +22,7 @@ def test_uniform_transform_examples():
     assert uniform_from_first_arrival(0.0, 4) == 0.0
     assert uniform_from_first_arrival(1.0, 4) == 1.0
     assert uniform_from_first_arrival(0.2, 3) == pytest.approx(0.488, abs=1e-12)
+    assert uniform_from_first_arrival(1e-18, 5) == pytest.approx(5e-18, rel=1e-12)
     with pytest.raises(ValueError):
         uniform_from_first_arrival(-0.1, 3)
     with pytest.raises(ValueError):
@@ -55,6 +58,35 @@ def test_no_randomness_matches_run_trial():
         stream = TrialStream(trial_seed(8, s))
         sched = make_rosp_schedule(inst, stream)
         assert derandomized_trial(inst, sched, Q) == run_trial(inst, sched, Q, stream)
+
+
+class _CountingStream:
+    def __init__(self, stream):
+        self.stream = stream
+        self.draws = 0
+
+    def uniform(self):
+        self.draws += 1
+        return self.stream.uniform()
+
+
+def test_run_trial_draws_at_most_one_uniform():
+    # the derandomized trial supplies exactly one uniform per trial
+    gated = 0
+    for inst in (
+        gen_underestimated_best(4, 0.9, Q.theta),
+        gen_overestimated_top(5, 0.9, Q.theta),
+        gen_case_family(4, 2, 1, 1, n=6, theta=Q.theta),
+    ):
+        for s in range(3000):
+            stream = TrialStream(trial_seed(12, s))
+            sched = make_rosp_schedule(inst, stream)
+            counting = _CountingStream(stream)
+            run_trial(inst, sched, Q, counting)
+            assert counting.draws <= 1, s
+            gated += counting.draws
+            derandomized_trial(inst, sched, Q)  # a second draw would raise
+    assert gated > 0
 
 
 def test_derandomized_trial_deterministic():
