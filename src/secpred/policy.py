@@ -11,7 +11,13 @@ delta otherwise); anyone else is hired outright.
 ``run_trial`` replays one schedule step by step.  ``run_trials_batch`` is a
 vectorized engine that reproduces ``run_trial`` bit for bit across many
 trials (same per-trial streams, same draws) and is what the simulation
-module uses.
+module uses.  It needs no arrival-order sort: secretary mode hires nobody
+before max(tau, t_switch), so its first hire is the earliest arrival after
+that point whose value beats every value that arrived before it, and a
+gated-out top prediction passes to the earliest later arrival that beats
+it.  That is O(n) per trial.  Trials run in row blocks of about
+``BLOCK_ELEMENTS`` arrival times, so memory does not grow with n or with
+the number of trials.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import COSP, ROSP, Instance, PolicyParams, Schedule
-from .rng import TrialStream, VectorStreams, trial_seeds_vector
+from .rng import TrialStream, trial_seeds_vector, uniforms_at
 
 __all__ = [
     "TrialOutcome",
@@ -134,6 +140,11 @@ def run_trial(
 # vectorized batch engine
 # ---------------------------------------------------------------------------
 
+# Rows per block are BLOCK_ELEMENTS // n, so a block's (rows x n) arrays stay
+# a few megabytes whatever n and the trial count are.
+BLOCK_ELEMENTS = 1 << 20
+
+
 @dataclass(frozen=True)
 class BatchResult:
     hired: np.ndarray        # candidate index or -1
@@ -141,36 +152,64 @@ class BatchResult:
     switched: np.ndarray     # bool: left prediction mode
 
 
-def _batch_times(instance, model, beta, streams, count):
-    n = instance.n
-    ihat = instance.top_predicted_index
-    cols = []
-    for j in range(n):
-        if model == COSP and j == ihat:
-            continue
-        cols.append(streams.uniforms())
-    times = np.empty((count, n))
-    ci = 0
-    for j in range(n):
-        if model == COSP and j == ihat:
-            times[:, j] = beta
-        else:
-            times[:, j] = cols[ci]
-            ci += 1
-    # whole-row redraw on collisions, mirroring the scalar loop
+def _block_times(seeds, col_draw, per_round, ihat, beta):
+    """Arrival times of a block of trials, as ``_draw_times`` draws them.
+
+    Column j takes draw ``col_draw[j]`` of its row's stream; in cosp the
+    draw numbers skip ihat, whose column is pinned at beta.  A row whose
+    times collide is redrawn whole from the next ``per_round`` draws.
+    Returns the times and the number of draws each row used.
+    """
+    seeds = seeds[:, None]
+    times = uniforms_at(seeds, col_draw)
+    if beta is not None:
+        times[:, ihat] = beta
+    used = np.full(len(seeds), per_round, dtype=np.uint64)
     while True:
-        bad = np.zeros(count, dtype=bool)
         srt = np.sort(times, axis=1)
-        bad |= (np.diff(srt, axis=1) == 0.0).any(axis=1)
-        if not bad.any():
-            return times
-        idx = np.nonzero(bad)[0]
-        sub = VectorStreams(streams._state[idx])
-        for j in range(n):
-            if model == COSP and j == ihat:
-                continue
-            times[idx, j] = sub.uniforms()
-        streams._state[idx] = sub._state
+        bad = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
+        if not bad.size:
+            return times, used
+        redo = uniforms_at(seeds[bad], used[bad, None] + col_draw)
+        if beta is not None:
+            redo[:, ihat] = beta
+        times[bad] = redo
+        used[bad] += np.uint64(per_round)
+
+
+def _resolve_block(times, u_gate, v, mistake, ihat, params):
+    """Hired index (or -1) and the switched flag of each row, in O(n) per row.
+
+    Arrivals before max(tau, t_switch) are never hired, and each of them
+    arrives before every arrival in the window after it.  So the first
+    candidate the secretary mode takes is the earliest window arrival that
+    beats the best value outside the window.  If that is ihat and the gate
+    rejects it, the next is the earliest later arrival that beats v[ihat].
+    """
+    t_switch = np.min(times, axis=1, where=mistake, initial=np.inf)
+    t_ihat = times[:, ihat]
+    pred_hire = t_ihat < t_switch
+
+    # t > tau and t >= t_switch, as one comparison
+    opens = np.maximum(np.nextafter(params.tau, np.inf), t_switch)
+    window = times >= opens[:, None]
+    bar = np.where(window, -np.inf, v).max(axis=1)
+    first_t = np.where(window & (v > bar[:, None]), times, np.inf)
+    first = first_t.argmin(axis=1)
+    has_first = np.isfinite(first_t[np.arange(len(first)), first])
+
+    hired = np.where(has_first, first, -1)
+    hired[pred_hire] = ihat
+    p_gate = np.where(t_ihat == t_switch, params.gamma, params.delta)
+    fall = np.flatnonzero(~pred_hire & (hired == ihat) & ~(u_gate < p_gate))
+    if fall.size:
+        later = times[fall]
+        later[(later <= t_ihat[fall, None]) | ~(v > v[ihat])] = np.inf
+        second = later.argmin(axis=1)
+        hired[fall] = np.where(np.isfinite(later[np.arange(fall.size), second]), second, -1)
+
+    switched = np.isfinite(t_switch) & ~pred_hire
+    return hired, switched
 
 
 def run_trials_batch(
@@ -184,7 +223,8 @@ def run_trials_batch(
     """Run trials [start, start+count) with per-trial derived streams.
 
     Matches ``make_*_schedule`` + ``run_trial`` driven by
-    ``TrialStream(trial_seed(base_seed, i))`` exactly.
+    ``TrialStream(trial_seed(base_seed, i))`` exactly.  Trials run in row
+    blocks of about ``BLOCK_ELEMENTS`` arrival times.
     """
     if model not in (COSP, ROSP):
         raise ValueError(f"unknown model {model!r}")
@@ -192,61 +232,26 @@ def run_trials_batch(
 
     n = instance.n
     v = np.asarray(instance.values)
-    p = np.asarray(instance.predictions)
-    dev = np.abs(1.0 - p / v)
-    mistake = dev > params.theta
+    mistake = np.abs(1.0 - np.asarray(instance.predictions) / v) > params.theta
     ihat = instance.top_predicted_index
     vstar = instance.top_true_value
 
-    streams = VectorStreams(trial_seeds_vector(base_seed, start, count))
-    times = _batch_times(instance, model, beta, streams, count)
-    u_hire = streams.uniforms()
+    # draw number of each column within one round of time draws
+    col_draw = np.arange(1, n + 1, dtype=np.uint64)
+    if beta is not None:
+        col_draw[ihat + 1:] -= np.uint64(1)
+    per_round = n - 1 if beta is not None else n
 
-    if mistake.any():
-        t_switch = times[:, mistake].min(axis=1)
-    else:
-        t_switch = np.full(count, np.inf)
-    t_ihat = times[:, ihat]
-    pred_hire = t_ihat < t_switch
-
-    # best-so-far flags per candidate via arrival-order prefix maxima
-    order = np.argsort(times, axis=1)
-    rows = np.arange(count)[:, None]
-    v_by_arrival = np.broadcast_to(v, (count, n))[rows, order]
-    prefix = np.maximum.accumulate(v_by_arrival, axis=1)
-    bsf_sorted = np.empty((count, n), dtype=bool)
-    bsf_sorted[:, 0] = True
-    bsf_sorted[:, 1:] = v_by_arrival[:, 1:] > prefix[:, :-1]
-    bsf = np.empty((count, n), dtype=bool)
-    bsf[rows, order] = bsf_sorted
-
-    eligible = bsf & (times > params.tau) & (times >= t_switch[:, None])
-    elig_times = np.where(eligible, times, np.inf)
-    first = np.argmin(elig_times, axis=1)
-    first_t = elig_times[rows[:, 0], first]
-    has_first = np.isfinite(first_t)
-
-    hired = np.full(count, -1, dtype=np.int64)
-    hired[pred_hire] = ihat
-
-    sec = ~pred_hire
-    first_is_ihat = sec & has_first & (first == ihat)
-    first_other = sec & has_first & (first != ihat)
-    hired[first_other] = first[first_other]
-
-    p_gate = np.where(t_ihat == t_switch, params.gamma, params.delta)
-    accept = first_is_ihat & (u_hire < p_gate)
-    hired[accept] = ihat
-
-    fall = first_is_ihat & ~(u_hire < p_gate)
-    if fall.any():
-        elig2 = elig_times.copy()
-        elig2[rows[:, 0], first] = np.inf
-        second = np.argmin(elig2, axis=1)
-        has_second = np.isfinite(elig2[rows[:, 0], second])
-        take = fall & has_second
-        hired[take] = second[take]
+    seeds = trial_seeds_vector(base_seed, start, count)
+    hired = np.empty(count, dtype=np.int64)
+    switched = np.empty(count, dtype=bool)
+    rows = max(1, BLOCK_ELEMENTS // n)
+    for lo in range(0, count, rows):
+        block = slice(lo, lo + rows)
+        times, used = _block_times(seeds[block], col_draw, per_round, ihat, beta)
+        # the hire gate's uniform is the draw after the last time draw
+        u_gate = uniforms_at(seeds[block], used + np.uint64(1))
+        hired[block], switched[block] = _resolve_block(times, u_gate, v, mistake, ihat, params)
 
     ratios = np.where(hired >= 0, v[np.clip(hired, 0, None)] / vstar, 0.0)
-    switched = np.isfinite(t_switch) & ~pred_hire
     return BatchResult(hired=hired, ratios=ratios, switched=switched)

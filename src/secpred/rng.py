@@ -3,9 +3,10 @@
 Every randomized component draws from a SplitMix64 stream.  Trial i of a
 simulation derives its own stream from a 64-bit mix of (base_seed, i), so
 trials are reproducible independently of execution order or worker count.
-The scalar and vectorized generators below step through identical state
-sequences, which lets the batch simulation engine reproduce single-trial
-runs bit for bit.
+A SplitMix64 stream is stateless in its draw number: draw d of the stream
+seeded with s is mix(s + d * GAMMA).  ``uniforms_at`` evaluates that for a
+whole array of (seed, draw number) pairs at once, which lets the batch
+simulation engine reproduce ``TrialStream`` runs bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,16 @@ def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """``_mix`` applied in place to a uint64 array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def trial_seed(base_seed: int, index: int) -> int:
@@ -46,33 +57,25 @@ class TrialStream:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-class VectorStreams:
-    """One SplitMix64 stream per row, stepped in lockstep.
+def uniforms_at(seeds: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Uniform number ``draws`` (counted from 1) of each seed's stream.
 
-    ``VectorStreams(seeds).uniforms()`` returns the same values as calling
-    ``TrialStream(s).uniform()`` once on each seed.
+    ``uniforms_at(s, d)`` equals the d-th ``TrialStream(s).uniform()``.  The
+    two arguments broadcast against each other, so a (rows, 1) column of
+    seeds and a (rows, cols) array of draw numbers give a (rows, cols) block.
     """
-
-    def __init__(self, seeds: np.ndarray):
-        self._state = np.asarray(seeds, dtype=np.uint64).copy()
-
-    def uniforms(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            self._state += np.uint64(_GAMMA)
-            z = self._state.copy()
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z ^= z >> np.uint64(31)
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    with np.errstate(over="ignore"):
+        z = np.asarray(draws, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = np.asarray(seeds, dtype=np.uint64) + z
+        z = _mix_array(z) >> np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def trial_seeds_vector(base_seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized ``trial_seed`` for indices start .. start+count-1."""
     idx = np.arange(start, start + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        base = np.uint64(_mix(base_seed))
-        z = base + (idx + np.uint64(1)) * np.uint64(_DERIVE)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-    return z
+        z = np.uint64(_mix(base_seed)) + (idx + np.uint64(1)) * np.uint64(_DERIVE)
+        return _mix_array(z)

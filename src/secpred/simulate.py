@@ -3,7 +3,10 @@ for the adversarial instance families used in the analysis.
 
 Trials are independent and reproducible: trial i derives its stream from a
 64-bit mix of (seed, i), and aggregation sums fixed-size chunks in index
-order, so the result is identical no matter how many workers run.
+order, so the result is identical no matter how many workers run.  The
+batch engine works through each chunk in row blocks of bounded size, so a
+worker's memory stays a few tens of megabytes whatever n and the trial
+count are, and more workers add only that much each.
 """
 
 from __future__ import annotations

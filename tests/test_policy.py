@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from secpred import (
     PolicyParams,
     THEOREM_COSP_PARAMS,
+    THEOREM_ROSP_PARAMS,
     Schedule,
     build_instance,
+    gen_case_family,
     make_cosp_schedule,
     make_rosp_schedule,
     run_trial,
@@ -160,3 +164,45 @@ def test_batch_matches_scalar(model):
         assert batch.hired[i] == want
         assert batch.ratios[i] == pytest.approx(out.ratio, abs=0)
         assert batch.switched[i] == (out.switch_time is not None)
+
+
+def test_batch_redraws_colliding_schedule_like_scalar():
+    # beta is trial 0's first uniform, which candidate 0 draws as well, so
+    # trial 0's schedule collides and is redrawn.  The top prediction is
+    # the only mistake, so the gamma gate decides trial 0, and gamma lies
+    # between draws 2 and 3: the hire depends on the gate reading draw 3,
+    # the one after the redrawn time.
+    seed = 3
+    stream = TrialStream(trial_seed(seed, 0))
+    draws = [stream.uniform() for _ in range(3)]
+    params = PolicyParams(
+        theta=0.5, tau=0.33, gamma=(draws[1] + draws[2]) / 2, delta=0.5, beta=draws[0]
+    )
+    assert params.tau < draws[1] < params.gamma < draws[2] and params.tau < params.beta
+    inst = build_instance([1.0, 100.0], [1.0, 190.0])
+    assert inst.top_predicted_index == 1
+
+    sched = make_cosp_schedule(inst, params.beta, TrialStream(trial_seed(seed, 0)))
+    assert sched.arrival_times[0] != params.beta
+    assert sched.arrival_times == (draws[1], params.beta)
+    batch = run_trials_batch(inst, "cosp", params, seed, 0, 8)
+    for i in range(8):
+        stream = TrialStream(trial_seed(seed, i))
+        out = run_trial(inst, make_cosp_schedule(inst, params.beta, stream), params, stream)
+        assert batch.hired[i] == (out.hired_index if out.hired_index is not None else -1), i
+        assert batch.ratios[i] == out.ratio, i
+        assert batch.switched[i] == (out.switch_time is not None), i
+
+
+def test_batch_memory_bounded():
+    # 16 384 trials at n = 800: an engine holding (trials x n) arrays
+    # needs several hundred megabytes here
+    params = THEOREM_ROSP_PARAMS
+    inst = gen_case_family(4, 2, 1, 1, 800, params.theta)
+    tracemalloc.start()
+    try:
+        run_trials_batch(inst, "rosp", params, 1, 0, 16_384)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6, f"peak {peak / 1e6:.0f} MB"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from secpred import PolicyParams, build_instance, make_cosp_schedule, make_rosp_schedule, run_trial
+from secpred import policy
 from secpred.core import mistake_set
 from secpred.policy import run_trials_batch
 from secpred.rng import TrialStream, trial_seed
@@ -47,6 +48,54 @@ def test_batch_matches_scalar_fuzz(model, trials_per_setup=64, setups=40):
             out = run_trial(inst, sched, params, stream)
             want = out.hired_index if out.hired_index is not None else -1
             assert batch.hired[i] == want, (s, i, inst, params)
+            assert batch.ratios[i] == out.ratio
+            assert batch.switched[i] == (out.switch_time is not None)
+
+
+def wide_setup(rng):
+    """20 to 300 candidates.  The top prediction goes to one of the four
+    best values and up to three others are understated, so that
+    prediction-mode hires, gated top predictions and their fallbacks all
+    occur."""
+    n = int(rng.integers(20, 301))
+    values = rng.uniform(0.05, 3.0, n)
+    preds = values.copy()
+    top = np.argsort(values)[-1 - int(rng.integers(0, 4))]
+    preds[top] = values.max() * rng.uniform(1.0, 1.6)
+    wrong = rng.choice(n, size=int(rng.integers(0, 4)), replace=False)
+    preds[wrong] *= rng.uniform(0.05, 0.5, size=wrong.size)
+    inst = build_instance(values.tolist(), preds.tolist())
+    params = PolicyParams(
+        theta=float(rng.uniform(0.1, 0.9)),
+        tau=float(rng.uniform(0.05, 0.8)),
+        gamma=float(rng.uniform(0.0, 1.0)),
+        delta=float(rng.uniform(0.0, 1.0)),
+        beta=float(rng.uniform(0.05, 0.95)),
+    )
+    return inst, params
+
+
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_batch_matches_scalar_across_blocks_fuzz(
+    model, monkeypatch, trials_per_setup=40, setups=8
+):
+    # a block of a few rows, so that every batch spans several blocks
+    monkeypatch.setattr(policy, "BLOCK_ELEMENTS", 997)
+    rng = np.random.default_rng(3_03 if model == "cosp" else 30_3)
+    for s in range(setups):
+        inst, params = wide_setup(rng)
+        seed = int(rng.integers(0, 2**62))
+        start = int(rng.integers(1, 2**20))
+        batch = run_trials_batch(inst, model, params, seed, start, trials_per_setup)
+        for i in range(trials_per_setup):
+            stream = TrialStream(trial_seed(seed, start + i))
+            if model == "cosp":
+                sched = make_cosp_schedule(inst, params.beta, stream)
+            else:
+                sched = make_rosp_schedule(inst, stream)
+            out = run_trial(inst, sched, params, stream)
+            want = out.hired_index if out.hired_index is not None else -1
+            assert batch.hired[i] == want, (s, i, inst.n, params)
             assert batch.ratios[i] == out.ratio
             assert batch.switched[i] == (out.switch_time is not None)
 

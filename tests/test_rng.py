@@ -1,0 +1,39 @@
+import numpy as np
+
+from secpred.rng import TrialStream, trial_seed, trial_seeds_vector, uniforms_at
+
+
+def _stream_table(seeds, k):
+    """Row r holds the first k uniforms of TrialStream(seeds[r])."""
+    rows = []
+    for s in seeds:
+        stream = TrialStream(int(s))
+        rows.append([stream.uniform() for _ in range(k)])
+    return np.array(rows)
+
+
+SEEDS = np.array([trial_seed(7, i) for i in range(5)] + [0, 2**64 - 1], dtype=np.uint64)
+
+
+def test_uniforms_at_matches_trial_stream():
+    k = 12
+    want = _stream_table(SEEDS, k)
+    got = uniforms_at(SEEDS[:, None], np.arange(1, k + 1, dtype=np.uint64))
+    assert np.array_equal(got, want)
+
+
+def test_uniforms_at_offset_draws():
+    want = _stream_table(SEEDS, 12)
+    rows = np.arange(len(SEEDS))
+    offsets = np.array([0, 3, 9, 1, 5, 0, 7], dtype=np.uint64)
+    # a window of three draws per row, each after its own offset
+    got = uniforms_at(SEEDS[:, None], offsets[:, None] + np.arange(1, 4, dtype=np.uint64))
+    assert np.array_equal(got, want[rows[:, None], offsets[:, None].astype(int) + np.arange(3)])
+    # one draw per row
+    got = uniforms_at(SEEDS, offsets + np.uint64(1))
+    assert np.array_equal(got, want[rows, offsets.astype(int)])
+
+
+def test_trial_seeds_vector_matches_trial_seed():
+    got = trial_seeds_vector(2**63 + 5, 1000, 6)
+    assert got.tolist() == [trial_seed(2**63 + 5, i) for i in range(1000, 1006)]
