@@ -15,13 +15,17 @@ Conventions used throughout:
 
 Every alternating binomial sum in the case formulas is an instance of
 ``pow_over_x_integral`` (the integral of (1-x)^n / x), so accuracy is
-controlled in exactly one place.
+controlled in exactly one place.  Each bound is written once over a
+``Point``, whose fields are floats for one policy or arrays for a search
+mesh.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
+
+import numpy as np
 
 from .core import COSP, ROSP, PolicyParams
 
@@ -31,6 +35,8 @@ __all__ = [
     "log_ratio",
     "pow_over_x_integral",
     "prediction_floor",
+    "Point",
+    "case6_coef",
     "cosp_case0",
     "cosp_case1",
     "cosp_case2",
@@ -135,7 +141,7 @@ def _check_interval(a: float, b: float, m: int, positive_a: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared building blocks
+# parameter points and shared building blocks
 # ---------------------------------------------------------------------------
 
 def prediction_floor(theta: float) -> float:
@@ -144,20 +150,137 @@ def prediction_floor(theta: float) -> float:
     return (1.0 - theta) / (1.0 + theta)
 
 
-def _sum_pre(m: int, tau: float, beta: float) -> float:
+class Point:
+    """The policy parameters a case bound is evaluated at.
+
+    The fields are floats for one policy (certify, evaluate) or equal-shape
+    arrays for a search mesh (tune); every bound below is written once over a
+    point and serves both.  ``r`` is the no-mistake floor (1-theta)/(1+theta),
+    the only way theta enters (case 0 and the case-6 head).
+
+    Building blocks are memoized on the point per integer argument, so a
+    point shared by a whole enumeration takes each power and each pow-over-x
+    integral once.  On a mesh the integrals come from ``pow_over_x_integral``
+    once per distinct (lower, upper) pair and are gathered, so a mesh entry
+    and the scalar point with the same fields see the same values.
+    """
+
+    def __init__(self, tau, gamma, delta, beta=None, r=0.0):
+        self.tau, self.gamma, self.delta, self.beta, self.r = tau, gamma, delta, beta, r
+        self.mesh = isinstance(tau, np.ndarray)
+        self.log = np.log if self.mesh else math.log
+        self.min = np.minimum if self.mesh else min
+        self.max = np.maximum if self.mesh else max
+        self.memo: dict = {}
+
+    @classmethod
+    def of(cls, model: str, params: PolicyParams) -> Point:
+        """The scalar point of ``params``; beta is kept for chosen order only."""
+        beta = None
+        if model == COSP:
+            beta = params.require_beta()
+            if beta <= params.tau:
+                raise ValueError(
+                    f"chosen-order bounds need beta > tau, got beta={beta} tau={params.tau}"
+                )
+        return cls(params.tau, params.gamma, params.delta, beta, prediction_floor(params.theta))
+
+
+def _as_point(model: str, params) -> Point:
+    return params if isinstance(params, Point) else Point.of(model, params)
+
+
+def _memo(fn):
+    # a building block depends only on the point and its integer arguments
+    name = fn.__name__
+
+    def cached(p, *args):
+        key = (name, args)
+        if key not in p.memo:
+            p.memo[key] = fn(p, *args)
+        return p.memo[key]
+
+    return cached
+
+
+@_memo
+def _ut(p, n):
+    return (1.0 - p.tau) ** n
+
+
+@_memo
+def _ub(p, n):
+    return (1.0 - p.beta) ** n
+
+
+@_memo
+def _ln_bt(p):
+    return p.log(p.beta / p.tau)
+
+
+@_memo
+def _ln_ib(p):
+    return p.log(1.0 / p.beta)
+
+
+@_memo
+def _ln_it(p):
+    return p.log(1.0 / p.tau)
+
+
+@_memo
+def _ln_t(p):
+    return p.log(p.tau)
+
+
+def _limits(p, interval):
+    if interval == "tb":
+        return p.tau, p.beta
+    return (p.beta if interval == "b1" else p.tau), 1.0
+
+
+@_memo
+def _pairs(p, interval):
+    # a mesh's distinct (lower, upper) pairs on one interval, and the gather index
+    lo, hi = np.broadcast_arrays(*_limits(p, interval))
+    pairs, inverse = np.unique(np.stack([lo, hi]), axis=1, return_inverse=True)
+    return pairs.T.tolist(), inverse.reshape(lo.shape)
+
+
+@_memo
+def _pox(p, interval, n):
+    # Integral of (1-x)^n / x over [tau, beta] ("tb"), [beta, 1] ("b1") or [tau, 1] ("t1")
+    if not p.mesh:
+        return pow_over_x_integral(*_limits(p, interval), n)
+    pairs, inverse = _pairs(p, interval)
+    return np.array([pow_over_x_integral(a, b, n) for a, b in pairs])[inverse]
+
+
+# The original enumeration replaces every vanishing exponential by zero and
+# every 1-(vanishing) factor by 0.9999, which is valid whenever the dropped
+# term is below 1e-4.  That holds at the published parameters but not for
+# arbitrary ones, so the factor is the sound min(0.9999, 1 - base^T).
+
+def _shrink_t(p, n):
+    return p.min(0.9999, 1.0 - _ut(p, n))
+
+
+def _shrink_b(p, n):
+    return p.min(0.9999, 1.0 - _ub(p, n))
+
+
+@_memo
+def _sum_pre(p, m):
     # tau * sum_{i=1}^{m-1} C(m-1,i)(-1)^{i+1}(beta^i - tau^i)/i
     #   = tau * Integral_tau^beta (1 - (1-t)^{m-1}) / t dt
-    return tau * (math.log(beta / tau) - pow_over_x_integral(tau, beta, m - 1))
+    return p.tau * (_ln_bt(p) - _pox(p, "tb", m - 1))
 
 
-def _sum_post(k: int, tau: float, beta: float) -> float:
+@_memo
+def _sum_post(p, k):
     # tau * sum_{i=1}^{k} C(k,i)(-1)^{i+1}(1 - beta^i)/i
     #   = tau * Integral_beta^1 (1 - (1-t)^k) / t dt
-    return tau * (math.log(1.0 / beta) - pow_over_x_integral(beta, 1.0, k))
-
-
-def _pow1m(x: float, n: int) -> float:
-    return (1.0 - x) ** n
+    return p.tau * (_ln_ib(p) - _pox(p, "b1", k))
 
 
 def _check_profile_args(m: int, k: int, m2: int, m_min: int = 1) -> None:
@@ -169,13 +292,23 @@ def _check_profile_args(m: int, k: int, m2: int, m_min: int = 1) -> None:
         raise ValueError(f"m2={m2} outside [0, m={m}]")
 
 
-def _cosp_params(params: PolicyParams) -> tuple[float, float, float, float, float]:
-    beta = params.require_beta()
-    if beta <= params.tau:
-        raise ValueError(
-            f"chosen-order bounds need beta > tau, got beta={beta} tau={params.tau}"
-        )
-    return params.theta, params.tau, beta, params.gamma, params.delta
+def case6_coef(model: str, m: int | None, params):
+    """Weight of the no-mistake floor r = (1-theta)/(1+theta) in case 6.
+
+    Every case-6 bound, exact or large-regime, is ``base + coef * r`` with
+    ``base`` free of theta.  coef < 1 for m >= 1; at m = 0 it is 1 and the
+    bound is r itself; a large m (``None``) drops the head, so coef = 0.
+    """
+    if m is None:
+        return 0.0
+    p = _as_point(model, params)
+    if model == COSP:
+        return _ub(p, m)
+    return 1.0 / (m + 1) + _rosp_c6_floor_weight(p, m)
+
+
+def _c6_head(model: str, p: Point, m: int | None):
+    return case6_coef(model, m, p) * p.r
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +322,27 @@ def cosp_case0(epsilon: float) -> float:
     return prediction_floor(epsilon)
 
 
-def cosp_case1(m: int, params: PolicyParams) -> float:
+def cosp_case1(m: int, params) -> float:
     """Top prediction is the true best and is itself a mistake."""
-    _, tau, beta, gamma, delta = _cosp_params(params)
+    p = _as_point(COSP, params)
     if m < 1:
         raise ValueError(f"case 1 requires m >= 1, got {m}")
-    skip = _pow1m(beta, m - 1)
-    return (tau / beta) * delta * (1.0 - skip) + gamma * skip
+    return _cosp_c1(p, m)
 
 
-def cosp_case2(m: int, params: PolicyParams) -> float:
+@_memo
+def _cosp_c1(p, m):
+    # memoized: every enumeration cell with m >= 1 asks for it
+    skip = _ub(p, m - 1)
+    return (p.tau / p.beta) * p.delta * (1.0 - skip) + p.gamma * skip
+
+
+def cosp_case2(m: int, params) -> float:
     """Top prediction is the true best, not a mistake: reduces to case 1."""
     return cosp_case1(m + 1, params)
 
 
-def cosp_case3(m: int, k: int, m2: int, params: PolicyParams) -> float:
+def cosp_case3(m: int, k: int, m2: int, params) -> float:
     """Both the top prediction and the true best are mistakes: reduces to
     case 4 with the true best removed from the mistake set."""
     if m < 2:
@@ -212,237 +351,243 @@ def cosp_case3(m: int, k: int, m2: int, params: PolicyParams) -> float:
     return cosp_case4(m - 1, k, m2_clamped, params)
 
 
-def cosp_case4(m: int, k: int, m2: int, params: PolicyParams) -> float:
+@_memo
+def _cosp_bracket4(p, m2):
+    # case 4's late-window weight, by the m2 mistakes below the top prediction
+    return (1.0 - _ub(p, m2)) * (1.0 - p.delta) * p.tau / p.beta + _ub(p, m2) * (1.0 - p.gamma)
+
+
+@_memo
+def _cosp_tail(p, k, m2):
+    # the late-window term of cases 5 and 6
+    return _ub(p, k + 1) / (k + 1) * (1.0 - _ub(p, m2)) * (1.0 - p.delta) * p.tau / p.beta
+
+
+def cosp_case4(m: int, k: int, m2: int, params) -> float:
     """Top prediction is a mistake, the true best is not."""
-    _, tau, beta, gamma, delta = _cosp_params(params)
+    p = _as_point(COSP, params)
     _check_profile_args(m, k, m2)
-    bracket = (1.0 - _pow1m(beta, m2)) * (1.0 - delta) * tau / beta + _pow1m(
-        beta, m2
-    ) * (1.0 - gamma)
-    tail = _pow1m(beta, k + 1) / (k + 1)
-    return _sum_pre(m, tau, beta) + _sum_post(k, tau, beta) + tail * bracket
+    tail = _ub(p, k + 1) / (k + 1)
+    return _sum_pre(p, m) + _sum_post(p, k) + tail * _cosp_bracket4(p, m2)
 
 
-def cosp_case5(m: int, k: int, m2: int, params: PolicyParams) -> float:
+def cosp_case5(m: int, k: int, m2: int, params) -> float:
     """True best is a mistake, the top prediction is not."""
-    _, tau, beta, _, delta = _cosp_params(params)
+    p = _as_point(COSP, params)
     _check_profile_args(m, k, m2)
-    early = _sum_pre(m, tau, beta) + ((1.0 - tau) ** m - _pow1m(beta, m)) / m
-    late = _sum_post(k, tau, beta) * (1.0 - _pow1m(beta, m - 1))
-    tail = (
-        _pow1m(beta, k + 1)
-        / (k + 1)
-        * (1.0 - _pow1m(beta, m2))
-        * (1.0 - delta)
-        * tau
-        / beta
-    )
-    return early + late + tail
+    early = _sum_pre(p, m) + (_ut(p, m) - _ub(p, m)) / m
+    late = _sum_post(p, k) * (1.0 - _ub(p, m - 1))
+    return early + late + _cosp_tail(p, k, m2)
 
 
-def cosp_case6(m: int, k: int, m2: int, params: PolicyParams) -> float:
+def cosp_case6(m: int, k: int, m2: int, params) -> float:
     """Neither the top prediction nor the true best is a mistake.
 
     The prediction-mode factor uses the pessimistic (1-theta)/(1+theta);
     both relevant deviations are at most theta in this case.
     """
-    theta, tau, beta, _, delta = _cosp_params(params)
+    p = _as_point(COSP, params)
     _check_profile_args(m, k, m2, m_min=0)
-    return _cosp_case6_at(m, k, m2, beta, theta, tau, delta)
-
-
-def _cosp_case6_at(
-    m: int, k: int, m2: int, beta: float, theta: float, tau: float, delta: float
-) -> float:
-    # beta may equal tau here (the rosp integrand touches the lower limit)
-    pred = _pow1m(beta, m) * prediction_floor(theta)
-    early = tau * (math.log(beta / tau) - pow_over_x_integral(tau, beta, m))
-    late = _sum_post(k, tau, beta) * (1.0 - _pow1m(beta, m))
-    tail = (
-        _pow1m(beta, k + 1)
-        / (k + 1)
-        * (1.0 - _pow1m(beta, m2))
-        * (1.0 - delta)
-        * tau
-        / beta
-    )
-    return pred + early + late + tail
+    late = _sum_post(p, k) * (1.0 - _ub(p, m))
+    # tau * Integral_tau^beta (1 - (1-t)^m) / t dt is the pre-switch sum at m+1
+    return _c6_head(COSP, p, m) + _sum_pre(p, m + 1) + late + _cosp_tail(p, k, m2)
 
 
 # ---------------------------------------------------------------------------
 # random-order case bounds
 # ---------------------------------------------------------------------------
 
-def _s1(n: int, tau: float) -> float:
+@_memo
+def _s1(p, n):
     # sum_{i=1}^{n} C(n,i)(-1)^{i+1}(1 - tau^i)/i
     #   = Integral_tau^1 (1 - (1-t)^n) / t dt
-    return math.log(1.0 / tau) - pow_over_x_integral(tau, 1.0, n)
+    return _ln_it(p) - _pox(p, "t1", n)
 
 
 def rosp_case0(epsilon: float) -> float:
     return cosp_case0(epsilon)
 
 
-def rosp_case1(m: int, params: PolicyParams) -> float:
-    tau, gamma, delta = params.tau, params.gamma, params.delta
+def rosp_case1(m: int, params) -> float:
+    p = _as_point(ROSP, params)
     if m < 1:
         raise ValueError(f"case 1 requires m >= 1, got {m}")
-    return delta * tau * _s1(m - 1, tau) + gamma * (1.0 - tau) ** m / m
+    return _rosp_c1(p, m)
 
 
-def rosp_case2(m: int, params: PolicyParams) -> float:
+@_memo
+def _rosp_c1(p, m):
+    # memoized: every enumeration cell with m >= 1 asks for it
+    return p.delta * p.tau * _s1(p, m - 1) + p.gamma * _ut(p, m) / m
+
+
+def rosp_case2(m: int, params) -> float:
     return rosp_case1(m + 1, params)
 
 
-def rosp_case3(m: int, k: int, m2: int, params: PolicyParams) -> float:
+def rosp_case3(m: int, k: int, m2: int, params) -> float:
     if m < 2:
         raise ValueError(f"case 3 requires m >= 2, got {m}")
     m2_clamped = min(max(m2, max(0, (m - 1) - k)), max(0, m - 2))
     return rosp_case4(m - 1, k, m2_clamped, params)
 
 
-def _rosp_pre_block(m: int, tau: float) -> float:
+def _rosp_l_pre(p):
+    # Integral_tau^1 ln(t/tau) dt, the pre-switch block's large-m limit over tau
+    return _ln_it(p) - 1.0 + p.tau
+
+
+def _rosp_l_post(p):
+    # Integral_tau^1 ln(1/t) dt, the post-switch block's large-k limit over tau
+    return 1.0 - p.tau + p.tau * _ln_t(p)
+
+
+@_memo
+def _rosp_pre_block(p, m):
     # Integral over beta in [tau,1] of the case-4 pre-switch sum; collapses to
     # a single pow_over_x term after swapping the integration order.
-    return tau * (math.log(1.0 / tau) - 1.0 + tau - pow_over_x_integral(tau, 1.0, m))
+    return p.tau * (_rosp_l_pre(p) - _pox(p, "t1", m))
 
 
-def _rosp_post_block(k: int, tau: float) -> float:
+@_memo
+def _rosp_post_block(p, k):
     # Integral over beta in [tau,1] of the case-4 post-switch sum.
-    return tau * (
-        1.0
-        - tau
-        + tau * math.log(tau)
-        - (1.0 - tau) ** (k + 1) / (k + 1)
-        + tau * pow_over_x_integral(tau, 1.0, k)
-    )
+    return p.tau * (_rosp_l_post(p) - _ut(p, k + 1) / (k + 1) + p.tau * _pox(p, "t1", k))
 
 
-def _rosp_delta_block(k: int, m2: int, tau: float, delta: float) -> float:
+@_memo
+def _rosp_delta_block(p, k, m2):
     # ((1-delta) tau/(k+1)) Integral_tau^1 (1-b)^{k+1}(1-(1-b)^{m2})/b db
     return (
-        (1.0 - delta)
-        * tau
+        (1.0 - p.delta)
+        * p.tau
         / (k + 1)
-        * (pow_over_x_integral(tau, 1.0, k + 1) - pow_over_x_integral(tau, 1.0, k + 1 + m2))
+        * (_pox(p, "t1", k + 1) - _pox(p, "t1", k + 1 + m2))
     )
 
 
-def rosp_case4(m: int, k: int, m2: int, params: PolicyParams) -> float:
-    tau, gamma, delta = params.tau, params.gamma, params.delta
+def rosp_case4(m: int, k: int, m2: int, params) -> float:
+    p = _as_point(ROSP, params)
     _check_profile_args(m, k, m2)
-    early = tau * (tau * _s1(k, tau) + (1.0 - tau) ** (k + 1) / (k + 1))
-    gamma_tail = (1.0 - gamma) / (k + 1) * (1.0 - tau) ** (k + 2 + m2) / (k + 2 + m2)
+    early = p.tau * (p.tau * _s1(p, k) + _ut(p, k + 1) / (k + 1))
+    gamma_tail = (1.0 - p.gamma) / (k + 1) * _ut(p, k + 2 + m2) / (k + 2 + m2)
     return (
         early
-        + _rosp_pre_block(m, tau)
-        + _rosp_post_block(k, tau)
-        + _rosp_delta_block(k, m2, tau, delta)
+        + _rosp_pre_block(p, m)
+        + _rosp_post_block(p, k)
+        + _rosp_delta_block(p, k, m2)
         + gamma_tail
     )
 
 
-def _one_minus_pow_int(n: int, tau: float) -> float:
+def _one_minus_pow_int(n: int, tau):
     # Integral_0^tau (1 - (1-b)^n) db
     return tau - (1.0 - (1.0 - tau) ** (n + 1)) / (n + 1)
 
 
-def rosp_case5(m: int, k: int, m2: int, params: PolicyParams) -> float:
-    tau, _, delta = params.tau, params.gamma, params.delta
-    _check_profile_args(m, k, m2)
-    s1k = _s1(k, tau)
-    a = tau * s1k * _one_minus_pow_int(m, tau)
-    b = (1.0 - tau) ** (k + 1) / (k + 1) * _one_minus_pow_int(m2, tau)
-    c = _rosp_pre_block(m, tau) + (1.0 - tau) ** (m + 1) / (m + 1)
+@_memo
+def _one_minus_pow(p, n):
+    return _one_minus_pow_int(n, p.tau)
+
+
+def _rosp_window(p, tm):
+    # _one_minus_pow_int's floor over every n > tm
+    return p.max(0.0, p.tau - 1.0 / (tm + 2))
+
+
+@_memo
+def _rosp_c5_post(p, m, k):
     # Integral over beta of (post-switch sum) * (1 - (1-beta)^{m-1}); the
     # swapped order leaves only pow_over_x terms.
-    cover = (1.0 - tau) - (1.0 - tau) ** (k + 1) / (k + 1)
-    d = tau * (
+    s1k = _s1(p, k)
+    cover = (1.0 - p.tau) - _ut(p, k + 1) / (k + 1)
+    return p.tau * (
         cover
-        - tau * s1k
-        - (1.0 - tau) ** m * s1k / m
-        + (pow_over_x_integral(tau, 1.0, m) - pow_over_x_integral(tau, 1.0, m + k)) / m
+        - p.tau * s1k
+        - _ut(p, m) * s1k / m
+        + (_pox(p, "t1", m) - _pox(p, "t1", m + k)) / m
     )
-    e = _rosp_delta_block(k, m2, tau, delta)
-    return a + b + c + d + e
+
+
+def rosp_case5(m: int, k: int, m2: int, params) -> float:
+    p = _as_point(ROSP, params)
+    _check_profile_args(m, k, m2)
+    a = p.tau * _s1(p, k) * _one_minus_pow(p, m)
+    b = _ut(p, k + 1) / (k + 1) * _one_minus_pow(p, m2)
+    c = _rosp_pre_block(p, m) + _ut(p, m + 1) / (m + 1)
+    return a + b + c + _rosp_c5_post(p, m, k) + _rosp_delta_block(p, k, m2)
 
 
 # The case-6 pieces below integrate the chosen-order case-6 terms against
 # (1-(1-t)^m) over the top prediction's arrival t in [tau, 1].  Swapping the
-# integration order leaves finite sums of pt(n) = Integral_tau^1 (1-x)^n/x dx,
-# so they serve scalars (pt = pow_over_x_integral) and tune's arrays alike.
+# integration order leaves finite sums of pt(n) = Integral_tau^1 (1-x)^n/x dx.
 
-def _rosp_c6_floor_weight(m: int, tau):
+@_memo
+def _rosp_c6_floor_weight(p, m):
     # Integral_tau^1 (1-(1-t)^m) (1-t)^m dt, the weight of (1-th)/(1+th)
-    u = 1.0 - tau
-    return u ** (m + 1) / (m + 1) - u ** (2 * m + 1) / (2 * m + 1)
+    return _ut(p, m + 1) / (m + 1) - _ut(p, 2 * m + 1) / (2 * m + 1)
 
 
-def _rosp_c6_pre_part(m: int, tau, pt):
+@_memo
+def _rosp_c6_pre_part(p, m):
     # Integral_tau^1 (1-(1-t)^m) * pre-switch-sum(m, t) dt
-    return tau * (pt(1) - (1.0 + 1.0 / (m + 1)) * pt(m + 1) + pt(2 * m + 1) / (m + 1))
+    pt = partial(_pox, p, "t1")
+    return p.tau * (pt(1) - (1.0 + 1.0 / (m + 1)) * pt(m + 1) + pt(2 * m + 1) / (m + 1))
 
 
-def _rosp_c6_m_part(m: int, theta: float, tau: float, pt) -> float:
-    # Integral_tau^1 (1-(1-t)^m) [ (1-t)^m (1-th)/(1+th) + pre-switch sum(t) ] dt
-    return prediction_floor(theta) * _rosp_c6_floor_weight(m, tau) + _rosp_c6_pre_part(m, tau, pt)
-
-
-def _rosp_c6_k_part(m: int, k: int, tau, lnit, pt):
-    # Integral_tau^1 (1-(1-t)^m)^2 * post-switch-sum(k, t) dt; lnit = ln(1/tau)
-    u = 1.0 - tau
-    s_k = lnit - pt(k)
-    weight = 2.0 * u ** (m + 1) / (m + 1) - u ** (2 * m + 1) / (2 * m + 1)
-    return tau * (
-        u
-        - u ** (k + 1) / (k + 1)
-        - (tau + weight) * s_k
+@_memo
+def _rosp_c6_k_part(p, m, k):
+    # Integral_tau^1 (1-(1-t)^m)^2 * post-switch-sum(k, t) dt
+    pt = partial(_pox, p, "t1")
+    weight = 2.0 * _ut(p, m + 1) / (m + 1) - _ut(p, 2 * m + 1) / (2 * m + 1)
+    return p.tau * (
+        (1.0 - p.tau)
+        - _ut(p, k + 1) / (k + 1)
+        - (p.tau + weight) * _s1(p, k)
         + 2.0 * (pt(m + 1) - pt(m + 1 + k)) / (m + 1)
         - (pt(2 * m + 1) - pt(2 * m + 1 + k)) / (2 * m + 1)
     )
 
 
-def _rosp_c6_log_part(m: int, tau, lnit, pt):
+def _rosp_c6_log_part(p, m):
     # tau * Integral_tau^1 (1-(1-t)^m)^2 ln(1/t) dt, from
     # Integral_tau^1 (1-t)^n ln(1/t) dt = ((1-tau)^{n+1} ln(1/tau) - pt(n+1)) / (n+1)
-    u = 1.0 - tau
-
     def j(n):
-        return (u ** (n + 1) * lnit - pt(n + 1)) / (n + 1)
+        return (_ut(p, n + 1) * _ln_it(p) - _pox(p, "t1", n + 1)) / (n + 1)
 
-    return tau * (j(0) - 2.0 * j(m) + j(2 * m))
+    return p.tau * (j(0) - 2.0 * j(m) + j(2 * m))
 
 
-def _rosp_c6_tail_part(m: int, k: int, m2: int, tau, delta, pt):
+def _rosp_c6_tail_part(p, m, k, m2):
     # Integral_tau^1 (1-(1-t)^m) (1-t)^{k+1}/(k+1) (1-(1-t)^{m2}) (1-delta) tau/t dt
     # expands into four pow_over_x integrals.
+    pt = partial(_pox, p, "t1")
     combo = pt(k + 1) - pt(k + 1 + m) - pt(k + 1 + m2) + pt(k + 1 + m + m2)
-    return (1.0 - delta) * tau / (k + 1) * combo
+    return (1.0 - p.delta) * p.tau / (k + 1) * combo
 
 
-def rosp_case6(m: int, k: int, m2: int, params: PolicyParams) -> float:
+def rosp_case6(m: int, k: int, m2: int, params) -> float:
     """Neither special candidate is a mistake, arrival of the top prediction
     averaged over [0,1].
 
     The third contribution integrates the chosen-order case-6 expression over
     the top prediction's arrival time.  With the integration order swapped it
-    is a closed form in pow_over_x_integral(tau, 1, n) terms: an m-only part,
-    an (m,k) part, and an (m,k,m2) tail.  No quadrature is involved.
+    is a closed form in pow_over_x_integral(tau, 1, n) terms: the no-mistake
+    head, an m-only part, an (m,k) part, and an (m,k,m2) tail.  No
+    quadrature is involved.
     """
-    theta, tau, delta = params.theta, params.tau, params.delta
+    p = _as_point(ROSP, params)
     _check_profile_args(m, k, m2, m_min=0)
-    head = prediction_floor(theta) / (m + 1)
-    lnit = math.log(1.0 / tau)
-    early = tau * lnit * _one_minus_pow_int(m, tau)
+    head = _c6_head(ROSP, p, m)
+    early = p.tau * _ln_it(p) * _one_minus_pow(p, m)
     if m == 0:
         return head + early
-    pt = partial(pow_over_x_integral, tau, 1.0)
     return (
         head
         + early
-        + _rosp_c6_m_part(m, theta, tau, pt)
-        + _rosp_c6_k_part(m, k, tau, lnit, pt)
-        + _rosp_c6_tail_part(m, k, m2, tau, delta, pt)
+        + _rosp_c6_pre_part(p, m)
+        + _rosp_c6_k_part(p, m, k)
+        + _rosp_c6_tail_part(p, m, k, m2)
     )
 
 
@@ -454,9 +599,10 @@ _COSP_CASES = {1: cosp_case1, 4: cosp_case4, 5: cosp_case5, 6: cosp_case6}
 _ROSP_CASES = {1: rosp_case1, 4: rosp_case4, 5: rosp_case5, 6: rosp_case6}
 
 
-def case_bound(model: str, case_id: int, m: int, k: int, m2: int, params: PolicyParams) -> float:
-    """Evaluate one case bound; case 0 uses theta as the worst admissible
-    error, cases 2 and 3 reduce to their neighbors."""
+def case_bound(model: str, case_id: int, m: int, k: int, m2: int, params) -> float:
+    """Evaluate one case bound at ``params`` (PolicyParams or a Point); case 0
+    uses theta as the worst admissible error, cases 2 and 3 reduce to their
+    neighbors."""
     if model not in (COSP, ROSP):
         raise ValueError(f"unknown model {model!r}")
     table = {
@@ -466,7 +612,7 @@ def case_bound(model: str, case_id: int, m: int, k: int, m2: int, params: Policy
     if case_id not in table:
         raise ValueError(f"unknown case {case_id}")
     if case_id == 0:
-        return prediction_floor(params.theta)
+        return params.r if isinstance(params, Point) else prediction_floor(params.theta)
     fn = table[case_id]
     if case_id in (1, 2):
         return fn(m, params)
@@ -479,200 +625,135 @@ def case_bound(model: str, case_id: int, m: int, k: int, m2: int, params: Policy
 
 LARGE_REGIMES = ("large_m", "large_k", "large_m2", "large_mk")
 
-# The original enumeration replaces every vanishing exponential by zero and
-# every 1-(vanishing) factor by 0.9999, which is valid whenever the dropped
-# term is below 1e-4.  That holds at the published parameters but not for
-# arbitrary ones, so the factor is the sound min(0.9999, 1 - base^T).
 
-
-def _shrink(base: float, exponent: int) -> float:
-    return min(0.9999, 1.0 - base**exponent)
-
-
-def _cosp_regime_value(
-    case_id: int,
-    params: PolicyParams,
-    tm: int,
-    tk: int,
-    m: int | None,
-    k: int | None,
-    m2: int | None,
-) -> float:
-    theta, tau, beta, gamma, delta = _cosp_params(params)
+def _cosp_regime_value(case_id, p, tm, tk, m, k, m2):
     lm, lk, lm2 = m is None, k is None, m2 is None
-    ub, ut = 1.0 - beta, 1.0 - tau
 
     if case_id == 1:
         if lm:
-            return _shrink(ub, tm) * (tau / beta) * delta
-        return cosp_case1(m, params)
+            return _shrink_b(p, tm) * (p.tau / p.beta) * p.delta
+        return cosp_case1(m, p)
 
-    def tail_term(exp_m2_thresh: int) -> float:
-        if lk:
-            return 0.0
-        base = ub ** (k + 1) / (k + 1)
-        if lm2:
-            return base * _shrink(ub, exp_m2_thresh) * (1.0 - delta) * tau / beta
-        if case_id == 4:
-            bracket = (1.0 - ub**m2) * (1.0 - delta) * tau / beta + ub**m2 * (1.0 - gamma)
-            return base * bracket
-        return base * (1.0 - ub**m2) * (1.0 - delta) * tau / beta
-
-    post = (
-        _shrink(ub, tk + 1) * tau * math.log(1.0 / beta) if lk else _sum_post(k, tau, beta)
-    )
-
-    if case_id == 4:
-        pre = _shrink(ut, tm) * tau * math.log(beta / tau) if lm else _sum_pre(m, tau, beta)
-        return pre + post + tail_term(tm + 1)
-
-    if case_id == 5:
-        if lm:
-            pre = _shrink(ut, tm) * tau * math.log(beta / tau)
-            cover = _shrink(ub, tm)
-        else:
-            pre = _sum_pre(m, tau, beta) + (ut**m - ub**m) / m
-            cover = 1.0 - ub ** (m - 1)
-        return pre + post * cover + tail_term(tm + 1)
-
-    if case_id == 6:
-        if lm:
-            head = 0.0
-            pre = _shrink(ut, tm + 1) * tau * math.log(beta / tau)
-            cover = _shrink(ub, tm + 1)
-        else:
-            head = ub**m * prediction_floor(theta)
-            pre = tau * (math.log(beta / tau) - pow_over_x_integral(tau, beta, m))
-            cover = 1.0 - ub**m
-        return head + pre + post * cover + tail_term(tm + 1)
-
-    raise ValueError(f"case {case_id} has no large-regime form")
-
-
-def _rosp_regime_value(
-    case_id: int,
-    params: PolicyParams,
-    tm: int,
-    tk: int,
-    m: int | None,
-    k: int | None,
-    m2: int | None,
-) -> float:
-    theta, tau, gamma, delta = params.theta, params.tau, params.gamma, params.delta
-    lm, lk, lm2 = m is None, k is None, m2 is None
-    ut = 1.0 - tau
-
-    if case_id == 1:
-        if lm:
-            return _shrink(ut, tm) * delta * tau * math.log(1.0 / tau)
-        return rosp_case1(m, params)
-
-    def delta_block() -> float:
+    def tail_term():
         if lk:
             return 0.0
         if lm2:
             return (
-                _shrink(ut, tm + 1)
-                * (1.0 - delta)
+                _ub(p, k + 1) / (k + 1) * _shrink_b(p, tm + 1) * (1.0 - p.delta) * p.tau / p.beta
+            )
+        if case_id == 4:
+            return _ub(p, k + 1) / (k + 1) * _cosp_bracket4(p, m2)
+        return _cosp_tail(p, k, m2)
+
+    post = _shrink_b(p, tk + 1) * p.tau * _ln_ib(p) if lk else _sum_post(p, k)
+
+    if case_id == 4:
+        pre = _shrink_t(p, tm) * p.tau * _ln_bt(p) if lm else _sum_pre(p, m)
+        return pre + post + tail_term()
+
+    if case_id == 5:
+        if lm:
+            pre = _shrink_t(p, tm) * p.tau * _ln_bt(p)
+            cover = _shrink_b(p, tm)
+        else:
+            pre = _sum_pre(p, m) + (_ut(p, m) - _ub(p, m)) / m
+            cover = 1.0 - _ub(p, m - 1)
+        return pre + post * cover + tail_term()
+
+    if case_id == 6:
+        if lm:
+            pre = _shrink_t(p, tm + 1) * p.tau * _ln_bt(p)
+            cover = _shrink_b(p, tm + 1)
+        else:
+            pre = _sum_pre(p, m + 1)
+            cover = 1.0 - _ub(p, m)
+        return _c6_head(COSP, p, m) + pre + post * cover + tail_term()
+
+    raise ValueError(f"case {case_id} has no large-regime form")
+
+
+def _rosp_regime_value(case_id, p, tm, tk, m, k, m2):
+    lm, lk, lm2 = m is None, k is None, m2 is None
+    tau = p.tau
+
+    if case_id == 1:
+        if lm:
+            return _shrink_t(p, tm) * p.delta * tau * _ln_it(p)
+        return rosp_case1(m, p)
+
+    def delta_block():
+        if lk:
+            return 0.0
+        if lm2:
+            return (
+                _shrink_t(p, tm + 1)
+                * (1.0 - p.delta)
                 * tau
                 / (k + 1)
-                * pow_over_x_integral(tau, 1.0, k + 1)
+                * _pox(p, "t1", k + 1)
             )
-        return _rosp_delta_block(k, m2, tau, delta)
+        return _rosp_delta_block(p, k, m2)
 
     if case_id == 4:
         early = (
-            _shrink(ut, tk + 1) * tau**2 * math.log(1.0 / tau)
+            _shrink_t(p, tk + 1) * tau**2 * _ln_it(p)
             if lk
-            else tau * (tau * _s1(k, tau) + ut ** (k + 1) / (k + 1))
+            else tau * (tau * _s1(p, k) + _ut(p, k + 1) / (k + 1))
         )
-        pre = (
-            _shrink(ut, tm) * tau * (math.log(1.0 / tau) - 1.0 + tau)
-            if lm
-            else _rosp_pre_block(m, tau)
-        )
-        post = (
-            _shrink(ut, tk + 1) * tau * (1.0 - tau + tau * math.log(tau))
-            if lk
-            else _rosp_post_block(k, tau)
-        )
+        pre = _shrink_t(p, tm) * tau * _rosp_l_pre(p) if lm else _rosp_pre_block(p, m)
+        post = _shrink_t(p, tk + 1) * tau * _rosp_l_post(p) if lk else _rosp_post_block(p, k)
         gamma_tail = (
             0.0
             if (lk or lm2)
-            else (1.0 - gamma) / (k + 1) * ut ** (k + 2 + m2) / (k + 2 + m2)
+            else (1.0 - p.gamma) / (k + 1) * _ut(p, k + 2 + m2) / (k + 2 + m2)
         )
         return early + pre + post + delta_block() + gamma_tail
 
     if case_id == 5:
-        s1k_low = _shrink(ut, tk + 1) * math.log(1.0 / tau) if lk else _s1(k, tau)
-        win_m = max(0.0, tau - 1.0 / (tm + 2)) if lm else _one_minus_pow_int(m, tau)
+        s1k_low = _shrink_t(p, tk + 1) * _ln_it(p) if lk else _s1(p, k)
+        win_m = _rosp_window(p, tm) if lm else _one_minus_pow(p, m)
         a = tau * s1k_low * win_m
         if lk:
             b = 0.0
         else:
-            win_m2 = max(0.0, tau - 1.0 / (tm + 2)) if lm2 else _one_minus_pow_int(m2, tau)
-            b = ut ** (k + 1) / (k + 1) * win_m2
+            win_m2 = _rosp_window(p, tm) if lm2 else _one_minus_pow(p, m2)
+            b = _ut(p, k + 1) / (k + 1) * win_m2
         c = (
-            _shrink(ut, tm) * tau * (math.log(1.0 / tau) - 1.0 + tau)
+            _shrink_t(p, tm) * tau * _rosp_l_pre(p)
             if lm
-            else _rosp_pre_block(m, tau) + ut ** (m + 1) / (m + 1)
+            else _rosp_pre_block(p, m) + _ut(p, m + 1) / (m + 1)
         )
         if lm and lk:
-            d = _shrink(ut, tm) * _shrink(ut, tk + 1) * tau * (1.0 - tau + tau * math.log(tau))
+            d = _shrink_t(p, tm) * _shrink_t(p, tk + 1) * tau * _rosp_l_post(p)
         elif lm:
-            d = _shrink(ut, tm) * _rosp_post_block(k, tau)
+            d = _shrink_t(p, tm) * _rosp_post_block(p, k)
         elif lk:
-            d = (
-                _shrink(ut, tk + 1)
-                * (1.0 - ut ** (m - 1))
-                * tau
-                * (1.0 - tau + tau * math.log(tau))
-            )
+            d = _shrink_t(p, tk + 1) * (1.0 - _ut(p, m - 1)) * tau * _rosp_l_post(p)
         else:
-            s1k = _s1(k, tau)
-            cover = (1.0 - tau) - ut ** (k + 1) / (k + 1)
-            d = tau * (
-                cover
-                - tau * s1k
-                - ut**m * s1k / m
-                + (pow_over_x_integral(tau, 1.0, m) - pow_over_x_integral(tau, 1.0, m + k)) / m
-            )
+            d = _rosp_c5_post(p, m, k)
         return a + b + c + d + delta_block()
 
     if case_id == 6:
-        head = 0.0 if lm else prediction_floor(theta) / (m + 1)
-        win_m = max(0.0, tau - 1.0 / (tm + 2)) if lm else _one_minus_pow_int(m, tau)
-        early = tau * math.log(1.0 / tau) * win_m
+        head = _c6_head(ROSP, p, m)
+        win_m = _rosp_window(p, tm) if lm else _one_minus_pow(p, m)
+        early = tau * _ln_it(p) * win_m
         if lm:
-            c_in = _shrink(ut, tm + 1)
-            pre_int = c_in * tau * (math.log(1.0 / tau) - 1.0 + tau)
+            c_in = _shrink_t(p, tm + 1)
+            pre_int = c_in * tau * _rosp_l_pre(p)
             if lk:
-                k_int = c_in * _shrink(ut, tk + 1) * tau * (1.0 - tau + tau * math.log(tau))
-                tail_int = 0.0
+                k_int = c_in * _shrink_t(p, tk + 1) * tau * _rosp_l_post(p)
             else:
-                k_int = c_in * _rosp_post_block(k, tau)
-                if lm2:
-                    tail_int = (
-                        _shrink(ut, tm + 1)
-                        * (1.0 - delta)
-                        * tau
-                        / (k + 1)
-                        * pow_over_x_integral(tau, 1.0, k + 1)
-                    )
-                else:
-                    tail_int = _rosp_delta_block(k, m2, tau, delta)
-            return head + early + c_in * (pre_int + k_int + tail_int)
+                k_int = c_in * _rosp_post_block(p, k)
+            return head + early + c_in * (pre_int + k_int + delta_block())
         # m small: only k may be large here (m2 <= m is small too)
         if not lk:
             raise ValueError("rosp case-6 regime with all parameters small is exact")
         # the large k replaces the post-switch sum by c_k tau ln(1/t)
-        pt = partial(pow_over_x_integral, tau, 1.0)
-        c_k = _shrink(ut, tk + 1)
         return (
             head
             + early
-            + _rosp_c6_m_part(m, theta, tau, pt)
-            + c_k * _rosp_c6_log_part(m, tau, math.log(1.0 / tau), pt)
+            + _rosp_c6_pre_part(p, m)
+            + _shrink_t(p, tk + 1) * _rosp_c6_log_part(p, m)
         )
 
     raise ValueError(f"case {case_id} has no large-regime form")
@@ -682,7 +763,7 @@ def large_regime_bound(
     model: str,
     case_id: int,
     regime: str,
-    params: PolicyParams,
+    params,
     m: int | None = None,
     k: int | None = None,
     m2: int | None = None,
@@ -694,6 +775,7 @@ def large_regime_bound(
     ``large_m``, ``large_k``, ``large_m2`` (which forces m large as well), or
     ``large_mk`` (m and k large; the m2-dependent terms vanish).  Small
     parameters are passed explicitly; large ones must be omitted.
+    ``params`` is a PolicyParams or a Point.
     """
     tm, tk = thresholds
     if tm < 1 or tk < 1:
@@ -719,4 +801,4 @@ def large_regime_bound(
     if "m2" in large[regime]:
         m2 = None
     fn = _cosp_regime_value if model == COSP else _rosp_regime_value
-    return fn(case_id, params, tm, tk, m, k, m2)
+    return fn(case_id, _as_point(model, params), tm, tk, m, k, m2)

@@ -17,13 +17,18 @@ realize:
 * case 1 needs m >= 1,
 * cases 4 and 5 need k >= 1 (the true best beats the top prediction) and
   m2 <= m-1 (a mistake coinciding with the special candidate never counts
-  toward m2); chosen-order case 4 additionally needs m >= 2 (see the
-  repository's decision ledger: with the top prediction pinned at beta its
-  printed bound degenerates at m = 1, where the structure's worst value is
-  (1-beta)(1-gamma); the random-order bound stays healthy at m = 1 and its
-  large-k limit tau^2 ln(1/tau) + tau(1-tau+tau ln tau) = 0.2211 is what the
-  published 0.221 rounds from),
+  toward m2); chosen-order case 4 additionally needs m >= 2 (with the top
+  prediction pinned at beta its printed bound degenerates at m = 1, where
+  the structure's worst value is (1-beta)(1-gamma); the random-order bound
+  stays healthy at m = 1 and its large-k limit
+  tau^2 ln(1/tau) + tau(1-tau+tau ln tau) = 0.2211 is what the published
+  0.221 rounds from),
 * case 6 needs m = 0 or k >= 1, over the enumerated window m2 >= m-k.
+
+``iter_entries`` is the one enumeration of (case, regime, m, k, m2)
+entries, and ``entry_bound`` evaluates an entry through
+``analytic.case_bound`` or ``analytic.large_regime_bound``.  The grid
+search in ``tune`` walks the same entries on a parameter mesh.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ __all__ = [
     "CertReport",
     "certify",
     "certify_cell",
+    "entry_bound",
+    "iter_entries",
     "small_cell_count",
     "report_to_json",
 ]
@@ -115,17 +122,9 @@ def _applicable_cases(model: str, m: int, k: int, m2: int) -> list[int]:
     return cases
 
 
-def certify_cell(model: str, params: PolicyParams, profile: CaseProfile) -> list[CaseBound]:
-    """Exact bounds for every case applicable at one small cell."""
-    m, k, m2 = profile.m, profile.k, profile.m2
-    out = []
+def _cell_entries(model: str, m: int, k: int, m2: int):
     for cid in _applicable_cases(model, m, k, m2):
-        value = analytic.case_bound(model, cid, m, k, m2, params)
-        out.append(CaseBound(f"C{cid}", value, "exact", m, k, m2))
-    skipped = {1, 4, 5, 6} - {int(b.case_id[1]) for b in out}
-    if skipped:
-        log.debug("cell (%d,%d,%d): cases %s not applicable", m, k, m2, sorted(skipped))
-    return out
+        yield cid, "exact", m, k, m2
 
 
 def iter_small_cells(tm: int, tk: int):
@@ -153,59 +152,79 @@ def _regime_label(lm: bool, lk: bool, lm2: bool) -> str | None:
     return None
 
 
-def _regime_case_min(
-    model: str,
-    params: PolicyParams,
-    case_id: int,
-    lm: bool,
-    lk: bool,
-    lm2: bool,
-    tm: int,
-    tk: int,
-) -> CaseBound | None:
-    label = _regime_label(lm, lk, lm2)
-    lrb = lambda **kw: analytic.large_regime_bound(
-        model, case_id, label, params, thresholds=(tm, tk), **kw
-    )
-    best: CaseBound | None = None
+# the feasible regimes, each once, in the order _PATTERNS first names them
+_REGIMES = ("large_m", "large_k", "large_mk", "large_m2")
 
-    def consider(value, m, k, m2):
-        nonlocal best
-        cb = CaseBound(f"C{case_id}", value, label, m, k, m2)
-        if best is None or cb.sort_key() < best.sort_key():
-            best = cb
 
-    if case_id == 1:
-        if lm:
-            consider(lrb(), None, None, None)
+def _regime_entries(model: str, label: str, tm: int, tk: int):
+    for case_id in (1, 4, 5, 6):
+        min_m = _case4_min_m(model) if case_id == 4 else 1 if case_id in (1, 5) else 0
+        if label == "large_k":
+            for m in range(min_m, tm + 1):
+                yield case_id, label, m, None, None
+        elif case_id == 1 or label == "large_mk":
+            yield case_id, label, None, None, None
+        elif label == "large_m2":
+            for k in range(1, tk + 1):
+                yield case_id, label, None, k, None
         else:
-            for m in range(1, tm + 1):
-                consider(analytic.case_bound(model, 1, m, 0, 0, params), m, None, None)
-        return best
-
-    min_m = _case4_min_m(model) if case_id == 4 else 1 if case_id == 5 else 0
-
-    if lm and lk:
-        consider(lrb(), None, None, None)
-    elif lm and lm2:
-        for k in range(1, tk + 1):
-            consider(lrb(k=k), None, k, None)
-    elif lm:
-        # small (k, m2) must admit some m > tm: m2 >= m-k means m <= k+m2
-        need = tm + 1
-        for k in range(1, tk + 1):
-            for m2 in range(max(0, need - k), tm + 1):
-                consider(lrb(k=k, m2=m2), None, k, m2)
-    elif lk:
-        # every m2-dependent term vanishes under large k
-        for m in range(min_m, tm + 1):
-            consider(lrb(m=m, m2=0), m, None, None)
-    else:
-        raise ValueError("regime enumeration called with no large parameter")
-    return best
+            # small (k, m2) must admit some m > tm: m2 >= m-k means m <= k+m2
+            for k in range(1, tk + 1):
+                for m2 in range(max(0, tm + 1 - k), tm + 1):
+                    yield case_id, label, None, k, m2
 
 
-def _evaluate_regimes(model, params, tm, tk):
+def iter_entries(model: str, tm: int, tk: int):
+    """Every entry ``(case_id, regime, m, k, m2)`` of the enumeration.
+
+    The exact small cells come first (regime ``"exact"``), then each large
+    regime once; ``None`` marks a large parameter.  Certify walks these
+    entries cell by cell and regime by regime; tune walks them all on a
+    parameter mesh.
+    """
+    for m, k, m2 in iter_small_cells(tm, tk):
+        yield from _cell_entries(model, m, k, m2)
+    for label in _REGIMES:
+        yield from _regime_entries(model, label, tm, tk)
+
+
+def entry_bound(model: str, entry, params, thresholds=DEFAULT_THRESHOLDS):
+    """The bound of one enumeration entry at ``params`` (a PolicyParams or an
+    ``analytic.Point``)."""
+    case_id, regime, m, k, m2 = entry
+    if regime == "exact" or (case_id == 1 and m is not None):
+        return analytic.case_bound(model, case_id, m, k or 0, m2 or 0, params)
+    if regime == "large_k":
+        m2 = 0  # every m2-dependent term vanishes under large k
+    small = {name: v for name, v in zip(("m", "k", "m2"), (m, k, m2)) if v is not None}
+    return analytic.large_regime_bound(
+        model, case_id, regime, params, thresholds=thresholds, **small
+    )
+
+
+def certify_cell(model: str, params, profile: CaseProfile) -> list[CaseBound]:
+    """Exact bounds for every case applicable at one small cell."""
+    m, k, m2 = profile.m, profile.k, profile.m2
+    out = [
+        CaseBound(f"C{entry[0]}", entry_bound(model, entry, params), "exact", m, k, m2)
+        for entry in _cell_entries(model, m, k, m2)
+    ]
+    skipped = {1, 4, 5, 6} - {int(b.case_id[1]) for b in out}
+    if skipped:
+        log.debug("cell (%d,%d,%d): cases %s not applicable", m, k, m2, sorted(skipped))
+    return out
+
+
+def _evaluate_regimes(model, point, tm, tk):
+    best: dict[tuple[str, int], CaseBound] = {}  # first minimum per (regime, case)
+    for label in _REGIMES:
+        for entry in _regime_entries(model, label, tm, tk):
+            case_id, _, m, k, m2 = entry
+            cb = CaseBound(f"C{case_id}", entry_bound(model, entry, point, (tm, tk)),
+                           label, m, k, m2)
+            key = (label, case_id)
+            if key not in best or cb.sort_key() < best[key].sort_key():
+                best[key] = cb
     entries = []
     bounds = []
     for lm, lk, lm2 in _PATTERNS:
@@ -216,15 +235,9 @@ def _evaluate_regimes(model, params, tm, tk):
             entries.append({"pattern": pattern, "label": None, "feasible": False,
                             "min_value": None, "note": "empty: m2 <= m forces m large"})
             continue
-        case_ids = (1, 4, 5, 6)
-        regime_best = None
-        for cid in case_ids:
-            cb = _regime_case_min(model, params, cid, lm, lk, lm2, tm, tk)
-            if cb is None:
-                continue
-            bounds.append(cb)
-            if regime_best is None or cb.sort_key() < regime_best.sort_key():
-                regime_best = cb
+        case_bests = [best[label, cid] for cid in (1, 4, 5, 6) if (label, cid) in best]
+        bounds.extend(case_bests)
+        regime_best = min(case_bests, key=lambda cb: cb.sort_key())
         entries.append(
             {
                 "pattern": pattern,
@@ -239,10 +252,10 @@ def _evaluate_regimes(model, params, tm, tk):
 
 def _cells_chunk(args):
     model, params_tuple, cells = args
-    params = PolicyParams(*params_tuple)
+    point = analytic.Point.of(model, PolicyParams(*params_tuple))
     best = None
     for m, k, m2 in cells:
-        for cb in certify_cell(model, params, CaseProfile(m, k, m2)):
+        for cb in certify_cell(model, point, CaseProfile(m, k, m2)):
             if best is None or cb.sort_key() < best.sort_key():
                 best = cb
     return best
@@ -264,10 +277,9 @@ def certify(
     tm, tk = thresholds
     if tm < 1 or tk < 1:
         raise ValueError("thresholds must be >= 1")
-    if model == COSP:
-        beta = params.require_beta()
-        if beta <= params.tau:
-            raise ValueError(f"cosp certification needs beta > tau, got {beta} <= {params.tau}")
+    # one point for the whole enumeration, so each power and integral is taken
+    # once; for cosp it also checks beta > tau
+    point = analytic.Point.of(model, params)
 
     candidates: list[CaseBound] = [
         CaseBound("C0", analytic.prediction_floor(params.theta), "analytic", None, None, None)
@@ -283,9 +295,9 @@ def certify(
                     candidates.append(best)
     else:
         for m, k, m2 in cells:
-            candidates.extend(certify_cell(model, params, CaseProfile(m, k, m2)))
+            candidates.extend(certify_cell(model, point, CaseProfile(m, k, m2)))
 
-    regime_entries, regime_bounds = _evaluate_regimes(model, params, tm, tk)
+    regime_entries, regime_bounds = _evaluate_regimes(model, point, tm, tk)
     candidates.extend(regime_bounds)
 
     argmin = min(candidates, key=lambda cb: cb.sort_key())

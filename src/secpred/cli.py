@@ -16,6 +16,7 @@ import numpy as np
 from .analytic import case_bound
 from .certify import DEFAULT_MARGIN, certify, report_to_json
 from .core import COSP, ROSP, PolicyParams, dump_instance, load_instance
+from .derand import uniform_from_first_arrival
 from .simulate import (
     default_deviation,
     estimate_ratio,
@@ -134,7 +135,7 @@ def _cmd_derand_demo(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     t1 = rng.random((args.samples, args.n)).min(axis=1)
-    u = 1.0 - (1.0 - t1) ** args.n  # vectorized uniform_from_first_arrival
+    u = np.array([uniform_from_first_arrival(t, args.n) for t in t1.tolist()])
     stat, pvalue = kstest(u, "uniform")
     print(f"n={args.n} samples={args.samples} ks_stat={_F.format(stat)} p={_F.format(pvalue)}")
     return 0

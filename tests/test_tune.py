@@ -56,46 +56,81 @@ def test_theta_set_analytically():
 
 
 def test_search_fixpoint_matches_scalar_certify():
-    # the vectorized search evaluator must agree with the scalar enumeration
-    # at arbitrary parameter points: solving B = f(B) and then certifying at
-    # theta = (1-B)/(1+B) must reproduce exactly B as the global minimum
+    # the search walks certify's enumeration on a mesh Point: solving B = f(B)
+    # and then certifying at theta = (1-B)/(1+B) must reproduce exactly B as
+    # the global minimum
     import numpy as np
 
-    from secpred.tune import _search_once
+    from secpred.analytic import Point
+    from secpred.certify import entry_bound, iter_entries
+    from secpred.tune import SEARCH_THRESHOLDS, _search_once
 
     rng = np.random.default_rng(3)
+    inputs = []
     for model in ("cosp", "rosp"):
         for _ in range(3):
             tau = float(rng.uniform(0.2, 0.5))
             gamma = float(rng.uniform(0.1, 0.6))
             delta = float(rng.uniform(0.2, 0.8))
             beta = float(rng.uniform(tau + 0.1, 0.9)) if model == "cosp" else None
-            grid = GridSpec(tau=(tau,), gamma=(gamma,), delta=(delta,),
-                            beta=(beta,) if beta else None)
-            params, b_search, _ = _search_once(model, grid, (8, 8))
-            report = certify(model, params, target_b=1e-6, thresholds=(8, 8))
-            assert report.min_value == pytest.approx(b_search, abs=5e-11), (
-                model, tau, beta, gamma, delta, b_search, report.min_value,
-            )
-            # two-sided check: evaluate the vectorized enumeration at a fixed
-            # no-mistake floor r and compare against the scalar certification
-            import numpy as np
-
-            from secpred import PolicyParams
-            from secpred.tune import _cosp_components, _rosp_components
-
             theta = float(rng.uniform(0.3, 0.7))
-            fixed = PolicyParams(theta=theta, tau=tau, gamma=gamma, delta=delta, beta=beta)
-            r = (1 - theta) / (1 + theta)
-            ta = np.array([tau])
-            ga, da = np.array([gamma]), np.array([delta])
-            if model == "cosp":
-                static, bases, coefs = _cosp_components(ta, np.array([beta]), ga, da, 8, 8)
-            else:
-                static, bases, coefs = _rosp_components(ta, ga, da, 8, 8)
-            vec_min = min(float(static[0]), float(np.min(bases[:, 0] + coefs[:, 0] * r)), r)
-            scalar_min = certify(model, fixed, target_b=1e-6, thresholds=(8, 8)).min_value
-            assert vec_min == pytest.approx(scalar_min, abs=5e-11), (model, theta)
+            inputs.append((model, tau, beta, gamma, delta, theta, (8, 8)))
+    # the step-0.05 cosp cell where an iterated fixpoint stopped furthest
+    # short (5.3e-13): a case-6 entry with coef = 0.85 binds there
+    inputs.append(("cosp", 0.05, 0.15, 0.1, 0.3, 0.5, SEARCH_THRESHOLDS))
+    for model, tau, beta, gamma, delta, theta, T in inputs:
+        grid = GridSpec(tau=(tau,), gamma=(gamma,), delta=(delta,),
+                        beta=(beta,) if beta else None)
+        params, b_search, _ = _search_once(model, grid, T)
+        report = certify(model, params, target_b=1e-6, thresholds=T)
+        assert report.min_value == pytest.approx(b_search, abs=5e-11), (
+            model, tau, beta, gamma, delta, b_search, report.min_value,
+        )
+        # exactness: at that theta the binding entry other than the floor r
+        # itself meets B too, so B is the fixpoint and not an iterate below it
+        point = Point.of(model, params)
+        binding = min(
+            entry_bound(model, e, point, T)
+            for e in iter_entries(model, *T)
+            if not (e[0] == 6 and e[2] == 0)
+        )
+        assert binding == pytest.approx(b_search, abs=1e-14), (model, tau, beta, binding)
+        # two-sided check: evaluate the enumeration on a one-cell mesh at a
+        # fixed no-mistake floor r and compare against the scalar certification
+        fixed = PolicyParams(theta=theta, tau=tau, gamma=gamma, delta=delta, beta=beta)
+        r = (1 - theta) / (1 + theta)
+        cell = [np.array([x]) if x is not None else None for x in (tau, gamma, delta, beta)]
+        mesh = Point(*cell, r=r)
+        vec_min = min(
+            [r] + [float(entry_bound(model, e, mesh, T)[0]) for e in iter_entries(model, *T)]
+        )
+        scalar_min = certify(model, fixed, target_b=1e-6, thresholds=T).min_value
+        assert vec_min == pytest.approx(scalar_min, abs=5e-11), (model, theta)
+
+
+def test_mesh_pow_over_x_matches_scalar_at_small_tau():
+    # tau = 0.001 is the floor of the refined grid; there the tail series
+    # needs about 5e4 terms.  The mesh gathers pow_over_x_integral itself, so
+    # its values are exact, up to the exponents a search at
+    # SEARCH_THRESHOLDS reaches.
+    import numpy as np
+
+    from secpred.analytic import Point, _pox, pow_over_x_integral
+    from secpred.tune import SEARCH_THRESHOLDS, _mesh
+
+    tm, tk = SEARCH_THRESHOLDS
+    grid = GridSpec(tau=(0.001, 0.002), beta=(0.003, 0.5), gamma=(0.3,), delta=(0.5,))
+    tau, beta, gamma, delta = _mesh("cosp", grid)
+    point = Point(tau, gamma, delta, beta)
+    spans = {
+        "t1": (tau, np.ones_like(tau), 2 * tm + tk + 3),
+        "tb": (tau, beta, tm + 1),
+        "b1": (beta, np.ones_like(beta), tk + 1),
+    }
+    for interval, (lo, hi, nmax) in spans.items():
+        for n in range(nmax + 1):
+            want = [pow_over_x_integral(a, b, n) for a, b in zip(lo.tolist(), hi.tolist())]
+            assert _pox(point, interval, n).tolist() == want, (interval, n)
 
 
 def test_refine_improves_or_holds():
