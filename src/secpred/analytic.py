@@ -176,6 +176,8 @@ class Point:
     @classmethod
     def of(cls, model: str, params: PolicyParams) -> Point:
         """The scalar point of ``params``; beta is kept for chosen order only."""
+        if params.tau <= 0.0:
+            raise ValueError(f"analytic bounds need tau > 0, got tau={params.tau}")
         beta = None
         if model == COSP:
             beta = params.require_beta()
@@ -595,20 +597,21 @@ def rosp_case6(m: int, k: int, m2: int, params) -> float:
 # dispatch
 # ---------------------------------------------------------------------------
 
-_COSP_CASES = {1: cosp_case1, 4: cosp_case4, 5: cosp_case5, 6: cosp_case6}
-_ROSP_CASES = {1: rosp_case1, 4: rosp_case4, 5: rosp_case5, 6: rosp_case6}
+_CASES = {
+    COSP: {0: None, 1: cosp_case1, 2: cosp_case2, 3: cosp_case3, 4: cosp_case4,
+           5: cosp_case5, 6: cosp_case6},
+    ROSP: {0: None, 1: rosp_case1, 2: rosp_case2, 3: rosp_case3, 4: rosp_case4,
+           5: rosp_case5, 6: rosp_case6},
+}
 
 
 def case_bound(model: str, case_id: int, m: int, k: int, m2: int, params) -> float:
     """Evaluate one case bound at ``params`` (PolicyParams or a Point); case 0
     uses theta as the worst admissible error, cases 2 and 3 reduce to their
     neighbors."""
-    if model not in (COSP, ROSP):
+    table = _CASES.get(model)
+    if table is None:
         raise ValueError(f"unknown model {model!r}")
-    table = {
-        COSP: {0: None, 2: cosp_case2, 3: cosp_case3, **_COSP_CASES},
-        ROSP: {0: None, 2: rosp_case2, 3: rosp_case3, **_ROSP_CASES},
-    }[model]
     if case_id not in table:
         raise ValueError(f"unknown case {case_id}")
     if case_id == 0:

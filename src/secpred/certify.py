@@ -27,15 +27,16 @@ realize:
 
 ``iter_entries`` is the one enumeration of (case, regime, m, k, m2)
 entries, and ``entry_bound`` evaluates an entry through
-``analytic.case_bound`` or ``analytic.large_regime_bound``.  The grid
-search in ``tune`` walks the same entries on a parameter mesh.
+``analytic.case_bound`` or ``analytic.large_regime_bound``.  ``certify`` is
+one serial pass over ``iter_entries`` at a single shared ``analytic.Point``:
+it keeps the first minimum (by ``CaseBound.sort_key``) of the exact cells and
+of each large regime, and the first of those, with case 0, is the argmin.
+The grid search in ``tune`` walks the same entries on a parameter mesh.
 """
 
 from __future__ import annotations
 
 import json
-import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import analytic
@@ -52,24 +53,25 @@ __all__ = [
     "report_to_json",
 ]
 
-log = logging.getLogger(__name__)
-
 DEFAULT_THRESHOLDS = (20, 20)
 DEFAULT_MARGIN = 1e-6
 
 _CASE_SORT = {"C0": 0, "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6}
 _BIG = 10**9  # sort stand-in for a large (unbounded) parameter
 
-# the seven non-small regime patterns, in report order: flags (m, k, m2) large
+# the seven non-small regime patterns, in report order: flags (m, k, m2) large,
+# and the regime that covers them (None: m2 <= m leaves the pattern empty)
 _PATTERNS = (
-    (True, False, False),
-    (False, True, False),
-    (False, False, True),
-    (True, True, False),
-    (True, False, True),
-    (False, True, True),
-    (True, True, True),
+    ((True, False, False), "large_m"),
+    ((False, True, False), "large_k"),
+    ((False, False, True), None),
+    ((True, True, False), "large_mk"),
+    ((True, False, True), "large_m2"),
+    ((False, True, True), None),
+    ((True, True, True), "large_mk"),
 )
+# the feasible regimes, each once, in the order _PATTERNS first names them
+_REGIMES = tuple(dict.fromkeys(label for _, label in _PATTERNS if label))
 
 
 @dataclass(frozen=True)
@@ -138,24 +140,6 @@ def small_cell_count(tm: int, tk: int) -> int:
     return sum(min(m, k) + 1 for m in range(tm + 1) for k in range(tk + 1))
 
 
-def _regime_label(lm: bool, lk: bool, lm2: bool) -> str | None:
-    if lm2 and not lm:
-        return None  # m2 <= m makes this pattern empty
-    if lm and lk:
-        return "large_mk"
-    if lm and lm2:
-        return "large_m2"
-    if lm:
-        return "large_m"
-    if lk:
-        return "large_k"
-    return None
-
-
-# the feasible regimes, each once, in the order _PATTERNS first names them
-_REGIMES = ("large_m", "large_k", "large_mk", "large_m2")
-
-
 def _regime_entries(model: str, label: str, tm: int, tk: int):
     for case_id in (1, 4, 5, 6):
         min_m = _case4_min_m(model) if case_id == 4 else 1 if case_id in (1, 5) else 0
@@ -178,9 +162,8 @@ def iter_entries(model: str, tm: int, tk: int):
     """Every entry ``(case_id, regime, m, k, m2)`` of the enumeration.
 
     The exact small cells come first (regime ``"exact"``), then each large
-    regime once; ``None`` marks a large parameter.  Certify walks these
-    entries cell by cell and regime by regime; tune walks them all on a
-    parameter mesh.
+    regime once; ``None`` marks a large parameter.  Certify walks them in
+    one pass at a scalar point; tune walks them on a parameter mesh.
     """
     for m, k, m2 in iter_small_cells(tm, tk):
         yield from _cell_entries(model, m, k, m2)
@@ -205,60 +188,31 @@ def entry_bound(model: str, entry, params, thresholds=DEFAULT_THRESHOLDS):
 def certify_cell(model: str, params, profile: CaseProfile) -> list[CaseBound]:
     """Exact bounds for every case applicable at one small cell."""
     m, k, m2 = profile.m, profile.k, profile.m2
-    out = [
+    return [
         CaseBound(f"C{entry[0]}", entry_bound(model, entry, params), "exact", m, k, m2)
         for entry in _cell_entries(model, m, k, m2)
     ]
-    skipped = {1, 4, 5, 6} - {int(b.case_id[1]) for b in out}
-    if skipped:
-        log.debug("cell (%d,%d,%d): cases %s not applicable", m, k, m2, sorted(skipped))
-    return out
 
 
-def _evaluate_regimes(model, point, tm, tk):
-    best: dict[tuple[str, int], CaseBound] = {}  # first minimum per (regime, case)
-    for label in _REGIMES:
-        for entry in _regime_entries(model, label, tm, tk):
-            case_id, _, m, k, m2 = entry
-            cb = CaseBound(f"C{case_id}", entry_bound(model, entry, point, (tm, tk)),
-                           label, m, k, m2)
-            key = (label, case_id)
-            if key not in best or cb.sort_key() < best[key].sort_key():
-                best[key] = cb
+def _regime_report(best: dict[str, CaseBound]) -> list[dict]:
     entries = []
-    bounds = []
-    for lm, lk, lm2 in _PATTERNS:
-        label = _regime_label(lm, lk, lm2)
+    for (lm, lk, lm2), label in _PATTERNS:
         pattern = {"m": "large" if lm else "small", "k": "large" if lk else "small",
                    "m2": "large" if lm2 else "small"}
         if label is None:
             entries.append({"pattern": pattern, "label": None, "feasible": False,
                             "min_value": None, "note": "empty: m2 <= m forces m large"})
             continue
-        case_bests = [best[label, cid] for cid in (1, 4, 5, 6) if (label, cid) in best]
-        bounds.extend(case_bests)
-        regime_best = min(case_bests, key=lambda cb: cb.sort_key())
         entries.append(
             {
                 "pattern": pattern,
                 "label": label,
                 "feasible": True,
-                "min_value": regime_best.value,
-                "min_case": regime_best.case_id,
+                "min_value": best[label].value,
+                "min_case": best[label].case_id,
             }
         )
-    return entries, bounds
-
-
-def _cells_chunk(args):
-    model, params_tuple, cells = args
-    point = analytic.Point.of(model, PolicyParams(*params_tuple))
-    best = None
-    for m, k, m2 in cells:
-        for cb in certify_cell(model, point, CaseProfile(m, k, m2)):
-            if best is None or cb.sort_key() < best.sort_key():
-                best = cb
-    return best
+    return entries
 
 
 def certify(
@@ -267,7 +221,6 @@ def certify(
     target_b: float,
     thresholds: tuple[int, int] = DEFAULT_THRESHOLDS,
     margin: float = DEFAULT_MARGIN,
-    threads: int = 1,
 ) -> CertReport:
     """Certify min-over-cases >= target_b for the given parameters."""
     if model not in (COSP, ROSP):
@@ -278,42 +231,35 @@ def certify(
     if tm < 1 or tk < 1:
         raise ValueError("thresholds must be >= 1")
     # one point for the whole enumeration, so each power and integral is taken
-    # once; for cosp it also checks beta > tau
+    # once; it also checks tau > 0 and, for cosp, beta > tau
     point = analytic.Point.of(model, params)
 
-    candidates: list[CaseBound] = [
-        CaseBound("C0", analytic.prediction_floor(params.theta), "analytic", None, None, None)
-    ]
+    # first minimum by sort_key (strict <) of each group of entries, the groups
+    # met in order: case 0, the exact cells, then each large regime
+    best = {"analytic": CaseBound("C0", point.r, "analytic", None, None, None)}
+    for entry in iter_entries(model, tm, tk):
+        case_id, regime, m, k, m2 = entry
+        value = entry_bound(model, entry, point, (tm, tk))
+        held = best.get(regime)
+        # sort_key leads with the value, so a larger one cannot displace held
+        if held is None or value <= held.value:
+            cb = CaseBound(f"C{case_id}", value, regime, m, k, m2)
+            if held is None or cb.sort_key() < held.sort_key():
+                best[regime] = cb
+    # the first of the group minima is the first minimum of the whole enumeration
+    argmin = min(best.values(), key=CaseBound.sort_key)
 
-    cells = list(iter_small_cells(tm, tk))
-    if threads > 1:
-        chunks = [cells[i::threads] for i in range(threads)]
-        params_tuple = (params.theta, params.tau, params.gamma, params.delta, params.beta)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for best in pool.map(_cells_chunk, [(model, params_tuple, ch) for ch in chunks]):
-                if best is not None:
-                    candidates.append(best)
-    else:
-        for m, k, m2 in cells:
-            candidates.extend(certify_cell(model, point, CaseProfile(m, k, m2)))
-
-    regime_entries, regime_bounds = _evaluate_regimes(model, point, tm, tk)
-    candidates.extend(regime_bounds)
-
-    argmin = min(candidates, key=lambda cb: cb.sort_key())
-    min_value = argmin.value
-    passed = (min_value - margin) >= target_b
     return CertReport(
         model=model,
         params=params,
         target_b=target_b,
         thresholds=(tm, tk),
         margin=margin,
-        passed=passed,
-        min_value=min_value,
+        passed=(argmin.value - margin) >= target_b,
+        min_value=argmin.value,
         argmin=argmin,
         cells_checked=small_cell_count(tm, tk) + len(_PATTERNS),
-        regimes=tuple(regime_entries),
+        regimes=tuple(_regime_report(best)),
     )
 
 

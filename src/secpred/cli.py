@@ -58,7 +58,6 @@ def _cmd_certify(args) -> int:
         target_b=args.target_b,
         thresholds=(args.tm, args.tk),
         margin=args.margin,
-        threads=args.threads,
     )
     text = report_to_json(report)
     if args.out:
@@ -133,6 +132,8 @@ def _cmd_tune(args) -> int:
 def _cmd_derand_demo(args) -> int:
     from scipy.stats import kstest
 
+    if args.n < 1 or args.samples < 1:
+        raise ValueError(f"need n >= 1 and samples >= 1, got n={args.n} samples={args.samples}")
     rng = np.random.default_rng(args.seed)
     t1 = rng.random((args.samples, args.n)).min(axis=1)
     u = np.array([uniform_from_first_arrival(t, args.n) for t in t1.tolist()])
@@ -168,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tk", type=int, default=20)
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("simulate", help="Monte Carlo ratio estimate on an instance file")

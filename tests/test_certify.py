@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from secpred import (
@@ -9,7 +11,13 @@ from secpred import (
     report_to_json,
 )
 from secpred.analytic import prediction_floor
-from secpred.certify import iter_small_cells, small_cell_count
+from secpred.certify import (
+    CaseBound,
+    entry_bound,
+    iter_entries,
+    iter_small_cells,
+    small_cell_count,
+)
 from secpred.core import CaseProfile
 
 
@@ -72,11 +80,41 @@ def test_bounds_not_vacuously_loose():
     assert not certify("rosp", Q, 0.221 + 0.02, thresholds=(8, 8)).passed
 
 
-def test_parallel_matches_serial():
-    serial = certify("rosp", Q, 0.221, thresholds=(6, 6), threads=1)
-    parallel = certify("rosp", Q, 0.221, thresholds=(6, 6), threads=3)
-    assert serial.min_value == parallel.min_value
-    assert serial.argmin == parallel.argmin
+GAMMA_ZERO = PolicyParams(theta=0.58, tau=0.37, gamma=0.0, delta=0.46, beta=0.64)
+
+
+@pytest.mark.parametrize(
+    "model,params,target_b",
+    [("cosp", P, 0.262), ("cosp", P, 0.29), ("cosp", GAMMA_ZERO, 0.262), ("rosp", Q, 0.221)],
+)
+def test_single_pass_matches_enumeration_minimum(model, params, target_b):
+    # every entry evaluated on its own, with no shared point or running minimum
+    thresholds = (6, 6)
+    bounds = [CaseBound("C0", prediction_floor(params.theta), "analytic", None, None, None)]
+    for entry in iter_entries(model, *thresholds):
+        case_id, regime, m, k, m2 = entry
+        value = entry_bound(model, entry, params, thresholds)
+        bounds.append(CaseBound(f"C{case_id}", value, regime, m, k, m2))
+    report = certify(model, params, target_b, thresholds=thresholds)
+    assert report.argmin == min(bounds, key=CaseBound.sort_key)
+    assert report.min_value == report.argmin.value
+    feasible = [r for r in report.regimes if r["feasible"]]
+    assert len(feasible) == 5
+    for regime in feasible:
+        best = min((b for b in bounds if b.regime == regime["label"]), key=CaseBound.sort_key)
+        assert (regime["min_value"], regime["min_case"]) == (best.value, best.case_id)
+
+
+@pytest.mark.parametrize(
+    "model,params,target_b,digest",
+    [
+        ("cosp", P, 0.262, "827d3d3c59513de1043a4124baa3bb63ed0ead43c083d4d50ebfd152c2c8b1de"),
+        ("rosp", Q, 0.221, "a960e7148502b31aac8622b088ac37623df57e47762d518b3c7a3954e86cc77f"),
+    ],
+)
+def test_certificate_bytes_pinned(model, params, target_b, digest):
+    text = report_to_json(certify(model, params, target_b, thresholds=(20, 20)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_report_json_stable():
@@ -103,3 +141,7 @@ def test_precondition_errors():
         certify("cosp", P, 1.5)
     with pytest.raises(ValueError):
         certify("cosp", P, 0.2, thresholds=(0, 5))
+    with pytest.raises(ValueError, match="tau > 0"):
+        certify("cosp", PolicyParams(theta=0.5, tau=0.0, gamma=0.3, delta=0.4, beta=0.4), 0.2)
+    with pytest.raises(ValueError, match="tau > 0"):
+        certify("rosp", PolicyParams(theta=0.5, tau=0.0, gamma=0.3, delta=0.4), 0.2)

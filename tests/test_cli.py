@@ -18,7 +18,7 @@ def test_certify_pass_exit_zero(tmp_path, capsys):
     out = tmp_path / "cert.json"
     code = main(
         ["certify", *COSP_FLAGS, "--target-b", "0.262", "--tm", "8", "--tk", "8",
-         "--threads", "1", "--out", str(out)]
+         "--out", str(out)]
     )
     assert code == 0
     obj = json.loads(out.read_text())
@@ -28,8 +28,7 @@ def test_certify_pass_exit_zero(tmp_path, capsys):
 
 def test_certify_fail_exit_one(capsys):
     code = main(
-        ["certify", *COSP_FLAGS, "--target-b", "0.29", "--tm", "6", "--tk", "6",
-         "--threads", "1"]
+        ["certify", *COSP_FLAGS, "--target-b", "0.29", "--tm", "6", "--tk", "6"]
     )
     assert code == 1
     assert "FAILED" in capsys.readouterr().out
@@ -40,7 +39,7 @@ def test_certificate_byte_stable(tmp_path):
     for name in ("a.json", "b.json"):
         path = tmp_path / name
         main(["certify", *ROSP_FLAGS, "--target-b", "0.221", "--tm", "6", "--tk", "6",
-              "--threads", "1", "--out", str(path)])
+              "--out", str(path)])
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
 
@@ -74,6 +73,20 @@ def test_derand_demo(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "ks_stat=" in out
+
+
+@pytest.mark.parametrize("flags", [["--n", "0", "--samples", "100"], ["--n", "5", "--samples", "0"]])
+def test_derand_demo_rejects_empty_draw(capsys, flags):
+    assert main(["derand-demo", *flags, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "ks_stat" not in out
+    assert err.startswith("error:")
+
+
+def test_evaluate_tau_zero_exit_two(capsys):
+    flags = ["--model", "rosp", "--theta", "0.5", "--tau", "0", "--gamma", "0.3", "--delta", "0.4"]
+    assert main(["evaluate", "--case", "4", *flags, "--m", "1", "--k", "1"]) == 2
+    assert "tau > 0" in capsys.readouterr().err
 
 
 def test_usage_error_exit_two(capsys):
