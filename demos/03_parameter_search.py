@@ -1,4 +1,4 @@
-"""Reproduce the published parameter choices by grid search.
+"""Search the policy parameters on a grid and compare with the published ones.
 
 The certified worst-case bound is maximized over (tau, beta, gamma, delta)
 for chosen order and (tau, gamma, delta) for random order; the switching

@@ -2,8 +2,8 @@
 
 Evaluates the per-case competitive-ratio lower bounds for chosen-order
 (cosp) and random-order (rosp) arrivals, the appendix integral lemmas they
-are built from, and the symbolic substitutes used when a structure
-parameter (m, k, or m2) is large.
+are built from, and the symbolic floors used when a structure parameter
+(m, k, or m2) is large.
 
 Conventions used throughout:
 
@@ -15,9 +15,12 @@ Conventions used throughout:
 
 Every alternating binomial sum in the case formulas is an instance of
 ``pow_over_x_integral`` (the integral of (1-x)^n / x), so accuracy is
-controlled in exactly one place.  Each bound is written once over a
-``Point``, whose fields are floats for one policy or arrays for a search
-mesh.
+controlled in exactly one place.  Each of cases 1, 4, 5 and 6 is one form
+of ``(point, m, k, m2, tm, tk)`` in ``CASE_FORMS``: ``None`` marks a
+parameter above its threshold, and with every parameter small the form is
+the exact bound.  The point's fields are floats for one policy or arrays for
+a search mesh.  ``cosp_case*``/``rosp_case*``, ``case_bound`` and
+``large_regime_bound`` are the validating front ends over the same forms.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
     "rosp_case5",
     "rosp_case6",
     "case_bound",
+    "CASE_FORMS",
     "large_regime_bound",
     "LARGE_REGIMES",
 ]
@@ -174,8 +178,11 @@ class Point:
         self.memo: dict = {}
 
     @classmethod
-    def of(cls, model: str, params: PolicyParams) -> Point:
-        """The scalar point of ``params``; beta is kept for chosen order only."""
+    def of(cls, model: str, params) -> Point:
+        """``params`` as a point: a Point is returned as it is, a PolicyParams
+        gives its scalar point (beta kept for chosen order only)."""
+        if isinstance(params, Point):
+            return params
         if params.tau <= 0.0:
             raise ValueError(f"analytic bounds need tau > 0, got tau={params.tau}")
         beta = None
@@ -188,15 +195,15 @@ class Point:
         return cls(params.tau, params.gamma, params.delta, beta, prediction_floor(params.theta))
 
 
-def _as_point(model: str, params) -> Point:
-    return params if isinstance(params, Point) else Point.of(model, params)
-
-
 def _memo(fn):
-    # a building block depends only on the point and its integer arguments
+    # a building block depends only on the point and its other arguments.  One
+    # with a None argument (a large parameter, or a front end's missing
+    # thresholds) serves an entry or two, so it is not kept on the point.
     name = fn.__name__
 
     def cached(p, *args):
+        if None in args:
+            return fn(p, *args)
         key = (name, args)
         if key not in p.memo:
             p.memo[key] = fn(p, *args)
@@ -258,6 +265,12 @@ def _pox(p, interval, n):
     return np.array([pow_over_x_integral(a, b, n) for a, b in pairs])[inverse]
 
 
+# Every case form below takes (point, m, k, m2, tm, tk), with None marking a
+# parameter above its threshold (tm bounds m and m2, tk bounds k).  With every
+# parameter small it is the exact bound and ignores the thresholds; a large
+# parameter swaps each term it enters for that term's floor over all values
+# above the threshold.
+#
 # The original enumeration replaces every vanishing exponential by zero and
 # every 1-(vanishing) factor by 0.9999, which is valid whenever the dropped
 # term is below 1e-4.  That holds at the published parameters but not for
@@ -279,9 +292,11 @@ def _sum_pre(p, m):
 
 
 @_memo
-def _sum_post(p, k):
+def _sum_post(p, k, tk):
     # tau * sum_{i=1}^{k} C(k,i)(-1)^{i+1}(1 - beta^i)/i
     #   = tau * Integral_beta^1 (1 - (1-t)^k) / t dt
+    if k is None:
+        return _shrink_b(p, tk + 1) * p.tau * _ln_ib(p)
     return p.tau * (_ln_ib(p) - _pox(p, "b1", k))
 
 
@@ -303,7 +318,7 @@ def case6_coef(model: str, m: int | None, params):
     """
     if m is None:
         return 0.0
-    p = _as_point(model, params)
+    p = Point.of(model, params)
     if model == COSP:
         return _ub(p, m)
     return 1.0 / (m + 1) + _rosp_c6_floor_weight(p, m)
@@ -326,9 +341,15 @@ def cosp_case0(epsilon: float) -> float:
 
 def cosp_case1(m: int, params) -> float:
     """Top prediction is the true best and is itself a mistake."""
-    p = _as_point(COSP, params)
+    p = Point.of(COSP, params)
     if m < 1:
         raise ValueError(f"case 1 requires m >= 1, got {m}")
+    return _cosp1(p, m, 0, 0, None, None)
+
+
+def _cosp1(p, m, k, m2, tm, tk):
+    if m is None:
+        return _shrink_b(p, tm) * (p.tau / p.beta) * p.delta
     return _cosp_c1(p, m)
 
 
@@ -360,26 +381,44 @@ def _cosp_bracket4(p, m2):
 
 
 @_memo
-def _cosp_tail(p, k, m2):
-    # the late-window term of cases 5 and 6
-    return _ub(p, k + 1) / (k + 1) * (1.0 - _ub(p, m2)) * (1.0 - p.delta) * p.tau / p.beta
+def _cosp_tail(p, k, m2, tm):
+    # the late-window term of cases 5 and 6, and of case 4 at a large m2
+    if k is None:
+        return 0.0
+    hit = _shrink_b(p, tm + 1) if m2 is None else 1.0 - _ub(p, m2)
+    return _ub(p, k + 1) / (k + 1) * hit * (1.0 - p.delta) * p.tau / p.beta
 
 
 def cosp_case4(m: int, k: int, m2: int, params) -> float:
     """Top prediction is a mistake, the true best is not."""
-    p = _as_point(COSP, params)
+    p = Point.of(COSP, params)
     _check_profile_args(m, k, m2)
-    tail = _ub(p, k + 1) / (k + 1)
-    return _sum_pre(p, m) + _sum_post(p, k) + tail * _cosp_bracket4(p, m2)
+    return _cosp4(p, m, k, m2, None, None)
+
+
+def _cosp4(p, m, k, m2, tm, tk):
+    pre = _shrink_t(p, tm) * p.tau * _ln_bt(p) if m is None else _sum_pre(p, m)
+    if k is None or m2 is None:
+        tail = _cosp_tail(p, k, m2, tm)
+    else:
+        tail = _ub(p, k + 1) / (k + 1) * _cosp_bracket4(p, m2)
+    return pre + _sum_post(p, k, tk) + tail
 
 
 def cosp_case5(m: int, k: int, m2: int, params) -> float:
     """True best is a mistake, the top prediction is not."""
-    p = _as_point(COSP, params)
+    p = Point.of(COSP, params)
     _check_profile_args(m, k, m2)
-    early = _sum_pre(p, m) + (_ut(p, m) - _ub(p, m)) / m
-    late = _sum_post(p, k) * (1.0 - _ub(p, m - 1))
-    return early + late + _cosp_tail(p, k, m2)
+    return _cosp5(p, m, k, m2, None, None)
+
+
+def _cosp5(p, m, k, m2, tm, tk):
+    if m is None:
+        early, cover = _shrink_t(p, tm) * p.tau * _ln_bt(p), _shrink_b(p, tm)
+    else:
+        early = _sum_pre(p, m) + (_ut(p, m) - _ub(p, m)) / m
+        cover = 1.0 - _ub(p, m - 1)
+    return early + _sum_post(p, k, tk) * cover + _cosp_tail(p, k, m2, tm)
 
 
 def cosp_case6(m: int, k: int, m2: int, params) -> float:
@@ -388,11 +427,19 @@ def cosp_case6(m: int, k: int, m2: int, params) -> float:
     The prediction-mode factor uses the pessimistic (1-theta)/(1+theta);
     both relevant deviations are at most theta in this case.
     """
-    p = _as_point(COSP, params)
+    p = Point.of(COSP, params)
     _check_profile_args(m, k, m2, m_min=0)
-    late = _sum_post(p, k) * (1.0 - _ub(p, m))
-    # tau * Integral_tau^beta (1 - (1-t)^m) / t dt is the pre-switch sum at m+1
-    return _c6_head(COSP, p, m) + _sum_pre(p, m + 1) + late + _cosp_tail(p, k, m2)
+    return _cosp6(p, m, k, m2, None, None)
+
+
+def _cosp6(p, m, k, m2, tm, tk):
+    if m is None:
+        pre, cover = _shrink_t(p, tm + 1) * p.tau * _ln_bt(p), _shrink_b(p, tm + 1)
+    else:
+        # tau * Integral_tau^beta (1 - (1-t)^m) / t dt is the pre-switch sum at m+1
+        pre, cover = _sum_pre(p, m + 1), 1.0 - _ub(p, m)
+    late = _sum_post(p, k, tk) * cover
+    return _c6_head(COSP, p, m) + pre + late + _cosp_tail(p, k, m2, tm)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +458,15 @@ def rosp_case0(epsilon: float) -> float:
 
 
 def rosp_case1(m: int, params) -> float:
-    p = _as_point(ROSP, params)
+    p = Point.of(ROSP, params)
     if m < 1:
         raise ValueError(f"case 1 requires m >= 1, got {m}")
+    return _rosp1(p, m, 0, 0, None, None)
+
+
+def _rosp1(p, m, k, m2, tm, tk):
+    if m is None:
+        return _shrink_t(p, tm) * p.delta * p.tau * _ln_it(p)
     return _rosp_c1(p, m)
 
 
@@ -445,21 +498,29 @@ def _rosp_l_post(p):
 
 
 @_memo
-def _rosp_pre_block(p, m):
+def _rosp_pre_block(p, m, tm):
     # Integral over beta in [tau,1] of the case-4 pre-switch sum; collapses to
     # a single pow_over_x term after swapping the integration order.
+    if m is None:
+        return _shrink_t(p, tm) * p.tau * _rosp_l_pre(p)
     return p.tau * (_rosp_l_pre(p) - _pox(p, "t1", m))
 
 
 @_memo
-def _rosp_post_block(p, k):
+def _rosp_post_block(p, k, tk):
     # Integral over beta in [tau,1] of the case-4 post-switch sum.
+    if k is None:
+        return _shrink_t(p, tk + 1) * p.tau * _rosp_l_post(p)
     return p.tau * (_rosp_l_post(p) - _ut(p, k + 1) / (k + 1) + p.tau * _pox(p, "t1", k))
 
 
 @_memo
-def _rosp_delta_block(p, k, m2):
+def _rosp_delta_block(p, k, m2, tm):
     # ((1-delta) tau/(k+1)) Integral_tau^1 (1-b)^{k+1}(1-(1-b)^{m2})/b db
+    if k is None:
+        return 0.0
+    if m2 is None:
+        return _shrink_t(p, tm + 1) * (1.0 - p.delta) * p.tau / (k + 1) * _pox(p, "t1", k + 1)
     return (
         (1.0 - p.delta)
         * p.tau
@@ -469,15 +530,24 @@ def _rosp_delta_block(p, k, m2):
 
 
 def rosp_case4(m: int, k: int, m2: int, params) -> float:
-    p = _as_point(ROSP, params)
+    p = Point.of(ROSP, params)
     _check_profile_args(m, k, m2)
-    early = p.tau * (p.tau * _s1(p, k) + _ut(p, k + 1) / (k + 1))
-    gamma_tail = (1.0 - p.gamma) / (k + 1) * _ut(p, k + 2 + m2) / (k + 2 + m2)
+    return _rosp4(p, m, k, m2, None, None)
+
+
+def _rosp4(p, m, k, m2, tm, tk):
+    if k is None:
+        early, gamma_tail = _shrink_t(p, tk + 1) * p.tau**2 * _ln_it(p), 0.0
+    else:
+        early = p.tau * (p.tau * _s1(p, k) + _ut(p, k + 1) / (k + 1))
+        gamma_tail = (
+            0.0 if m2 is None else (1.0 - p.gamma) / (k + 1) * _ut(p, k + 2 + m2) / (k + 2 + m2)
+        )
     return (
         early
-        + _rosp_pre_block(p, m)
-        + _rosp_post_block(p, k)
-        + _rosp_delta_block(p, k, m2)
+        + _rosp_pre_block(p, m, tm)
+        + _rosp_post_block(p, k, tk)
+        + _rosp_delta_block(p, k, m2, tm)
         + gamma_tail
     )
 
@@ -488,19 +558,23 @@ def _one_minus_pow_int(n: int, tau):
 
 
 @_memo
-def _one_minus_pow(p, n):
+def _one_minus_pow(p, n, tm):
+    if n is None:
+        # the floor of _one_minus_pow_int over every n > tm
+        return p.max(0.0, p.tau - 1.0 / (tm + 2))
     return _one_minus_pow_int(n, p.tau)
 
 
-def _rosp_window(p, tm):
-    # _one_minus_pow_int's floor over every n > tm
-    return p.max(0.0, p.tau - 1.0 / (tm + 2))
-
-
 @_memo
-def _rosp_c5_post(p, m, k):
+def _rosp_c5_post(p, m, k, tm, tk):
     # Integral over beta of (post-switch sum) * (1 - (1-beta)^{m-1}); the
     # swapped order leaves only pow_over_x terms.
+    if m is None and k is None:
+        return _shrink_t(p, tm) * _shrink_t(p, tk + 1) * p.tau * _rosp_l_post(p)
+    if m is None:
+        return _shrink_t(p, tm) * _rosp_post_block(p, k, tk)
+    if k is None:
+        return _shrink_t(p, tk + 1) * (1.0 - _ut(p, m - 1)) * p.tau * _rosp_l_post(p)
     s1k = _s1(p, k)
     cover = (1.0 - p.tau) - _ut(p, k + 1) / (k + 1)
     return p.tau * (
@@ -512,12 +586,19 @@ def _rosp_c5_post(p, m, k):
 
 
 def rosp_case5(m: int, k: int, m2: int, params) -> float:
-    p = _as_point(ROSP, params)
+    p = Point.of(ROSP, params)
     _check_profile_args(m, k, m2)
-    a = p.tau * _s1(p, k) * _one_minus_pow(p, m)
-    b = _ut(p, k + 1) / (k + 1) * _one_minus_pow(p, m2)
-    c = _rosp_pre_block(p, m) + _ut(p, m + 1) / (m + 1)
-    return a + b + c + _rosp_c5_post(p, m, k) + _rosp_delta_block(p, k, m2)
+    return _rosp5(p, m, k, m2, None, None)
+
+
+def _rosp5(p, m, k, m2, tm, tk):
+    s1k = _shrink_t(p, tk + 1) * _ln_it(p) if k is None else _s1(p, k)
+    a = p.tau * s1k * _one_minus_pow(p, m, tm)
+    b = 0.0 if k is None else _ut(p, k + 1) / (k + 1) * _one_minus_pow(p, m2, tm)
+    c = _rosp_pre_block(p, m, tm)
+    if m is not None:
+        c = c + _ut(p, m + 1) / (m + 1)
+    return a + b + c + _rosp_c5_post(p, m, k, tm, tk) + _rosp_delta_block(p, k, m2, tm)
 
 
 # The case-6 pieces below integrate the chosen-order case-6 terms against
@@ -578,24 +659,41 @@ def rosp_case6(m: int, k: int, m2: int, params) -> float:
     head, an m-only part, an (m,k) part, and an (m,k,m2) tail.  No
     quadrature is involved.
     """
-    p = _as_point(ROSP, params)
+    p = Point.of(ROSP, params)
     _check_profile_args(m, k, m2, m_min=0)
+    return _rosp6(p, m, k, m2, None, None)
+
+
+def _rosp6(p, m, k, m2, tm, tk):
     head = _c6_head(ROSP, p, m)
-    early = p.tau * _ln_it(p) * _one_minus_pow(p, m)
+    early = p.tau * _ln_it(p) * _one_minus_pow(p, m, tm)
+    if m is None:
+        c_in = _shrink_t(p, tm + 1)
+        if k is None:
+            k_int = c_in * _shrink_t(p, tk + 1) * p.tau * _rosp_l_post(p)
+        else:
+            k_int = c_in * _rosp_post_block(p, k, tk)
+        pre_int = _rosp_pre_block(p, None, tm + 1)
+        return head + early + c_in * (pre_int + k_int + _rosp_delta_block(p, k, m2, tm))
     if m == 0:
         return head + early
-    return (
-        head
-        + early
-        + _rosp_c6_pre_part(p, m)
-        + _rosp_c6_k_part(p, m, k)
-        + _rosp_c6_tail_part(p, m, k, m2)
-    )
+    body = head + early + _rosp_c6_pre_part(p, m)
+    if k is None:
+        # the large k replaces the post-switch sum by c_k tau ln(1/t)
+        return body + _shrink_t(p, tk + 1) * _rosp_c6_log_part(p, m)
+    return body + _rosp_c6_k_part(p, m, k) + _rosp_c6_tail_part(p, m, k, m2)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
+
+# (model, case) -> form(point, m, k, m2, tm, tk) for the cases the
+# enumeration evaluates; cases 2 and 3 reduce to cases 1 and 4
+CASE_FORMS = {
+    (COSP, 1): _cosp1, (COSP, 4): _cosp4, (COSP, 5): _cosp5, (COSP, 6): _cosp6,
+    (ROSP, 1): _rosp1, (ROSP, 4): _rosp4, (ROSP, 5): _rosp5, (ROSP, 6): _rosp6,
+}
 
 _CASES = {
     COSP: {0: None, 1: cosp_case1, 2: cosp_case2, 3: cosp_case3, 4: cosp_case4,
@@ -622,144 +720,7 @@ def case_bound(model: str, case_id: int, m: int, k: int, m2: int, params) -> flo
     return fn(m, k, m2, params)
 
 
-# ---------------------------------------------------------------------------
-# symbolic bounds for large parameters
-# ---------------------------------------------------------------------------
-
 LARGE_REGIMES = ("large_m", "large_k", "large_m2", "large_mk")
-
-
-def _cosp_regime_value(case_id, p, tm, tk, m, k, m2):
-    lm, lk, lm2 = m is None, k is None, m2 is None
-
-    if case_id == 1:
-        if lm:
-            return _shrink_b(p, tm) * (p.tau / p.beta) * p.delta
-        return cosp_case1(m, p)
-
-    def tail_term():
-        if lk:
-            return 0.0
-        if lm2:
-            return (
-                _ub(p, k + 1) / (k + 1) * _shrink_b(p, tm + 1) * (1.0 - p.delta) * p.tau / p.beta
-            )
-        if case_id == 4:
-            return _ub(p, k + 1) / (k + 1) * _cosp_bracket4(p, m2)
-        return _cosp_tail(p, k, m2)
-
-    post = _shrink_b(p, tk + 1) * p.tau * _ln_ib(p) if lk else _sum_post(p, k)
-
-    if case_id == 4:
-        pre = _shrink_t(p, tm) * p.tau * _ln_bt(p) if lm else _sum_pre(p, m)
-        return pre + post + tail_term()
-
-    if case_id == 5:
-        if lm:
-            pre = _shrink_t(p, tm) * p.tau * _ln_bt(p)
-            cover = _shrink_b(p, tm)
-        else:
-            pre = _sum_pre(p, m) + (_ut(p, m) - _ub(p, m)) / m
-            cover = 1.0 - _ub(p, m - 1)
-        return pre + post * cover + tail_term()
-
-    if case_id == 6:
-        if lm:
-            pre = _shrink_t(p, tm + 1) * p.tau * _ln_bt(p)
-            cover = _shrink_b(p, tm + 1)
-        else:
-            pre = _sum_pre(p, m + 1)
-            cover = 1.0 - _ub(p, m)
-        return _c6_head(COSP, p, m) + pre + post * cover + tail_term()
-
-    raise ValueError(f"case {case_id} has no large-regime form")
-
-
-def _rosp_regime_value(case_id, p, tm, tk, m, k, m2):
-    lm, lk, lm2 = m is None, k is None, m2 is None
-    tau = p.tau
-
-    if case_id == 1:
-        if lm:
-            return _shrink_t(p, tm) * p.delta * tau * _ln_it(p)
-        return rosp_case1(m, p)
-
-    def delta_block():
-        if lk:
-            return 0.0
-        if lm2:
-            return (
-                _shrink_t(p, tm + 1)
-                * (1.0 - p.delta)
-                * tau
-                / (k + 1)
-                * _pox(p, "t1", k + 1)
-            )
-        return _rosp_delta_block(p, k, m2)
-
-    if case_id == 4:
-        early = (
-            _shrink_t(p, tk + 1) * tau**2 * _ln_it(p)
-            if lk
-            else tau * (tau * _s1(p, k) + _ut(p, k + 1) / (k + 1))
-        )
-        pre = _shrink_t(p, tm) * tau * _rosp_l_pre(p) if lm else _rosp_pre_block(p, m)
-        post = _shrink_t(p, tk + 1) * tau * _rosp_l_post(p) if lk else _rosp_post_block(p, k)
-        gamma_tail = (
-            0.0
-            if (lk or lm2)
-            else (1.0 - p.gamma) / (k + 1) * _ut(p, k + 2 + m2) / (k + 2 + m2)
-        )
-        return early + pre + post + delta_block() + gamma_tail
-
-    if case_id == 5:
-        s1k_low = _shrink_t(p, tk + 1) * _ln_it(p) if lk else _s1(p, k)
-        win_m = _rosp_window(p, tm) if lm else _one_minus_pow(p, m)
-        a = tau * s1k_low * win_m
-        if lk:
-            b = 0.0
-        else:
-            win_m2 = _rosp_window(p, tm) if lm2 else _one_minus_pow(p, m2)
-            b = _ut(p, k + 1) / (k + 1) * win_m2
-        c = (
-            _shrink_t(p, tm) * tau * _rosp_l_pre(p)
-            if lm
-            else _rosp_pre_block(p, m) + _ut(p, m + 1) / (m + 1)
-        )
-        if lm and lk:
-            d = _shrink_t(p, tm) * _shrink_t(p, tk + 1) * tau * _rosp_l_post(p)
-        elif lm:
-            d = _shrink_t(p, tm) * _rosp_post_block(p, k)
-        elif lk:
-            d = _shrink_t(p, tk + 1) * (1.0 - _ut(p, m - 1)) * tau * _rosp_l_post(p)
-        else:
-            d = _rosp_c5_post(p, m, k)
-        return a + b + c + d + delta_block()
-
-    if case_id == 6:
-        head = _c6_head(ROSP, p, m)
-        win_m = _rosp_window(p, tm) if lm else _one_minus_pow(p, m)
-        early = tau * _ln_it(p) * win_m
-        if lm:
-            c_in = _shrink_t(p, tm + 1)
-            pre_int = c_in * tau * _rosp_l_pre(p)
-            if lk:
-                k_int = c_in * _shrink_t(p, tk + 1) * tau * _rosp_l_post(p)
-            else:
-                k_int = c_in * _rosp_post_block(p, k)
-            return head + early + c_in * (pre_int + k_int + delta_block())
-        # m small: only k may be large here (m2 <= m is small too)
-        if not lk:
-            raise ValueError("rosp case-6 regime with all parameters small is exact")
-        # the large k replaces the post-switch sum by c_k tau ln(1/t)
-        return (
-            head
-            + early
-            + _rosp_c6_pre_part(p, m)
-            + _shrink_t(p, tk + 1) * _rosp_c6_log_part(p, m)
-        )
-
-    raise ValueError(f"case {case_id} has no large-regime form")
 
 
 def large_regime_bound(
@@ -783,6 +744,8 @@ def large_regime_bound(
     tm, tk = thresholds
     if tm < 1 or tk < 1:
         raise ValueError("thresholds must be >= 1")
+    if model not in (COSP, ROSP):
+        raise ValueError(f"unknown model {model!r}")
     large = {
         "large_m": {"m"},
         "large_k": {"k"},
@@ -801,7 +764,6 @@ def large_regime_bound(
     for name in needs[case_id] - large[regime]:
         if given[name] is None:
             raise ValueError(f"regime {regime} needs a small value for {name}")
-    if "m2" in large[regime]:
-        m2 = None
-    fn = _cosp_regime_value if model == COSP else _rosp_regime_value
-    return fn(case_id, _as_point(model, params), tm, tk, m, k, m2)
+    if case_id == 1 and m is not None and m < 1:
+        raise ValueError(f"case 1 requires m >= 1, got {m}")
+    return CASE_FORMS[model, case_id](Point.of(model, params), m, k, m2, tm, tk)

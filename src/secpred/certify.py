@@ -3,8 +3,8 @@
 Re-runs the lower-bound enumeration: every admissible small structure
 (m, k, m2) within the thresholds is checked exactly against the applicable
 case bounds, and seven large-parameter regimes are checked against their
-symbolic substitutes.  The certificate records the global minimum, where it
-was attained, and whether min - margin clears the target constant.
+symbolic floors.  The certificate records the global minimum, where it
+was attained, and whether min - MARGIN clears the target constant.
 
 Cases 2 and 3 are covered through their reduction identities (case 2 is
 case 1 at m+1, case 3 is case 4 at m-1), so only cases 1, 4, 5, 6 are
@@ -26,11 +26,12 @@ realize:
 * case 6 needs m = 0 or k >= 1, over the enumerated window m2 >= m-k.
 
 ``iter_entries`` is the one enumeration of (case, regime, m, k, m2)
-entries, and ``entry_bound`` evaluates an entry through
-``analytic.case_bound`` or ``analytic.large_regime_bound``.  ``certify`` is
-one serial pass over ``iter_entries`` at a single shared ``analytic.Point``:
-it keeps the first minimum (by ``CaseBound.sort_key``) of the exact cells and
-of each large regime, and the first of those, with case 0, is the argmin.
+entries, and ``entry_bound`` evaluates an entry with its case's form in
+``analytic.CASE_FORMS``, which is exact on a small cell and takes ``None``
+for a large parameter.  ``certify`` is one serial pass over
+``iter_entries`` at a single shared ``analytic.Point``: it keeps the first
+minimum (by ``CaseBound.sort_key``) of the exact cells and of each large
+regime, and the first of those, with case 0, is the argmin.
 The grid search in ``tune`` walks the same entries on a parameter mesh.
 """
 
@@ -47,6 +48,7 @@ __all__ = [
     "CertReport",
     "certify",
     "certify_cell",
+    "check_thresholds",
     "entry_bound",
     "iter_entries",
     "small_cell_count",
@@ -54,7 +56,10 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLDS = (20, 20)
-DEFAULT_MARGIN = 1e-6
+MARGIN = 1e-6  # a certificate passes when min - MARGIN >= B
+# Entries grow about as T^2.85 (13.1k at T = 20, 719k at T = 80, 2.4M at
+# T = 120), so larger thresholds are refused before any work.
+MAX_THRESHOLD = 200
 
 _CASE_SORT = {"C0": 0, "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6}
 _BIG = 10**9  # sort stand-in for a large (unbounded) parameter
@@ -171,18 +176,24 @@ def iter_entries(model: str, tm: int, tk: int):
         yield from _regime_entries(model, label, tm, tk)
 
 
+def check_thresholds(thresholds) -> tuple[int, int]:
+    """``thresholds`` as (tm, tk), each in [1, MAX_THRESHOLD]."""
+    tm, tk = thresholds
+    if tm < 1 or tk < 1:
+        raise ValueError("thresholds must be >= 1")
+    if tm > MAX_THRESHOLD or tk > MAX_THRESHOLD:
+        raise ValueError(f"thresholds {tm}, {tk} exceed the cap of {MAX_THRESHOLD}")
+    return tm, tk
+
+
 def entry_bound(model: str, entry, params, thresholds=DEFAULT_THRESHOLDS):
     """The bound of one enumeration entry at ``params`` (a PolicyParams or an
     ``analytic.Point``)."""
     case_id, regime, m, k, m2 = entry
-    if regime == "exact" or (case_id == 1 and m is not None):
-        return analytic.case_bound(model, case_id, m, k or 0, m2 or 0, params)
     if regime == "large_k":
         m2 = 0  # every m2-dependent term vanishes under large k
-    small = {name: v for name, v in zip(("m", "k", "m2"), (m, k, m2)) if v is not None}
-    return analytic.large_regime_bound(
-        model, case_id, regime, params, thresholds=thresholds, **small
-    )
+    point = analytic.Point.of(model, params)
+    return analytic.CASE_FORMS[model, case_id](point, m, k, m2, *thresholds)
 
 
 def certify_cell(model: str, params, profile: CaseProfile) -> list[CaseBound]:
@@ -220,16 +231,13 @@ def certify(
     params: PolicyParams,
     target_b: float,
     thresholds: tuple[int, int] = DEFAULT_THRESHOLDS,
-    margin: float = DEFAULT_MARGIN,
 ) -> CertReport:
     """Certify min-over-cases >= target_b for the given parameters."""
     if model not in (COSP, ROSP):
         raise ValueError(f"unknown model {model!r}")
     if not 0.0 < target_b < 1.0:
         raise ValueError(f"target_b={target_b} outside (0, 1)")
-    tm, tk = thresholds
-    if tm < 1 or tk < 1:
-        raise ValueError("thresholds must be >= 1")
+    tm, tk = check_thresholds(thresholds)
     # one point for the whole enumeration, so each power and integral is taken
     # once; it also checks tau > 0 and, for cosp, beta > tau
     point = analytic.Point.of(model, params)
@@ -254,8 +262,8 @@ def certify(
         params=params,
         target_b=target_b,
         thresholds=(tm, tk),
-        margin=margin,
-        passed=(argmin.value - margin) >= target_b,
+        margin=MARGIN,
+        passed=(argmin.value - MARGIN) >= target_b,
         min_value=argmin.value,
         argmin=argmin,
         cells_checked=small_cell_count(tm, tk) + len(_PATTERNS),

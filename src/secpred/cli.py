@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .analytic import case_bound
-from .certify import DEFAULT_MARGIN, certify, report_to_json
+from .certify import certify, report_to_json
 from .core import COSP, ROSP, PolicyParams, dump_instance, load_instance
 from .derand import uniform_from_first_arrival
 from .simulate import (
@@ -52,13 +52,7 @@ def _add_param_flags(p, need_theta=True):
 
 def _cmd_certify(args) -> int:
     params = _params_from(args)
-    report = certify(
-        args.model,
-        params,
-        target_b=args.target_b,
-        thresholds=(args.tm, args.tk),
-        margin=args.margin,
-    )
+    report = certify(args.model, params, target_b=args.target_b, thresholds=(args.tm, args.tk))
     text = report_to_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -167,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-b", type=float, required=True, dest="target_b")
     p.add_argument("--tm", type=int, default=20)
     p.add_argument("--tk", type=int, default=20)
-    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_certify)
 

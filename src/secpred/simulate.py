@@ -12,6 +12,7 @@ count are, and more workers add only that much each.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -66,8 +67,11 @@ def estimate_ratio(
         raise ValueError("trials must be >= 1")
     spans = [(s, min(CHUNK, trials - s)) for s in range(0, trials, CHUNK)]
     jobs = [(instance, model, params, seed, s, c) for s, c in spans]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # an executor may start all its workers at the first submit, so ask for
+    # no more than there are chunks to run and cores to run them on
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_chunk_sums, jobs))
     else:
         parts = [_chunk_sums(j) for j in jobs]

@@ -21,17 +21,23 @@ exact enumeration at full thresholds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import Point, case6_coef
-from .certify import certify, entry_bound, iter_entries
+from .certify import certify, check_thresholds, entry_bound, iter_entries
 from .core import COSP, PolicyParams
 
-__all__ = ["GridSpec", "grid_search", "SEARCH_THRESHOLDS"]
+__all__ = ["GridSpec", "grid_search", "SEARCH_THRESHOLDS", "MAX_GRID_POINTS"]
 
 SEARCH_THRESHOLDS = (10, 10)
+# A grid whose axis lengths multiply past this is refused before the mesh is
+# built: the search holds every memoized block as a mesh-sized array (about
+# 350 MB at the 97 336 points of the rosp step-0.02 grid).  It admits the
+# refine grid, 19 points per axis (130 321).
+MAX_GRID_POINTS = 250_000
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,12 @@ class GridSpec:
 
 
 def _mesh(model: str, grid: GridSpec):
+    axes = [grid.tau, grid.gamma, grid.delta]
+    if model == COSP and grid.beta is not None:
+        axes.append(grid.beta)
+    size = math.prod(map(len, axes))
+    if size > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {size} points exceeds the cap of {MAX_GRID_POINTS}")
     if model == COSP:
         if grid.beta is None:
             raise ValueError("chosen-order search needs beta values")
@@ -139,6 +151,8 @@ def grid_search(
     never a stale search-time value).  With ``emit_all`` a third element
     lists ``(params, search_bound)`` for every evaluated cell.
     """
+    check_thresholds(thresholds)
+    check_thresholds(search_thresholds)
     params, search_b, cells = _search_once(model, grid, search_thresholds)
     if refine:
         steps = [

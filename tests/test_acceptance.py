@@ -44,7 +44,7 @@ def _report(num, desc, extra=""):
 
 def test_criterion_1_cosp_certification():
     t0 = time.time()
-    report = certify("cosp", P, target_b=0.262, thresholds=(20, 20), margin=1e-6)
+    report = certify("cosp", P, target_b=0.262, thresholds=(20, 20))
     dt = time.time() - t0
     assert report.passed, report
     assert report.min_value - 1e-6 >= 0.262
@@ -56,7 +56,7 @@ def test_criterion_1_cosp_certification():
 
 def test_criterion_2_rosp_certification():
     t0 = time.time()
-    report = certify("rosp", Q, target_b=0.221, thresholds=(20, 20), margin=1e-6)
+    report = certify("rosp", Q, target_b=0.221, thresholds=(20, 20))
     dt = time.time() - t0
     assert report.passed, report
     assert dt < 300.0

@@ -10,8 +10,9 @@ from secpred import (
     certify_cell,
     report_to_json,
 )
-from secpred.analytic import prediction_floor
+from secpred.analytic import case_bound, large_regime_bound, prediction_floor
 from secpred.certify import (
+    MAX_THRESHOLD,
     CaseBound,
     entry_bound,
     iter_entries,
@@ -105,11 +106,33 @@ def test_single_pass_matches_enumeration_minimum(model, params, target_b):
         assert (regime["min_value"], regime["min_case"]) == (best.value, best.case_id)
 
 
+@pytest.mark.parametrize("thresholds", [(6, 6), (4, 7)])
+@pytest.mark.parametrize("model,params", [("cosp", P), ("rosp", Q), ("cosp", GAMMA_ZERO)])
+def test_entry_bound_matches_front_ends(model, params, thresholds):
+    # entry_bound reads analytic.CASE_FORMS directly; the validating front
+    # ends must give the same bits on every entry
+    for entry in iter_entries(model, *thresholds):
+        case_id, regime, m, k, m2 = entry
+        got = entry_bound(model, entry, params, thresholds)
+        if regime == "exact" or (case_id == 1 and m is not None):
+            want = case_bound(model, case_id, m, k or 0, m2 or 0, params)
+        else:
+            small = {"m": m, "k": k, "m2": 0 if regime == "large_k" else m2}
+            small = {name: v for name, v in small.items() if v is not None}
+            want = large_regime_bound(
+                model, case_id, regime, params, thresholds=thresholds, **small
+            )
+        assert got == want, entry
+
+
 @pytest.mark.parametrize(
     "model,params,target_b,digest",
     [
         ("cosp", P, 0.262, "827d3d3c59513de1043a4124baa3bb63ed0ead43c083d4d50ebfd152c2c8b1de"),
         ("rosp", Q, 0.221, "a960e7148502b31aac8622b088ac37623df57e47762d518b3c7a3954e86cc77f"),
+        ("cosp", P, 0.29, "42c723071a5b77633a62436ac38adee7bf77f197b1e8ff283623044303257b87"),
+        ("cosp", GAMMA_ZERO, 0.262,
+         "65fb00a6d69fc0dbe3f7aa8cad62e328f8c59296cc9655c98b799d07e083dd74"),
     ],
 )
 def test_certificate_bytes_pinned(model, params, target_b, digest):
@@ -132,6 +155,21 @@ def test_report_json_stable():
     assert len(obj["regimes"]) == 7
     infeasible = [r for r in obj["regimes"] if not r["feasible"]]
     assert len(infeasible) == 2  # (m2 large, m small) patterns are empty
+
+
+def test_margin_is_fixed():
+    report = certify("rosp", Q, 0.9, thresholds=(6, 6))
+    assert report.margin == 1e-6
+    assert not report.passed
+    with pytest.raises(TypeError):
+        certify("rosp", Q, 0.9, thresholds=(6, 6), margin=-1.0)
+
+
+def test_threshold_cap():
+    certify("cosp", P, 0.262, thresholds=(MAX_THRESHOLD, 1))
+    for thresholds in ((MAX_THRESHOLD + 1, 1), (1, MAX_THRESHOLD + 1), (100_000, 1)):
+        with pytest.raises(ValueError, match="exceed the cap"):
+            certify("cosp", P, 0.262, thresholds=thresholds)
 
 
 def test_precondition_errors():

@@ -34,6 +34,22 @@ def test_certify_fail_exit_one(capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_certify_margin_flag_removed(capsys):
+    # a negative margin used to pass B = 0.9 against a minimum of 0.221
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", *ROSP_FLAGS, "--target-b", "0.9", "--margin", "-1"])
+    assert exc.value.code == 2
+    assert main(["certify", *ROSP_FLAGS, "--target-b", "0.9", "--tm", "6", "--tk", "6"]) == 1
+    assert "FAILED" in capsys.readouterr().out
+
+
+def test_certify_oversized_thresholds_exit_two(capsys):
+    assert main(["certify", *ROSP_FLAGS, "--target-b", "0.221", "--tm", "100000", "--tk", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "exceed the cap" in err
+
+
 def test_certificate_byte_stable(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
@@ -66,6 +82,20 @@ def test_gen_then_simulate(tmp_path, capsys):
     row = lines[-1].split(",")
     assert row[0] == "cosp" and row[1] == "5"
     assert float(row[7]) > 0.26
+
+
+def test_simulate_out_file(tmp_path, capsys):
+    inst, csv = tmp_path / "inst.json", tmp_path / "sim.csv"
+    main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.63", "--out", str(inst)])
+    code = main(
+        ["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", "500", "--seed", "3",
+         "--threads", "1", "--out", str(csv)]
+    )
+    assert code == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0].startswith("model,n,")
+    assert lines[1].startswith("rosp,4,") and lines[1].split(",")[6] == "3"
+    assert capsys.readouterr().out.endswith(csv.read_text())
 
 
 def test_derand_demo(capsys):
@@ -124,6 +154,27 @@ def test_tune_subcommand(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "certified_bound:" in out
+
+
+def test_tune_emit_all(tmp_path, capsys):
+    path = tmp_path / "cells.csv"
+    code = main(["tune", "--model", "rosp", "--step", "0.3", "--tm", "8", "--tk", "8",
+                 "--emit-all", str(path)])
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "theta,tau,beta,gamma,delta,search_bound"
+    assert len(lines) == 1 + 4**3  # axis values 0.05, 0.35, 0.65, 0.95
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(row[2] == "" for row in rows)  # random order has no beta
+    best = max(rows, key=lambda row: float(row[5]))
+    winner = capsys.readouterr().out.splitlines()[0]
+    assert winner == (f"winner: theta={best[0]} tau={best[1]} beta=- "
+                      f"gamma={best[3]} delta={best[4]}")
+
+
+def test_tune_oversized_grid_exit_two(capsys):
+    assert main(["tune", "--model", "cosp", "--step", "0.001"]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_gen_underest_best(tmp_path):

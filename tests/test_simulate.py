@@ -13,6 +13,7 @@ from secpred import (
     gen_underestimated_best,
     mistake_set,
 )
+import secpred.simulate as sim
 from secpred.analytic import case_bound
 from secpred.simulate import default_deviation, sim_csv_header, sim_csv_row
 
@@ -39,6 +40,39 @@ def test_seed_determinism_and_thread_independence():
     assert a == b
     c = estimate_ratio(inst, "cosp", P, trials=150_000, seed=12)
     assert c.mean_ratio != a.mean_ratio
+
+
+class _RecordingPool:
+    # stands in for ProcessPoolExecutor: records its size, runs in process
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+# four chunks of 64 trials: the pool is sized by chunks, cpus or threads,
+# whichever is least, and not started when that is 1
+@pytest.mark.parametrize(
+    "threads,cpus,want", [(64, 8, [4]), (64, 2, [2]), (3, 8, [3]), (64, 1, []), (1, 8, [])]
+)
+def test_pool_clamped_to_chunks_and_cpus(monkeypatch, threads, cpus, want):
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sim, "CHUNK", 64)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
+    serial = estimate_ratio(inst, "rosp", Q, trials=256, seed=2, threads=1)
+    assert estimate_ratio(inst, "rosp", Q, trials=256, seed=2, threads=threads) == serial
+    assert _RecordingPool.sizes == want
 
 
 def test_gen_underestimated_best():

@@ -2,6 +2,8 @@ import pytest
 
 from secpred import GridSpec, PolicyParams, THEOREM_COSP_PARAMS as P, THEOREM_ROSP_PARAMS as Q
 from secpred import certify, grid_search
+from secpred.certify import MAX_THRESHOLD
+from secpred.tune import MAX_GRID_POINTS
 
 FAST = (6, 6)  # search thresholds for quick tests
 
@@ -43,6 +45,20 @@ def test_empty_grid_rejected():
     grid = GridSpec(tau=(0.9,), beta=(0.5,), gamma=(0.3,), delta=(0.5,))
     with pytest.raises(ValueError):
         grid_search("cosp", grid)
+
+
+def test_oversized_inputs_rejected_before_search():
+    axis = tuple(0.001 + 0.05 * i for i in range(19))  # a refine grid's axis
+    assert len(axis) ** 4 <= MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        grid_search("cosp", GridSpec.coarse("cosp", step=1e-3))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        grid_search("cosp", GridSpec(axis * 2, axis, axis, axis))
+    single = GridSpec.single(Q)
+    with pytest.raises(ValueError, match="exceed the cap"):
+        grid_search("rosp", single, thresholds=(MAX_THRESHOLD + 1, 20))
+    with pytest.raises(ValueError, match="exceed the cap"):
+        grid_search("rosp", single, search_thresholds=(10, MAX_THRESHOLD + 1))
 
 
 def test_theta_set_analytically():
