@@ -19,8 +19,10 @@ controlled in exactly one place.  Each of cases 1, 4, 5 and 6 is one form
 of ``(point, m, k, m2, tm, tk)`` in ``CASE_FORMS``: ``None`` marks a
 parameter above its threshold, and with every parameter small the form is
 the exact bound.  The point's fields are floats for one policy or arrays for
-a search mesh.  ``cosp_case*``/``rosp_case*``, ``case_bound`` and
-``large_regime_bound`` are the validating front ends over the same forms.
+a search mesh.  There is one checked front end per kind of bound, both over
+``CASE_FORMS``: ``case_bound`` for an exact profile (case 0 is the floor,
+cases 2 and 3 reduce to cases 1 and 4) and ``large_regime_bound`` for a
+large-parameter regime.
 """
 
 from __future__ import annotations
@@ -40,20 +42,6 @@ __all__ = [
     "prediction_floor",
     "Point",
     "case6_coef",
-    "cosp_case0",
-    "cosp_case1",
-    "cosp_case2",
-    "cosp_case3",
-    "cosp_case4",
-    "cosp_case5",
-    "cosp_case6",
-    "rosp_case0",
-    "rosp_case1",
-    "rosp_case2",
-    "rosp_case3",
-    "rosp_case4",
-    "rosp_case5",
-    "rosp_case6",
     "case_bound",
     "CASE_FORMS",
     "large_regime_bound",
@@ -300,9 +288,14 @@ def _sum_post(p, k, tk):
     return p.tau * (_ln_ib(p) - _pox(p, "b1", k))
 
 
-def _check_profile_args(m: int, k: int, m2: int, m_min: int = 1) -> None:
+# the least m each exact case admits
+_CASE_M_MIN = {1: 1, 2: 0, 3: 2, 4: 1, 5: 1, 6: 0}
+
+
+def _check_profile_args(case_id: int, m: int, k: int, m2: int) -> None:
+    m_min = _CASE_M_MIN[case_id]
     if m < m_min:
-        raise ValueError(f"case requires m >= {m_min}, got m={m}")
+        raise ValueError(f"case {case_id} requires m >= {m_min}, got m={m}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if not 0 <= m2 <= m:
@@ -332,22 +325,8 @@ def _c6_head(model: str, p: Point, m: int | None):
 # chosen-order case bounds
 # ---------------------------------------------------------------------------
 
-def cosp_case0(epsilon: float) -> float:
-    """No mistakes: the hired top prediction is (1-eps)/(1+eps) of optimal."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon={epsilon} outside [0, 1]")
-    return prediction_floor(epsilon)
-
-
-def cosp_case1(m: int, params) -> float:
-    """Top prediction is the true best and is itself a mistake."""
-    p = Point.of(COSP, params)
-    if m < 1:
-        raise ValueError(f"case 1 requires m >= 1, got {m}")
-    return _cosp1(p, m, 0, 0, None, None)
-
-
 def _cosp1(p, m, k, m2, tm, tk):
+    # top prediction is the true best and is itself a mistake
     if m is None:
         return _shrink_b(p, tm) * (p.tau / p.beta) * p.delta
     return _cosp_c1(p, m)
@@ -358,20 +337,6 @@ def _cosp_c1(p, m):
     # memoized: every enumeration cell with m >= 1 asks for it
     skip = _ub(p, m - 1)
     return (p.tau / p.beta) * p.delta * (1.0 - skip) + p.gamma * skip
-
-
-def cosp_case2(m: int, params) -> float:
-    """Top prediction is the true best, not a mistake: reduces to case 1."""
-    return cosp_case1(m + 1, params)
-
-
-def cosp_case3(m: int, k: int, m2: int, params) -> float:
-    """Both the top prediction and the true best are mistakes: reduces to
-    case 4 with the true best removed from the mistake set."""
-    if m < 2:
-        raise ValueError(f"case 3 requires m >= 2, got {m}")
-    m2_clamped = min(max(m2, max(0, (m - 1) - k)), max(0, m - 2))
-    return cosp_case4(m - 1, k, m2_clamped, params)
 
 
 @_memo
@@ -389,14 +354,8 @@ def _cosp_tail(p, k, m2, tm):
     return _ub(p, k + 1) / (k + 1) * hit * (1.0 - p.delta) * p.tau / p.beta
 
 
-def cosp_case4(m: int, k: int, m2: int, params) -> float:
-    """Top prediction is a mistake, the true best is not."""
-    p = Point.of(COSP, params)
-    _check_profile_args(m, k, m2)
-    return _cosp4(p, m, k, m2, None, None)
-
-
 def _cosp4(p, m, k, m2, tm, tk):
+    # top prediction is a mistake, the true best is not
     pre = _shrink_t(p, tm) * p.tau * _ln_bt(p) if m is None else _sum_pre(p, m)
     if k is None or m2 is None:
         tail = _cosp_tail(p, k, m2, tm)
@@ -405,14 +364,8 @@ def _cosp4(p, m, k, m2, tm, tk):
     return pre + _sum_post(p, k, tk) + tail
 
 
-def cosp_case5(m: int, k: int, m2: int, params) -> float:
-    """True best is a mistake, the top prediction is not."""
-    p = Point.of(COSP, params)
-    _check_profile_args(m, k, m2)
-    return _cosp5(p, m, k, m2, None, None)
-
-
 def _cosp5(p, m, k, m2, tm, tk):
+    # true best is a mistake, the top prediction is not
     if m is None:
         early, cover = _shrink_t(p, tm) * p.tau * _ln_bt(p), _shrink_b(p, tm)
     else:
@@ -421,18 +374,10 @@ def _cosp5(p, m, k, m2, tm, tk):
     return early + _sum_post(p, k, tk) * cover + _cosp_tail(p, k, m2, tm)
 
 
-def cosp_case6(m: int, k: int, m2: int, params) -> float:
-    """Neither the top prediction nor the true best is a mistake.
-
-    The prediction-mode factor uses the pessimistic (1-theta)/(1+theta);
-    both relevant deviations are at most theta in this case.
-    """
-    p = Point.of(COSP, params)
-    _check_profile_args(m, k, m2, m_min=0)
-    return _cosp6(p, m, k, m2, None, None)
-
-
 def _cosp6(p, m, k, m2, tm, tk):
+    # neither the top prediction nor the true best is a mistake.  The
+    # prediction-mode factor uses the pessimistic (1-theta)/(1+theta); both
+    # relevant deviations are at most theta in this case.
     if m is None:
         pre, cover = _shrink_t(p, tm + 1) * p.tau * _ln_bt(p), _shrink_b(p, tm + 1)
     else:
@@ -453,18 +398,8 @@ def _s1(p, n):
     return _ln_it(p) - _pox(p, "t1", n)
 
 
-def rosp_case0(epsilon: float) -> float:
-    return cosp_case0(epsilon)
-
-
-def rosp_case1(m: int, params) -> float:
-    p = Point.of(ROSP, params)
-    if m < 1:
-        raise ValueError(f"case 1 requires m >= 1, got {m}")
-    return _rosp1(p, m, 0, 0, None, None)
-
-
 def _rosp1(p, m, k, m2, tm, tk):
+    # top prediction is the true best and is itself a mistake
     if m is None:
         return _shrink_t(p, tm) * p.delta * p.tau * _ln_it(p)
     return _rosp_c1(p, m)
@@ -474,17 +409,6 @@ def _rosp1(p, m, k, m2, tm, tk):
 def _rosp_c1(p, m):
     # memoized: every enumeration cell with m >= 1 asks for it
     return p.delta * p.tau * _s1(p, m - 1) + p.gamma * _ut(p, m) / m
-
-
-def rosp_case2(m: int, params) -> float:
-    return rosp_case1(m + 1, params)
-
-
-def rosp_case3(m: int, k: int, m2: int, params) -> float:
-    if m < 2:
-        raise ValueError(f"case 3 requires m >= 2, got {m}")
-    m2_clamped = min(max(m2, max(0, (m - 1) - k)), max(0, m - 2))
-    return rosp_case4(m - 1, k, m2_clamped, params)
 
 
 def _rosp_l_pre(p):
@@ -529,13 +453,8 @@ def _rosp_delta_block(p, k, m2, tm):
     )
 
 
-def rosp_case4(m: int, k: int, m2: int, params) -> float:
-    p = Point.of(ROSP, params)
-    _check_profile_args(m, k, m2)
-    return _rosp4(p, m, k, m2, None, None)
-
-
 def _rosp4(p, m, k, m2, tm, tk):
+    # top prediction is a mistake, the true best is not
     if k is None:
         early, gamma_tail = _shrink_t(p, tk + 1) * p.tau**2 * _ln_it(p), 0.0
     else:
@@ -585,13 +504,8 @@ def _rosp_c5_post(p, m, k, tm, tk):
     )
 
 
-def rosp_case5(m: int, k: int, m2: int, params) -> float:
-    p = Point.of(ROSP, params)
-    _check_profile_args(m, k, m2)
-    return _rosp5(p, m, k, m2, None, None)
-
-
 def _rosp5(p, m, k, m2, tm, tk):
+    # true best is a mistake, the top prediction is not
     s1k = _shrink_t(p, tk + 1) * _ln_it(p) if k is None else _s1(p, k)
     a = p.tau * s1k * _one_minus_pow(p, m, tm)
     b = 0.0 if k is None else _ut(p, k + 1) / (k + 1) * _one_minus_pow(p, m2, tm)
@@ -649,22 +563,13 @@ def _rosp_c6_tail_part(p, m, k, m2):
     return (1.0 - p.delta) * p.tau / (k + 1) * combo
 
 
-def rosp_case6(m: int, k: int, m2: int, params) -> float:
-    """Neither special candidate is a mistake, arrival of the top prediction
-    averaged over [0,1].
-
-    The third contribution integrates the chosen-order case-6 expression over
-    the top prediction's arrival time.  With the integration order swapped it
-    is a closed form in pow_over_x_integral(tau, 1, n) terms: the no-mistake
-    head, an m-only part, an (m,k) part, and an (m,k,m2) tail.  No
-    quadrature is involved.
-    """
-    p = Point.of(ROSP, params)
-    _check_profile_args(m, k, m2, m_min=0)
-    return _rosp6(p, m, k, m2, None, None)
-
-
 def _rosp6(p, m, k, m2, tm, tk):
+    # neither special candidate is a mistake, arrival of the top prediction
+    # averaged over [0,1].  The third contribution integrates the chosen-order
+    # case-6 expression over the top prediction's arrival time.  With the
+    # integration order swapped it is a closed form in
+    # pow_over_x_integral(tau, 1, n) terms: the no-mistake head, an m-only
+    # part, an (m,k) part, and an (m,k,m2) tail.  No quadrature is involved.
     head = _c6_head(ROSP, p, m)
     early = p.tau * _ln_it(p) * _one_minus_pow(p, m, tm)
     if m is None:
@@ -695,32 +600,41 @@ CASE_FORMS = {
     (ROSP, 1): _rosp1, (ROSP, 4): _rosp4, (ROSP, 5): _rosp5, (ROSP, 6): _rosp6,
 }
 
-_CASES = {
-    COSP: {0: None, 1: cosp_case1, 2: cosp_case2, 3: cosp_case3, 4: cosp_case4,
-           5: cosp_case5, 6: cosp_case6},
-    ROSP: {0: None, 1: rosp_case1, 2: rosp_case2, 3: rosp_case3, 4: rosp_case4,
-           5: rosp_case5, 6: rosp_case6},
-}
-
-
 def case_bound(model: str, case_id: int, m: int, k: int, m2: int, params) -> float:
-    """Evaluate one case bound at ``params`` (PolicyParams or a Point); case 0
-    uses theta as the worst admissible error, cases 2 and 3 reduce to their
-    neighbors."""
-    table = _CASES.get(model)
-    if table is None:
+    """Evaluate one exact case bound at ``params`` (PolicyParams or a Point).
+
+    Case 0 (no mistakes) is the floor (1-theta)/(1+theta), theta being the
+    worst admissible error.  Case 2 (the top prediction is the true best, not
+    a mistake) is case 1 at m+1; cases 1 and 2 ignore k and m2.  Case 3 (both
+    the top prediction and the true best are mistakes) is case 4 with the
+    true best removed from the mistake set: m-1, with m2 clamped into the
+    reduced profile's window.
+    """
+    if model not in (COSP, ROSP):
         raise ValueError(f"unknown model {model!r}")
-    if case_id not in table:
-        raise ValueError(f"unknown case {case_id}")
     if case_id == 0:
         return params.r if isinstance(params, Point) else prediction_floor(params.theta)
-    fn = table[case_id]
+    if case_id not in _CASE_M_MIN:
+        raise ValueError(f"unknown case {case_id}")
     if case_id in (1, 2):
-        return fn(m, params)
-    return fn(m, k, m2, params)
+        k = m2 = 0
+    elif case_id == 3:
+        m2 = min(max(m2, max(0, (m - 1) - k)), max(0, m - 2))
+    _check_profile_args(case_id, m, k, m2)
+    if case_id == 2:
+        case_id, m = 1, m + 1
+    elif case_id == 3:
+        case_id, m = 4, m - 1
+    return CASE_FORMS[model, case_id](Point.of(model, params), m, k, m2, None, None)
 
 
-LARGE_REGIMES = ("large_m", "large_k", "large_m2", "large_mk")
+# regime -> the structure parameters it treats as large
+LARGE_REGIMES = {
+    "large_m": ("m",),
+    "large_k": ("k",),
+    "large_m2": ("m", "m2"),
+    "large_mk": ("m", "k", "m2"),
+}
 
 
 def large_regime_bound(
@@ -738,32 +652,26 @@ def large_regime_bound(
     ``regime`` names which structure parameters exceed their thresholds:
     ``large_m``, ``large_k``, ``large_m2`` (which forces m large as well), or
     ``large_mk`` (m and k large; the m2-dependent terms vanish).  Small
-    parameters are passed explicitly; large ones must be omitted.
-    ``params`` is a PolicyParams or a Point.
+    parameters are passed explicitly; large ones must be omitted.  Case 1
+    needs only m.  ``params`` is a PolicyParams or a Point.
     """
     tm, tk = thresholds
     if tm < 1 or tk < 1:
         raise ValueError("thresholds must be >= 1")
     if model not in (COSP, ROSP):
         raise ValueError(f"unknown model {model!r}")
-    large = {
-        "large_m": {"m"},
-        "large_k": {"k"},
-        "large_m2": {"m", "m2"},
-        "large_mk": {"m", "k", "m2"},
-    }
-    if regime not in large:
+    if regime not in LARGE_REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    needs = {1: {"m"}, 4: {"m", "k", "m2"}, 5: {"m", "k", "m2"}, 6: {"m", "k", "m2"}}
-    if case_id not in needs:
+    if (model, case_id) not in CASE_FORMS:
         raise ValueError(f"case {case_id} has no large-regime form")
     given = {"m": m, "k": k, "m2": m2}
-    for name in large[regime]:
+    large = LARGE_REGIMES[regime]
+    for name in large:
         if given[name] is not None:
             raise ValueError(f"regime {regime} treats {name} as large; omit it")
-    for name in needs[case_id] - large[regime]:
-        if given[name] is None:
+    for name in ("m",) if case_id == 1 else given:
+        if name not in large and given[name] is None:
             raise ValueError(f"regime {regime} needs a small value for {name}")
-    if case_id == 1 and m is not None and m < 1:
-        raise ValueError(f"case 1 requires m >= 1, got {m}")
+    if case_id == 1 and m is not None:
+        _check_profile_args(1, m, 0, 0)
     return CASE_FORMS[model, case_id](Point.of(model, params), m, k, m2, tm, tk)

@@ -103,8 +103,18 @@ def default_deviation(theta: float) -> float:
     return min(2.0 * theta, 0.99)
 
 
+# 0.9**j underflows to zero near j = 7050, so from this index on the fillers
+# fall linearly from the last geometric one instead
+_FILLER_GEOMETRIC_MAX = 6000
+
+
 def _fillers(count: int, below: float) -> list[float]:
-    return [below * 0.5 * 0.9**j for j in range(count)]
+    # count distinct positive values decreasing from below / 2
+    last = _FILLER_GEOMETRIC_MAX
+    return [
+        below * 0.5 * 0.9 ** min(j, last) * (1 - max(0, j - last) / count)
+        for j in range(count)
+    ]
 
 
 def gen_underestimated_best(n: int, deviation: float, theta: float) -> Instance:

@@ -63,32 +63,27 @@ class GridSpec:
 
 
 def _mesh(model: str, grid: GridSpec):
+    """The grid's cells as flat (tau, beta, gamma, delta) columns in nested
+    axis order; chosen order keeps the cells with beta > tau, random order
+    has beta None."""
+    cosp = model == COSP
+    if cosp and grid.beta is None:
+        raise ValueError("chosen-order search needs beta values")
     axes = [grid.tau, grid.gamma, grid.delta]
-    if model == COSP and grid.beta is not None:
-        axes.append(grid.beta)
+    if cosp:
+        axes.insert(1, grid.beta)
     size = math.prod(map(len, axes))
     if size > MAX_GRID_POINTS:
         raise ValueError(f"grid of {size} points exceeds the cap of {MAX_GRID_POINTS}")
-    if model == COSP:
-        if grid.beta is None:
-            raise ValueError("chosen-order search needs beta values")
-        combos = [
-            (t, b, g, d)
-            for t in grid.tau
-            for b in grid.beta
-            if b > t
-            for g in grid.gamma
-            for d in grid.delta
-        ]
-        if not combos:
-            raise ValueError("empty grid (no cells with beta > tau)")
-        arr = np.array(combos)
-        return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-    combos = [(t, g, d) for t in grid.tau for g in grid.gamma for d in grid.delta]
-    if not combos:
-        raise ValueError("empty grid")
-    arr = np.array(combos)
-    return arr[:, 0], None, arr[:, 1], arr[:, 2]
+    cols = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
+    if cosp:
+        keep = cols[1] > cols[0]
+        cols = [c[keep] for c in cols]
+    else:
+        cols.insert(1, None)
+    if not cols[0].size:
+        raise ValueError("empty grid (no cells with beta > tau)" if cosp else "empty grid")
+    return tuple(cols)
 
 
 def _search_bound(model, point, thresholds):
@@ -155,13 +150,10 @@ def grid_search(
     check_thresholds(search_thresholds)
     params, search_b, cells = _search_once(model, grid, search_thresholds)
     if refine:
-        steps = [
-            abs(v[i + 1] - v[i])
-            for v in (grid.tau, grid.gamma, grid.delta)
-            if v is not None and len(v) > 1
-            for i in [0]
-        ]
-        step = min(steps) if steps else 0.05
+        step = min(
+            (abs(v[1] - v[0]) for v in (grid.tau, grid.gamma, grid.delta) if len(v) > 1),
+            default=0.05,
+        )
         params, search_b, cells = _search_once(
             model, _refined_grid(model, params, step), search_thresholds
         )

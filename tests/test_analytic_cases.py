@@ -1,25 +1,11 @@
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from secpred import THEOREM_COSP_PARAMS as P, THEOREM_ROSP_PARAMS as Q
 from secpred import PolicyParams
-from secpred.analytic import (
-    case_bound,
-    cosp_case0,
-    cosp_case1,
-    cosp_case2,
-    cosp_case3,
-    cosp_case4,
-    cosp_case5,
-    cosp_case6,
-    prediction_floor,
-    rosp_case1,
-    rosp_case2,
-    rosp_case3,
-    rosp_case4,
-    rosp_case6,
-)
+from secpred.analytic import case_bound, large_regime_bound, prediction_floor
 from oracles import COSP_ORACLES, ROSP_ORACLES
 
 
@@ -32,54 +18,108 @@ def admissible_m2(case_id, m, k):
 
 
 def test_case0_examples():
-    assert cosp_case0(0.0) == 1.0
-    assert cosp_case0(1.0) == 0.0
-    assert cosp_case0(0.58) == pytest.approx(0.42 / 1.58, abs=1e-15)
-    assert cosp_case0(0.58) > 0.262
+    assert prediction_floor(0.0) == 1.0
+    assert prediction_floor(1.0) == 0.0
+    assert prediction_floor(0.58) == pytest.approx(0.42 / 1.58, abs=1e-15)
+    assert prediction_floor(0.58) > 0.262
+    # case 0 is answered before a point is built: no beta and tau = 0 are fine
+    no_beta = PolicyParams(theta=0.58, tau=0.37, gamma=0.27, delta=0.46)
+    tau_zero = replace(P, tau=0.0)
+    for params in (no_beta, tau_zero):
+        assert case_bound("cosp", 0, 0, 0, 0, params) == prediction_floor(0.58)
+        with pytest.raises(ValueError):
+            case_bound("cosp", 6, 0, 0, 0, params)
+
+
+BAD_CALLS = {
+    "unknown model": (partial(case_bound, "bogus", 1, 1, 0, 0, P), "unknown model 'bogus'"),
+    "case 7": (partial(case_bound, "cosp", 7, 1, 1, 0, P), "unknown case 7"),
+    "case 1, m=0": (partial(case_bound, "cosp", 1, 0, 0, 0, P), "case 1 requires m >= 1"),
+    "case 3, m=1": (partial(case_bound, "rosp", 3, 1, 1, 0, Q), "case 3 requires m >= 2"),
+    "case 4, m=0": (partial(case_bound, "cosp", 4, 0, 1, 0, P), "case 4 requires m >= 1"),
+    "k=-1": (partial(case_bound, "rosp", 5, 2, -1, 0, Q), "k must be nonnegative"),
+    "m2>m": (partial(case_bound, "cosp", 4, 2, 1, 3, P), "m2=3 outside"),
+    "case 6, m=-1": (partial(case_bound, "rosp", 6, -1, 1, 0, Q), "case 6 requires m >= 0"),
+    "regime thresholds": (
+        partial(large_regime_bound, "cosp", 1, "large_m", P, thresholds=(0, 20)),
+        "thresholds must be >= 1",
+    ),
+    "regime model": (
+        partial(large_regime_bound, "bogus", 1, "large_m", P), "unknown model 'bogus'"
+    ),
+    "unknown regime": (
+        partial(large_regime_bound, "rosp", 1, "large_x", Q), "unknown regime 'large_x'"
+    ),
+    "regime case 2": (
+        partial(large_regime_bound, "cosp", 2, "large_m", P), "case 2 has no large-regime form"
+    ),
+    "large given": (
+        partial(large_regime_bound, "rosp", 4, "large_m", Q, m=3, k=1, m2=0),
+        "treats m as large",
+    ),
+    "small missing": (
+        partial(large_regime_bound, "cosp", 5, "large_m", P, m2=0),
+        "needs a small value for k",
+    ),
+    "regime case 1, m=0": (
+        partial(large_regime_bound, "rosp", 1, "large_k", Q, m=0), "case 1 requires m >= 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", list(BAD_CALLS.values()), ids=list(BAD_CALLS))
+def test_bad_calls_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_cosp_case1_examples():
-    assert cosp_case1(1, P) == pytest.approx(P.gamma, abs=1e-15)
-    assert cosp_case1(2, P) == pytest.approx(0.2674, abs=1e-10)
+    assert case_bound("cosp", 1, 1, 0, 0, P) == pytest.approx(P.gamma, abs=1e-15)
+    assert case_bound("cosp", 1, 2, 0, 0, P) == pytest.approx(0.2674, abs=1e-10)
     limit = (P.tau / P.beta) * P.delta
     assert limit == pytest.approx(0.265938, abs=1e-6)
-    assert abs(cosp_case1(10_000, P) - limit) < 1e-6
+    assert abs(case_bound("cosp", 1, 10_000, 0, 0, P) - limit) < 1e-6
 
 
 def test_cosp_reduction_identities():
-    assert cosp_case2(0, P) == cosp_case1(1, P)
-    assert cosp_case2(1, P) == cosp_case1(2, P)
-    assert cosp_case2(5, P) == cosp_case1(6, P)
-    assert cosp_case3(2, 1, 0, P) == cosp_case4(1, 1, 0, P)
-    assert cosp_case3(6, 3, 2, P) == cosp_case4(5, 3, 2, P)
+    assert case_bound("cosp", 2, 0, 0, 0, P) == case_bound("cosp", 1, 1, 0, 0, P)
+    assert case_bound("cosp", 2, 1, 0, 0, P) == case_bound("cosp", 1, 2, 0, 0, P)
+    assert case_bound("cosp", 2, 5, 0, 0, P) == case_bound("cosp", 1, 6, 0, 0, P)
+    assert case_bound("cosp", 3, 2, 1, 0, P) == case_bound("cosp", 4, 1, 1, 0, P)
+    assert case_bound("cosp", 3, 6, 3, 2, P) == case_bound("cosp", 4, 5, 3, 2, P)
     # m2 clamps into the reduced profile's window
-    assert cosp_case3(4, 1, 3, P) == cosp_case4(3, 1, 2, P)
+    assert case_bound("cosp", 3, 4, 1, 3, P) == case_bound("cosp", 4, 3, 1, 2, P)
 
 
 def test_cosp_case4_examples():
     beta, gamma = P.beta, P.gamma
-    assert cosp_case4(1, 0, 0, P) == pytest.approx((1 - beta) * (1 - gamma), abs=1e-14)
+    assert case_bound("cosp", 4, 1, 0, 0, P) == pytest.approx((1 - beta) * (1 - gamma), abs=1e-14)
     # third-term prefactor decreases in k
     pref = [(1 - beta) ** (k + 1) / (k + 1) for k in range(6)]
     assert all(a > b for a, b in zip(pref, pref[1:]))
 
 
 def test_cosp_case5_collapses():
-    assert cosp_case5(1, 2, 0, P) == pytest.approx(P.beta - P.tau, abs=1e-12)
+    assert case_bound("cosp", 5, 1, 2, 0, P) == pytest.approx(P.beta - P.tau, abs=1e-12)
     # m2 = 0 kills the third summand: value has no delta dependence
     tweaked = PolicyParams(theta=P.theta, tau=P.tau, gamma=P.gamma, delta=0.9, beta=P.beta)
-    assert cosp_case5(3, 2, 0, tweaked) == pytest.approx(cosp_case5(3, 2, 0, P), abs=1e-14)
+    assert case_bound("cosp", 5, 3, 2, 0, tweaked) == pytest.approx(
+        case_bound("cosp", 5, 3, 2, 0, P), abs=1e-14
+    )
 
 
 def test_cosp_case6_examples():
     floor = prediction_floor(P.theta)
-    assert cosp_case6(0, 0, 0, P) == pytest.approx(floor, abs=1e-15)
+    assert case_bound("cosp", 6, 0, 0, 0, P) == pytest.approx(floor, abs=1e-15)
     assert (1 - P.beta) * floor == pytest.approx(0.09570, abs=5e-6)
 
 
 def test_beta_below_tau_rejected():
     bad = PolicyParams(theta=0.58, tau=0.37, gamma=0.27, delta=0.46, beta=0.2)
-    for fn in (lambda: cosp_case1(1, bad), lambda: cosp_case4(2, 1, 1, bad)):
+    for fn in (
+        lambda: case_bound("cosp", 1, 1, 0, 0, bad),
+        lambda: case_bound("cosp", 4, 2, 1, 1, bad),
+    ):
         with pytest.raises(ValueError):
             fn()
 
@@ -88,7 +128,7 @@ def test_cosp_case_oracle_equivalence():
     # quick sweep; the acceptance gate runs the full spec scope (m, k <= 6)
     for m in range(1, 5):
         for k in range(0, 5):
-            assert abs(cosp_case1(m, P) - COSP_ORACLES[1](m, P)) < 1e-8
+            assert abs(case_bound("cosp", 1, m, 0, 0, P) - COSP_ORACLES[1](m, P)) < 1e-8
             for cid in (4, 5, 6):
                 for m2 in admissible_m2(cid, m, k):
                     got = case_bound("cosp", cid, m, k, m2, P)
@@ -97,21 +137,21 @@ def test_cosp_case_oracle_equivalence():
 
 
 def test_rosp_case1_examples():
-    assert rosp_case1(1, Q) == pytest.approx(Q.gamma * (1 - Q.tau), abs=1e-14)
-    assert rosp_case1(1, Q) == pytest.approx(0.2278, abs=1e-12)
-    assert abs(rosp_case1(2, Q) - ROSP_ORACLES[1](2, Q)) < 1e-10
+    assert case_bound("rosp", 1, 1, 0, 0, Q) == pytest.approx(Q.gamma * (1 - Q.tau), abs=1e-14)
+    assert case_bound("rosp", 1, 1, 0, 0, Q) == pytest.approx(0.2278, abs=1e-12)
+    assert abs(case_bound("rosp", 1, 2, 0, 0, Q) - ROSP_ORACLES[1](2, Q)) < 1e-10
 
 
 def test_rosp_reduction_identities():
-    assert rosp_case2(0, Q) == rosp_case1(1, Q)
-    assert rosp_case2(3, Q) == rosp_case1(4, Q)
-    assert rosp_case3(2, 1, 0, Q) == rosp_case4(1, 1, 0, Q)
-    assert rosp_case3(5, 2, 2, Q) == rosp_case4(4, 2, 2, Q)
+    assert case_bound("rosp", 2, 0, 0, 0, Q) == case_bound("rosp", 1, 1, 0, 0, Q)
+    assert case_bound("rosp", 2, 3, 0, 0, Q) == case_bound("rosp", 1, 4, 0, 0, Q)
+    assert case_bound("rosp", 3, 2, 1, 0, Q) == case_bound("rosp", 4, 1, 1, 0, Q)
+    assert case_bound("rosp", 3, 5, 2, 2, Q) == case_bound("rosp", 4, 4, 2, 2, Q)
 
 
 def test_rosp_case4_collapse_and_beta_identity():
     # k = 0, m = 1, m2 = 0: only the early block and the gamma tail survive
-    got = rosp_case4(1, 0, 0, Q)
+    got = case_bound("rosp", 4, 1, 0, 0, Q)
     tau, gamma = Q.tau, Q.gamma
     want = tau * (1 - tau) + (1 - gamma) * (1 - tau) ** 2 / 2
     assert got == pytest.approx(want, abs=1e-14)
@@ -123,7 +163,9 @@ def test_rosp_case4_collapse_and_beta_identity():
 
 
 def test_rosp_case6_m0():
-    assert rosp_case6(0, 0, 0, Q) == pytest.approx(prediction_floor(Q.theta), abs=1e-15)
+    assert case_bound("rosp", 6, 0, 0, 0, Q) == pytest.approx(
+        prediction_floor(Q.theta), abs=1e-15
+    )
     # inner integral of the early term at m = 1 is tau^2/2
     tau = Q.tau
     from secpred.analytic import _one_minus_pow_int
@@ -143,7 +185,7 @@ def test_rosp_case_oracle_equivalence():
     # quick sweep; the acceptance gate runs the full spec scope (m, k <= 4)
     for m in range(1, 4):
         for k in range(0, 4):
-            assert abs(rosp_case1(m, Q) - ROSP_ORACLES[1](m, Q)) < 1e-7
+            assert abs(case_bound("rosp", 1, m, 0, 0, Q) - ROSP_ORACLES[1](m, Q)) < 1e-7
             for cid in (4, 5, 6):
                 for m2 in admissible_m2(cid, m, k):
                     got = case_bound("rosp", cid, m, k, m2, Q)

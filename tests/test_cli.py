@@ -134,9 +134,13 @@ def test_io_error_exit_two(capsys):
 
 
 def test_evaluate_rosp_case0(capsys):
-    code = main(["evaluate", "--case", "0", *ROSP_FLAGS])
-    assert code == 0
-    assert float(capsys.readouterr().out) == pytest.approx((1 - 0.63) / (1 + 0.63), rel=1e-10)
+    # case 0 needs only theta, so chosen order without --beta gives it too
+    cosp_no_beta = ["--model", "cosp", *ROSP_FLAGS[2:]]
+    for flags in (ROSP_FLAGS, cosp_no_beta):
+        code = main(["evaluate", "--case", "0", *flags])
+        assert code == 0
+        out = float(capsys.readouterr().out)
+        assert out == pytest.approx((1 - 0.63) / (1 + 0.63), rel=1e-10)
 
 
 def test_evaluate_reduction_cases(capsys):

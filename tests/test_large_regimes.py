@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from secpred import THEOREM_COSP_PARAMS as P, THEOREM_ROSP_PARAMS as Q
-from secpred.analytic import case_bound, cosp_case1, large_regime_bound
+from secpred.analytic import case_bound, large_regime_bound
 
 TM, TK = 20, 20
 SLACK = -1e-9
@@ -30,7 +30,7 @@ def test_published_constant_examples():
 def test_exact_case1_dominates_large_m_bound():
     bound = large_regime_bound("cosp", 1, "large_m", P)
     for m in range(21, 201):
-        assert cosp_case1(m, P) >= bound + SLACK
+        assert case_bound("cosp", 1, m, 0, 0, P) >= bound + SLACK
     boundr = large_regime_bound("rosp", 1, "large_m", Q)
     for m in range(21, 201):
         assert case_bound("rosp", 1, m, 0, 0, Q) >= boundr + SLACK

@@ -122,6 +122,23 @@ def test_case_family_round_trip(cid, m, k, m2, n):
     assert inst.top_true_value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_fillers_stay_positive_past_underflow():
+    # the first 6000 fillers keep the geometric values simulation CSVs depend on
+    assert sim._fillers(6000, 0.35) == [0.35 * 0.5 * 0.9**j for j in range(6000)]
+    fillers = sim._fillers(7100, 0.35)  # 0.9**j alone underflows near j = 7050
+    assert fillers[-1] > 0.0
+    assert all(a > b for a, b in zip(fillers, fillers[1:]))
+    n = 7100
+    for inst, want in (
+        (gen_case_family(4, 2, 1, 1, n, 0.63), (2, 1, 1)),
+        (gen_underestimated_best(n, 0.9, 0.63), (1, 1, 0)),
+        (gen_overestimated_top(n, 0.9, 0.63), (1, 1, 0)),
+    ):
+        prof = case_profile(inst, 0.63)
+        assert inst.n == n
+        assert (prof.m, prof.k, prof.m2) == want
+
+
 def test_case_family_infeasible_requests():
     with pytest.raises(ValueError):
         gen_case_family(1, 1, 1, 0, 4, 0.58)  # case 1 needs k = 0

@@ -160,6 +160,19 @@ def test_refine_improves_or_holds():
     assert abs(params1.tau - 0.33) <= 0.05
 
 
+def test_refine_step_from_grid_spacing():
+    grid = GridSpec.coarse("rosp", step=0.1)
+    coarse, _ = grid_search("rosp", grid, thresholds=FAST, search_thresholds=FAST)
+    _, _, rows = grid_search(
+        "rosp", grid, thresholds=FAST, search_thresholds=FAST, refine=True, emit_all=True
+    )
+    # the refined axis steps by a tenth of the grid's 0.1 spacing around the
+    # coarse winner (the 0.05 fallback would step by 0.005)
+    want = [round(coarse.tau + i * 0.01, 12) for i in range(-9, 10)]
+    taus = sorted({p.tau for p, _ in rows})
+    assert taus == pytest.approx([t for t in want if 0.001 <= t <= 0.999], abs=1e-12)
+
+
 def test_emit_all():
     grid = GridSpec(tau=(0.37,), beta=(0.64,), gamma=(0.25, 0.27), delta=(0.46,))
     params, bound, rows = grid_search(
