@@ -17,7 +17,7 @@ from .core import (
     mistake_set,
 )
 from .policy import TrialOutcome, make_cosp_schedule, make_rosp_schedule, run_trial
-from .certify import CertReport, certify, certify_cell, report_to_json
+from .certify import CertReport, certify, report_to_json
 from .simulate import (
     SimResult,
     estimate_ratio,
@@ -53,7 +53,6 @@ __all__ = [
     "build_instance",
     "case_profile",
     "certify",
-    "certify_cell",
     "derandomized_trial",
     "dump_instance",
     "estimate_ratio",

@@ -19,10 +19,10 @@ controlled in exactly one place.  Each of cases 1, 4, 5 and 6 is one form
 of ``(point, m, k, m2, tm, tk)`` in ``CASE_FORMS``: ``None`` marks a
 parameter above its threshold, and with every parameter small the form is
 the exact bound.  The point's fields are floats for one policy or arrays for
-a search mesh.  There is one checked front end per kind of bound, both over
-``CASE_FORMS``: ``case_bound`` for an exact profile (case 0 is the floor,
-cases 2 and 3 reduce to cases 1 and 4) and ``large_regime_bound`` for a
-large-parameter regime.
+a search mesh.  ``case_bound`` is the one checked front end over
+``CASE_FORMS``, for exact profiles and large regimes alike: ``None`` means
+large and m2 is ignored under a large k.  Case 0 is the floor, cases 2 and 3
+reduce to cases 1 and 4, and these three are exact only.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ __all__ = [
     "case6_coef",
     "case_bound",
     "CASE_FORMS",
-    "large_regime_bound",
-    "LARGE_REGIMES",
 ]
 
 # Exponent above which the alternating closed form of pow_over_x_integral
@@ -185,8 +183,8 @@ class Point:
 
 def _memo(fn):
     # a building block depends only on the point and its other arguments.  One
-    # with a None argument (a large parameter, or a front end's missing
-    # thresholds) serves an entry or two, so it is not kept on the point.
+    # with a None argument (a large parameter) serves an entry or two, so it
+    # is not kept on the point.
     name = fn.__name__
 
     def cached(p, *args):
@@ -286,20 +284,6 @@ def _sum_post(p, k, tk):
     if k is None:
         return _shrink_b(p, tk + 1) * p.tau * _ln_ib(p)
     return p.tau * (_ln_ib(p) - _pox(p, "b1", k))
-
-
-# the least m each exact case admits
-_CASE_M_MIN = {1: 1, 2: 0, 3: 2, 4: 1, 5: 1, 6: 0}
-
-
-def _check_profile_args(case_id: int, m: int, k: int, m2: int) -> None:
-    m_min = _CASE_M_MIN[case_id]
-    if m < m_min:
-        raise ValueError(f"case {case_id} requires m >= {m_min}, got m={m}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if not 0 <= m2 <= m:
-        raise ValueError(f"m2={m2} outside [0, m={m}]")
 
 
 def case6_coef(model: str, m: int | None, params):
@@ -600,78 +584,59 @@ CASE_FORMS = {
     (ROSP, 1): _rosp1, (ROSP, 4): _rosp4, (ROSP, 5): _rosp5, (ROSP, 6): _rosp6,
 }
 
-def case_bound(model: str, case_id: int, m: int, k: int, m2: int, params) -> float:
-    """Evaluate one exact case bound at ``params`` (PolicyParams or a Point).
+# the least m each case admits
+_CASE_M_MIN = {0: 0, 1: 1, 2: 0, 3: 2, 4: 1, 5: 1, 6: 0}
+
+
+def case_bound(
+    model: str,
+    case_id: int,
+    m: int | None,
+    k: int | None,
+    m2: int | None,
+    params,
+    thresholds: tuple[int, int] = (20, 20),
+) -> float:
+    """Evaluate one case bound at ``params`` (PolicyParams or a Point).
+
+    ``None`` for m, k or m2 marks a parameter above its threshold (tm of
+    ``thresholds`` bounds m and m2, tk bounds k), and the bound is then the
+    case's floor over every such value.  A large m2 needs a large m, since
+    m2 <= m; under a large k, m2 is ignored.  Cases 1 to 6 check every value
+    given: m at least the case's minimum, k >= 0 and 0 <= m2 <= m.
 
     Case 0 (no mistakes) is the floor (1-theta)/(1+theta), theta being the
     worst admissible error.  Case 2 (the top prediction is the true best, not
     a mistake) is case 1 at m+1; cases 1 and 2 ignore k and m2.  Case 3 (both
     the top prediction and the true best are mistakes) is case 4 with the
     true best removed from the mistake set: m-1, with m2 clamped into the
-    reduced profile's window.
+    reduced profile's window.  Cases 0, 2 and 3 are exact only.
     """
     if model not in (COSP, ROSP):
         raise ValueError(f"unknown model {model!r}")
-    if case_id == 0:
-        return params.r if isinstance(params, Point) else prediction_floor(params.theta)
     if case_id not in _CASE_M_MIN:
         raise ValueError(f"unknown case {case_id}")
+    if None in (m, k, m2) and (model, case_id) not in CASE_FORMS:
+        raise ValueError(f"case {case_id} has no large-regime form")
+    tm, tk = thresholds
+    if tm < 1 or tk < 1:
+        raise ValueError("thresholds must be >= 1")
+    if case_id == 0:
+        return params.r if isinstance(params, Point) else prediction_floor(params.theta)
     if case_id in (1, 2):
         k = m2 = 0
     elif case_id == 3:
         m2 = min(max(m2, max(0, (m - 1) - k)), max(0, m - 2))
-    _check_profile_args(case_id, m, k, m2)
+    if m is not None and m < _CASE_M_MIN[case_id]:
+        raise ValueError(f"case {case_id} requires m >= {_CASE_M_MIN[case_id]}, got m={m}")
+    if k is not None and k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    if m2 is None and m is not None and k is not None:
+        raise ValueError(f"m2 cannot be large while m={m} and k={k} are small")
+    if m2 is not None and (m2 < 0 or m is not None and m2 > m):
+        raise ValueError(f"m2={m2} outside [0, m={m}]")
     if case_id == 2:
         case_id, m = 1, m + 1
     elif case_id == 3:
         case_id, m = 4, m - 1
-    return CASE_FORMS[model, case_id](Point.of(model, params), m, k, m2, None, None)
-
-
-# regime -> the structure parameters it treats as large
-LARGE_REGIMES = {
-    "large_m": ("m",),
-    "large_k": ("k",),
-    "large_m2": ("m", "m2"),
-    "large_mk": ("m", "k", "m2"),
-}
-
-
-def large_regime_bound(
-    model: str,
-    case_id: int,
-    regime: str,
-    params,
-    m: int | None = None,
-    k: int | None = None,
-    m2: int | None = None,
-    thresholds: tuple[int, int] = (20, 20),
-) -> float:
-    """Symbolic lower bound for a case when the regime's parameters are large.
-
-    ``regime`` names which structure parameters exceed their thresholds:
-    ``large_m``, ``large_k``, ``large_m2`` (which forces m large as well), or
-    ``large_mk`` (m and k large; the m2-dependent terms vanish).  Small
-    parameters are passed explicitly; large ones must be omitted.  Case 1
-    needs only m.  ``params`` is a PolicyParams or a Point.
-    """
-    tm, tk = thresholds
-    if tm < 1 or tk < 1:
-        raise ValueError("thresholds must be >= 1")
-    if model not in (COSP, ROSP):
-        raise ValueError(f"unknown model {model!r}")
-    if regime not in LARGE_REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    if (model, case_id) not in CASE_FORMS:
-        raise ValueError(f"case {case_id} has no large-regime form")
-    given = {"m": m, "k": k, "m2": m2}
-    large = LARGE_REGIMES[regime]
-    for name in large:
-        if given[name] is not None:
-            raise ValueError(f"regime {regime} treats {name} as large; omit it")
-    for name in ("m",) if case_id == 1 else given:
-        if name not in large and given[name] is None:
-            raise ValueError(f"regime {regime} needs a small value for {name}")
-    if case_id == 1 and m is not None:
-        _check_profile_args(1, m, 0, 0)
     return CASE_FORMS[model, case_id](Point.of(model, params), m, k, m2, tm, tk)

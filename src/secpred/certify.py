@@ -28,7 +28,9 @@ realize:
 ``iter_entries`` is the one enumeration of (case, regime, m, k, m2)
 entries, and ``entry_bound`` evaluates an entry with its case's form in
 ``analytic.CASE_FORMS``, which is exact on a small cell and takes ``None``
-for a large parameter.  ``certify`` is one serial pass over
+for a large parameter.  It skips the argument checks of
+``analytic.case_bound``, the one checked front end, which every entry passes
+and which gives the same bits.  ``certify`` is one serial pass over
 ``iter_entries`` at a single shared ``analytic.Point``: it keeps the first
 minimum (by ``CaseBound.sort_key``) of the exact cells and of each large
 regime, and the first of those, with case 0, is the argmin.
@@ -41,13 +43,12 @@ import json
 from dataclasses import dataclass
 
 from . import analytic
-from .core import COSP, ROSP, CaseProfile, PolicyParams
+from .core import COSP, ROSP, PolicyParams
 
 __all__ = [
     "CaseBound",
     "CertReport",
     "certify",
-    "certify_cell",
     "check_thresholds",
     "entry_bound",
     "iter_entries",
@@ -129,11 +130,6 @@ def _applicable_cases(model: str, m: int, k: int, m2: int) -> list[int]:
     return cases
 
 
-def _cell_entries(model: str, m: int, k: int, m2: int):
-    for cid in _applicable_cases(model, m, k, m2):
-        yield cid, "exact", m, k, m2
-
-
 def iter_small_cells(tm: int, tk: int):
     for m in range(0, tm + 1):
         for k in range(0, tk + 1):
@@ -171,7 +167,8 @@ def iter_entries(model: str, tm: int, tk: int):
     one pass at a scalar point; tune walks them on a parameter mesh.
     """
     for m, k, m2 in iter_small_cells(tm, tk):
-        yield from _cell_entries(model, m, k, m2)
+        for case_id in _applicable_cases(model, m, k, m2):
+            yield case_id, "exact", m, k, m2
     for label in _REGIMES:
         yield from _regime_entries(model, label, tm, tk)
 
@@ -188,21 +185,10 @@ def check_thresholds(thresholds) -> tuple[int, int]:
 
 def entry_bound(model: str, entry, params, thresholds=DEFAULT_THRESHOLDS):
     """The bound of one enumeration entry at ``params`` (a PolicyParams or an
-    ``analytic.Point``)."""
-    case_id, regime, m, k, m2 = entry
-    if regime == "large_k":
-        m2 = 0  # every m2-dependent term vanishes under large k
+    ``analytic.Point``), unchecked: the enumeration yields valid entries."""
+    case_id, _, m, k, m2 = entry
     point = analytic.Point.of(model, params)
     return analytic.CASE_FORMS[model, case_id](point, m, k, m2, *thresholds)
-
-
-def certify_cell(model: str, params, profile: CaseProfile) -> list[CaseBound]:
-    """Exact bounds for every case applicable at one small cell."""
-    m, k, m2 = profile.m, profile.k, profile.m2
-    return [
-        CaseBound(f"C{entry[0]}", entry_bound(model, entry, params), "exact", m, k, m2)
-        for entry in _cell_entries(model, m, k, m2)
-    ]
 
 
 def _regime_report(best: dict[str, CaseBound]) -> list[dict]:

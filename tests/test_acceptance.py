@@ -25,7 +25,6 @@ from secpred import (
 )
 from secpred.analytic import (
     case_bound,
-    large_regime_bound,
     log_ratio,
     min_density_first_moment,
     min_density_mass,
@@ -130,9 +129,7 @@ def test_criterion_5_large_regime_soundness():
                     continue
                 rng = np.random.default_rng(zlib.crc32(f"{model}:{regime}:{cid}".encode()))
                 for m, k, m2, small in sample_profiles(rng, cid, pattern, count=50):
-                    symbolic = large_regime_bound(
-                        model, cid, regime, params, thresholds=(20, 20), **small
-                    )
+                    symbolic = case_bound(model, cid, *small, params, thresholds=(20, 20))
                     exact = case_bound(model, cid, m, k, m2, params)
                     assert exact >= symbolic - 1e-9, (model, regime, cid, m, k, m2)
                     checked += 1

@@ -5,7 +5,7 @@ import pytest
 
 from secpred import THEOREM_COSP_PARAMS as P, THEOREM_ROSP_PARAMS as Q
 from secpred import PolicyParams
-from secpred.analytic import case_bound, large_regime_bound, prediction_floor
+from secpred.analytic import case_bound, prediction_floor
 from oracles import COSP_ORACLES, ROSP_ORACLES
 
 
@@ -41,28 +41,27 @@ BAD_CALLS = {
     "m2>m": (partial(case_bound, "cosp", 4, 2, 1, 3, P), "m2=3 outside"),
     "case 6, m=-1": (partial(case_bound, "rosp", 6, -1, 1, 0, Q), "case 6 requires m >= 0"),
     "regime thresholds": (
-        partial(large_regime_bound, "cosp", 1, "large_m", P, thresholds=(0, 20)),
+        partial(case_bound, "cosp", 1, None, 0, 0, P, thresholds=(0, 20)),
         "thresholds must be >= 1",
     ),
-    "regime model": (
-        partial(large_regime_bound, "bogus", 1, "large_m", P), "unknown model 'bogus'"
-    ),
-    "unknown regime": (
-        partial(large_regime_bound, "rosp", 1, "large_x", Q), "unknown regime 'large_x'"
+    "regime model": (partial(case_bound, "bogus", 1, None, 0, 0, P), "unknown model 'bogus'"),
+    "regime case 0": (
+        partial(case_bound, "rosp", 0, None, 0, 0, Q), "case 0 has no large-regime form"
     ),
     "regime case 2": (
-        partial(large_regime_bound, "cosp", 2, "large_m", P), "case 2 has no large-regime form"
+        partial(case_bound, "cosp", 2, None, 0, 0, P), "case 2 has no large-regime form"
     ),
-    "large given": (
-        partial(large_regime_bound, "rosp", 4, "large_m", Q, m=3, k=1, m2=0),
-        "treats m as large",
-    ),
-    "small missing": (
-        partial(large_regime_bound, "cosp", 5, "large_m", P, m2=0),
-        "needs a small value for k",
+    "regime case 3": (
+        partial(case_bound, "cosp", 3, 4, None, 0, P), "case 3 has no large-regime form"
     ),
     "regime case 1, m=0": (
-        partial(large_regime_bound, "rosp", 1, "large_k", Q, m=0), "case 1 requires m >= 1"
+        partial(case_bound, "rosp", 1, 0, None, None, Q), "case 1 requires m >= 1"
+    ),
+    "large m, m2=-4": (partial(case_bound, "cosp", 5, None, 1, -4, P), "m2=-4 outside"),
+    "large m, m2=-3": (partial(case_bound, "rosp", 4, None, 2, -3, Q), "m2=-3 outside"),
+    "large m, k=-1": (partial(case_bound, "cosp", 4, None, -1, 0, P), "k must be nonnegative"),
+    "large m2, small m": (
+        partial(case_bound, "cosp", 4, 3, 1, None, P), "m2 cannot be large while m=3"
     ),
 }
 
@@ -71,6 +70,13 @@ BAD_CALLS = {
 def test_bad_calls_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_large_k_ignores_m2():
+    for model, params in (("cosp", P), ("rosp", Q)):
+        for cid in (4, 5, 6):
+            got = {case_bound(model, cid, 3, None, m2, params) for m2 in (None, 0, 2)}
+            assert len(got) == 1, (model, cid, got)
 
 
 def test_cosp_case1_examples():
@@ -195,10 +201,10 @@ def test_rosp_case_oracle_equivalence():
 
 def test_case_values_in_unit_range():
     # every enumerated profile within the full thresholds stays in [0, 1]
-    from secpred.certify import iter_small_cells, certify_cell
-    from secpred.core import CaseProfile
+    from secpred.certify import entry_bound, iter_entries
 
     for model, params in (("cosp", P), ("rosp", Q)):
-        for m, k, m2 in iter_small_cells(20, 20):
-            for cb in certify_cell(model, params, CaseProfile(m, k, m2)):
-                assert 0.0 <= cb.value <= 1.0, (model, cb)
+        for entry in iter_entries(model, 20, 20):
+            if entry[1] == "exact":
+                value = entry_bound(model, entry, params)
+                assert 0.0 <= value <= 1.0, (model, entry, value)

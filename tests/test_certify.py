@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from secpred import (
@@ -7,10 +8,9 @@ from secpred import (
     THEOREM_COSP_PARAMS as P,
     THEOREM_ROSP_PARAMS as Q,
     certify,
-    certify_cell,
     report_to_json,
 )
-from secpred.analytic import case_bound, large_regime_bound, prediction_floor
+from secpred.analytic import Point, case_bound, prediction_floor
 from secpred.certify import (
     MAX_THRESHOLD,
     CaseBound,
@@ -19,23 +19,37 @@ from secpred.certify import (
     iter_small_cells,
     small_cell_count,
 )
-from secpred.core import CaseProfile
+from secpred.tune import GridSpec, _mesh
+
+
+def cell_bounds(model, params, cell):
+    """The exact bounds the enumeration evaluates at one small (m, k, m2) cell."""
+    bounds = []
+    for entry in iter_entries(model, 20, 20):
+        case_id, regime, m, k, m2 = entry
+        if regime == "exact" and (m, k, m2) == cell:
+            value = entry_bound(model, entry, params)
+            bounds.append(CaseBound(f"C{case_id}", value, regime, m, k, m2))
+    return bounds
 
 
 def test_cell_000_only_case6():
-    bounds = certify_cell("cosp", P, CaseProfile(0, 0, 0))
+    bounds = cell_bounds("cosp", P, (0, 0, 0))
     assert [b.case_id for b in bounds] == ["C6"]
     assert bounds[0].value == pytest.approx(prediction_floor(P.theta), abs=1e-15)
 
 
 def test_cell_100_case1_only():
-    bounds = certify_cell("cosp", P, CaseProfile(1, 0, 0))
+    # m2 >= m - k, so the enumeration's m = 1, k = 0 cell is m2 = 1; case 1
+    # ignores m2
+    assert cell_bounds("cosp", P, (1, 0, 0)) == []
+    bounds = cell_bounds("cosp", P, (1, 0, 1))
     assert [b.case_id for b in bounds] == ["C1"]
     assert bounds[0].value == pytest.approx(P.gamma, abs=1e-15)
 
 
 def test_cell_211_four_bounds():
-    bounds = certify_cell("cosp", P, CaseProfile(2, 1, 1))
+    bounds = cell_bounds("cosp", P, (2, 1, 1))
     assert sorted(b.case_id for b in bounds) == ["C1", "C4", "C5", "C6"]
     assert all(b.value >= 0.262 for b in bounds)
 
@@ -106,23 +120,27 @@ def test_single_pass_matches_enumeration_minimum(model, params, target_b):
         assert (regime["min_value"], regime["min_case"]) == (best.value, best.case_id)
 
 
+def _mesh_point(model):
+    tau, beta, gamma, delta = _mesh(model, GridSpec.coarse(model, step=0.3))
+    return Point(tau, gamma, delta, beta)
+
+
 @pytest.mark.parametrize("thresholds", [(6, 6), (4, 7)])
-@pytest.mark.parametrize("model,params", [("cosp", P), ("rosp", Q), ("cosp", GAMMA_ZERO)])
+@pytest.mark.parametrize(
+    "model,params",
+    [("cosp", P), ("rosp", Q), ("cosp", GAMMA_ZERO), ("cosp", "mesh"), ("rosp", "mesh")],
+)
 def test_entry_bound_matches_front_ends(model, params, thresholds):
-    # entry_bound reads analytic.CASE_FORMS directly; the validating front
-    # ends must give the same bits on every entry
+    # entry_bound reads analytic.CASE_FORMS directly; the checked front end
+    # must accept every entry and give the same bits, on a tune mesh as well
+    # (two mesh points, so neither call reads the other's memoized blocks)
+    mesh = params == "mesh"
+    params, front = (_mesh_point(model), _mesh_point(model)) if mesh else (params, params)
     for entry in iter_entries(model, *thresholds):
-        case_id, regime, m, k, m2 = entry
+        case_id, _, m, k, m2 = entry
         got = entry_bound(model, entry, params, thresholds)
-        if regime == "exact" or (case_id == 1 and m is not None):
-            want = case_bound(model, case_id, m, k or 0, m2 or 0, params)
-        else:
-            small = {"m": m, "k": k, "m2": 0 if regime == "large_k" else m2}
-            small = {name: v for name, v in small.items() if v is not None}
-            want = large_regime_bound(
-                model, case_id, regime, params, thresholds=thresholds, **small
-            )
-        assert got == want, entry
+        want = case_bound(model, case_id, m, k, m2, front, thresholds)
+        assert np.array_equal(got, want), entry
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from secpred import THEOREM_COSP_PARAMS as P, THEOREM_ROSP_PARAMS as Q
-from secpred.analytic import case_bound, large_regime_bound
+from secpred.analytic import case_bound
 
 TM, TK = 20, 20
 SLACK = -1e-9
@@ -16,35 +16,36 @@ SLACK = -1e-9
 def test_published_constant_examples():
     import math
 
-    got = large_regime_bound("cosp", 1, "large_m", P)
+    got = case_bound("cosp", 1, None, None, None, P)
     assert got == pytest.approx(0.9999 * (0.37 / 0.64) * 0.46, abs=1e-15)
     assert got == pytest.approx(0.265911, abs=1e-6)
     # large-k case 4 at small m: exact pre-switch sum + 0.9999 tau ln(1/beta),
     # the dropped third term contributes zero
-    got = large_regime_bound("cosp", 4, "large_k", P, m=2, m2=0)
+    got = case_bound("cosp", 4, 2, None, 0, P)
     pre = 0.37 * (0.64 - 0.37)  # sum collapses to tau*(beta - tau) at m = 2
     want = pre + 0.9999 * 0.37 * math.log(1 / 0.64)
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_exact_case1_dominates_large_m_bound():
-    bound = large_regime_bound("cosp", 1, "large_m", P)
+    bound = case_bound("cosp", 1, None, None, None, P)
     for m in range(21, 201):
         assert case_bound("cosp", 1, m, 0, 0, P) >= bound + SLACK
-    boundr = large_regime_bound("rosp", 1, "large_m", Q)
+    boundr = case_bound("rosp", 1, None, None, None, Q)
     for m in range(21, 201):
         assert case_bound("rosp", 1, m, 0, 0, Q) >= boundr + SLACK
 
 
 def sample_profiles(rng, case_id, pattern, count=50):
-    """(m, k, m2, small-kwargs) samples consistent with the case's structure."""
+    """(m, k, m2, small) samples consistent with the case's structure; small is
+    the profile as the regime sees it, with None for each large parameter."""
     out = []
     lm, lk, lm2 = pattern
     min_m = {1: 1, 4: 2, 5: 1, 6: 0}[case_id]
     while len(out) < count:
         if case_id == 1:
             m = int(rng.integers(21, 201)) if lm else int(rng.integers(1, TM + 1))
-            out.append((m, 0, 0, {} if lm else {"m": m}))
+            out.append((m, 0, 0, (None if lm else m, None, None)))
             continue
         if lm and lk:
             m = int(rng.integers(21, 201))
@@ -54,7 +55,7 @@ def sample_profiles(rng, case_id, pattern, count=50):
             if lo > hi:
                 continue
             m2 = int(rng.integers(lo, hi + 1))
-            out.append((m, k, m2, {}))
+            out.append((m, k, m2, (None, None, None)))
         elif lm and lm2:
             k = int(rng.integers(1, TK + 1))
             m2 = int(rng.integers(21, 201))
@@ -65,7 +66,7 @@ def sample_profiles(rng, case_id, pattern, count=50):
             if lo > hi:
                 continue
             m = int(rng.integers(lo, hi + 1))
-            out.append((m, k, m2, {"k": k}))
+            out.append((m, k, m2, (None, k, None)))
         elif lm:
             k = int(rng.integers(1, TK + 1))
             need = TM + 1
@@ -76,7 +77,7 @@ def sample_profiles(rng, case_id, pattern, count=50):
             if hi < 21:
                 continue
             m = int(rng.integers(21, min(200, hi) + 1))
-            out.append((m, k, m2, {"k": k, "m2": m2}))
+            out.append((m, k, m2, (None, k, m2)))
         else:  # large k only
             k = int(rng.integers(21, 201))
             m = int(rng.integers(max(1, min_m), TM + 1)) if case_id != 6 else int(
@@ -86,7 +87,7 @@ def sample_profiles(rng, case_id, pattern, count=50):
             if hi < 0:
                 continue
             m2 = int(rng.integers(0, hi + 1))
-            out.append((m, k, m2, {"m": m, "m2": 0}))
+            out.append((m, k, m2, (m, None, 0)))
     return out
 
 
@@ -109,8 +110,6 @@ def test_symbolic_bounds_are_sound(model, params, regime):
         if cid == 1 and regime == "large_k":
             continue  # case 1 has no k dependence; nothing symbolic to check
         for m, k, m2, small in sample_profiles(rng, cid, pattern, count=8):
-            symbolic = large_regime_bound(
-                model, cid, regime, params, thresholds=(TM, TK), **small
-            )
+            symbolic = case_bound(model, cid, *small, params, thresholds=(TM, TK))
             exact = case_bound(model, cid, m, k, m2, params)
             assert exact >= symbolic + SLACK, (model, regime, cid, m, k, m2)
