@@ -14,15 +14,17 @@ Conventions used throughout:
   candidate's value.
 
 Every alternating binomial sum in the case formulas is an instance of
-``pow_over_x_integral`` (the integral of (1-x)^n / x), so accuracy is
-controlled in exactly one place.  Each of cases 1, 4, 5 and 6 is one form
-of ``(point, m, k, m2, tm, tk)`` in ``CASE_FORMS``: ``None`` marks a
-parameter above its threshold, and with every parameter small the form is
-the exact bound.  The point's fields are floats for one policy or arrays for
-a search mesh.  ``case_bound`` is the one checked front end over
-``CASE_FORMS``, for exact profiles and large regimes alike: ``None`` means
-large and m2 is ignored under a large k.  Case 0 is the floor, cases 2 and 3
-reduce to cases 1 and 4, and these three are exact only.
+``pow_over_x_integral`` (the integral of (1-x)^n / x), which is ln(b/a)
+minus a finite sum of nonnegative terms for every exponent, so accuracy is
+controlled in exactly one place and no evaluation can fail to converge.  Each
+of cases 1, 4, 5 and 6 is one form of ``(point, m, k, m2, tm, tk)`` in
+``CASE_FORMS``: ``None`` marks a parameter above its threshold, and with
+every parameter small the form is the exact bound.  The point's fields are
+floats for one policy or arrays for a search mesh.  ``case_bound`` is the one
+checked front end over ``CASE_FORMS``, for exact profiles and large regimes
+alike: ``None`` means large and m2 is ignored under a large k.  Case 0 is the
+floor, cases 2 and 3 reduce to cases 1 and 4, and these three are exact
+only.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ __all__ = [
     "case_bound",
     "CASE_FORMS",
 ]
-
-# Exponent above which the alternating closed form of pow_over_x_integral
-# loses precision in doubles; switch to the equivalent positive tail series.
-_CLOSED_FORM_MAX = 20
 
 
 # ---------------------------------------------------------------------------
@@ -83,43 +81,21 @@ def log_ratio(a: float, b: float) -> float:
 
 
 def pow_over_x_integral(a: float, b: float, m: int) -> float:
-    """Integral of (1-x)^m / x over [a, b].
+    """Integral of (1-x)^m / x over [a, b], for 0 < a <= b <= 1.
 
-    Uses the binomial closed form
-    ``sum_i C(m,i)(-1)^i (b^i - a^i)/i + ln(b/a)`` for small m.  For m above
-    ~20 the alternating sum cancels catastrophically in doubles, so the
-    algebraically identical positive series
-    ``sum_{j>m} ((1-a)^j - (1-b)^j)/j`` is used instead.
+    Since (1-x)^m / x = (1-x)^(m-1) / x - (1-x)^(m-1), the integral obeys
+    I_m = I_(m-1) - ((1-a)^m - (1-b)^m) / m with I_0 = ln(b/a), so
+
+        I_m = ln(b/a) - sum_{j=1}^{m} ((1-a)^j - (1-b)^j) / j,
+
+    a finite sum of nonnegative terms, taken with ``math.fsum``.  The error
+    is absolute, not relative: against 50-digit mpmath it is at most 1.7e-15
+    for a >= 0.001 and m <= 400.  Where I_m is far below ln(b/a) the result
+    can sit a few ulps below zero.
     """
     _check_interval(a, b, m, positive_a=True)
-    if m <= _CLOSED_FORM_MAX:
-        acc = math.fsum(
-            math.comb(m, i) * (-1) ** i * (b**i - a**i) / i for i in range(1, m + 1)
-        )
-        return acc + math.log(b / a)
-    return _pow_over_x_series(a, b, m)
-
-
-def _pow_over_x_series(a: float, b: float, m: int) -> float:
     ua, ub = 1.0 - a, 1.0 - b
-    pa, pb = ua ** (m + 1), ub ** (m + 1)
-    j = m + 1
-    total = 0.0
-    cap = j + 4_000_000
-    while pa > 0.0:
-        total += (pa - pb) / j
-        j += 1
-        pa *= ua
-        pb *= ub
-        # remaining tail is at most pa / (j * a)
-        if pa <= j * a * 1e-18 * max(abs(total), 1e-300):
-            break
-        if j > cap:
-            raise ValueError(
-                f"pow_over_x_integral: series for a={a} (exponent {m}) converges "
-                f"too slowly; tail bound {pa / (j * a):.3e} after {cap} terms"
-            )
-    return total
+    return math.log(b / a) - math.fsum((ua**j - ub**j) / j for j in range(1, m + 1))
 
 
 def _check_interval(a: float, b: float, m: int, positive_a: bool) -> None:
@@ -602,8 +578,9 @@ def case_bound(
     ``None`` for m, k or m2 marks a parameter above its threshold (tm of
     ``thresholds`` bounds m and m2, tk bounds k), and the bound is then the
     case's floor over every such value.  A large m2 needs a large m, since
-    m2 <= m; under a large k, m2 is ignored.  Cases 1 to 6 check every value
-    given: m at least the case's minimum, k >= 0 and 0 <= m2 <= m.
+    m2 <= m; under a large k, m2 is ignored.  Every case, case 0 included,
+    checks the values given: m at least the case's minimum, k >= 0 and
+    0 <= m2 <= m, after cases 1 and 2 drop k and m2 and case 3 clamps m2.
 
     Case 0 (no mistakes) is the floor (1-theta)/(1+theta), theta being the
     worst admissible error.  Case 2 (the top prediction is the true best, not
@@ -621,8 +598,6 @@ def case_bound(
     tm, tk = thresholds
     if tm < 1 or tk < 1:
         raise ValueError("thresholds must be >= 1")
-    if case_id == 0:
-        return params.r if isinstance(params, Point) else prediction_floor(params.theta)
     if case_id in (1, 2):
         k = m2 = 0
     elif case_id == 3:
@@ -635,6 +610,8 @@ def case_bound(
         raise ValueError(f"m2 cannot be large while m={m} and k={k} are small")
     if m2 is not None and (m2 < 0 or m is not None and m2 > m):
         raise ValueError(f"m2={m2} outside [0, m={m}]")
+    if case_id == 0:
+        return params.r if isinstance(params, Point) else prediction_floor(params.theta)
     if case_id == 2:
         case_id, m = 1, m + 1
     elif case_id == 3:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -134,7 +135,13 @@ def _perturb(xs: Sequence[float]) -> list[float]:
 
 
 def build_instance(values: Sequence[float], predictions: Sequence[float]) -> Instance:
-    """Build an instance, perturbing duplicates and deriving epsilon, i-hat, i-star."""
+    """Build an instance from two lists of real numbers, perturbing duplicates
+    and deriving epsilon, i-hat, i-star."""
+    for name, xs in (("values", values), ("predictions", predictions)):
+        if not isinstance(xs, (list, tuple)) or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in xs
+        ):
+            raise ValueError(f"{name} must be a list of real numbers")
     if len(values) == 0:
         raise ValueError("empty instance")
     if len(values) != len(predictions):

@@ -34,6 +34,8 @@ def test_case0_examples():
 BAD_CALLS = {
     "unknown model": (partial(case_bound, "bogus", 1, 1, 0, 0, P), "unknown model 'bogus'"),
     "case 7": (partial(case_bound, "cosp", 7, 1, 1, 0, P), "unknown case 7"),
+    "case 0, m=-5": (partial(case_bound, "cosp", 0, -5, 3, 9, P), "case 0 requires m >= 0"),
+    "case 0, m2>m": (partial(case_bound, "rosp", 0, 0, 0, 2, Q), "m2=2 outside"),
     "case 1, m=0": (partial(case_bound, "cosp", 1, 0, 0, 0, P), "case 1 requires m >= 1"),
     "case 3, m=1": (partial(case_bound, "rosp", 3, 1, 1, 0, Q), "case 3 requires m >= 2"),
     "case 4, m=0": (partial(case_bound, "cosp", 4, 0, 1, 0, P), "case 4 requires m >= 1"),

@@ -62,17 +62,18 @@ def test_lemma_oracle_equivalence():
         assert abs(pow_over_x_integral(a, b, m) - px) < 1e-8
 
 
-def test_pow_over_x_series_seam():
-    # the closed form and the tail series are the same function
+def test_pow_over_x_matches_mpmath():
+    # absolute error against 40-digit quadrature, across exponents small and
+    # large and down to a = 0.001, where (1-a)^m decays slowly
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 60
-    for a, b, n in [(0.33, 1.0, 21), (0.37, 0.64, 25), (0.33, 1.0, 41), (0.2, 0.9, 120)]:
-        exact = mp.quad(lambda x: (1 - x) ** n / x, [a, b])
-        assert abs(pow_over_x_integral(a, b, n) - float(exact)) < 1e-13
-    # just below and above the dispatch point agree with each other's method
-    from secpred.analytic import _pow_over_x_series
-
-    for a, b in [(0.3, 0.9), (0.5, 1.0)]:
-        assert pow_over_x_integral(a, b, 20) == pytest.approx(
-            _pow_over_x_series(a, b, 20), abs=1e-11
-        )
+    grid = [
+        (a, b, n)
+        for a in (0.001, 0.01, 0.2, 0.33, 0.5, 0.9)
+        for b in (a + 0.3 * (1 - a), 1.0)
+        for n in (0, 5, 14, 20, 21, 40, 160)
+    ]
+    with mp.workdps(40):
+        for a, b, n in grid + [(0.37, 0.64, 25), (0.2, 0.9, 120), (0.33, 0.33, 30)]:
+            exact = mp.quad(lambda x: (1 - x) ** n / x, [a, b])
+            err = abs(pow_over_x_integral(a, b, n) - float(exact))
+            assert err < 1e-14, (a, b, n, err)

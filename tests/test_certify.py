@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,18 +145,29 @@ def test_entry_bound_matches_front_ends(model, params, thresholds):
 
 
 @pytest.mark.parametrize(
-    "model,params,target_b,digest",
+    "model,params,target_b,digest,threshold",
     [
-        ("cosp", P, 0.262, "827d3d3c59513de1043a4124baa3bb63ed0ead43c083d4d50ebfd152c2c8b1de"),
-        ("rosp", Q, 0.221, "a960e7148502b31aac8622b088ac37623df57e47762d518b3c7a3954e86cc77f"),
-        ("cosp", P, 0.29, "42c723071a5b77633a62436ac38adee7bf77f197b1e8ff283623044303257b87"),
+        ("cosp", P, 0.262, "827d3d3c59513de1043a4124baa3bb63ed0ead43c083d4d50ebfd152c2c8b1de", 20),
+        ("rosp", Q, 0.221, "a960e7148502b31aac8622b088ac37623df57e47762d518b3c7a3954e86cc77f", 20),
+        ("cosp", P, 0.29, "42c723071a5b77633a62436ac38adee7bf77f197b1e8ff283623044303257b87", 20),
         ("cosp", GAMMA_ZERO, 0.262,
-         "65fb00a6d69fc0dbe3f7aa8cad62e328f8c59296cc9655c98b799d07e083dd74"),
+         "65fb00a6d69fc0dbe3f7aa8cad62e328f8c59296cc9655c98b799d07e083dd74", 20),
+        # at T = 40 the pow-over-x exponents reach 40 (cosp) and 121 (rosp)
+        ("cosp", P, 0.262, "d2ae5fecb94de7fe7700fb71dc2d9369539275050401146950d8c6654060e6fb", 40),
+        ("rosp", Q, 0.221, "f5d9075f7488a00ca7e1ac4faf0fb86bd5c192b2a035a041d9a977096ec44845", 40),
     ],
 )
-def test_certificate_bytes_pinned(model, params, target_b, digest):
-    text = report_to_json(certify(model, params, target_b, thresholds=(20, 20)))
+def test_certificate_bytes_pinned(model, params, target_b, digest, threshold):
+    text = report_to_json(certify(model, params, target_b, thresholds=(threshold, threshold)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_certify_tiny_tau_completes():
+    # tau = 1e-6 is valid; every pow-over-x integral is a finite sum, so the
+    # enumeration finishes and reports an honest failure
+    report = certify("rosp", replace(Q, tau=1e-6), 0.01)
+    assert not report.passed
+    assert report.min_value < 0.01
 
 
 def test_report_json_stable():

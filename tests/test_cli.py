@@ -133,6 +133,35 @@ def test_io_error_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"values": ["0.5", 1.0], "predictions": [0.5, 1.0]},
+        {"values": [0.5, 1.0], "predictions": [0.5, None]},
+        {"values": [[0.5], 1.0], "predictions": [0.5, 1.0]},
+        {"values": 0.5, "predictions": 0.5},
+    ],
+    ids=["string", "null", "nested", "scalar"],
+)
+def test_simulate_malformed_instance_exit_two(tmp_path, capsys, body):
+    # exit 1 means a failed certificate; a bad file is a usage error
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(body))
+    code = main(
+        ["simulate", "--instance", str(inst), *COSP_FLAGS, "--trials", "10", "--threads", "1"]
+    )
+    assert code == 2
+    assert "list of real numbers" in capsys.readouterr().err
+
+
+def test_evaluate_case0_checks_profile(capsys):
+    # case 0 needs only theta, but an impossible profile is still refused
+    for profile in (["--m", "-5", "--k", "3", "--m2", "9"], ["--m", "0", "--m2", "2"]):
+        assert main(["evaluate", "--case", "0", *COSP_FLAGS, *profile]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+
 def test_evaluate_rosp_case0(capsys):
     # case 0 needs only theta, so chosen order without --beta gives it too
     cosp_no_beta = ["--model", "cosp", *ROSP_FLAGS[2:]]

@@ -41,6 +41,14 @@ def test_build_errors():
             build_instance([1.0, bad], [1.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
             build_instance([1.0, 1.0], [1.0, bad])
+    # anything but a list of real numbers is refused: strings, null, nested
+    # lists, booleans, non-list values
+    for bad in (["0.5", 1.0], [None, 1.0], [[1.0], 1.0], [True, 1.0], "0.5,1.0", {"a": 1.0}, 1.0):
+        with pytest.raises(ValueError, match="values must be a list of real numbers"):
+            build_instance(bad, [1.0, 1.0])
+        with pytest.raises(ValueError, match="predictions must be a list of real numbers"):
+            build_instance([1.0, 1.0], bad)
+    assert build_instance((1, np.float64(2.0)), [np.int64(1), 2.5]).n == 2
 
 
 def test_perturbation_breaks_ties_and_preserves_epsilon():

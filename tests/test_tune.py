@@ -125,10 +125,9 @@ def test_search_fixpoint_matches_scalar_certify():
 
 
 def test_mesh_pow_over_x_matches_scalar_at_small_tau():
-    # tau = 0.001 is the floor of the refined grid; there the tail series
-    # needs about 5e4 terms.  The mesh gathers pow_over_x_integral itself, so
-    # its values are exact, up to the exponents a search at
-    # SEARCH_THRESHOLDS reaches.
+    # tau = 0.001 is the floor of the refined grid.  The mesh gathers
+    # pow_over_x_integral itself, so its values equal the scalar ones, up to
+    # the exponents a search at SEARCH_THRESHOLDS reaches.
     import numpy as np
 
     from secpred.analytic import Point, _pox, pow_over_x_integral
