@@ -158,14 +158,11 @@ class Point:
 
 
 def _memo(fn):
-    # a building block depends only on the point and its other arguments.  One
-    # with a None argument (a large parameter) serves an entry or two, so it
-    # is not kept on the point.
+    # a building block depends only on the point and its other arguments, and
+    # a block for a large parameter takes the threshold it reads as one of them
     name = fn.__name__
 
     def cached(p, *args):
-        if None in args:
-            return fn(p, *args)
         key = (name, args)
         if key not in p.memo:
             p.memo[key] = fn(p, *args)
@@ -533,12 +530,10 @@ def _rosp6(p, m, k, m2, tm, tk):
     head = _c6_head(ROSP, p, m)
     early = p.tau * _ln_it(p) * _one_minus_pow(p, m, tm)
     if m is None:
+        # the post-switch term is case 5's at a large m, one threshold higher
         c_in = _shrink_t(p, tm + 1)
-        if k is None:
-            k_int = c_in * _shrink_t(p, tk + 1) * p.tau * _rosp_l_post(p)
-        else:
-            k_int = c_in * _rosp_post_block(p, k, tk)
         pre_int = _rosp_pre_block(p, None, tm + 1)
+        k_int = _rosp_c5_post(p, None, k, tm + 1, tk)
         return head + early + c_in * (pre_int + k_int + _rosp_delta_block(p, k, m2, tm))
     if m == 0:
         return head + early
@@ -580,7 +575,7 @@ def case_bound(
     case's floor over every such value.  A large m2 needs a large m, since
     m2 <= m; under a large k, m2 is ignored.  Every case, case 0 included,
     checks the values given: m at least the case's minimum, k >= 0 and
-    0 <= m2 <= m, after cases 1 and 2 drop k and m2 and case 3 clamps m2.
+    0 <= m2 <= m, before cases 1 and 2 drop k and m2 and case 3 clamps m2.
 
     Case 0 (no mistakes) is the floor (1-theta)/(1+theta), theta being the
     worst admissible error.  Case 2 (the top prediction is the true best, not
@@ -598,10 +593,6 @@ def case_bound(
     tm, tk = thresholds
     if tm < 1 or tk < 1:
         raise ValueError("thresholds must be >= 1")
-    if case_id in (1, 2):
-        k = m2 = 0
-    elif case_id == 3:
-        m2 = min(max(m2, max(0, (m - 1) - k)), max(0, m - 2))
     if m is not None and m < _CASE_M_MIN[case_id]:
         raise ValueError(f"case {case_id} requires m >= {_CASE_M_MIN[case_id]}, got m={m}")
     if k is not None and k < 0:
@@ -612,8 +603,11 @@ def case_bound(
         raise ValueError(f"m2={m2} outside [0, m={m}]")
     if case_id == 0:
         return params.r if isinstance(params, Point) else prediction_floor(params.theta)
+    if case_id in (1, 2):
+        k = m2 = 0
     if case_id == 2:
         case_id, m = 1, m + 1
     elif case_id == 3:
+        m2 = min(max(m2, max(0, (m - 1) - k)), max(0, m - 2))
         case_id, m = 4, m - 1
     return CASE_FORMS[model, case_id](Point.of(model, params), m, k, m2, tm, tk)

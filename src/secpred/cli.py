@@ -40,10 +40,9 @@ def _params_from(args) -> PolicyParams:
     )
 
 
-def _add_param_flags(p, need_theta=True):
+def _add_param_flags(p):
     p.add_argument("--model", required=True, choices=[COSP, ROSP])
-    if need_theta:
-        p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--beta", type=float, default=None, help="required for cosp")
     p.add_argument("--gamma", type=float, required=True)

@@ -16,7 +16,8 @@ the minimum of these bounds and of the r-free entries, in closed form.
 The search walks certify's enumeration (``iter_entries``) at r = 0 on an
 ``analytic.Point`` whose fields are mesh arrays, so it shares every case
 formula with certification; the reported winner is re-certified with the
-exact enumeration at full thresholds.
+exact enumeration at full thresholds.  The mesh is walked in blocks of
+cells, each on a fresh Point, so the points' memos stay a fixed size.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ __all__ = ["GridSpec", "grid_search", "SEARCH_THRESHOLDS", "MAX_GRID_POINTS"]
 
 SEARCH_THRESHOLDS = (10, 10)
 # A grid whose axis lengths multiply past this is refused before the mesh is
-# built: the search holds every memoized block as a mesh-sized array (about
-# 350 MB at the 97 336 points of the rosp step-0.02 grid).  It admits the
-# refine grid, 19 points per axis (130 321).
+# built.  It admits the refine grid, 19 points per axis (130 321).
 MAX_GRID_POINTS = 250_000
+# A block holds BLOCK_ELEMENTS // (tm * tk) cells.  Its point memoizes a few
+# block-sized arrays per pair of small parameters, so the search's memory stays
+# a few tens of megabytes whatever the grid size and the thresholds are.
+BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -48,11 +51,12 @@ class GridSpec:
     beta: tuple[float, ...] | None = None  # chosen order only
 
     @classmethod
-    def coarse(cls, model: str, step: float = 0.05, lo: float = 0.05, hi: float = 0.95):
+    def coarse(cls, model: str, step: float = 0.05):
+        """0.05, 0.05 + step, ... up to 0.95 on every axis."""
         if step < 1e-3:
             raise ValueError("grid step must be >= 1e-3")
-        pts = tuple(round(lo + i * step, 10) for i in range(int((hi - lo) / step + 1.5)))
-        pts = tuple(p for p in pts if lo - 1e-12 <= p <= hi + 1e-12)
+        pts = tuple(round(0.05 + i * step, 10) for i in range(int((0.95 - 0.05) / step + 1.5)))
+        pts = tuple(p for p in pts if p <= 0.95 + 1e-12)
         beta = pts if model == COSP else None
         return cls(tau=pts, gamma=pts, delta=pts, beta=beta)
 
@@ -86,48 +90,61 @@ def _mesh(model: str, grid: GridSpec):
     return tuple(cols)
 
 
-def _search_bound(model, point, thresholds):
-    """The fixpoint B = f(B) at every point of a mesh ``Point`` (r = 0)."""
-    b = np.full(point.tau.shape, np.inf)
-    for entry in iter_entries(model, *thresholds):
-        case_id, m = entry[0], entry[2]
-        if case_id == 6 and m == 0:
-            continue  # identically r: met by construction
-        value = entry_bound(model, entry, point, thresholds)
-        if case_id == 6:
-            value = value / (1.0 - case6_coef(model, m, point))
-        np.minimum(b, value, out=b)
+def _search_bound(model, cols, thresholds):
+    """The fixpoint B = f(B) at every cell of the mesh columns (r = 0)."""
+    tau, beta, gam, dlt = cols
+    tm, tk = thresholds
+    cells = max(1, BLOCK_ELEMENTS // (tm * tk))
+    b = np.full(tau.shape, np.inf)
+    for lo in range(0, tau.size, cells):
+        block = slice(lo, lo + cells)
+        point = Point(tau[block], gam[block], dlt[block], None if beta is None else beta[block])
+        out = b[block]
+        for entry in iter_entries(model, tm, tk):
+            case_id, m = entry[0], entry[2]
+            if case_id == 6 and m == 0:
+                continue  # identically r: met by construction
+            value = entry_bound(model, entry, point, thresholds)
+            if case_id == 6:
+                value = value / (1.0 - case6_coef(model, m, point))
+            np.minimum(out, value, out=out)
     return b
 
 
+def _cell_params(b, cols, i) -> PolicyParams:
+    """The policy at cell i, with theta = (1-B)/(1+B) from its fixpoint B."""
+    tau, beta, gam, dlt = cols
+    bi = float(b[i])
+    return PolicyParams(
+        theta=(1.0 - bi) / (1.0 + bi),
+        tau=float(tau[i]),
+        gamma=float(gam[i]),
+        delta=float(dlt[i]),
+        beta=float(beta[i]) if beta is not None else None,
+    )
+
+
 def _search_once(model, grid, thresholds):
-    tau, beta, gam, dlt = _mesh(model, grid)
-    b = _search_bound(model, Point(tau, gam, dlt, beta), thresholds)
-    order = [tau, beta, gam, dlt] if beta is not None else [tau, gam, dlt]
+    cols = _mesh(model, grid)
+    b = _search_bound(model, cols, thresholds)
     best = float(np.max(b))
     tie = np.nonzero(b == best)[0]
+    order = [c for c in cols if c is not None]
     pick = min(tie, key=lambda i: tuple(col[i] for col in order))
-    params = PolicyParams(
-        theta=(1.0 - best) / (1.0 + best),
-        tau=float(tau[pick]),
-        gamma=float(gam[pick]),
-        delta=float(dlt[pick]),
-        beta=float(beta[pick]) if beta is not None else None,
-    )
-    return params, best, (b, tau, beta, gam, dlt)
+    return _cell_params(b, cols, pick), best, (b, cols)
 
 
-def _refined_grid(model: str, params: PolicyParams, step: float, lo=0.001, hi=0.999):
+def _refined_grid(params: PolicyParams, step: float):
     def around(x):
         fine = step / 10.0
         pts = [round(x + i * fine, 12) for i in range(-9, 10)]
-        return tuple(p for p in pts if lo <= p <= hi)
+        return tuple(p for p in pts if 0.001 <= p <= 0.999)
 
     return GridSpec(
         tau=around(params.tau),
         gamma=around(params.gamma),
         delta=around(params.delta),
-        beta=around(params.beta) if model == COSP and params.beta is not None else None,
+        beta=around(params.beta) if params.beta is not None else None,
     )
 
 
@@ -155,26 +172,12 @@ def grid_search(
             default=0.05,
         )
         params, search_b, cells = _search_once(
-            model, _refined_grid(model, params, step), search_thresholds
+            model, _refined_grid(params, step), search_thresholds
         )
 
     report = certify(model, params, target_b=max(search_b - 0.05, 1e-6), thresholds=thresholds)
     certified = report.min_value
     if emit_all:
-        b, tau, beta, gam, dlt = cells
-        rows = []
-        for i in range(len(b)):
-            rows.append(
-                (
-                    PolicyParams(
-                        theta=(1.0 - float(b[i])) / (1.0 + float(b[i])),
-                        tau=float(tau[i]),
-                        gamma=float(gam[i]),
-                        delta=float(dlt[i]),
-                        beta=float(beta[i]) if beta is not None else None,
-                    ),
-                    float(b[i]),
-                )
-            )
-        return params, certified, rows
+        b, cols = cells
+        return params, certified, [(_cell_params(b, cols, i), float(b[i])) for i in range(len(b))]
     return params, certified

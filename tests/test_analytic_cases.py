@@ -65,6 +65,11 @@ BAD_CALLS = {
     "large m2, small m": (
         partial(case_bound, "cosp", 4, 3, 1, None, P), "m2 cannot be large while m=3"
     ),
+    "case 3, m2>m": (partial(case_bound, "cosp", 3, 4, 1, 99, P), "m2=99 outside"),
+    "case 3, m2=-3": (partial(case_bound, "cosp", 3, 4, 1, -3, P), "m2=-3 outside"),
+    "case 1, k=-7": (partial(case_bound, "cosp", 1, 2, -7, 99, P), "k must be nonnegative"),
+    "case 1, m2>m": (partial(case_bound, "rosp", 1, 2, 0, 99, Q), "m2=99 outside"),
+    "case 2, m2>m": (partial(case_bound, "cosp", 2, 1, 0, 5, P), "m2=5 outside"),
 }
 
 

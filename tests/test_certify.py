@@ -144,6 +144,24 @@ def test_entry_bound_matches_front_ends(model, params, thresholds):
         assert np.array_equal(got, want), entry
 
 
+@pytest.mark.parametrize("kind", ["scalar", "mesh"])
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_memo_keys_carry_thresholds(model, kind):
+    # a point memoizes the blocks of large parameters too, so one point walked
+    # at (6, 6) and then at (4, 7) must give what a fresh point gives at each
+    def fresh():
+        if kind == "mesh":
+            return _mesh_point(model)
+        return Point.of(model, P if model == "cosp" else Q)
+
+    shared = fresh()
+    for thresholds in [(6, 6), (4, 7)]:
+        point = fresh()
+        for entry in iter_entries(model, *thresholds):
+            got = entry_bound(model, entry, shared, thresholds)
+            assert np.array_equal(got, entry_bound(model, entry, point, thresholds)), entry
+
+
 @pytest.mark.parametrize(
     "model,params,target_b,digest,threshold",
     [

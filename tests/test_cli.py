@@ -162,6 +162,18 @@ def test_evaluate_case0_checks_profile(capsys):
         assert out == "" and err.startswith("error:")
 
 
+def test_evaluate_checks_profile_before_reducing(capsys):
+    # cases 1 to 3 drop or clamp k and m2, but only after checking them
+    for case, profile in [
+        ("3", ["--m", "4", "--k", "1", "--m2", "99"]),
+        ("3", ["--m", "4", "--k", "1", "--m2", "-3"]),
+        ("1", ["--m", "2", "--k", "-7", "--m2", "99"]),
+    ]:
+        assert main(["evaluate", "--case", case, *COSP_FLAGS, *profile]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+
 def test_evaluate_rosp_case0(capsys):
     # case 0 needs only theta, so chosen order without --beta gives it too
     cosp_no_beta = ["--model", "cosp", *ROSP_FLAGS[2:]]

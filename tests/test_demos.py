@@ -10,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["01_certify_bounds.py", "03_parameter_search.py"])
+@pytest.mark.parametrize(
+    "script", ["01_certify_bounds.py", "03_parameter_search.py", "04_derandomization.py"]
+)
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -148,6 +148,47 @@ def test_mesh_pow_over_x_matches_scalar_at_small_tau():
             assert _pox(point, interval, n).tolist() == want, (interval, n)
 
 
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_search_blocks_change_nothing(model, monkeypatch):
+    # blocks of seven cells leave a ragged last block on both step-0.2 meshes
+    # (250 and 125 cells); the array must equal the one-block search bit for bit
+    import numpy as np
+
+    from secpred import tune
+
+    grid = GridSpec.coarse(model, step=0.2)
+    tm, tk = tune.SEARCH_THRESHOLDS
+    _, _, (whole, cols) = tune._search_once(model, grid, (tm, tk))
+    cells = cols[0].size
+    assert cells <= tune.BLOCK_ELEMENTS // (tm * tk)  # one block
+    monkeypatch.setattr(tune, "BLOCK_ELEMENTS", 7 * tm * tk)
+    assert cells > 14 and cells % 7
+    _, _, (blocked, _) = tune._search_once(model, grid, (tm, tk))
+    assert np.array_equal(blocked, whole)
+
+
+def test_search_memory_flat_in_grid_size(monkeypatch):
+    # with blocks of 500 cells the traced peak of a rosp search stays about
+    # level from the step-0.1 grid (1000 cells) to the step-0.05 grid (6859);
+    # a point holding the whole mesh grows about as the grid does
+    import tracemalloc
+
+    from secpred import tune
+
+    monkeypatch.setattr(tune, "BLOCK_ELEMENTS", 500 * FAST[0] * FAST[1])
+    grids = [GridSpec.coarse("rosp", step=step) for step in (0.1, 0.05)]
+    tune._search_once("rosp", grids[0], FAST)  # first-call allocations untraced
+    peaks = []
+    for grid in grids:
+        tracemalloc.start()
+        try:
+            tune._search_once("rosp", grid, FAST)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
 def test_refine_improves_or_holds():
     base = GridSpec(tau=(0.33,), gamma=(0.34,), delta=(0.66,))
     params0, b0 = grid_search("rosp", base, thresholds=FAST, search_thresholds=FAST)
