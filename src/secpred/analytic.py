@@ -119,10 +119,14 @@ def prediction_floor(theta: float) -> float:
 class Point:
     """The policy parameters a case bound is evaluated at.
 
-    The fields are floats for one policy (certify, evaluate) or equal-shape
-    arrays for a search mesh (tune); every bound below is written once over a
-    point and serves both.  ``r`` is the no-mistake floor (1-theta)/(1+theta),
-    the only way theta enters (case 0 and the case-6 head).
+    The fields are floats for one policy (certify, evaluate) or arrays that
+    broadcast against each other for a search mesh (tune); every bound below
+    is written once over a point and serves both.  A term takes the shape of
+    the fields it reads, so on tune's mesh, with tau and beta along one axis
+    and gamma and delta along two others, a block of (tau, beta) alone holds
+    one value per (tau, beta) pair.  ``r`` is the no-mistake floor
+    (1-theta)/(1+theta), the only way theta enters (case 0 and the case-6
+    head).
 
     Building blocks are memoized on the point per integer argument, so a
     point shared by a whole enumeration takes each power and each pow-over-x
@@ -211,7 +215,7 @@ def _limits(p, interval):
 def _pairs(p, interval):
     # a mesh's distinct (lower, upper) pairs on one interval, and the gather index
     lo, hi = np.broadcast_arrays(*_limits(p, interval))
-    pairs, inverse = np.unique(np.stack([lo, hi]), axis=1, return_inverse=True)
+    pairs, inverse = np.unique(np.stack([lo.ravel(), hi.ravel()]), axis=1, return_inverse=True)
     return pairs.T.tolist(), inverse.reshape(lo.shape)
 
 

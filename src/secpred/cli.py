@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from . import policy
 from .analytic import case_bound
 from .certify import certify, report_to_json
 from .core import COSP, ROSP, PolicyParams, dump_instance, load_instance
@@ -128,7 +129,13 @@ def _cmd_derand_demo(args) -> int:
     if args.n < 1 or args.samples < 1:
         raise ValueError(f"need n >= 1 and samples >= 1, got n={args.n} samples={args.samples}")
     rng = np.random.default_rng(args.seed)
-    t1 = rng.random((args.samples, args.n)).min(axis=1)
+    # rows of about BLOCK_ELEMENTS draws at a time; the generator fills them
+    # in order, so t1 is the same as from one (samples x n) draw
+    rows = max(1, policy.BLOCK_ELEMENTS // args.n)
+    t1 = np.concatenate([
+        rng.random((min(rows, args.samples - lo), args.n)).min(axis=1)
+        for lo in range(0, args.samples, rows)
+    ])
     u = np.array([uniform_from_first_arrival(t, args.n) for t in t1.tolist()])
     stat, pvalue = kstest(u, "uniform")
     print(f"n={args.n} samples={args.samples} ks_stat={_F.format(stat)} p={_F.format(pvalue)}")

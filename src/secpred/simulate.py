@@ -65,6 +65,8 @@ def estimate_ratio(
     """Empirical E[hired value] / v* over independent schedule+trial pairs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     spans = [(s, min(CHUNK, trials - s)) for s in range(0, trials, CHUNK)]
     jobs = [(instance, model, params, seed, s, c) for s, c in spans]
     # an executor may start all its workers at the first submit, so ask for

@@ -14,10 +14,14 @@ B <= base + coef * B is B <= base / (1 - coef).  The fixpoint is therefore
 the minimum of these bounds and of the r-free entries, in closed form.
 
 The search walks certify's enumeration (``iter_entries``) at r = 0 on an
-``analytic.Point`` whose fields are mesh arrays, so it shares every case
-formula with certification; the reported winner is re-certified with the
-exact enumeration at full thresholds.  The mesh is walked in blocks of
-cells, each on a fresh Point, so the points' memos stay a fixed size.
+``analytic.Point`` whose fields are broadcast mesh axes, so it shares every
+case formula with certification; the reported winner is re-certified with
+the exact enumeration at full thresholds.  tau and beta run along the first
+axis, over the (tau, beta) pairs of the grid, and gamma and delta along the
+second and third, so every power, log and integral of a case form, which
+depends on (tau, beta) alone, is taken once per pair and only the terms
+with gamma or delta span the full mesh.  The pairs are walked in blocks,
+each on a fresh Point, so the points' memos stay a fixed size.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ SEARCH_THRESHOLDS = (10, 10)
 # A grid whose axis lengths multiply past this is refused before the mesh is
 # built.  It admits the refine grid, 19 points per axis (130 321).
 MAX_GRID_POINTS = 250_000
-# A block holds BLOCK_ELEMENTS // (tm * tk) cells.  Its point memoizes a few
-# block-sized arrays per pair of small parameters, so the search's memory stays
-# a few tens of megabytes whatever the grid size and the thresholds are.
+# A block holds the (tau, beta) pairs of about BLOCK_ELEMENTS // (tm * tk)
+# cells, and at least one.  Its point memoizes a few block-sized arrays per
+# pair of small parameters, so the search's memory stays a few megabytes
+# whatever the grid size and the thresholds are.
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -53,6 +58,8 @@ class GridSpec:
     @classmethod
     def coarse(cls, model: str, step: float = 0.05):
         """0.05, 0.05 + step, ... up to 0.95 on every axis."""
+        if not math.isfinite(step):
+            raise ValueError(f"grid step must be finite, got {step}")
         if step < 1e-3:
             raise ValueError("grid step must be >= 1e-3")
         pts = tuple(round(0.05 + i * step, 10) for i in range(int((0.95 - 0.05) / step + 1.5)))
@@ -66,39 +73,53 @@ class GridSpec:
         return cls(tau=(params.tau,), gamma=(params.gamma,), delta=(params.delta,), beta=beta)
 
 
-def _mesh(model: str, grid: GridSpec):
-    """The grid's cells as flat (tau, beta, gamma, delta) columns in nested
-    axis order; chosen order keeps the cells with beta > tau, random order
-    has beta None."""
+def _axes(model: str, grid: GridSpec):
+    """The grid as broadcastable (tau, beta, gamma, delta) axes.
+
+    tau and beta are (P, 1, 1) over the P distinct (tau, beta) pairs with
+    beta > tau, in nested grid order (random order: P is the tau axis and
+    beta is None); gamma is (1, G, 1) and delta (1, 1, D).  The (P, G, D)
+    mesh they span, flattened, is the cells in nested axis order.
+    """
     cosp = model == COSP
     if cosp and grid.beta is None:
         raise ValueError("chosen-order search needs beta values")
-    axes = [grid.tau, grid.gamma, grid.delta]
-    if cosp:
-        axes.insert(1, grid.beta)
-    size = math.prod(map(len, axes))
+    tau, beta, gamma, delta = (
+        None if a is None else np.asarray(a, dtype=float)
+        for a in (grid.tau, grid.beta if cosp else None, grid.gamma, grid.delta)
+    )
+    size = math.prod(a.size for a in (tau, beta, gamma, delta) if a is not None)
     if size > MAX_GRID_POINTS:
         raise ValueError(f"grid of {size} points exceeds the cap of {MAX_GRID_POINTS}")
-    cols = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
     if cosp:
-        keep = cols[1] > cols[0]
-        cols = [c[keep] for c in cols]
-    else:
-        cols.insert(1, None)
-    if not cols[0].size:
+        tau, beta = (a.ravel() for a in np.meshgrid(tau, beta, indexing="ij"))
+        keep = beta > tau
+        tau, beta = tau[keep], beta[keep, None, None]
+    tau, gamma, delta = tau[:, None, None], gamma[None, :, None], delta[None, None, :]
+    if not tau.size * gamma.size * delta.size:
         raise ValueError("empty grid (no cells with beta > tau)" if cosp else "empty grid")
-    return tuple(cols)
+    return tau, beta, gamma, delta
 
 
-def _search_bound(model, cols, thresholds):
-    """The fixpoint B = f(B) at every cell of the mesh columns (r = 0)."""
-    tau, beta, gam, dlt = cols
+def _mesh(model: str, grid: GridSpec):
+    """The cells of ``_axes`` as flat (tau, beta, gamma, delta) columns, in
+    the search array's order: one flat mesh point evaluates every cell."""
+    axes = _axes(model, grid)
+    shape = np.broadcast_shapes(*(a.shape for a in axes if a is not None))
+    return tuple(None if a is None else np.broadcast_to(a, shape).ravel() for a in axes)
+
+
+def _search_bound(model, axes, thresholds):
+    """The fixpoint B = f(B) at every cell of the mesh (r = 0), flat in the
+    order of ``_mesh``."""
+    tau, beta, gam, dlt = axes
     tm, tk = thresholds
-    cells = max(1, BLOCK_ELEMENTS // (tm * tk))
-    b = np.full(tau.shape, np.inf)
-    for lo in range(0, tau.size, cells):
-        block = slice(lo, lo + cells)
-        point = Point(tau[block], gam[block], dlt[block], None if beta is None else beta[block])
+    # a block takes whole (tau, beta) pairs, as many as fill its cells
+    pairs = max(1, BLOCK_ELEMENTS // (tm * tk) // (gam.size * dlt.size))
+    b = np.full((tau.shape[0], gam.size, dlt.size), np.inf)
+    for lo in range(0, tau.shape[0], pairs):
+        block = slice(lo, lo + pairs)
+        point = Point(tau[block], gam, dlt, None if beta is None else beta[block])
         out = b[block]
         for entry in iter_entries(model, tm, tk):
             case_id, m = entry[0], entry[2]
@@ -108,30 +129,37 @@ def _search_bound(model, cols, thresholds):
             if case_id == 6:
                 value = value / (1.0 - case6_coef(model, m, point))
             np.minimum(out, value, out=out)
-    return b
+    return b.ravel()
 
 
-def _cell_params(b, cols, i) -> PolicyParams:
-    """The policy at cell i, with theta = (1-B)/(1+B) from its fixpoint B."""
-    tau, beta, gam, dlt = cols
-    bi = float(b[i])
-    return PolicyParams(
-        theta=(1.0 - bi) / (1.0 + bi),
-        tau=float(tau[i]),
-        gamma=float(gam[i]),
-        delta=float(dlt[i]),
-        beta=float(beta[i]) if beta is not None else None,
+def _cell(axes, i):
+    """(tau, beta, gamma, delta) at flat cell i of the mesh; beta None for
+    random order."""
+    tau, beta, gam, dlt = axes
+    p, gd = divmod(int(i), gam.size * dlt.size)
+    g, d = divmod(gd, dlt.size)
+    return (
+        float(tau.flat[p]),
+        None if beta is None else float(beta.flat[p]),
+        float(gam.flat[g]),
+        float(dlt.flat[d]),
     )
 
 
+def _cell_params(b, axes, i) -> PolicyParams:
+    """The policy at cell i, with theta = (1-B)/(1+B) from its fixpoint B."""
+    tau, beta, gam, dlt = _cell(axes, i)
+    bi = float(b[i])
+    return PolicyParams(theta=(1.0 - bi) / (1.0 + bi), tau=tau, gamma=gam, delta=dlt, beta=beta)
+
+
 def _search_once(model, grid, thresholds):
-    cols = _mesh(model, grid)
-    b = _search_bound(model, cols, thresholds)
+    axes = _axes(model, grid)
+    b = _search_bound(model, axes, thresholds)
     best = float(np.max(b))
-    tie = np.nonzero(b == best)[0]
-    order = [c for c in cols if c is not None]
-    pick = min(tie, key=lambda i: tuple(col[i] for col in order))
-    return _cell_params(b, cols, pick), best, (b, cols)
+    # ties go to the least (tau, beta, gamma, delta); a None beta compares equal
+    pick = min(np.nonzero(b == best)[0], key=lambda i: _cell(axes, i))
+    return _cell_params(b, axes, pick), best, (b, axes)
 
 
 def _refined_grid(params: PolicyParams, step: float):
@@ -178,6 +206,6 @@ def grid_search(
     report = certify(model, params, target_b=max(search_b - 0.05, 1e-6), thresholds=thresholds)
     certified = report.min_value
     if emit_all:
-        b, cols = cells
-        return params, certified, [(_cell_params(b, cols, i), float(b[i])) for i in range(len(b))]
+        b, axes = cells
+        return params, certified, [(_cell_params(b, axes, i), float(b[i])) for i in range(len(b))]
     return params, certified

@@ -105,6 +105,19 @@ def test_derand_demo(capsys):
     assert "ks_stat=" in out
 
 
+def test_derand_demo_blocks_change_nothing(capsys, monkeypatch):
+    # blocks of 7 rows (a ragged last one) draw the same t1 as one block
+    from secpred import policy
+
+    argv = ["derand-demo", "--n", "5", "--samples", "20000", "--seed", "1"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(policy, "BLOCK_ELEMENTS", 7 * 5)
+    assert 20000 % 7
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+
+
 @pytest.mark.parametrize("flags", [["--n", "0", "--samples", "100"], ["--n", "5", "--samples", "0"]])
 def test_derand_demo_rejects_empty_draw(capsys, flags):
     assert main(["derand-demo", *flags, "--seed", "1"]) == 2
@@ -215,6 +228,21 @@ def test_tune_emit_all(tmp_path, capsys):
     winner = capsys.readouterr().out.splitlines()[0]
     assert winner == (f"winner: theta={best[0]} tau={best[1]} beta=- "
                       f"gamma={best[3]} delta={best[4]}")
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_tune_non_finite_step_exit_two(capsys, step):
+    assert main(["tune", "--model", "rosp", "--step", step]) == 2
+    assert "grid step must be finite" in capsys.readouterr().err
+
+
+def test_simulate_zero_threads_exit_two(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.63", "--out", str(inst)])
+    code = main(["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", "10",
+                 "--threads", "0"])
+    assert code == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
 
 
 def test_tune_oversized_grid_exit_two(capsys):

@@ -75,6 +75,13 @@ def test_pool_clamped_to_chunks_and_cpus(monkeypatch, threads, cpus, want):
     assert _RecordingPool.sizes == want
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_rejected(threads):
+    inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        estimate_ratio(inst, "rosp", Q, trials=10, seed=2, threads=threads)
+
+
 def test_gen_underestimated_best():
     inst = gen_underestimated_best(5, 0.9, 0.58)
     assert inst.epsilon == pytest.approx(0.9, abs=1e-12)

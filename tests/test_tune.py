@@ -150,21 +150,61 @@ def test_mesh_pow_over_x_matches_scalar_at_small_tau():
 
 @pytest.mark.parametrize("model", ["cosp", "rosp"])
 def test_search_blocks_change_nothing(model, monkeypatch):
-    # blocks of seven cells leave a ragged last block on both step-0.2 meshes
-    # (250 and 125 cells); the array must equal the one-block search bit for bit
+    # blocks of three (tau, beta) pairs leave a ragged last block on both
+    # step-0.2 meshes (10 and 5 pairs of 25 cells); the array must equal the
+    # one-block search bit for bit
     import numpy as np
 
     from secpred import tune
 
     grid = GridSpec.coarse(model, step=0.2)
     tm, tk = tune.SEARCH_THRESHOLDS
-    _, _, (whole, cols) = tune._search_once(model, grid, (tm, tk))
-    cells = cols[0].size
-    assert cells <= tune.BLOCK_ELEMENTS // (tm * tk)  # one block
-    monkeypatch.setattr(tune, "BLOCK_ELEMENTS", 7 * tm * tk)
-    assert cells > 14 and cells % 7
+    _, _, (whole, axes) = tune._search_once(model, grid, (tm, tk))
+    pairs, per_pair = axes[0].shape[0], axes[2].size * axes[3].size
+    assert whole.size == pairs * per_pair <= tune.BLOCK_ELEMENTS // (tm * tk)  # one block
+    monkeypatch.setattr(tune, "BLOCK_ELEMENTS", 3 * per_pair * tm * tk)
+    assert pairs > 3 and pairs % 3
     _, _, (blocked, _) = tune._search_once(model, grid, (tm, tk))
     assert np.array_equal(blocked, whole)
+
+
+_FLOOR_AXIS = (0.3, 0.7)  # gamma and delta of the small-tau grids
+
+
+@pytest.mark.parametrize(
+    "model, grid",
+    [
+        ("cosp", GridSpec.coarse("cosp", step=0.1)),
+        ("rosp", GridSpec.coarse("rosp", step=0.1)),
+        # tau = 0.001 is the floor of the refined grid, with beta just above it
+        ("cosp", GridSpec(tau=(0.001, 0.002), beta=(0.0011, 0.0021, 0.5),
+                          gamma=_FLOOR_AXIS, delta=_FLOOR_AXIS)),
+        ("rosp", GridSpec(tau=(0.001, 0.002), gamma=_FLOOR_AXIS, delta=_FLOOR_AXIS)),
+    ],
+)
+def test_factored_search_equals_flat_mesh(model, grid):
+    # the search takes each block of the (tau, beta) axis once and broadcasts
+    # over gamma and delta; the same fixpoint on one flat point holding every
+    # cell must give the same array, bit for bit
+    import numpy as np
+
+    from secpred.analytic import Point, case6_coef
+    from secpred.certify import entry_bound, iter_entries
+    from secpred.tune import SEARCH_THRESHOLDS, _mesh, _search_once
+
+    tau, beta, gamma, delta = _mesh(model, grid)
+    point = Point(tau, gamma, delta, beta)
+    flat = np.full(tau.shape, np.inf)
+    for entry in iter_entries(model, *SEARCH_THRESHOLDS):
+        case_id, m = entry[0], entry[2]
+        if case_id == 6 and m == 0:
+            continue
+        value = entry_bound(model, entry, point, SEARCH_THRESHOLDS)
+        if case_id == 6:
+            value = value / (1.0 - case6_coef(model, m, point))
+        flat = np.minimum(flat, value)
+    _, _, (b, _) = _search_once(model, grid, SEARCH_THRESHOLDS)
+    assert np.array_equal(b, flat)
 
 
 def test_search_memory_flat_in_grid_size(monkeypatch):
