@@ -45,7 +45,10 @@ __all__ = [
     "Point",
     "case6_coef",
     "case_bound",
+    "check_thresholds",
     "CASE_FORMS",
+    "MAX_PROFILE",
+    "MAX_THRESHOLD",
 ]
 
 
@@ -131,8 +134,9 @@ class Point:
     Building blocks are memoized on the point per integer argument, so a
     point shared by a whole enumeration takes each power and each pow-over-x
     integral once.  On a mesh the integrals come from ``pow_over_x_integral``
-    once per distinct (lower, upper) pair and are gathered, so a mesh entry
-    and the scalar point with the same fields see the same values.
+    at each element of the broadcast limits, once per (tau, beta) pair on
+    tune's mesh, so a mesh entry and the scalar point with the same fields
+    see the same values.
     """
 
     def __init__(self, tau, gamma, delta, beta=None, r=0.0):
@@ -212,20 +216,15 @@ def _limits(p, interval):
 
 
 @_memo
-def _pairs(p, interval):
-    # a mesh's distinct (lower, upper) pairs on one interval, and the gather index
-    lo, hi = np.broadcast_arrays(*_limits(p, interval))
-    pairs, inverse = np.unique(np.stack([lo.ravel(), hi.ravel()]), axis=1, return_inverse=True)
-    return pairs.T.tolist(), inverse.reshape(lo.shape)
-
-
-@_memo
 def _pox(p, interval, n):
-    # Integral of (1-x)^n / x over [tau, beta] ("tb"), [beta, 1] ("b1") or [tau, 1] ("t1")
+    # Integral of (1-x)^n / x over [tau, beta] ("tb"), [beta, 1] ("b1") or
+    # [tau, 1] ("t1"); on a mesh, pow_over_x_integral at each element of the
+    # broadcast limits, so each value has the scalar bits
     if not p.mesh:
         return pow_over_x_integral(*_limits(p, interval), n)
-    pairs, inverse = _pairs(p, interval)
-    return np.array([pow_over_x_integral(a, b, n) for a, b in pairs])[inverse]
+    lo, hi = np.broadcast_arrays(*_limits(p, interval))
+    pairs = zip(lo.ravel().tolist(), hi.ravel().tolist())
+    return np.array([pow_over_x_integral(a, b, n) for a, b in pairs]).reshape(lo.shape)
 
 
 # Every case form below takes (point, m, k, m2, tm, tk), with None marking a
@@ -562,6 +561,24 @@ CASE_FORMS = {
 # the least m each case admits
 _CASE_M_MIN = {0: 0, 1: 1, 2: 0, 3: 2, 4: 1, 5: 1, 6: 0}
 
+# Entries grow about as T^2.85 (13.1k at T = 20, 719k at T = 80, 2.4M at
+# T = 120), so larger thresholds are refused before any work.
+MAX_THRESHOLD = 200
+# A given m, k or m2 above this is refused before any form runs: the forms'
+# pow-over-x sums take time linear in the exponents, which reach 2m + k + m2
+# + 1 (rosp case 6), and a huge value would hang or overflow a float power.
+MAX_PROFILE = 100_000
+
+
+def check_thresholds(thresholds) -> tuple[int, int]:
+    """``thresholds`` as (tm, tk), each in [1, MAX_THRESHOLD]."""
+    tm, tk = thresholds
+    if tm < 1 or tk < 1:
+        raise ValueError("thresholds must be >= 1")
+    if tm > MAX_THRESHOLD or tk > MAX_THRESHOLD:
+        raise ValueError(f"thresholds {tm}, {tk} exceed the cap of {MAX_THRESHOLD}")
+    return tm, tk
+
 
 def case_bound(
     model: str,
@@ -578,8 +595,10 @@ def case_bound(
     ``thresholds`` bounds m and m2, tk bounds k), and the bound is then the
     case's floor over every such value.  A large m2 needs a large m, since
     m2 <= m; under a large k, m2 is ignored.  Every case, case 0 included,
-    checks the values given: m at least the case's minimum, k >= 0 and
-    0 <= m2 <= m, before cases 1 and 2 drop k and m2 and case 3 clamps m2.
+    checks the values given: m at least the case's minimum, k >= 0,
+    0 <= m2 <= m and none above ``MAX_PROFILE``, and the thresholds with
+    ``check_thresholds``, before cases 1 and 2 drop k and m2 and case 3
+    clamps m2.
 
     Case 0 (no mistakes) is the floor (1-theta)/(1+theta), theta being the
     worst admissible error.  Case 2 (the top prediction is the true best, not
@@ -594,9 +613,10 @@ def case_bound(
         raise ValueError(f"unknown case {case_id}")
     if None in (m, k, m2) and (model, case_id) not in CASE_FORMS:
         raise ValueError(f"case {case_id} has no large-regime form")
-    tm, tk = thresholds
-    if tm < 1 or tk < 1:
-        raise ValueError("thresholds must be >= 1")
+    tm, tk = check_thresholds(thresholds)
+    for name, value in (("m", m), ("k", k), ("m2", m2)):
+        if value is not None and value > MAX_PROFILE:
+            raise ValueError(f"{name} exceeds the cap of {MAX_PROFILE}")
     if m is not None and m < _CASE_M_MIN[case_id]:
         raise ValueError(f"case {case_id} requires m >= {_CASE_M_MIN[case_id]}, got m={m}")
     if k is not None and k < 0:

@@ -26,15 +26,15 @@ realize:
 * case 6 needs m = 0 or k >= 1, over the enumerated window m2 >= m-k.
 
 ``iter_entries`` is the one enumeration of (case, regime, m, k, m2)
-entries, and ``entry_bound`` evaluates an entry with its case's form in
+entries.  ``certify`` is one serial pass over ``iter_entries`` at a single
+shared ``analytic.Point``, evaluating each entry with its case's form in
 ``analytic.CASE_FORMS``, which is exact on a small cell and takes ``None``
 for a large parameter.  It skips the argument checks of
 ``analytic.case_bound``, the one checked front end, which every entry passes
-and which gives the same bits.  ``certify`` is one serial pass over
-``iter_entries`` at a single shared ``analytic.Point``: it keeps the first
-minimum (by ``CaseBound.sort_key``) of the exact cells and of each large
-regime, and the first of those, with case 0, is the argmin.
-The grid search in ``tune`` walks the same entries on a parameter mesh.
+and which gives the same bits.  It keeps the first minimum (by
+``CaseBound.sort_key``) of the exact cells and of each large regime, and the
+first of those, with case 0, is the argmin.  The grid search in ``tune``
+walks the same entries on a parameter mesh.
 """
 
 from __future__ import annotations
@@ -43,14 +43,15 @@ import json
 from dataclasses import dataclass
 
 from . import analytic
+from .analytic import MAX_THRESHOLD, check_thresholds  # re-exported: the rule lives in analytic
 from .core import COSP, ROSP, PolicyParams
 
 __all__ = [
+    "MAX_THRESHOLD",
     "CaseBound",
     "CertReport",
     "certify",
     "check_thresholds",
-    "entry_bound",
     "iter_entries",
     "small_cell_count",
     "report_to_json",
@@ -58,9 +59,6 @@ __all__ = [
 
 DEFAULT_THRESHOLDS = (20, 20)
 MARGIN = 1e-6  # a certificate passes when min - MARGIN >= B
-# Entries grow about as T^2.85 (13.1k at T = 20, 719k at T = 80, 2.4M at
-# T = 120), so larger thresholds are refused before any work.
-MAX_THRESHOLD = 200
 
 _CASE_SORT = {"C0": 0, "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6}
 _BIG = 10**9  # sort stand-in for a large (unbounded) parameter
@@ -173,24 +171,6 @@ def iter_entries(model: str, tm: int, tk: int):
         yield from _regime_entries(model, label, tm, tk)
 
 
-def check_thresholds(thresholds) -> tuple[int, int]:
-    """``thresholds`` as (tm, tk), each in [1, MAX_THRESHOLD]."""
-    tm, tk = thresholds
-    if tm < 1 or tk < 1:
-        raise ValueError("thresholds must be >= 1")
-    if tm > MAX_THRESHOLD or tk > MAX_THRESHOLD:
-        raise ValueError(f"thresholds {tm}, {tk} exceed the cap of {MAX_THRESHOLD}")
-    return tm, tk
-
-
-def entry_bound(model: str, entry, params, thresholds=DEFAULT_THRESHOLDS):
-    """The bound of one enumeration entry at ``params`` (a PolicyParams or an
-    ``analytic.Point``), unchecked: the enumeration yields valid entries."""
-    case_id, _, m, k, m2 = entry
-    point = analytic.Point.of(model, params)
-    return analytic.CASE_FORMS[model, case_id](point, m, k, m2, *thresholds)
-
-
 def _regime_report(best: dict[str, CaseBound]) -> list[dict]:
     entries = []
     for (lm, lk, lm2), label in _PATTERNS:
@@ -231,9 +211,8 @@ def certify(
     # first minimum by sort_key (strict <) of each group of entries, the groups
     # met in order: case 0, the exact cells, then each large regime
     best = {"analytic": CaseBound("C0", point.r, "analytic", None, None, None)}
-    for entry in iter_entries(model, tm, tk):
-        case_id, regime, m, k, m2 = entry
-        value = entry_bound(model, entry, point, (tm, tk))
+    for case_id, regime, m, k, m2 in iter_entries(model, tm, tk):
+        value = analytic.CASE_FORMS[model, case_id](point, m, k, m2, tm, tk)
         held = best.get(regime)
         # sort_key leads with the value, so a larger one cannot displace held
         if held is None or value <= held.value:

@@ -30,6 +30,8 @@ from .simulate import (
 from .tune import GridSpec, grid_search
 
 _F = "{:.12g}"
+# derand-demo keeps a few float arrays of this many samples (80 MB each)
+MAX_DEMO_SAMPLES = 10**7
 
 
 def _params_from(args) -> PolicyParams:
@@ -126,8 +128,11 @@ def _cmd_tune(args) -> int:
 def _cmd_derand_demo(args) -> int:
     from scipy.stats import kstest
 
-    if args.n < 1 or args.samples < 1:
-        raise ValueError(f"need n >= 1 and samples >= 1, got n={args.n} samples={args.samples}")
+    if not (1 <= args.n <= policy.BLOCK_ELEMENTS and 1 <= args.samples <= MAX_DEMO_SAMPLES):
+        raise ValueError(
+            f"need 1 <= n <= {policy.BLOCK_ELEMENTS} and 1 <= samples <= {MAX_DEMO_SAMPLES}, "
+            f"got n={args.n} samples={args.samples}"
+        )
     rng = np.random.default_rng(args.seed)
     # rows of about BLOCK_ELEMENTS draws at a time; the generator fills them
     # in order, so t1 is the same as from one (samples x n) draw
@@ -136,8 +141,7 @@ def _cmd_derand_demo(args) -> int:
         rng.random((min(rows, args.samples - lo), args.n)).min(axis=1)
         for lo in range(0, args.samples, rows)
     ])
-    u = np.array([uniform_from_first_arrival(t, args.n) for t in t1.tolist()])
-    stat, pvalue = kstest(u, "uniform")
+    stat, pvalue = kstest(uniform_from_first_arrival(t1, args.n), "uniform")
     print(f"n={args.n} samples={args.samples} ks_stat={_F.format(stat)} p={_F.format(pvalue)}")
     return 0
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import Instance, PolicyParams, Schedule
 from .policy import TrialOutcome, run_trial
 
@@ -25,19 +27,23 @@ __all__ = [
 BITS_PER_DECISION = 32
 
 
-def uniform_from_first_arrival(t1: float, n: int) -> float:
+def uniform_from_first_arrival(t1: float | np.ndarray, n: int) -> float | np.ndarray:
     """CDF of the minimum of n uniforms evaluated at t1: 1 - (1 - t1)^n.
 
-    Evaluated as -expm1(n log1p(-t1)), which keeps full relative precision
-    for small t1 where the direct form rounds to 0.
+    ``t1`` is a float or an array, and the result is a float or an array of
+    the same shape.  Evaluated as -expm1(n log1p(-t1)), which keeps full
+    relative precision for small t1 where the direct form rounds to 0; at
+    t1 = 1 the log is -inf and the result is exactly 1.
     """
-    if not 0.0 <= t1 <= 1.0:
-        raise ValueError(f"t1={t1} outside [0, 1]")
+    t = np.asarray(t1, dtype=float)
+    bad = ~((0.0 <= t) & (t <= 1.0))  # NaN included
+    if bad.any():
+        raise ValueError(f"t1={t[bad][0]} outside [0, 1]")
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    if t1 == 1.0:
-        return 1.0
-    return -math.expm1(n * math.log1p(-t1))
+    with np.errstate(divide="ignore"):
+        u = -np.expm1(n * np.log1p(-t))
+    return float(u) if u.ndim == 0 else u
 
 
 def bits_from_uniform(u: float, count: int) -> list[int]:

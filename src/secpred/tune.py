@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import Point, case6_coef
-from .certify import certify, check_thresholds, entry_bound, iter_entries
+from .analytic import CASE_FORMS, Point, case6_coef, check_thresholds
+from .certify import certify, iter_entries
 from .core import COSP, PolicyParams
 
 __all__ = ["GridSpec", "grid_search", "SEARCH_THRESHOLDS", "MAX_GRID_POINTS"]
@@ -79,7 +79,9 @@ def _axes(model: str, grid: GridSpec):
     tau and beta are (P, 1, 1) over the P distinct (tau, beta) pairs with
     beta > tau, in nested grid order (random order: P is the tau axis and
     beta is None); gamma is (1, G, 1) and delta (1, 1, D).  The (P, G, D)
-    mesh they span, flattened, is the cells in nested axis order.
+    mesh they span, flattened, is the cells in nested axis order.  A grid
+    over ``MAX_GRID_POINTS``, a NaN, a tau or beta outside (0, 1) and a
+    gamma or delta outside [0, 1] are refused before a mesh is built.
     """
     cosp = model == COSP
     if cosp and grid.beta is None:
@@ -91,6 +93,14 @@ def _axes(model: str, grid: GridSpec):
     size = math.prod(a.size for a in (tau, beta, gamma, delta) if a is not None)
     if size > MAX_GRID_POINTS:
         raise ValueError(f"grid of {size} points exceeds the cap of {MAX_GRID_POINTS}")
+    for name, a, closed in (("tau", tau, False), ("beta", beta, False),
+                            ("gamma", gamma, True), ("delta", delta, True)):
+        if a is None:
+            continue
+        inside = (0.0 <= a) & (a <= 1.0) if closed else (0.0 < a) & (a < 1.0)
+        if not inside.all():  # NaN compares false, so it is refused too
+            span = "[0, 1]" if closed else "(0, 1)"
+            raise ValueError(f"grid {name} values must lie in {span}, got {a[~inside][0]}")
     if cosp:
         tau, beta = (a.ravel() for a in np.meshgrid(tau, beta, indexing="ij"))
         keep = beta > tau
@@ -121,11 +131,10 @@ def _search_bound(model, axes, thresholds):
         block = slice(lo, lo + pairs)
         point = Point(tau[block], gam, dlt, None if beta is None else beta[block])
         out = b[block]
-        for entry in iter_entries(model, tm, tk):
-            case_id, m = entry[0], entry[2]
+        for case_id, _, m, k, m2 in iter_entries(model, tm, tk):
             if case_id == 6 and m == 0:
                 continue  # identically r: met by construction
-            value = entry_bound(model, entry, point, thresholds)
+            value = CASE_FORMS[model, case_id](point, m, k, m2, tm, tk)
             if case_id == 6:
                 value = value / (1.0 - case6_coef(model, m, point))
             np.minimum(out, value, out=out)
@@ -190,6 +199,12 @@ def grid_search(
     the exact certification at full ``thresholds`` for the winner (and so is
     never a stale search-time value).  With ``emit_all`` a third element
     lists ``(params, search_bound)`` for every evaluated cell.
+
+    The winner's theta comes from the fixpoint at ``search_thresholds``, so
+    at larger ``thresholds`` its certified bound can come out lower than the
+    search bound: ``grid_search("rosp", GridSpec.single(Q))`` certifies
+    0.218400 at the default search thresholds (10, 10) but 0.221051 with
+    ``search_thresholds=(20, 20)``, Q being the theorem's rosp parameters.
     """
     check_thresholds(thresholds)
     check_thresholds(search_thresholds)

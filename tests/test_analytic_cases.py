@@ -46,6 +46,12 @@ BAD_CALLS = {
         partial(case_bound, "cosp", 1, None, 0, 0, P, thresholds=(0, 20)),
         "thresholds must be >= 1",
     ),
+    "thresholds above cap": (
+        partial(case_bound, "cosp", 1, 2, 0, 0, P, thresholds=(10**6, 20)),
+        "exceed the cap of 200",
+    ),
+    "m above cap": (partial(case_bound, "cosp", 1, 10**400, 0, 0, P), "m exceeds the cap"),
+    "k above cap": (partial(case_bound, "cosp", 4, 5, 10**6, 1, P), "k exceeds the cap"),
     "regime model": (partial(case_bound, "bogus", 1, None, 0, 0, P), "unknown model 'bogus'"),
     "regime case 0": (
         partial(case_bound, "rosp", 0, None, 0, 0, Q), "case 0 has no large-regime form"
@@ -208,10 +214,11 @@ def test_rosp_case_oracle_equivalence():
 
 def test_case_values_in_unit_range():
     # every enumerated profile within the full thresholds stays in [0, 1]
-    from secpred.certify import entry_bound, iter_entries
+    from secpred.certify import iter_entries
 
     for model, params in (("cosp", P), ("rosp", Q)):
         for entry in iter_entries(model, 20, 20):
-            if entry[1] == "exact":
-                value = entry_bound(model, entry, params)
+            case_id, regime, m, k, m2 = entry
+            if regime == "exact":
+                value = case_bound(model, case_id, m, k, m2, params)
                 assert 0.0 <= value <= 1.0, (model, entry, value)

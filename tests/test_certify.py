@@ -11,11 +11,10 @@ from secpred import (
     certify,
     report_to_json,
 )
-from secpred.analytic import Point, case_bound, prediction_floor
+from secpred.analytic import CASE_FORMS, Point, case_bound, prediction_floor
 from secpred.certify import (
     MAX_THRESHOLD,
     CaseBound,
-    entry_bound,
     iter_entries,
     iter_small_cells,
     small_cell_count,
@@ -26,10 +25,9 @@ from secpred.tune import GridSpec, _mesh
 def cell_bounds(model, params, cell):
     """The exact bounds the enumeration evaluates at one small (m, k, m2) cell."""
     bounds = []
-    for entry in iter_entries(model, 20, 20):
-        case_id, regime, m, k, m2 = entry
+    for case_id, regime, m, k, m2 in iter_entries(model, 20, 20):
         if regime == "exact" and (m, k, m2) == cell:
-            value = entry_bound(model, entry, params)
+            value = case_bound(model, case_id, m, k, m2, params)
             bounds.append(CaseBound(f"C{case_id}", value, regime, m, k, m2))
     return bounds
 
@@ -107,9 +105,8 @@ def test_single_pass_matches_enumeration_minimum(model, params, target_b):
     # every entry evaluated on its own, with no shared point or running minimum
     thresholds = (6, 6)
     bounds = [CaseBound("C0", prediction_floor(params.theta), "analytic", None, None, None)]
-    for entry in iter_entries(model, *thresholds):
-        case_id, regime, m, k, m2 = entry
-        value = entry_bound(model, entry, params, thresholds)
+    for case_id, regime, m, k, m2 in iter_entries(model, *thresholds):
+        value = case_bound(model, case_id, m, k, m2, params, thresholds)
         bounds.append(CaseBound(f"C{case_id}", value, regime, m, k, m2))
     report = certify(model, params, target_b, thresholds=thresholds)
     assert report.argmin == min(bounds, key=CaseBound.sort_key)
@@ -132,14 +129,15 @@ def _mesh_point(model):
     [("cosp", P), ("rosp", Q), ("cosp", GAMMA_ZERO), ("cosp", "mesh"), ("rosp", "mesh")],
 )
 def test_entry_bound_matches_front_ends(model, params, thresholds):
-    # entry_bound reads analytic.CASE_FORMS directly; the checked front end
-    # must accept every entry and give the same bits, on a tune mesh as well
-    # (two mesh points, so neither call reads the other's memoized blocks)
+    # certify and tune read analytic.CASE_FORMS directly; the checked front
+    # end must accept every entry and give the same bits, on a tune mesh as
+    # well (two points, so neither call reads the other's memoized blocks)
     mesh = params == "mesh"
-    params, front = (_mesh_point(model), _mesh_point(model)) if mesh else (params, params)
+    point = _mesh_point(model) if mesh else Point.of(model, params)
+    front = _mesh_point(model) if mesh else params
     for entry in iter_entries(model, *thresholds):
         case_id, _, m, k, m2 = entry
-        got = entry_bound(model, entry, params, thresholds)
+        got = CASE_FORMS[model, case_id](point, m, k, m2, *thresholds)
         want = case_bound(model, case_id, m, k, m2, front, thresholds)
         assert np.array_equal(got, want), entry
 
@@ -158,8 +156,10 @@ def test_memo_keys_carry_thresholds(model, kind):
     for thresholds in [(6, 6), (4, 7)]:
         point = fresh()
         for entry in iter_entries(model, *thresholds):
-            got = entry_bound(model, entry, shared, thresholds)
-            assert np.array_equal(got, entry_bound(model, entry, point, thresholds)), entry
+            case_id, _, m, k, m2 = entry
+            got = case_bound(model, case_id, m, k, m2, shared, thresholds)
+            want = case_bound(model, case_id, m, k, m2, point, thresholds)
+            assert np.array_equal(got, want), entry
 
 
 @pytest.mark.parametrize(

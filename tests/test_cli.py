@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from secpred.cli import main
+from secpred.cli import MAX_DEMO_SAMPLES, main
+from secpred.policy import BLOCK_ELEMENTS
 
 COSP_FLAGS = [
     "--model", "cosp", "--theta", "0.58", "--tau", "0.37", "--beta", "0.64",
@@ -118,8 +119,14 @@ def test_derand_demo_blocks_change_nothing(capsys, monkeypatch):
     assert capsys.readouterr().out == whole
 
 
-@pytest.mark.parametrize("flags", [["--n", "0", "--samples", "100"], ["--n", "5", "--samples", "0"]])
+@pytest.mark.parametrize("flags", [
+    ["--n", "0", "--samples", "100"],
+    ["--n", "5", "--samples", "0"],
+    ["--n", str(BLOCK_ELEMENTS + 1), "--samples", "1"],
+    ["--n", "1", "--samples", str(MAX_DEMO_SAMPLES + 1)],
+])
 def test_derand_demo_rejects_empty_draw(capsys, flags):
+    # an empty draw, a row longer than a block, or more samples than the cap
     assert main(["derand-demo", *flags, "--seed", "1"]) == 2
     out, err = capsys.readouterr()
     assert "ks_stat" not in out
@@ -165,6 +172,19 @@ def test_simulate_malformed_instance_exit_two(tmp_path, capsys, body):
     )
     assert code == 2
     assert "list of real numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [["--case", "1", "--m", str(10**400)], ["--case", "4", "--m", "5", "--k", str(10**6)]],
+    ids=["m=10^400", "k=10^6"],
+)
+def test_evaluate_oversized_profile_exit_two(capsys, profile):
+    # refused before any form runs: a float power of m = 10^400 overflows,
+    # and the pow-over-x sums take time linear in k
+    assert main(["evaluate", *profile, *COSP_FLAGS, "--m2", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds the cap" in err
 
 
 def test_evaluate_case0_checks_profile(capsys):

@@ -61,6 +61,29 @@ def test_oversized_inputs_rejected_before_search():
         grid_search("rosp", single, search_thresholds=(10, MAX_THRESHOLD + 1))
 
 
+@pytest.mark.parametrize(
+    "model, grid, name",
+    [
+        ("cosp", GridSpec(tau=(0.3, 0.4), beta=(0.6,), gamma=(0.3, float("nan")), delta=(0.5,)),
+         "gamma"),
+        ("rosp", GridSpec(tau=(0.3,), gamma=(1.5,), delta=(0.5,)), "gamma"),
+        ("cosp", GridSpec(tau=(1.2,), beta=(0.6,), gamma=(0.3,), delta=(0.5,)), "tau"),
+        ("cosp", GridSpec(tau=(0.3,), beta=(1.0,), gamma=(0.3,), delta=(0.5,)), "beta"),
+        ("rosp", GridSpec(tau=(0.3,), gamma=(0.3,), delta=(-float("inf"),)), "delta"),
+    ],
+    ids=["nan gamma", "gamma 1.5", "tau 1.2", "beta 1", "delta -inf"],
+)
+def test_bad_grid_values_rejected_before_search(model, grid, name, monkeypatch):
+    from secpred import tune
+
+    def no_search(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(tune, "_search_bound", no_search)
+    with pytest.raises(ValueError, match=f"grid {name} values must lie in"):
+        grid_search(model, grid, thresholds=FAST, search_thresholds=FAST)
+
+
 def test_theta_set_analytically():
     params, bound = grid_search(
         "cosp", GridSpec.single(P), thresholds=(12, 12), search_thresholds=FAST
@@ -77,8 +100,8 @@ def test_search_fixpoint_matches_scalar_certify():
     # the global minimum
     import numpy as np
 
-    from secpred.analytic import Point
-    from secpred.certify import entry_bound, iter_entries
+    from secpred.analytic import Point, case_bound
+    from secpred.certify import iter_entries
     from secpred.tune import SEARCH_THRESHOLDS, _search_once
 
     rng = np.random.default_rng(3)
@@ -106,7 +129,7 @@ def test_search_fixpoint_matches_scalar_certify():
         # itself meets B too, so B is the fixpoint and not an iterate below it
         point = Point.of(model, params)
         binding = min(
-            entry_bound(model, e, point, T)
+            case_bound(model, e[0], *e[2:], point, T)
             for e in iter_entries(model, *T)
             if not (e[0] == 6 and e[2] == 0)
         )
@@ -118,14 +141,15 @@ def test_search_fixpoint_matches_scalar_certify():
         cell = [np.array([x]) if x is not None else None for x in (tau, gamma, delta, beta)]
         mesh = Point(*cell, r=r)
         vec_min = min(
-            [r] + [float(entry_bound(model, e, mesh, T)[0]) for e in iter_entries(model, *T)]
+            [r]
+            + [float(case_bound(model, e[0], *e[2:], mesh, T)[0]) for e in iter_entries(model, *T)]
         )
         scalar_min = certify(model, fixed, target_b=1e-6, thresholds=T).min_value
         assert vec_min == pytest.approx(scalar_min, abs=5e-11), (model, theta)
 
 
 def test_mesh_pow_over_x_matches_scalar_at_small_tau():
-    # tau = 0.001 is the floor of the refined grid.  The mesh gathers
+    # tau = 0.001 is the floor of the refined grid.  The mesh maps
     # pow_over_x_integral itself, so its values equal the scalar ones, up to
     # the exponents a search at SEARCH_THRESHOLDS reaches.
     import numpy as np
@@ -188,18 +212,17 @@ def test_factored_search_equals_flat_mesh(model, grid):
     # cell must give the same array, bit for bit
     import numpy as np
 
-    from secpred.analytic import Point, case6_coef
-    from secpred.certify import entry_bound, iter_entries
+    from secpred.analytic import Point, case6_coef, case_bound
+    from secpred.certify import iter_entries
     from secpred.tune import SEARCH_THRESHOLDS, _mesh, _search_once
 
     tau, beta, gamma, delta = _mesh(model, grid)
     point = Point(tau, gamma, delta, beta)
     flat = np.full(tau.shape, np.inf)
-    for entry in iter_entries(model, *SEARCH_THRESHOLDS):
-        case_id, m = entry[0], entry[2]
+    for case_id, _, m, k, m2 in iter_entries(model, *SEARCH_THRESHOLDS):
         if case_id == 6 and m == 0:
             continue
-        value = entry_bound(model, entry, point, SEARCH_THRESHOLDS)
+        value = case_bound(model, case_id, m, k, m2, point, SEARCH_THRESHOLDS)
         if case_id == 6:
             value = value / (1.0 - case6_coef(model, m, point))
         flat = np.minimum(flat, value)
