@@ -5,7 +5,6 @@ arrivals."""
 from .core import (
     COSP,
     ROSP,
-    Candidate,
     CaseProfile,
     Instance,
     PolicyParams,
@@ -36,7 +35,6 @@ THEOREM_ROSP_BOUND = 0.221
 __all__ = [
     "COSP",
     "ROSP",
-    "Candidate",
     "CaseProfile",
     "CertReport",
     "GridSpec",

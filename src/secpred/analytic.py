@@ -30,11 +30,12 @@ only.
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
 
 import numpy as np
 
-from .core import COSP, ROSP, PolicyParams
+from .core import COSP, ROSP, PolicyParams, check_model
 
 __all__ = [
     "min_density_mass",
@@ -47,6 +48,7 @@ __all__ = [
     "case_bound",
     "check_thresholds",
     "CASE_FORMS",
+    "DEFAULT_THRESHOLDS",
     "MAX_PROFILE",
     "MAX_THRESHOLD",
 ]
@@ -561,6 +563,7 @@ CASE_FORMS = {
 # the least m each case admits
 _CASE_M_MIN = {0: 0, 1: 1, 2: 0, 3: 2, 4: 1, 5: 1, 6: 0}
 
+DEFAULT_THRESHOLDS = (20, 20)  # (tm, tk): m, m2 above tm or k above tk are large
 # Entries grow about as T^2.85 (13.1k at T = 20, 719k at T = 80, 2.4M at
 # T = 120), so larger thresholds are refused before any work.
 MAX_THRESHOLD = 200
@@ -571,8 +574,11 @@ MAX_PROFILE = 100_000
 
 
 def check_thresholds(thresholds) -> tuple[int, int]:
-    """``thresholds`` as (tm, tk), each in [1, MAX_THRESHOLD]."""
-    tm, tk = thresholds
+    """``thresholds`` as (tm, tk), two integers each in [1, MAX_THRESHOLD]."""
+    try:
+        tm, tk = map(operator.index, thresholds)
+    except (TypeError, ValueError):
+        raise ValueError(f"thresholds must be two integers, got {thresholds!r}") from None
     if tm < 1 or tk < 1:
         raise ValueError("thresholds must be >= 1")
     if tm > MAX_THRESHOLD or tk > MAX_THRESHOLD:
@@ -587,7 +593,7 @@ def case_bound(
     k: int | None,
     m2: int | None,
     params,
-    thresholds: tuple[int, int] = (20, 20),
+    thresholds: tuple[int, int] = DEFAULT_THRESHOLDS,
 ) -> float:
     """Evaluate one case bound at ``params`` (PolicyParams or a Point).
 
@@ -607,8 +613,7 @@ def case_bound(
     true best removed from the mistake set: m-1, with m2 clamped into the
     reduced profile's window.  Cases 0, 2 and 3 are exact only.
     """
-    if model not in (COSP, ROSP):
-        raise ValueError(f"unknown model {model!r}")
+    check_model(model)
     if case_id not in _CASE_M_MIN:
         raise ValueError(f"unknown case {case_id}")
     if None in (m, k, m2) and (model, case_id) not in CASE_FORMS:

@@ -43,10 +43,11 @@ import json
 from dataclasses import dataclass
 
 from . import analytic
-from .analytic import MAX_THRESHOLD, check_thresholds  # re-exported: the rule lives in analytic
-from .core import COSP, ROSP, PolicyParams
+from .analytic import DEFAULT_THRESHOLDS, MAX_THRESHOLD, check_thresholds  # re-exported
+from .core import COSP, PolicyParams, check_model
 
 __all__ = [
+    "DEFAULT_THRESHOLDS",
     "MAX_THRESHOLD",
     "CaseBound",
     "CertReport",
@@ -57,10 +58,8 @@ __all__ = [
     "report_to_json",
 ]
 
-DEFAULT_THRESHOLDS = (20, 20)
 MARGIN = 1e-6  # a certificate passes when min - MARGIN >= B
 
-_CASE_SORT = {"C0": 0, "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6}
 _BIG = 10**9  # sort stand-in for a large (unbounded) parameter
 
 # the seven non-small regime patterns, in report order: flags (m, k, m2) large,
@@ -80,7 +79,7 @@ _REGIMES = tuple(dict.fromkeys(label for _, label in _PATTERNS if label))
 
 @dataclass(frozen=True)
 class CaseBound:
-    case_id: str
+    case_id: str  # "C0" to "C6"
     value: float
     regime: str  # "exact", "analytic", or a large-regime label
     m: int | None
@@ -90,7 +89,7 @@ class CaseBound:
     def sort_key(self):
         return (
             self.value,
-            _CASE_SORT[self.case_id],
+            int(self.case_id[1:]),
             self.m if self.m is not None else _BIG,
             self.k if self.k is not None else _BIG,
             self.m2 if self.m2 is not None else _BIG,
@@ -199,8 +198,7 @@ def certify(
     thresholds: tuple[int, int] = DEFAULT_THRESHOLDS,
 ) -> CertReport:
     """Certify min-over-cases >= target_b for the given parameters."""
-    if model not in (COSP, ROSP):
-        raise ValueError(f"unknown model {model!r}")
+    check_model(model)
     if not 0.0 < target_b < 1.0:
         raise ValueError(f"target_b={target_b} outside (0, 1)")
     tm, tk = check_thresholds(thresholds)

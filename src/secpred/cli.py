@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import policy
-from .analytic import case_bound
+from .analytic import DEFAULT_THRESHOLDS, case_bound
 from .certify import certify, report_to_json
 from .core import COSP, ROSP, PolicyParams, dump_instance, load_instance
 from .derand import uniform_from_first_arrival
@@ -169,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="re-run the case enumeration against a target bound")
     _add_param_flags(p)
     p.add_argument("--target-b", type=float, required=True, dest="target_b")
-    p.add_argument("--tm", type=int, default=20)
-    p.add_argument("--tk", type=int, default=20)
+    p.add_argument("--tm", type=int, default=DEFAULT_THRESHOLDS[0])
+    p.add_argument("--tk", type=int, default=DEFAULT_THRESHOLDS[1])
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_certify)
 
@@ -195,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=[COSP, ROSP])
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--refine", action="store_true")
-    p.add_argument("--tm", type=int, default=20)
-    p.add_argument("--tk", type=int, default=20)
+    p.add_argument("--tm", type=int, default=DEFAULT_THRESHOLDS[0])
+    p.add_argument("--tk", type=int, default=DEFAULT_THRESHOLDS[1])
     p.add_argument("--emit-all", default=None, dest="emit_all")
     p.set_defaults(fn=_cmd_tune)
 

@@ -2,10 +2,10 @@
 
 An instance is a fixed list of candidates, each with a true value and a
 prediction known up front.  Derived quantities follow the usual notation
-for this problem: the maximum multiplicative prediction error, the
-top-predicted candidate, the true best candidate, and the adversarial
-structure counts (mistake count, candidates above the top prediction,
-mistakes below it).
+for this problem: each multiplicative prediction error |1 - p/v| and their
+maximum epsilon, the top-predicted candidate, the true best candidate, and
+the adversarial structure counts (mistake count, candidates above the top
+prediction, mistakes below it).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
-    "Candidate",
     "Instance",
     "PolicyParams",
     "CaseProfile",
@@ -27,27 +26,36 @@ __all__ = [
     "case_profile",
     "load_instance",
     "dump_instance",
+    "check_model",
     "COSP",
     "ROSP",
+    "BLOCK_ELEMENTS",
 ]
 
 COSP = "cosp"
 ROSP = "rosp"
+
+# Elements per array in a block of simulation rows or of tune's search mesh,
+# so memory stays a few megabytes; also the most candidates an instance has.
+BLOCK_ELEMENTS = 1 << 20
 
 # Relative tie-breaking offset.  Duplicate values get v * (1 + rank * PERTURB_ETA)
 # in input order, keeping every ratio within ~1e-11 of the original.
 PERTURB_ETA = 1e-12
 
 
-@dataclass(frozen=True)
-class Candidate:
-    true_value: float
-    predicted_value: float
+def check_model(model: str) -> str:
+    """``model`` if it is one of the two arrival models, else ValueError."""
+    if model not in (COSP, ROSP):
+        raise ValueError(f"unknown model {model!r}")
+    return model
 
 
 @dataclass(frozen=True)
 class Instance:
-    candidates: tuple[Candidate, ...]
+    values: tuple[float, ...]
+    predictions: tuple[float, ...]
+    deviations: tuple[float, ...]  # |1 - p/v|; a mistake at theta when above it
     epsilon: float
     top_predicted_index: int
     top_true_index: int
@@ -55,15 +63,7 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return len(self.candidates)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(c.true_value for c in self.candidates)
-
-    @property
-    def predictions(self) -> tuple[float, ...]:
-        return tuple(c.predicted_value for c in self.candidates)
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,10 @@ def _perturb(xs: Sequence[float]) -> list[float]:
 
 def build_instance(values: Sequence[float], predictions: Sequence[float]) -> Instance:
     """Build an instance from two lists of real numbers, perturbing duplicates
-    and deriving epsilon, i-hat, i-star."""
+    and deriving the deviations, epsilon, i-hat, i-star."""
     for name, xs in (("values", values), ("predictions", predictions)):
+        if isinstance(xs, (list, tuple)) and len(xs) > BLOCK_ELEMENTS:
+            raise ValueError(f"{len(xs)} {name} exceed the cap of {BLOCK_ELEMENTS} candidates")
         if not isinstance(xs, (list, tuple)) or not all(
             isinstance(x, numbers.Real) and not isinstance(x, bool) for x in xs
         ):
@@ -153,32 +155,28 @@ def build_instance(values: Sequence[float], predictions: Sequence[float]) -> Ins
     if any(v == 0 for v in values):
         raise ValueError("true values must be strictly positive (epsilon undefined at 0)")
 
-    vs = _perturb(values)
-    ps = _perturb(predictions)
-    eps = max(abs(1.0 - p / v) for v, p in zip(vs, ps))
+    vs = tuple(_perturb(values))
+    ps = tuple(_perturb(predictions))
+    devs = tuple(abs(1.0 - p / v) for v, p in zip(vs, ps))
     ihat = max(range(len(ps)), key=lambda i: ps[i])
     istar = max(range(len(vs)), key=lambda i: vs[i])
-    cands = tuple(Candidate(v, p) for v, p in zip(vs, ps))
-    return Instance(cands, eps, ihat, istar, vs[istar])
+    return Instance(vs, ps, devs, max(devs), ihat, istar, vs[istar])
 
 
 def mistake_set(instance: Instance, theta: float) -> set[int]:
     """Indices whose prediction deviates from the value by strictly more than theta."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta={theta} outside [0, 1]")
-    return {
-        i
-        for i, c in enumerate(instance.candidates)
-        if abs(1.0 - c.predicted_value / c.true_value) > theta
-    }
+    return {i for i, d in enumerate(instance.deviations) if d > theta}
 
 
 def case_profile(instance: Instance, theta: float) -> CaseProfile:
     """Structure counts (m, k, m2) of the instance at threshold theta."""
     mset = mistake_set(instance, theta)
-    v_hat = instance.candidates[instance.top_predicted_index].true_value
-    k = sum(1 for c in instance.candidates if c.true_value > v_hat)
-    m2 = sum(1 for i in mset if instance.candidates[i].true_value < v_hat)
+    vs = instance.values
+    v_hat = vs[instance.top_predicted_index]
+    k = sum(1 for v in vs if v > v_hat)
+    m2 = sum(1 for i in mset if vs[i] < v_hat)
     return CaseProfile(m=len(mset), k=k, m2=m2)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COSP, ROSP, Instance, PolicyParams, Schedule
+from .core import BLOCK_ELEMENTS, COSP, Instance, PolicyParams, Schedule, check_model
 from .rng import TrialStream, trial_seeds_vector, uniforms_at
 
 __all__ = [
@@ -97,6 +97,7 @@ def run_trial(
 
     theta, tau = params.theta, params.tau
     gamma, delta = params.gamma, params.delta
+    vs, devs = instance.values, instance.deviations
     ihat = instance.top_predicted_index
     vstar = instance.top_true_value
 
@@ -107,15 +108,14 @@ def run_trial(
     hired: int | None = None
 
     for i in order:
-        c = instance.candidates[i]
         t = times[i]
-        if mode == PREDICTION and abs(1.0 - c.predicted_value / c.true_value) > theta:
+        if mode == PREDICTION and devs[i] > theta:
             mode = SECRETARY
             switch_time = t
         if mode == PREDICTION and i == ihat:
             hired = i
             break
-        if mode == SECRETARY and t > tau and c.true_value > best_seen:
+        if mode == SECRETARY and t > tau and vs[i] > best_seen:
             if i == ihat:
                 p = gamma if t == switch_time else delta
                 if stream.uniform() < p:
@@ -124,9 +124,9 @@ def run_trial(
             else:
                 hired = i
                 break
-        best_seen = max(best_seen, c.true_value)
+        best_seen = max(best_seen, vs[i])
 
-    hired_value = instance.candidates[hired].true_value if hired is not None else 0.0
+    hired_value = vs[hired] if hired is not None else 0.0
     return TrialOutcome(
         hired_index=hired,
         hired_value=hired_value,
@@ -139,11 +139,6 @@ def run_trial(
 # ---------------------------------------------------------------------------
 # vectorized batch engine
 # ---------------------------------------------------------------------------
-
-# Rows per block are BLOCK_ELEMENTS // n, so a block's (rows x n) arrays stay
-# a few megabytes whatever n and the trial count are.
-BLOCK_ELEMENTS = 1 << 20
-
 
 @dataclass(frozen=True)
 class BatchResult:
@@ -226,13 +221,11 @@ def run_trials_batch(
     ``TrialStream(trial_seed(base_seed, i))`` exactly.  Trials run in row
     blocks of about ``BLOCK_ELEMENTS`` arrival times.
     """
-    if model not in (COSP, ROSP):
-        raise ValueError(f"unknown model {model!r}")
-    beta = params.require_beta() if model == COSP else None
+    beta = params.require_beta() if check_model(model) == COSP else None
 
     n = instance.n
     v = np.asarray(instance.values)
-    mistake = np.abs(1.0 - np.asarray(instance.predictions) / v) > params.theta
+    mistake = np.asarray(instance.deviations) > params.theta
     ihat = instance.top_predicted_index
     vstar = instance.top_true_value
 
@@ -245,6 +238,7 @@ def run_trials_batch(
     seeds = trial_seeds_vector(base_seed, start, count)
     hired = np.empty(count, dtype=np.int64)
     switched = np.empty(count, dtype=bool)
+    # rows per block, so a block's (rows x n) arrays hold about BLOCK_ELEMENTS
     rows = max(1, BLOCK_ELEMENTS // n)
     for lo in range(0, count, rows):
         block = slice(lo, lo + rows)

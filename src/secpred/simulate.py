@@ -12,13 +12,21 @@ count are, and more workers add only that much each.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, PolicyParams, build_instance, case_profile
+from .core import (
+    BLOCK_ELEMENTS,
+    Instance,
+    PolicyParams,
+    build_instance,
+    case_profile,
+    check_model,
+)
 from .policy import run_trials_batch
 
 __all__ = [
@@ -32,6 +40,9 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16  # fixed so results do not depend on worker count
+# More trials are refused before the chunk list is built: 10^9 trials are
+# 15 259 chunks, hours of work on one core.
+MAX_TRIALS = 10**9
 
 
 @dataclass(frozen=True)
@@ -63,8 +74,13 @@ def estimate_ratio(
     threads: int = 1,
 ) -> SimResult:
     """Empirical E[hired value] / v* over independent schedule+trial pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_model(model)
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     spans = [(s, min(CHUNK, trials - s)) for s in range(0, trials, CHUNK)]
@@ -110,6 +126,12 @@ def default_deviation(theta: float) -> float:
 _FILLER_GEOMETRIC_MAX = 6000
 
 
+def _check_n(n: int, least: int) -> None:
+    # before _fillers builds its list; build_instance would refuse the result
+    if not least <= n <= BLOCK_ELEMENTS:
+        raise ValueError(f"need {least} <= n <= {BLOCK_ELEMENTS}, got n={n}")
+
+
 def _fillers(count: int, below: float) -> list[float]:
     # count distinct positive values decreasing from below / 2
     last = _FILLER_GEOMETRIC_MAX
@@ -122,8 +144,7 @@ def _fillers(count: int, below: float) -> list[float]:
 def gen_underestimated_best(n: int, deviation: float, theta: float) -> Instance:
     """Exact predictions everywhere except the true best, which is
     underestimated past the switching threshold."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_n(n, 2)
     if not deviation > theta:
         raise ValueError(f"deviation {deviation} must exceed theta {theta}")
     runner_up = max(0.9, 1.0 - deviation + 0.01)
@@ -138,8 +159,7 @@ def gen_underestimated_best(n: int, deviation: float, theta: float) -> Instance:
 def gen_overestimated_top(n: int, deviation: float, theta: float) -> Instance:
     """Exact predictions everywhere except a runner-up overestimated into the
     top predicted slot."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_n(n, 2)
     if not deviation > theta:
         raise ValueError(f"deviation {deviation} must exceed theta {theta}")
     v_hat = min(0.98, max(0.9, 1.001 / (1.0 + deviation)))
@@ -152,14 +172,11 @@ def gen_overestimated_top(n: int, deviation: float, theta: float) -> Instance:
 
 
 def _expect(inst, theta, m, k, m2, ihat_in_m, istar_in_m):
-    from .core import mistake_set
-
     prof = case_profile(inst, theta)
-    mset = mistake_set(inst, theta)
     ok = (
         (prof.m, prof.k, prof.m2) == (m, k, m2)
-        and (inst.top_predicted_index in mset) == ihat_in_m
-        and (inst.top_true_index in mset) == istar_in_m
+        and (inst.deviations[inst.top_predicted_index] > theta) == ihat_in_m
+        and (inst.deviations[inst.top_true_index] > theta) == istar_in_m
     )
     if not ok:
         raise ValueError(
@@ -186,8 +203,7 @@ def gen_case_family(
     if not dev > theta:
         raise ValueError(f"deviation {dev} must exceed theta {theta}")
     near = 0.9 * theta
-    if n < m + k + 1:
-        raise ValueError(f"need n >= m + k + 1 = {m + k + 1}, got {n}")
+    _check_n(n, m + k + 1)
 
     feasible = {
         1: m >= 1 and k == 0 and m2 == m - 1,

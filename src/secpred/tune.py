@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import CASE_FORMS, Point, case6_coef, check_thresholds
+from .analytic import CASE_FORMS, DEFAULT_THRESHOLDS, Point, case6_coef, check_thresholds
 from .certify import certify, iter_entries
-from .core import COSP, PolicyParams
+from .core import BLOCK_ELEMENTS, COSP, PolicyParams, check_model
 
 __all__ = ["GridSpec", "grid_search", "SEARCH_THRESHOLDS", "MAX_GRID_POINTS"]
 
@@ -41,11 +41,6 @@ SEARCH_THRESHOLDS = (10, 10)
 # A grid whose axis lengths multiply past this is refused before the mesh is
 # built.  It admits the refine grid, 19 points per axis (130 321).
 MAX_GRID_POINTS = 250_000
-# A block holds the (tau, beta) pairs of about BLOCK_ELEMENTS // (tm * tk)
-# cells, and at least one.  Its point memoizes a few block-sized arrays per
-# pair of small parameters, so the search's memory stays a few megabytes
-# whatever the grid size and the thresholds are.
-BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -81,9 +76,10 @@ def _axes(model: str, grid: GridSpec):
     beta is None); gamma is (1, G, 1) and delta (1, 1, D).  The (P, G, D)
     mesh they span, flattened, is the cells in nested axis order.  A grid
     over ``MAX_GRID_POINTS``, a NaN, a tau or beta outside (0, 1) and a
-    gamma or delta outside [0, 1] are refused before a mesh is built.
+    gamma or delta outside [0, 1] are refused before a mesh is built, as is
+    a model that ``check_model`` refuses.
     """
-    cosp = model == COSP
+    cosp = check_model(model) == COSP
     if cosp and grid.beta is None:
         raise ValueError("chosen-order search needs beta values")
     tau, beta, gamma, delta = (
@@ -124,7 +120,9 @@ def _search_bound(model, axes, thresholds):
     order of ``_mesh``."""
     tau, beta, gam, dlt = axes
     tm, tk = thresholds
-    # a block takes whole (tau, beta) pairs, as many as fill its cells
+    # A block takes whole (tau, beta) pairs, as many as fill about
+    # BLOCK_ELEMENTS // (tm * tk) cells, and at least one.  Its point
+    # memoizes a few block-sized arrays per pair of small parameters.
     pairs = max(1, BLOCK_ELEMENTS // (tm * tk) // (gam.size * dlt.size))
     b = np.full((tau.shape[0], gam.size, dlt.size), np.inf)
     for lo in range(0, tau.shape[0], pairs):
@@ -188,7 +186,7 @@ def _refined_grid(params: PolicyParams, step: float):
 def grid_search(
     model: str,
     grid: GridSpec,
-    thresholds: tuple[int, int] = (20, 20),
+    thresholds: tuple[int, int] = DEFAULT_THRESHOLDS,
     refine: bool = False,
     search_thresholds: tuple[int, int] = SEARCH_THRESHOLDS,
     emit_all: bool = False,

@@ -46,6 +46,14 @@ BAD_CALLS = {
         partial(case_bound, "cosp", 1, None, 0, 0, P, thresholds=(0, 20)),
         "thresholds must be >= 1",
     ),
+    "thresholds nan": (
+        partial(case_bound, "rosp", 4, 1, None, None, Q, thresholds=(float("nan"), 20)),
+        "thresholds must be two integers",
+    ),
+    "thresholds 20.5": (
+        partial(case_bound, "rosp", 4, 1, None, None, Q, thresholds=(20.5, 20)),
+        "thresholds must be two integers",
+    ),
     "thresholds above cap": (
         partial(case_bound, "cosp", 1, 2, 0, 0, P, thresholds=(10**6, 20)),
         "exceed the cap of 200",

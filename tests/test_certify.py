@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from secpred import (
+    GridSpec,
     PolicyParams,
     THEOREM_COSP_PARAMS as P,
     THEOREM_ROSP_PARAMS as Q,
     certify,
+    grid_search,
     report_to_json,
 )
 from secpred.analytic import CASE_FORMS, Point, case_bound, prediction_floor
@@ -218,6 +220,17 @@ def test_threshold_cap():
     for thresholds in ((MAX_THRESHOLD + 1, 1), (1, MAX_THRESHOLD + 1), (100_000, 1)):
         with pytest.raises(ValueError, match="exceed the cap"):
             certify("cosp", P, 0.262, thresholds=thresholds)
+
+
+@pytest.mark.parametrize("thresholds", [(float("nan"), 20), (20.5, 20), (20, "20"), (20,), None])
+@pytest.mark.parametrize("run", [
+    lambda t: certify("rosp", Q, 0.2, thresholds=t),
+    lambda t: grid_search("rosp", GridSpec.single(Q), thresholds=t),
+    lambda t: grid_search("rosp", GridSpec.single(Q), search_thresholds=t),
+], ids=["certify", "grid_search", "grid_search search_thresholds"])
+def test_non_integer_thresholds_rejected(run, thresholds):
+    with pytest.raises(ValueError, match="thresholds must be two integers"):
+        run(thresholds)
 
 
 def test_precondition_errors():

@@ -133,6 +133,42 @@ def test_derand_demo_rejects_empty_draw(capsys, flags):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("family", [
+    ["--family", "case", "--case", "4", "--m", "2", "--k", "1", "--m2", "1"],
+    ["--family", "underest-best"],
+    ["--family", "overest-top"],
+])
+def test_gen_oversized_instance_exit_two(tmp_path, capsys, monkeypatch, family):
+    import secpred.simulate as sim
+
+    def no_fillers(*args):
+        raise AssertionError("fillers built")
+
+    monkeypatch.setattr(sim, "_fillers", no_fillers)
+    out = tmp_path / "inst.json"
+    argv = ["gen", *family, "--n", str(BLOCK_ELEMENTS + 1), "--theta", "0.58", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"n <= {BLOCK_ELEMENTS}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_oversized_trials_exit_two(tmp_path, capsys, monkeypatch):
+    import secpred.simulate as sim
+
+    def no_chunks(args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(sim, "_chunk_sums", no_chunks)
+    inst = tmp_path / "inst.json"
+    main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.63", "--out", str(inst)])
+    code = main(
+        ["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", str(sim.MAX_TRIALS + 1),
+         "--threads", "1"]
+    )
+    assert code == 2
+    assert "trials must lie in" in capsys.readouterr().err
+
+
 def test_evaluate_tau_zero_exit_two(capsys):
     flags = ["--model", "rosp", "--theta", "0.5", "--tau", "0", "--gamma", "0.3", "--delta", "0.4"]
     assert main(["evaluate", "--case", "4", *flags, "--m", "1", "--k", "1"]) == 2

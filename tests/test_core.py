@@ -23,6 +23,8 @@ def test_identity_predictions():
 def test_epsilon_direct_evaluation():
     inst = build_instance([100, 50], [60, 55])
     assert inst.epsilon == pytest.approx(0.4, abs=1e-12)
+    assert inst.deviations == pytest.approx((0.4, 0.1), abs=1e-12)
+    assert max(inst.deviations) == inst.epsilon
     assert inst.top_predicted_index == 0
     assert inst.top_true_index == 0
 
@@ -49,6 +51,17 @@ def test_build_errors():
         with pytest.raises(ValueError, match="predictions must be a list of real numbers"):
             build_instance([1.0, 1.0], bad)
     assert build_instance((1, np.float64(2.0)), [np.int64(1), 2.5]).n == 2
+
+
+def test_oversized_instance_rejected(monkeypatch):
+    from secpred import core
+
+    monkeypatch.setattr(core, "BLOCK_ELEMENTS", 4)
+    assert build_instance([1.0] * 4, [1.0] * 4).n == 4
+    with pytest.raises(ValueError, match="5 values exceed the cap of 4 candidates"):
+        build_instance([1.0] * 5, [1.0] * 5)
+    with pytest.raises(ValueError, match="5 predictions exceed the cap of 4 candidates"):
+        build_instance([1.0] * 4, [1.0] * 5)
 
 
 def test_perturbation_breaks_ties_and_preserves_epsilon():

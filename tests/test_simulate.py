@@ -82,6 +82,36 @@ def test_threads_below_one_rejected(threads):
         estimate_ratio(inst, "rosp", Q, trials=10, seed=2, threads=threads)
 
 
+def _no_chunks(args):
+    raise AssertionError("a chunk ran")
+
+
+@pytest.mark.parametrize(
+    "model,trials,message",
+    [
+        ("foo", 10, "unknown model 'foo'"),
+        ("rosp", 10**9 + 1, "trials must lie in"),  # MAX_TRIALS + 1
+        ("rosp", 0, "trials must lie in"),
+        ("rosp", 1000.0, "trials must be an integer"),
+        ("rosp", "1000", "trials must be an integer"),
+    ],
+)
+def test_bad_runs_rejected_before_any_chunk(monkeypatch, model, trials, message):
+    monkeypatch.setattr(sim, "_chunk_sums", _no_chunks)
+    inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
+    with pytest.raises(ValueError, match=message):
+        estimate_ratio(inst, model, Q, trials=trials, seed=2)
+
+
+def test_max_trials_accepted(monkeypatch):
+    # the cap itself runs, as its documented 15 259 chunks
+    spans = []
+    monkeypatch.setattr(sim, "_chunk_sums", lambda job: spans.append(job[-1]) or (0.0, 0.0, 0, 0))
+    inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
+    assert estimate_ratio(inst, "rosp", Q, trials=10**9, seed=2).trials == sim.MAX_TRIALS
+    assert len(spans) == 15_259 and sum(spans) == 10**9
+
+
 def test_gen_underestimated_best():
     inst = gen_underestimated_best(5, 0.9, 0.58)
     assert inst.epsilon == pytest.approx(0.9, abs=1e-12)

@@ -62,25 +62,29 @@ def test_oversized_inputs_rejected_before_search():
 
 
 @pytest.mark.parametrize(
-    "model, grid, name",
+    "model, grid, message",
     [
         ("cosp", GridSpec(tau=(0.3, 0.4), beta=(0.6,), gamma=(0.3, float("nan")), delta=(0.5,)),
-         "gamma"),
-        ("rosp", GridSpec(tau=(0.3,), gamma=(1.5,), delta=(0.5,)), "gamma"),
-        ("cosp", GridSpec(tau=(1.2,), beta=(0.6,), gamma=(0.3,), delta=(0.5,)), "tau"),
-        ("cosp", GridSpec(tau=(0.3,), beta=(1.0,), gamma=(0.3,), delta=(0.5,)), "beta"),
-        ("rosp", GridSpec(tau=(0.3,), gamma=(0.3,), delta=(-float("inf"),)), "delta"),
+         "grid gamma values must lie in"),
+        ("rosp", GridSpec(tau=(0.3,), gamma=(1.5,), delta=(0.5,)), "grid gamma values must lie in"),
+        ("cosp", GridSpec(tau=(1.2,), beta=(0.6,), gamma=(0.3,), delta=(0.5,)),
+         "grid tau values must lie in"),
+        ("cosp", GridSpec(tau=(0.3,), beta=(1.0,), gamma=(0.3,), delta=(0.5,)),
+         "grid beta values must lie in"),
+        ("rosp", GridSpec(tau=(0.3,), gamma=(0.3,), delta=(-float("inf"),)),
+         "grid delta values must lie in"),
+        ("foo", GridSpec.coarse("rosp", 0.3), "unknown model 'foo'"),
     ],
-    ids=["nan gamma", "gamma 1.5", "tau 1.2", "beta 1", "delta -inf"],
+    ids=["nan gamma", "gamma 1.5", "tau 1.2", "beta 1", "delta -inf", "unknown model"],
 )
-def test_bad_grid_values_rejected_before_search(model, grid, name, monkeypatch):
+def test_bad_grid_values_rejected_before_search(model, grid, message, monkeypatch):
     from secpred import tune
 
     def no_search(*args):
         raise AssertionError("search ran")
 
     monkeypatch.setattr(tune, "_search_bound", no_search)
-    with pytest.raises(ValueError, match=f"grid {name} values must lie in"):
+    with pytest.raises(ValueError, match=message):
         grid_search(model, grid, thresholds=FAST, search_thresholds=FAST)
 
 
