@@ -10,14 +10,19 @@ delta otherwise); anyone else is hired outright.
 
 ``run_trial`` replays one schedule step by step.  ``run_trials_batch`` is a
 vectorized engine that reproduces ``run_trial`` bit for bit across many
-trials (same per-trial streams, same draws) and is what the simulation
-module uses.  It needs no arrival-order sort: secretary mode hires nobody
-before max(tau, t_switch), so its first hire is the earliest arrival after
-that point whose value beats every value that arrived before it, and a
-gated-out top prediction passes to the earliest later arrival that beats
-it.  That is O(n) per trial.  Trials run in row blocks of about
-``BLOCK_ELEMENTS`` arrival times, so memory does not grow with n or with
-the number of trials.
+trials (same per-trial streams, same draws, same redraws) and is what the
+simulation module uses.  It needs no arrival-order sort: secretary mode
+hires nobody before max(tau, t_switch), so its first hire is the earliest
+arrival after that point whose value beats every value that arrived
+before it, and a gated-out top prediction passes to the earliest later
+arrival that beats it.  The engine holds the candidates as columns in
+decreasing value, so the best value that arrived before the window is the
+first column that did, and the candidates that beat it are the columns
+ahead of it.  Those are found on a short column prefix that widens only
+for the rows that need it; only the draws and the collision check read
+whole rows.  Trials run in row blocks of about ``ROW_ELEMENTS`` arrival
+times, sized for a core's L2 cache, so memory does not grow with n or
+with the number of trials.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_ELEMENTS, COSP, Instance, PolicyParams, Schedule, check_model
+# BLOCK_ELEMENTS is not used here: derand-demo reads its row cap as
+# policy.BLOCK_ELEMENTS
+from .core import BLOCK_ELEMENTS, COSP, Instance, PolicyParams, Schedule, check_model  # noqa: F401
 from .rng import TrialStream, trial_seeds_vector, uniforms_at
 
 __all__ = [
@@ -37,6 +44,10 @@ __all__ = [
     "run_trials_batch",
     "BatchResult",
 ]
+
+# Rows per block are ROW_ELEMENTS // n: a block's float64 arrival times
+# then take 512 KiB and stay in a core's L2 cache while they are resolved.
+ROW_ELEMENTS = 1 << 16
 
 PREDICTION = "prediction"
 SECRETARY = "secretary"
@@ -147,18 +158,19 @@ class BatchResult:
     switched: np.ndarray     # bool: left prediction mode
 
 
-def _block_times(seeds, col_draw, per_round, ihat, beta):
+def _block_times(seeds, col_draw, per_round, pin, beta, out):
     """Arrival times of a block of trials, as ``_draw_times`` draws them.
 
     Column j takes draw ``col_draw[j]`` of its row's stream; in cosp the
-    draw numbers skip ihat, whose column is pinned at beta.  A row whose
-    times collide is redrawn whole from the next ``per_round`` draws.
-    Returns the times and the number of draws each row used.
+    draw numbers skip ihat, whose column ``pin`` is pinned at beta.  A row
+    whose times collide is redrawn whole from the next ``per_round`` draws.
+    The times are written into ``out``.  Returns them and the number of
+    draws each row used.
     """
     seeds = seeds[:, None]
-    times = uniforms_at(seeds, col_draw)
+    times = uniforms_at(seeds, col_draw, out)
     if beta is not None:
-        times[:, ihat] = beta
+        times[:, pin] = beta
     used = np.full(len(seeds), per_round, dtype=np.uint64)
     while True:
         srt = np.sort(times, axis=1)
@@ -167,39 +179,64 @@ def _block_times(seeds, col_draw, per_round, ihat, beta):
             return times, used
         redo = uniforms_at(seeds[bad], used[bad, None] + col_draw)
         if beta is not None:
-            redo[:, ihat] = beta
+            redo[:, pin] = beta
         times[bad] = redo
         used[bad] += np.uint64(per_round)
 
 
-def _resolve_block(times, u_gate, v, mistake, ihat, params):
-    """Hired index (or -1) and the switched flag of each row, in O(n) per row.
+def _first_hires(times, opens, gstart):
+    """Position of each row's first secretary-mode hire, or -1.
+
+    Columns run in decreasing value.  The best value outside the window is
+    that of the first column j0 with ``t < opens``, and the candidates that
+    beat it are the columns before ``gstart[j0]``, all in the window; the
+    hire is the earliest of them.  j0 is looked for on a prefix that widens
+    until every row has one or the prefix is the whole row (j0 = n).
+    """
+    rows, n = times.shape
+    first = np.empty(rows, dtype=np.int64)
+    todo = np.arange(rows)
+    width = 16
+    while todo.size:
+        width = min(width, n)
+        pre = times[todo, :width]
+        outside = pre < opens[todo, None]
+        found = outside.any(axis=1)
+        j0 = np.where(found, outside.argmax(axis=1), n)
+        pre[np.arange(width) >= gstart[j0][:, None]] = np.inf
+        pos = pre.argmin(axis=1)
+        done = found | (width == n)
+        first[todo[done]] = np.where(gstart[j0[done]] > 0, pos[done], -1)
+        todo = todo[~done]
+        width *= 4
+    return first
+
+
+def _resolve_block(times, u_gate, gstart, mistake_cols, pos_ihat, params):
+    """Hired position (or -1) and the switched flag of each row.
 
     Arrivals before max(tau, t_switch) are never hired, and each of them
     arrives before every arrival in the window after it.  So the first
     candidate the secretary mode takes is the earliest window arrival that
     beats the best value outside the window.  If that is ihat and the gate
-    rejects it, the next is the earliest later arrival that beats v[ihat].
+    rejects it, the next is the earliest later arrival that beats v[ihat]:
+    one of the columns before ``gstart[pos_ihat]``.
     """
-    t_switch = np.min(times, axis=1, where=mistake, initial=np.inf)
-    t_ihat = times[:, ihat]
+    t_switch = times[:, mistake_cols].min(axis=1, initial=np.inf)
+    t_ihat = times[:, pos_ihat]
     pred_hire = t_ihat < t_switch
 
     # t > tau and t >= t_switch, as one comparison
     opens = np.maximum(np.nextafter(params.tau, np.inf), t_switch)
-    window = times >= opens[:, None]
-    bar = np.where(window, -np.inf, v).max(axis=1)
-    first_t = np.where(window & (v > bar[:, None]), times, np.inf)
-    first = first_t.argmin(axis=1)
-    has_first = np.isfinite(first_t[np.arange(len(first)), first])
-
-    hired = np.where(has_first, first, -1)
-    hired[pred_hire] = ihat
+    hired = _first_hires(times, opens, gstart)
+    hired[pred_hire] = pos_ihat
     p_gate = np.where(t_ihat == t_switch, params.gamma, params.delta)
-    fall = np.flatnonzero(~pred_hire & (hired == ihat) & ~(u_gate < p_gate))
-    if fall.size:
-        later = times[fall]
-        later[(later <= t_ihat[fall, None]) | ~(v > v[ihat])] = np.inf
+    fall = np.flatnonzero(~pred_hire & (hired == pos_ihat) & ~(u_gate < p_gate))
+    hired[fall] = -1
+    above = gstart[pos_ihat]
+    if fall.size and above:
+        later = times[fall, :above]
+        later[later <= t_ihat[fall, None]] = np.inf
         second = later.argmin(axis=1)
         hired[fall] = np.where(np.isfinite(later[np.arange(fall.size), second]), second, -1)
 
@@ -218,34 +255,52 @@ def run_trials_batch(
     """Run trials [start, start+count) with per-trial derived streams.
 
     Matches ``make_*_schedule`` + ``run_trial`` driven by
-    ``TrialStream(trial_seed(base_seed, i))`` exactly.  Trials run in row
-    blocks of about ``BLOCK_ELEMENTS`` arrival times.
+    ``TrialStream(trial_seed(base_seed, i))`` exactly.  Block column c
+    holds candidate ``order[c]``, the candidates sorted by decreasing value
+    (ties in index order); each column keeps its candidate's draw number,
+    so the streams are read as the scalar replay reads them.  Hires are
+    resolved on column prefixes and mapped back through ``order``.  Trials
+    run in row blocks of ``ROW_ELEMENTS // n`` rows (at least one).
     """
     beta = params.require_beta() if check_model(model) == COSP else None
 
     n = instance.n
     v = np.asarray(instance.values)
-    mistake = np.asarray(instance.deviations) > params.theta
     ihat = instance.top_predicted_index
     vstar = instance.top_true_value
 
-    # draw number of each column within one round of time draws
+    order = np.argsort(-v, kind="stable")
+    pos_ihat = int(np.flatnonzero(order == ihat)[0])
+    mistake_cols = np.flatnonzero((np.asarray(instance.deviations) > params.theta)[order])
+    # first column of each column's tie group, and n past the last column
+    vs = v[order]
+    gstart = np.append(np.searchsorted(-vs, -vs, side="left"), n)
+
+    # draw number of each candidate within one round of time draws, in
+    # column order
     col_draw = np.arange(1, n + 1, dtype=np.uint64)
     if beta is not None:
         col_draw[ihat + 1:] -= np.uint64(1)
+    col_draw = col_draw[order]
     per_round = n - 1 if beta is not None else n
 
     seeds = trial_seeds_vector(base_seed, start, count)
     hired = np.empty(count, dtype=np.int64)
     switched = np.empty(count, dtype=bool)
-    # rows per block, so a block's (rows x n) arrays hold about BLOCK_ELEMENTS
-    rows = max(1, BLOCK_ELEMENTS // n)
+    rows = max(1, ROW_ELEMENTS // n)
+    # every block draws into one buffer: block-sized arrays allocated for
+    # each block are handed back to the system and faulted in again
+    buf = np.empty((min(rows, count), n))
     for lo in range(0, count, rows):
         block = slice(lo, lo + rows)
-        times, used = _block_times(seeds[block], col_draw, per_round, ihat, beta)
+        out = buf[: min(rows, count - lo)]
+        times, used = _block_times(seeds[block], col_draw, per_round, pos_ihat, beta, out)
         # the hire gate's uniform is the draw after the last time draw
         u_gate = uniforms_at(seeds[block], used + np.uint64(1))
-        hired[block], switched[block] = _resolve_block(times, u_gate, v, mistake, ihat, params)
+        hired[block], switched[block] = _resolve_block(
+            times, u_gate, gstart, mistake_cols, pos_ihat, params
+        )
 
-    ratios = np.where(hired >= 0, v[np.clip(hired, 0, None)] / vstar, 0.0)
+    hired = np.where(hired >= 0, order[hired], -1)
+    ratios = np.where(hired >= 0, v[hired] / vstar, 0.0)
     return BatchResult(hired=hired, ratios=ratios, switched=switched)

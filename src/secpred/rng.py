@@ -27,13 +27,18 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    """``_mix`` applied in place to a uint64 array."""
-    z ^= z >> np.uint64(30)
+def _mix_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``_mix`` applied in place to a uint64 array.
+
+    Each xor-shift goes through ``scratch``, a uint64 array of z's shape
+    (allocated once when not given), rather than a new temporary.
+    """
+    t = np.empty_like(z) if scratch is None else scratch
+    z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
     z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
@@ -57,18 +62,23 @@ class TrialStream:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def uniforms_at(seeds: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def uniforms_at(seeds: np.ndarray, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform number ``draws`` (counted from 1) of each seed's stream.
 
     ``uniforms_at(s, d)`` equals the d-th ``TrialStream(s).uniform()``.  The
     two arguments broadcast against each other, so a (rows, 1) column of
     seeds and a (rows, cols) array of draw numbers give a (rows, cols) block.
+    The mix's scratch space is the float64 array the result is written
+    into: ``out`` of the broadcast shape if given, so that a caller drawing
+    block after block reuses one buffer, else a new one.
     """
     with np.errstate(over="ignore"):
         z = np.asarray(draws, dtype=np.uint64) * np.uint64(_GAMMA)
         z = np.asarray(seeds, dtype=np.uint64) + z
-        z = _mix_array(z) >> np.uint64(11)
-    u = z.astype(np.float64)
+        u = np.empty(z.shape) if out is None else out
+        _mix_array(z, u.view(np.uint64))
+    z >>= np.uint64(11)
+    u[...] = z
     u *= 2.0**-53
     return u
 

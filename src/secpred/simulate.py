@@ -15,6 +15,7 @@ import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,20 @@ class SimResult:
     mode_switch_rate: float
 
 
-def _chunk_sums(args):
-    instance, model, params, seed, start, count = args
+# The run whose chunks the current thread works on: (instance, model,
+# params, seed).  A pool's initializer sets it once in each worker, so the
+# instance is sent once per worker rather than with every chunk.
+_RUN: ContextVar[tuple] = ContextVar("secpred_simulate_run")
+
+
+def _start_run(run):
+    # a module-level function, so that a spawned worker can unpickle it
+    _RUN.set(run)
+
+
+def _chunk_sums(span):
+    instance, model, params, seed = _RUN.get()
+    start, count = span
     res = run_trials_batch(instance, model, params, seed, start, count)
     return (
         float(np.sum(res.ratios)),
@@ -63,6 +76,16 @@ def _chunk_sums(args):
         int(np.count_nonzero(res.hired >= 0)),
         int(np.count_nonzero(res.switched)),
     )
+
+
+def _integer(name, x):
+    # operator.index takes an exact integer of any type, a bool among them
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 def estimate_ratio(
@@ -75,24 +98,29 @@ def estimate_ratio(
 ) -> SimResult:
     """Empirical E[hired value] / v* over independent schedule+trial pairs."""
     check_model(model)
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise ValueError(f"trials must be an integer, got {trials!r}") from None
+    trials = _integer("trials", trials)
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    threads = _integer("threads", threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    seed = _integer("seed", seed)
     spans = [(s, min(CHUNK, trials - s)) for s in range(0, trials, CHUNK)]
-    jobs = [(instance, model, params, seed, s, c) for s, c in spans]
+    run = (instance, model, params, seed)
     # an executor may start all its workers at the first submit, so ask for
     # no more than there are chunks to run and cores to run them on
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    workers = min(threads, len(spans), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_sums, jobs))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_run, initargs=(run,)
+        ) as pool:
+            parts = list(pool.map(_chunk_sums, spans))
     else:
-        parts = [_chunk_sums(j) for j in jobs]
+        token = _RUN.set(run)
+        try:
+            parts = [_chunk_sums(s) for s in spans]
+        finally:
+            _RUN.reset(token)
 
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)

@@ -80,7 +80,7 @@ def test_batch_matches_scalar_across_blocks_fuzz(
     model, monkeypatch, trials_per_setup=40, setups=8
 ):
     # a block of a few rows, so that every batch spans several blocks
-    monkeypatch.setattr(policy, "BLOCK_ELEMENTS", 997)
+    monkeypatch.setattr(policy, "ROW_ELEMENTS", 997)
     rng = np.random.default_rng(3_03 if model == "cosp" else 30_3)
     for s in range(setups):
         inst, params = wide_setup(rng)

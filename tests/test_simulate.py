@@ -46,8 +46,10 @@ class _RecordingPool:
     # stands in for ProcessPoolExecutor: records its size, runs in process
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -75,11 +77,23 @@ def test_pool_clamped_to_chunks_and_cpus(monkeypatch, threads, cpus, want):
     assert _RecordingPool.sizes == want
 
 
-@pytest.mark.parametrize("threads", [0, -1])
-def test_threads_below_one_rejected(threads):
+@pytest.mark.parametrize(
+    "threads,seed,message",
+    [
+        pytest.param(0, 2, "threads must be >= 1", id="0"),
+        pytest.param(-1, 2, "threads must be >= 1", id="-1"),
+        pytest.param(2.5, 2, "threads must be an integer", id="threads 2.5"),
+        pytest.param(True, 2, "threads must be an integer", id="threads True"),
+        pytest.param("2", 2, "threads must be an integer", id="threads '2'"),
+        pytest.param(1, 1.5, "seed must be an integer", id="seed 1.5"),
+        pytest.param(1, "2", "seed must be an integer", id="seed '2'"),
+    ],
+)
+def test_threads_below_one_rejected(monkeypatch, threads, seed, message):
+    monkeypatch.setattr(sim, "_chunk_sums", _no_chunks)
     inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        estimate_ratio(inst, "rosp", Q, trials=10, seed=2, threads=threads)
+    with pytest.raises(ValueError, match=message):
+        estimate_ratio(inst, "rosp", Q, trials=10, seed=seed, threads=threads)
 
 
 def _no_chunks(args):
