@@ -202,11 +202,11 @@ def _first_hires(times, opens, gstart):
         pre = times[todo, :width]
         outside = pre < opens[todo, None]
         found = outside.any(axis=1)
-        j0 = np.where(found, outside.argmax(axis=1), n)
-        pre[np.arange(width) >= gstart[j0][:, None]] = np.inf
+        lim = gstart[np.where(found, outside.argmax(axis=1), n)]
+        pre[np.arange(width) >= lim[:, None]] = np.inf
         pos = pre.argmin(axis=1)
         done = found | (width == n)
-        first[todo[done]] = np.where(gstart[j0[done]] > 0, pos[done], -1)
+        first[todo[done]] = np.where(lim[done] > 0, pos[done], -1)
         todo = todo[~done]
         width *= 4
     return first
