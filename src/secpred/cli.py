@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import policy
+from . import core
 from .analytic import DEFAULT_THRESHOLDS, case_bound
 from .certify import certify, report_to_json
 from .core import COSP, ROSP, PolicyParams, dump_instance, load_instance
@@ -128,15 +128,15 @@ def _cmd_tune(args) -> int:
 def _cmd_derand_demo(args) -> int:
     from scipy.stats import kstest
 
-    if not (1 <= args.n <= policy.BLOCK_ELEMENTS and 1 <= args.samples <= MAX_DEMO_SAMPLES):
+    if not (1 <= args.n <= core.BLOCK_ELEMENTS and 1 <= args.samples <= MAX_DEMO_SAMPLES):
         raise ValueError(
-            f"need 1 <= n <= {policy.BLOCK_ELEMENTS} and 1 <= samples <= {MAX_DEMO_SAMPLES}, "
+            f"need 1 <= n <= {core.BLOCK_ELEMENTS} and 1 <= samples <= {MAX_DEMO_SAMPLES}, "
             f"got n={args.n} samples={args.samples}"
         )
     rng = np.random.default_rng(args.seed)
     # rows of about BLOCK_ELEMENTS draws at a time; the generator fills them
     # in order, so t1 is the same as from one (samples x n) draw
-    rows = max(1, policy.BLOCK_ELEMENTS // args.n)
+    rows = max(1, core.BLOCK_ELEMENTS // args.n)
     t1 = np.concatenate([
         rng.random((min(rows, args.samples - lo), args.n)).min(axis=1)
         for lo in range(0, args.samples, rows)

@@ -31,9 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# BLOCK_ELEMENTS is not used here: derand-demo reads its row cap as
-# policy.BLOCK_ELEMENTS
-from .core import BLOCK_ELEMENTS, COSP, Instance, PolicyParams, Schedule, check_model  # noqa: F401
+from .core import COSP, Instance, PolicyParams, Schedule, check_model
 from .rng import TrialStream, trial_seeds_vector, uniforms_at
 
 __all__ = [

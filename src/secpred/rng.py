@@ -76,7 +76,7 @@ def uniforms_at(seeds: np.ndarray, draws: np.ndarray, out: np.ndarray | None = N
         z = np.asarray(draws, dtype=np.uint64) * np.uint64(_GAMMA)
         z = np.asarray(seeds, dtype=np.uint64) + z
         u = np.empty(z.shape) if out is None else out
-        _mix_array(z, u.view(np.uint64))
+        z = _mix_array(z, u.view(np.uint64))
     z >>= np.uint64(11)
     u[...] = z
     u *= 2.0**-53

@@ -15,7 +15,6 @@ import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,20 +54,8 @@ class SimResult:
     mode_switch_rate: float
 
 
-# The run whose chunks the current thread works on: (instance, model,
-# params, seed).  A pool's initializer sets it once in each worker, so the
-# instance is sent once per worker rather than with every chunk.
-_RUN: ContextVar[tuple] = ContextVar("secpred_simulate_run")
-
-
-def _start_run(run):
-    # a module-level function, so that a spawned worker can unpickle it
-    _RUN.set(run)
-
-
-def _chunk_sums(span):
-    instance, model, params, seed = _RUN.get()
-    start, count = span
+def _chunk_sums(args):
+    instance, model, params, seed, start, count = args
     res = run_trials_batch(instance, model, params, seed, start, count)
     return (
         float(np.sum(res.ratios)),
@@ -106,21 +93,15 @@ def estimate_ratio(
         raise ValueError(f"threads must be >= 1, got {threads}")
     seed = _integer("seed", seed)
     spans = [(s, min(CHUNK, trials - s)) for s in range(0, trials, CHUNK)]
-    run = (instance, model, params, seed)
+    jobs = [(instance, model, params, seed, s, c) for s, c in spans]
     # an executor may start all its workers at the first submit, so ask for
     # no more than there are chunks to run and cores to run them on
-    workers = min(threads, len(spans), os.cpu_count() or 1)
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_run, initargs=(run,)
-        ) as pool:
-            parts = list(pool.map(_chunk_sums, spans))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_chunk_sums, jobs))
     else:
-        token = _RUN.set(run)
-        try:
-            parts = [_chunk_sums(s) for s in spans]
-        finally:
-            _RUN.reset(token)
+        parts = [_chunk_sums(j) for j in jobs]
 
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from secpred.cli import MAX_DEMO_SAMPLES, main
-from secpred.policy import BLOCK_ELEMENTS
+from secpred.core import BLOCK_ELEMENTS
 
 COSP_FLAGS = [
     "--model", "cosp", "--theta", "0.58", "--tau", "0.37", "--beta", "0.64",
@@ -108,12 +108,12 @@ def test_derand_demo(capsys):
 
 def test_derand_demo_blocks_change_nothing(capsys, monkeypatch):
     # blocks of 7 rows (a ragged last one) draw the same t1 as one block
-    from secpred import policy
+    from secpred import core
 
     argv = ["derand-demo", "--n", "5", "--samples", "20000", "--seed", "1"]
     assert main(argv) == 0
     whole = capsys.readouterr().out
-    monkeypatch.setattr(policy, "BLOCK_ELEMENTS", 7 * 5)
+    monkeypatch.setattr(core, "BLOCK_ELEMENTS", 7 * 5)
     assert 20000 % 7
     assert main(argv) == 0
     assert capsys.readouterr().out == whole

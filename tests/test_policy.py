@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,18 +143,56 @@ def test_estimate_single_trial():
     assert res.std_error == 0.0
 
 
-@pytest.mark.parametrize("model", ["cosp", "rosp"])
-def test_batch_matches_scalar(model):
+def _batch_setups():
     inst = build_instance(
         [0.95, 1.0, 0.5, 0.1, 0.05],
         [(1 + 0.99) * 0.95, 1.0, (1 - 0.99) * 0.5, 0.1, 0.05],
     )
-    params = THEOREM_COSP_PARAMS if model == "cosp" else PolicyParams(
-        theta=0.63, tau=0.33, gamma=0.34, delta=0.66
-    )
+    rosp = PolicyParams(theta=0.63, tau=0.33, gamma=0.34, delta=0.66)
+    setups = [
+        pytest.param("cosp", inst, THEOREM_COSP_PARAMS, id="cosp"),
+        pytest.param("rosp", inst, rosp, id="rosp"),
+    ]
+    x = 0.8
+    # values x, x, x(1 + 1e-12) perturb to x, x(1 + 1e-12), x(1 + 1e-12): the
+    # top value is a tie, held by the top prediction and by a mistake, so a
+    # tied arrival before the window must keep the other from being hired
+    tie = build_instance([x, x, x * (1 + 1e-12), 0.5, 0.3], [0.1, 0.9, 0.7, 0.5, 0.05])
+    assert tie.values[1] == tie.values[2] and tie.top_predicted_index == 1
+    exact = build_instance([4.0, 9.0, 1.0, 2.0], [4.1, 8.8, 1.0, 2.0])
+    # 150 low mistakes bring t_switch near 0, so with a small tau most rows
+    # have their top-valued columns in the window and the prefix widens
+    rng = np.random.default_rng(8)
+    values = rng.uniform(0.5, 1.0, 200)
+    values[50:] *= 0.1
+    preds = values.copy()
+    preds[50:] *= 3.0
+    preds[3] = 1.5
+    wide = build_instance(values.tolist(), preds.tolist())
+    # the top prediction is the top value and the only mistake: a gated-out
+    # hire has nobody above it to pass to
+    top = build_instance([1.0, 0.5, 0.3], [1.9, 0.5, 0.3])
+    base = PolicyParams(theta=0.5, tau=0.3, gamma=0.4, delta=0.6, beta=0.64)
+    edges = [
+        ("tie", tie, base),
+        ("no-mistakes", exact, base),
+        ("tau0", tie, replace(base, tau=0.0)),
+        ("tau1", tie, replace(base, tau=1.0)),
+        ("wide-tau0", wide, replace(base, tau=0.0)),
+        ("wide-tau0.02", wide, replace(base, tau=0.02)),
+        ("top-gated", top, base),
+    ]
+    for name, edge, params in edges:
+        for model in ("cosp", "rosp"):
+            setups.append(pytest.param(model, edge, params, id=f"{name}-{model}"))
+    return setups
+
+
+@pytest.mark.parametrize("model,inst,params", _batch_setups())
+def test_batch_matches_scalar(model, inst, params):
     seed, n = 2024, 4000
     batch = run_trials_batch(inst, model, params, seed, 0, n)
-    for i in range(0, n, 97):
+    for i in range(0, n, 7):
         stream = TrialStream(trial_seed(seed, i))
         if model == "cosp":
             sched = make_cosp_schedule(inst, params.beta, stream)
@@ -161,9 +200,9 @@ def test_batch_matches_scalar(model):
             sched = make_rosp_schedule(inst, stream)
         out = run_trial(inst, sched, params, stream)
         want = out.hired_index if out.hired_index is not None else -1
-        assert batch.hired[i] == want
-        assert batch.ratios[i] == pytest.approx(out.ratio, abs=0)
-        assert batch.switched[i] == (out.switch_time is not None)
+        assert batch.hired[i] == want, i
+        assert batch.ratios[i] == out.ratio, i
+        assert batch.switched[i] == (out.switch_time is not None), i
 
 
 def test_batch_redraws_colliding_schedule_like_scalar():
@@ -208,51 +247,3 @@ def test_batch_memory_bounded():
     assert peak < 150e6, f"peak {peak / 1e6:.0f} MB"
 
 
-def _edge_setups():
-    x = 0.8
-    # values x, x, x(1 + 1e-12) perturb to x, x(1 + 1e-12), x(1 + 1e-12): the
-    # top value is a tie, held by the top prediction and by a mistake, so a
-    # tied arrival before the window must keep the other from being hired
-    tie = build_instance([x, x, x * (1 + 1e-12), 0.5, 0.3], [0.1, 0.9, 0.7, 0.5, 0.05])
-    assert tie.values[1] == tie.values[2] and tie.top_predicted_index == 1
-    exact = build_instance([4.0, 9.0, 1.0, 2.0], [4.1, 8.8, 1.0, 2.0])
-    # 150 low mistakes bring t_switch near 0, so with a small tau most rows
-    # have their top-valued columns in the window and the prefix widens
-    rng = np.random.default_rng(8)
-    values = rng.uniform(0.5, 1.0, 200)
-    values[50:] *= 0.1
-    preds = values.copy()
-    preds[50:] *= 3.0
-    preds[3] = 1.5
-    wide = build_instance(values.tolist(), preds.tolist())
-    # the top prediction is the top value and the only mistake: a gated-out
-    # hire has nobody above it to pass to
-    top = build_instance([1.0, 0.5, 0.3], [1.9, 0.5, 0.3])
-    base = dict(theta=0.5, tau=0.3, gamma=0.4, delta=0.6, beta=0.64)
-    return [
-        pytest.param(tie, base, id="tie"),
-        pytest.param(exact, base, id="no-mistakes"),
-        pytest.param(tie, {**base, "tau": 0.0}, id="tau0"),
-        pytest.param(tie, {**base, "tau": 1.0}, id="tau1"),
-        pytest.param(wide, {**base, "tau": 0.0}, id="wide-tau0"),
-        pytest.param(wide, {**base, "tau": 0.02}, id="wide-tau0.02"),
-        pytest.param(top, base, id="top-gated"),
-    ]
-
-
-@pytest.mark.parametrize("model", ["cosp", "rosp"])
-@pytest.mark.parametrize("inst,params", _edge_setups())
-def test_batch_matches_scalar_edge_cases(inst, params, model):
-    params = PolicyParams(**params)
-    seed, n = 77, 600
-    batch = run_trials_batch(inst, model, params, seed, 0, n)
-    for i in range(n):
-        stream = TrialStream(trial_seed(seed, i))
-        if model == "cosp":
-            sched = make_cosp_schedule(inst, params.beta, stream)
-        else:
-            sched = make_rosp_schedule(inst, stream)
-        out = run_trial(inst, sched, params, stream)
-        assert batch.hired[i] == (out.hired_index if out.hired_index is not None else -1), i
-        assert batch.ratios[i] == out.ratio, i
-        assert batch.switched[i] == (out.switch_time is not None), i

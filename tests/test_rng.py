@@ -37,3 +37,11 @@ def test_uniforms_at_offset_draws():
 def test_trial_seeds_vector_matches_trial_seed():
     got = trial_seeds_vector(2**63 + 5, 1000, 6)
     assert got.tolist() == [trial_seed(2**63 + 5, i) for i in range(1000, 1006)]
+
+
+def test_uniforms_at_plain_ints():
+    # 0-d inputs mix too: the d-th uniform of one stream from two ints
+    want = _stream_table(SEEDS, 12)
+    for r, s in enumerate(SEEDS.tolist()):
+        for d in (1, 5, 12):
+            assert float(uniforms_at(s, d)) == want[r, d - 1]

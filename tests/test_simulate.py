@@ -46,10 +46,8 @@ class _RecordingPool:
     # stands in for ProcessPoolExecutor: records its size, runs in process
     sizes = []
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        if initializer is not None:
-            initializer(*initargs)
 
     def __enter__(self):
         return self
