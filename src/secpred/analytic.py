@@ -291,12 +291,6 @@ def _cosp1(p, m, k, m2, tm, tk):
     # top prediction is the true best and is itself a mistake
     if m is None:
         return _shrink_b(p, tm) * (p.tau / p.beta) * p.delta
-    return _cosp_c1(p, m)
-
-
-@_memo
-def _cosp_c1(p, m):
-    # memoized: every enumeration cell with m >= 1 asks for it
     skip = _ub(p, m - 1)
     return (p.tau / p.beta) * p.delta * (1.0 - skip) + p.gamma * skip
 
@@ -364,12 +358,6 @@ def _rosp1(p, m, k, m2, tm, tk):
     # top prediction is the true best and is itself a mistake
     if m is None:
         return _shrink_t(p, tm) * p.delta * p.tau * _ln_it(p)
-    return _rosp_c1(p, m)
-
-
-@_memo
-def _rosp_c1(p, m):
-    # memoized: every enumeration cell with m >= 1 asks for it
     return p.delta * p.tau * _s1(p, m - 1) + p.gamma * _ut(p, m) / m
 
 
@@ -564,7 +552,7 @@ CASE_FORMS = {
 _CASE_M_MIN = {0: 0, 1: 1, 2: 0, 3: 2, 4: 1, 5: 1, 6: 0}
 
 DEFAULT_THRESHOLDS = (20, 20)  # (tm, tk): m, m2 above tm or k above tk are large
-# Entries grow about as T^2.85 (13.1k at T = 20, 719k at T = 80, 2.4M at
+# Entries grow about as T^2.9 (9.8k at T = 20, 538k at T = 80, 1.79M at
 # T = 120), so larger thresholds are refused before any work.
 MAX_THRESHOLD = 200
 # A given m, k or m2 above this is refused before any form runs: the forms'

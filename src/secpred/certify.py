@@ -12,9 +12,9 @@ evaluated per cell; case 0 is the single analytic check
 (1-theta)/(1+theta) >= B.
 
 Each case is evaluated only on cells its adversarial structure can
-realize:
+realize (``_LEAST_M`` holds each case's least m), and once per value:
 
-* case 1 needs m >= 1,
+* case 1 needs m >= 1 and reads m alone, so it is taken at (m, 0, m) only,
 * cases 4 and 5 need k >= 1 (the true best beats the top prediction) and
   m2 <= m-1 (a mistake coinciding with the special candidate never counts
   toward m2); chosen-order case 4 additionally needs m >= 2 (with the top
@@ -23,7 +23,11 @@ realize:
   stays healthy at m = 1 and its large-k limit
   tau^2 ln(1/tau) + tau(1-tau+tau ln tau) = 0.2211 is what the published
   0.221 rounds from),
-* case 6 needs m = 0 or k >= 1, over the enumerated window m2 >= m-k.
+* case 6 needs k >= 1, over the enumerated window m2 >= m-k, or m = 0,
+  where it is the floor r and is taken at (0, 0, 0) only.
+
+An entry left out equals a kept one that sorts before it, so the first
+minimum is the same.
 
 ``iter_entries`` is the one enumeration of (case, regime, m, k, m2)
 entries.  ``certify`` is one serial pass over ``iter_entries`` at a single
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 
 from . import analytic
 from .analytic import DEFAULT_THRESHOLDS, MAX_THRESHOLD, check_thresholds  # re-exported
-from .core import COSP, PolicyParams, check_model
+from .core import COSP, ROSP, PolicyParams, check_model
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
@@ -110,21 +114,20 @@ class CertReport:
     regimes: tuple[dict, ...]
 
 
-def _case4_min_m(model: str) -> int:
-    return 2 if model == COSP else 1
+# the least m the enumeration evaluates each case at, in the exact cells and
+# the large-k regime alike
+_LEAST_M = {
+    (COSP, 1): 1, (COSP, 4): 2, (COSP, 5): 1, (COSP, 6): 0,
+    (ROSP, 1): 1, (ROSP, 4): 1, (ROSP, 5): 1, (ROSP, 6): 0,
+}
 
 
 def _applicable_cases(model: str, m: int, k: int, m2: int) -> list[int]:
-    cases = []
-    if m >= 1:
-        cases.append(1)
-    if m >= _case4_min_m(model) and k >= 1 and m2 <= m - 1:
-        cases.append(4)
-    if m >= 1 and k >= 1 and m2 <= m - 1:
-        cases.append(5)
-    if m == 0 or (k >= 1 and m2 >= max(0, m - k)):
-        cases.append(6)
-    return cases
+    # k = 0 is the first cell (m, 0, m) of each m, as m2 >= m - k
+    if k == 0:
+        return [1] if m >= _LEAST_M[model, 1] else [6]
+    cases = [c for c in (4, 5) if m >= _LEAST_M[model, c] and m2 <= m - 1]
+    return cases + [6] if m >= 1 else cases
 
 
 def iter_small_cells(tm: int, tk: int):
@@ -140,9 +143,8 @@ def small_cell_count(tm: int, tk: int) -> int:
 
 def _regime_entries(model: str, label: str, tm: int, tk: int):
     for case_id in (1, 4, 5, 6):
-        min_m = _case4_min_m(model) if case_id == 4 else 1 if case_id in (1, 5) else 0
         if label == "large_k":
-            for m in range(min_m, tm + 1):
+            for m in range(_LEAST_M[model, case_id], tm + 1):
                 yield case_id, label, m, None, None
         elif case_id == 1 or label == "large_mk":
             yield case_id, label, None, None, None

@@ -38,6 +38,10 @@ ROSP = "rosp"
 # Elements per array in a block of simulation rows or of tune's search mesh,
 # so memory stays a few megabytes; also the most candidates an instance has.
 BLOCK_ELEMENTS = 1 << 20
+# Instance files above this are refused unparsed.  dump_instance writes at
+# most 50 bytes a candidate (two float reprs of at most 23 characters, each
+# followed by ", "), so every instance within BLOCK_ELEMENTS is admitted.
+MAX_INSTANCE_BYTES = 64 * BLOCK_ELEMENTS
 
 # Relative tie-breaking offset.  Duplicate values get v * (1 + rank * PERTURB_ETA)
 # in input order, keeping every ratio within ~1e-11 of the original.
@@ -190,8 +194,13 @@ def dump_instance(instance: Instance, path: str) -> None:
 
 
 def load_instance(path: str) -> Instance:
+    # a bounded read, so a pipe is capped too; a UTF-8 character takes at
+    # least one byte, so more characters than the cap are more bytes too
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        text = fh.read(MAX_INSTANCE_BYTES + 1)
+    if len(text) > MAX_INSTANCE_BYTES:
+        raise ValueError(f"{path}: larger than the cap of {MAX_INSTANCE_BYTES} bytes")
+    obj = json.loads(text)
     if not isinstance(obj, dict) or "values" not in obj or "predictions" not in obj:
         raise ValueError(f"{path}: expected an object with 'values' and 'predictions'")
     return build_instance(obj["values"], obj["predictions"])

@@ -230,13 +230,10 @@ def _resolve_block(times, u_gate, gstart, mistake_cols, pos_ihat, params):
     hired[pred_hire] = pos_ihat
     p_gate = np.where(t_ihat == t_switch, params.gamma, params.delta)
     fall = np.flatnonzero(~pred_hire & (hired == pos_ihat) & ~(u_gate < p_gate))
-    hired[fall] = -1
     above = gstart[pos_ihat]
-    if fall.size and above:
-        later = times[fall, :above]
-        later[later <= t_ihat[fall, None]] = np.inf
-        second = later.argmin(axis=1)
-        hired[fall] = np.where(np.isfinite(later[np.arange(fall.size), second]), second, -1)
+    # ihat was the earliest of columns [0, lim), which holds [0, above), and no
+    # two times in a row are equal, so every column before above arrives later
+    hired[fall] = times[fall, :above].argmin(axis=1) if above else -1
 
     switched = np.isfinite(t_switch) & ~pred_hire
     return hired, switched

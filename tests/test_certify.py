@@ -15,6 +15,7 @@ from secpred import (
 )
 from secpred.analytic import CASE_FORMS, Point, case_bound, prediction_floor
 from secpred.certify import (
+    DEFAULT_THRESHOLDS,
     MAX_THRESHOLD,
     CaseBound,
     iter_entries,
@@ -50,9 +51,33 @@ def test_cell_100_case1_only():
 
 
 def test_cell_211_four_bounds():
+    # case 1 reads m alone, so its m = 2 bound sits at the first cell (2, 0, 2)
     bounds = cell_bounds("cosp", P, (2, 1, 1))
-    assert sorted(b.case_id for b in bounds) == ["C1", "C4", "C5", "C6"]
-    assert all(b.value >= 0.262 for b in bounds)
+    assert sorted(b.case_id for b in bounds) == ["C4", "C5", "C6"]
+    first = cell_bounds("cosp", P, (2, 0, 2))
+    assert [b.case_id for b in first] == ["C1"]
+    assert all(b.value >= 0.262 for b in bounds + first)
+
+
+@pytest.mark.parametrize("model,params", [("cosp", P), ("rosp", Q), ("cosp", "mesh"),
+                                          ("rosp", "mesh")])
+def test_k_free_entries_taken_once(model, params):
+    # Case 1 reads m alone and case 6 at m = 0 is the floor r at every k, so
+    # the enumeration takes each once per m, at (m, 0, m).  Were a form to read
+    # k or m2 there, a dropped entry could hold a lower bound.
+    tm, tk = DEFAULT_THRESHOLDS
+    point = _mesh_point(model) if params == "mesh" else Point.of(model, params)
+    first = _mesh_point(model) if params == "mesh" else Point.of(model, params)
+    c1, c6 = CASE_FORMS[model, 1], CASE_FORMS[model, 6]
+    for m, k, m2 in iter_small_cells(tm, tk):
+        if m >= 1:
+            want = c1(first, m, 0, m, tm, tk)
+            assert np.array_equal(c1(point, m, k, m2, tm, tk), want), (m, k, m2)
+    for k in range(tk + 1):
+        assert np.array_equal(c6(point, 0, k, 0, tm, tk), c6(first, 0, 0, 0, tm, tk)), k
+    exact = [(c, m, k, m2) for c, regime, m, k, m2 in iter_entries(model, tm, tk)
+             if regime == "exact" and (c == 1 or c == 6 and m == 0)]
+    assert exact == [(6, 0, 0, 0)] + [(1, m, 0, m) for m in range(1, tm + 1)]
 
 
 def test_cell_count_closed_form():

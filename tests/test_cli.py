@@ -189,6 +189,26 @@ def test_io_error_exit_two(capsys):
     assert code == 2
 
 
+def test_simulate_oversized_instance_file_exit_two(tmp_path, capsys, monkeypatch):
+    # a file of exactly the cap loads; one byte more is refused before parsing
+    import secpred.core as core
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("instance file parsed")
+
+    inst = tmp_path / "inst.json"
+    main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.58", "--out", str(inst)])
+    argv = ["simulate", "--instance", str(inst), *COSP_FLAGS, "--trials", "10", "--threads", "1"]
+    size = inst.stat().st_size
+    monkeypatch.setattr(core, "MAX_INSTANCE_BYTES", size)
+    assert main(argv) == 0
+    monkeypatch.setattr(core, "MAX_INSTANCE_BYTES", size - 1)
+    monkeypatch.setattr(json, "loads", no_parse)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"cap of {size - 1} bytes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "body",
     [

@@ -11,7 +11,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "script", ["01_certify_bounds.py", "03_parameter_search.py", "04_derandomization.py"]
+    "script",
+    [
+        "01_certify_bounds.py",
+        "02_simulate_adversarial_families.py",
+        "03_parameter_search.py",
+        "04_derandomization.py",
+    ],
 )
 def test_demo_runs(script):
     env = dict(os.environ)
