@@ -18,21 +18,31 @@ before it, and a gated-out top prediction passes to the earliest later
 arrival that beats it.  The engine holds the candidates as columns in
 decreasing value, so the best value that arrived before the window is the
 first column that did, and the candidates that beat it are the columns
-ahead of it.  Those are found on a short column prefix that widens only
-for the rows that need it; only the draws and the collision check read
-whole rows.  Trials run in row blocks of about ``ROW_ELEMENTS`` arrival
-times, sized for a core's L2 cache, so memory does not grow with n or
-with the number of trials.
+ahead of it.
+
+A block of trials runs in two stages.  The collision stage is the only one
+that reads whole rows: it mixes each row's raw 64-bit draws and compares
+them on integer keys, which equal times share (32-bit ones below
+n = 2^16), so that only the rare rows with two equal keys are compared on
+their float times, and only the rows whose times truly collide are
+redrawn.  It keeps the raw draws of the columns the resolution stage
+reads: a short column prefix, the mistakes and the top prediction.  The
+resolution stage turns those into times, and draws a wider prefix only for
+the rows that need it.  Both stages work on blocks of about
+``ROW_ELEMENTS`` draws, sized for a core's L2 cache, so memory does not
+grow with n or with the number of trials.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import COSP, Instance, PolicyParams, Schedule, check_model
-from .rng import TrialStream, trial_seeds_vector, uniforms_at
+from .rng import TrialStream, advanced, to_uniforms, trial_seeds_vector, u64_at, uniforms_at
 
 __all__ = [
     "TrialOutcome",
@@ -43,9 +53,18 @@ __all__ = [
     "BatchResult",
 ]
 
-# Rows per block are ROW_ELEMENTS // n: a block's float64 arrival times
-# then take 512 KiB and stay in a core's L2 cache while they are resolved.
+# Draws per block of either stage: the collision stage's two uint64 buffers
+# of ROW_ELEMENTS // n whole rows then take 512 KiB each and stay in a
+# core's L2 cache, and so do the draws a resolution block keeps.
 ROW_ELEMENTS = 1 << 16
+# Columns of the first prefix a row's hire is looked for on.
+_PREFIX = 16
+# The collision key of a raw draw is its high 32-bit word in rows of fewer
+# than _WIDE_KEYS columns, which hold n^2 / 2^33 < 0.5 equal pairs of such
+# keys on average; longer rows, which would mostly be compared again on
+# their times, are keyed on the time's 53 bits.
+_HIGH_WORD = 1 if sys.byteorder == "little" else 0
+_WIDE_KEYS = 1 << 16
 
 PREDICTION = "prediction"
 SECRETARY = "secretary"
@@ -156,84 +175,202 @@ class BatchResult:
     switched: np.ndarray     # bool: left prediction mode
 
 
-def _block_times(seeds, col_draw, per_round, pin, beta, out):
-    """Arrival times of a block of trials, as ``_draw_times`` draws them.
+def _colliding(times):
+    """Whether each row of float times holds two equal times."""
+    srt = np.sort(times, axis=1)
+    return (srt[:, 1:] == srt[:, :-1]).any(axis=1)
 
-    Column j takes draw ``col_draw[j]`` of its row's stream; in cosp the
-    draw numbers skip ihat, whose column ``pin`` is pinned at beta.  A row
-    whose times collide is redrawn whole from the next ``per_round`` draws.
-    The times are written into ``out``.  Returns them and the number of
-    draws each row used.
+
+def _key_collisions(z, keys, pin, beta):
+    """Rows of raw draws ``z`` whose arrival times collide.
+
+    A draw's time is its top 53 bits.  The rows are compared first on keys
+    sorted in ``keys``, an array of z's shape that is overwritten: as
+    uint32 it holds each draw's high word, which equal times share, and as
+    uint64 its 53 time bits.  Only the rows with two equal keys are
+    compared on their float times.  In cosp, column ``pin`` is beta, keyed
+    as the draw ``floor(beta 2^53)`` would be: a beta that is not a
+    multiple of 2^-53 may share a key but never a time.
     """
-    seeds = seeds[:, None]
-    times = uniforms_at(seeds, col_draw, out)
+    if keys.dtype == np.uint32:
+        np.copyto(keys, z.view(np.uint32)[:, _HIGH_WORD::2])
+        drop = 21
+    else:
+        np.right_shift(z, np.uint64(11), out=keys)
+        drop = 0
+    if beta is not None:
+        keys[:, pin] = int(beta * 2.0**53) >> drop
+    keys.sort(axis=1)
+    rows = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
+    if not rows.size:
+        return rows
+    times = (z[rows] >> np.uint64(11)) * 2.0**-53
     if beta is not None:
         times[:, pin] = beta
-    used = np.full(len(seeds), per_round, dtype=np.uint64)
-    while True:
-        srt = np.sort(times, axis=1)
-        bad = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
-        if not bad.size:
-            return times, used
-        redo = uniforms_at(seeds[bad], used[bad, None] + col_draw)
+    return rows[_colliding(times)]
+
+
+def _redrawn(seeds, col_draw, per_round, pin, beta):
+    """Draws used by rows whose first round of times collided.
+
+    As ``_draw_times`` does, each row draws round after round of
+    ``per_round`` times until one round's times are distinct.
+    """
+    used = np.full(len(seeds), 2 * per_round, dtype=np.uint64)
+    todo = np.arange(len(seeds))
+    while todo.size:
+        last = advanced(seeds[todo], used[todo] - np.uint64(per_round))
+        times = uniforms_at(last[:, None], col_draw)
         if beta is not None:
-            redo[:, pin] = beta
-        times[bad] = redo
-        used[bad] += np.uint64(per_round)
+            times[:, pin] = beta
+        todo = todo[_colliding(times)]
+        used[todo] += np.uint64(per_round)
+    return used
 
 
-def _first_hires(times, opens, gstart):
-    """Position of each row's first secretary-mode hire, or -1.
+def _view(buf, shape, dtype):
+    """The first elements of buffer ``buf`` as an array of this shape and dtype."""
+    return buf.reshape(-1).view(dtype)[: math.prod(shape)].reshape(shape)
+
+
+def _draws_used(seeds, col_draw, per_round, pin, beta, cols, z, scratch, taken):
+    """Draws each row's schedule takes, ``per_round`` for each round drawn.
+
+    Column j of a row takes draw ``col_draw[j]`` of its stream; in cosp the
+    draw numbers skip ihat, whose column ``pin`` is pinned at beta.  Rows
+    run in groups of ``len(z)``, whose raw draws are mixed into the uint64
+    buffers ``z`` and ``scratch``; the collision keys reuse ``scratch``.
+    The raw draws of columns ``cols`` in each row's last round are copied
+    into ``taken``, so they need not be mixed again.
+    """
+    used = np.full(len(seeds), per_round, dtype=np.uint64)
+    step, n = z.shape
+    key = np.uint32 if n < _WIDE_KEYS else np.uint64
+    for lo in range(0, len(seeds), step):
+        group = seeds[lo:lo + step]
+        k = len(group)
+        raw = u64_at(group[:, None], col_draw, z[:k], scratch[:k])
+        np.take(raw, cols, axis=1, out=taken[lo:lo + k], mode="clip")
+        bad = _key_collisions(raw, _view(scratch, (k, n), key), pin, beta)
+        if bad.size:
+            used[lo + bad] = _redrawn(group[bad], col_draw, per_round, pin, beta)
+            last = advanced(group[bad], used[lo + bad] - np.uint64(per_round))
+            taken[lo + bad] = u64_at(last[:, None], col_draw[cols])
+    return used
+
+
+@dataclass(frozen=True)
+class _Draws:
+    """Where the arrival times of a block of rows come from, and go to.
+
+    Column c of row r is draw ``col_draw[c]`` of the stream seeded
+    ``starts[r]``, which begins at the row's last round of draws, and in
+    cosp column ``pin`` is beta.  Times are drawn into the uint64 buffer
+    ``out`` (as float64) through the buffer ``scratch``, so each draw
+    overwrites the times the last one returned.
+    """
+
+    starts: np.ndarray
+    col_draw: np.ndarray
+    pin: int
+    beta: float | None
+    out: np.ndarray
+    scratch: np.ndarray
+
+    def times(self, rows, cols):
+        """Arrival times of columns ``cols`` in rows ``rows``."""
+        starts = self.starts[rows]
+        shape = (len(starts), len(cols))
+        t = uniforms_at(
+            starts[:, None],
+            self.col_draw[cols],
+            _view(self.out, shape, np.float64),
+            _view(self.scratch, shape, np.uint64),
+        )
+        if self.beta is not None:
+            t[:, cols == self.pin] = self.beta
+        return t
+
+    def groups(self, rows, width):
+        """``rows`` in groups whose times on ``width`` columns fit a draw."""
+        step = self.out.size // width
+        return (rows[lo:lo + step] for lo in range(0, len(rows), step))
+
+
+def _scan(pre, opens, gstart):
+    """Each row's first secretary-mode hire found on the column prefix ``pre``.
 
     Columns run in decreasing value.  The best value outside the window is
     that of the first column j0 with ``t < opens``, and the candidates that
     beat it are the columns before ``gstart[j0]``, all in the window; the
-    hire is the earliest of them.  j0 is looked for on a prefix that widens
-    until every row has one or the prefix is the whole row (j0 = n).
+    hire is the earliest of them.  Returns its position (-1 if there is
+    none) and whether the prefix settles it: it holds j0 or the whole row.
+    Overwrites ``pre``.
     """
-    rows, n = times.shape
-    first = np.empty(rows, dtype=np.int64)
-    todo = np.arange(rows)
-    width = 16
+    width = pre.shape[1]
+    n = len(gstart) - 1
+    outside = pre < opens[:, None]
+    found = outside.any(axis=1)
+    lim = gstart[np.where(found, outside.argmax(axis=1), n)]
+    pre[np.arange(width) >= lim[:, None]] = np.inf
+    first = np.where(lim > 0, pre.argmin(axis=1), -1)
+    return first, found | (width == n)
+
+
+def _first_hires(pre, opens, gstart, draws):
+    """Position of each row's first secretary-mode hire, or -1.
+
+    ``pre`` holds each row's first columns.  The rows that prefix does not
+    settle are drawn again on a prefix four times as wide, until each is
+    settled.  Overwrites ``pre``.
+    """
+    first, done = _scan(pre, opens, gstart)
+    todo = np.flatnonzero(~done)
+    width = pre.shape[1]
+    n = len(gstart) - 1
     while todo.size:
-        width = min(width, n)
-        pre = times[todo, :width]
-        outside = pre < opens[todo, None]
-        found = outside.any(axis=1)
-        lim = gstart[np.where(found, outside.argmax(axis=1), n)]
-        pre[np.arange(width) >= lim[:, None]] = np.inf
-        pos = pre.argmin(axis=1)
-        done = found | (width == n)
-        first[todo[done]] = np.where(lim[done] > 0, pos[done], -1)
-        todo = todo[~done]
-        width *= 4
+        width = min(4 * width, n)
+        left = []
+        for rows in draws.groups(todo, width):
+            first[rows], done = _scan(draws.times(rows, np.arange(width)), opens[rows], gstart)
+            left.append(rows[~done])
+        todo = np.concatenate(left)
     return first
 
 
-def _resolve_block(times, u_gate, gstart, mistake_cols, pos_ihat, params):
+def _resolve_block(times, draws, cols, u_gate, gstart, mistake_cols, params):
     """Hired position (or -1) and the switched flag of each row.
 
-    Arrivals before max(tau, t_switch) are never hired, and each of them
-    arrives before every arrival in the window after it.  So the first
-    candidate the secretary mode takes is the earliest window arrival that
-    beats the best value outside the window.  If that is ihat and the gate
-    rejects it, the next is the earliest later arrival that beats v[ihat]:
-    one of the columns before ``gstart[pos_ihat]``.
+    ``times`` holds every row's columns ``cols``: a prefix of ``_PREFIX``
+    columns, the mistakes and ihat.  Other columns are drawn only for the
+    rows that read them, and each such draw overwrites ``times``.  Arrivals
+    before max(tau, t_switch) are never hired, and each of them arrives
+    before every arrival in the window after it.  So the first candidate
+    the secretary mode takes is the earliest window arrival that beats the
+    best value outside the window.  If that is ihat and the gate rejects
+    it, the next is the earliest later arrival that beats v[ihat]: one of
+    the columns before ``gstart[pos_ihat]``.
     """
-    t_switch = times[:, mistake_cols].min(axis=1, initial=np.inf)
-    t_ihat = times[:, pos_ihat]
+    pos_ihat = draws.pin
+    t_switch = times[:, np.searchsorted(cols, mistake_cols)].min(axis=1, initial=np.inf)
+    t_ihat = times[:, np.searchsorted(cols, pos_ihat)]
     pred_hire = t_ihat < t_switch
+    p_gate = np.where(t_ihat == t_switch, params.gamma, params.delta)
 
     # t > tau and t >= t_switch, as one comparison
     opens = np.maximum(np.nextafter(params.tau, np.inf), t_switch)
-    hired = _first_hires(times, opens, gstart)
+    # cols begins with the prefix
+    hired = _first_hires(times[:, : min(_PREFIX, len(cols))], opens, gstart, draws)
     hired[pred_hire] = pos_ihat
-    p_gate = np.where(t_ihat == t_switch, params.gamma, params.delta)
     fall = np.flatnonzero(~pred_hire & (hired == pos_ihat) & ~(u_gate < p_gate))
     above = gstart[pos_ihat]
     # ihat was the earliest of columns [0, lim), which holds [0, above), and no
     # two times in a row are equal, so every column before above arrives later
-    hired[fall] = times[fall, :above].argmin(axis=1) if above else -1
+    if above:
+        for rows in draws.groups(fall, above):
+            hired[rows] = draws.times(rows, np.arange(above)).argmin(axis=1)
+    else:
+        hired[fall] = -1
 
     switched = np.isfinite(t_switch) & ~pred_hire
     return hired, switched
@@ -253,9 +390,12 @@ def run_trials_batch(
     ``TrialStream(trial_seed(base_seed, i))`` exactly.  Block column c
     holds candidate ``order[c]``, the candidates sorted by decreasing value
     (ties in index order); each column keeps its candidate's draw number,
-    so the streams are read as the scalar replay reads them.  Hires are
-    resolved on column prefixes and mapped back through ``order``.  Trials
-    run in row blocks of ``ROW_ELEMENTS // n`` rows (at least one).
+    so the streams are read as the scalar replay reads them.  Trials run in
+    blocks of about ``ROW_ELEMENTS`` draws in two stages.  The collision
+    stage mixes whole rows, ``ROW_ELEMENTS // n`` at a time, to find the
+    draws each schedule takes, and keeps the raw draws of the columns the
+    resolution stage reads.  That stage finds the hires on column prefixes
+    and maps them back through ``order``.
     """
     beta = params.require_beta() if check_model(model) == COSP else None
 
@@ -279,21 +419,36 @@ def run_trials_batch(
     col_draw = col_draw[order]
     per_round = n - 1 if beta is not None else n
 
-    seeds = trial_seeds_vector(base_seed, start, count)
     hired = np.empty(count, dtype=np.int64)
     switched = np.empty(count, dtype=bool)
-    rows = max(1, ROW_ELEMENTS // n)
-    # every block draws into one buffer: block-sized arrays allocated for
-    # each block are handed back to the system and faulted in again
-    buf = np.empty((min(rows, count), n))
+    # both stages draw into the same two buffers: block-sized arrays
+    # allocated for each block are handed back to the system and faulted
+    # in again
+    z = np.empty((min(max(1, ROW_ELEMENTS // n), count), n), dtype=np.uint64)
+    scratch = np.empty_like(z)
+    # the columns the resolution stage reads of every row: a prefix, the
+    # mistakes and ihat; a block's rows keep their raw draws in taken
+    read = np.zeros(n, dtype=bool)
+    read[:_PREFIX] = True
+    read[mistake_cols] = True
+    read[pos_ihat] = True
+    cols = np.flatnonzero(read)
+    rows = max(1, z.size // len(cols))
+    taken = np.empty((min(rows, count), len(cols)), dtype=np.uint64)
     for lo in range(0, count, rows):
         block = slice(lo, lo + rows)
-        out = buf[: min(rows, count - lo)]
-        times, used = _block_times(seeds[block], col_draw, per_round, pos_ihat, beta, out)
+        seeds = trial_seeds_vector(base_seed, start + lo, min(rows, count - lo))
+        k = len(seeds)
+        used = _draws_used(seeds, col_draw, per_round, pos_ihat, beta, cols, z, scratch, taken)
+        times = to_uniforms(taken[:k], _view(z, (k, len(cols)), np.float64))
+        if beta is not None:
+            times[:, cols == pos_ihat] = beta
+        last = advanced(seeds, used - np.uint64(per_round))
         # the hire gate's uniform is the draw after the last time draw
-        u_gate = uniforms_at(seeds[block], used + np.uint64(1))
+        u_gate = uniforms_at(last, per_round + 1)
+        draws = _Draws(last, col_draw, pos_ihat, beta, z, scratch)
         hired[block], switched[block] = _resolve_block(
-            times, u_gate, gstart, mistake_cols, pos_ihat, params
+            times, draws, cols, u_gate, gstart, mistake_cols, params
         )
 
     hired = np.where(hired >= 0, order[hired], -1)

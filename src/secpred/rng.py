@@ -4,9 +4,9 @@ Every randomized component draws from a SplitMix64 stream.  Trial i of a
 simulation derives its own stream from a 64-bit mix of (base_seed, i), so
 trials are reproducible independently of execution order or worker count.
 A SplitMix64 stream is stateless in its draw number: draw d of the stream
-seeded with s is mix(s + d * GAMMA).  ``uniforms_at`` evaluates that for a
-whole array of (seed, draw number) pairs at once, which lets the batch
-simulation engine reproduce ``TrialStream`` runs bit for bit.
+seeded with s is mix(s + d * GAMMA).  ``u64_at`` and ``uniforms_at``
+evaluate that for a whole array of (seed, draw number) pairs at once, which
+lets the batch simulation engine reproduce ``TrialStream`` runs bit for bit.
 """
 
 from __future__ import annotations
@@ -62,25 +62,60 @@ class TrialStream:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def uniforms_at(seeds: np.ndarray, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def u64_at(seeds, draws, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+    """Raw 64-bit output number ``draws`` (counted from 1) of each seed's stream.
+
+    ``u64_at(s, d)`` equals the d-th ``TrialStream(s).next_u64()``, and the
+    arguments broadcast as in ``uniforms_at``.  The result is written into
+    ``out`` and mixed through ``scratch``, uint64 arrays of the broadcast
+    shape (each allocated when not given), so a caller drawing block after
+    block can reuse two buffers.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(seeds), np.shape(draws)), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _mix_array(advanced(seeds, draws, out), scratch)
+
+
+def uniforms_at(
+    seeds, draws, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Uniform number ``draws`` (counted from 1) of each seed's stream.
 
     ``uniforms_at(s, d)`` equals the d-th ``TrialStream(s).uniform()``.  The
     two arguments broadcast against each other, so a (rows, 1) column of
     seeds and a (rows, cols) array of draw numbers give a (rows, cols) block.
-    The mix's scratch space is the float64 array the result is written
-    into: ``out`` of the broadcast shape if given, so that a caller drawing
-    block after block reuses one buffer, else a new one.
+    The result is written into ``out``, a float64 array of the broadcast
+    shape, and the raw draws into ``scratch``, a uint64 one; each is
+    allocated when not given, so a caller drawing block after block can
+    reuse two buffers.
+    """
+    u = np.empty(np.broadcast_shapes(np.shape(seeds), np.shape(draws))) if out is None else out
+    return to_uniforms(u64_at(seeds, draws, scratch, u.view(np.uint64)), u)
+
+
+def to_uniforms(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The uniforms of raw draws ``z``, as ``TrialStream.uniform`` takes them.
+
+    Their top 53 bits, scaled to [0, 1), are written into the float64
+    array ``out``; ``z`` is overwritten.
+    """
+    z >>= np.uint64(11)
+    out[...] = z
+    out *= 2.0**-53
+    return out
+
+
+def advanced(seeds, draws, out: np.ndarray | None = None) -> np.ndarray:
+    """Seed of each stream moved on by ``draws`` draws, written into ``out``.
+
+    Draw d of the stream seeded ``advanced(s, b)`` is draw b + d of the
+    stream seeded s, so the d-th raw draw of s is the mix of
+    ``advanced(s, d)``.
     """
     with np.errstate(over="ignore"):
-        z = np.asarray(draws, dtype=np.uint64) * np.uint64(_GAMMA)
-        z = np.asarray(seeds, dtype=np.uint64) + z
-        u = np.empty(z.shape) if out is None else out
-        z = _mix_array(z, u.view(np.uint64))
-    z >>= np.uint64(11)
-    u[...] = z
-    u *= 2.0**-53
-    return u
+        step = np.asarray(draws, dtype=np.uint64) * np.uint64(_GAMMA)
+        return np.add(np.asarray(seeds, dtype=np.uint64), step, out=out)
 
 
 def trial_seeds_vector(base_seed: int, start: int, count: int) -> np.ndarray:

@@ -6,7 +6,9 @@ Trials are independent and reproducible: trial i derives its stream from a
 order, so the result is identical no matter how many workers run.  The
 batch engine works through each chunk in row blocks of bounded size, so a
 worker's memory stays a few tens of megabytes whatever n and the trial
-count are, and more workers add only that much each.
+count are, and more workers add only that much each.  A pool worker gets
+the run (instance, model, parameters and seed) once, through the pool's
+initializer, and its jobs are spans of trial indices.
 """
 
 from __future__ import annotations
@@ -54,9 +56,21 @@ class SimResult:
     mode_switch_rate: float
 
 
-def _chunk_sums(args):
-    instance, model, params, seed, start, count = args
-    res = run_trials_batch(instance, model, params, seed, start, count)
+# (instance, model, params, seed) of the run a pool worker serves, set once
+# per worker by the pool's initializer so that jobs carry only their span
+_worker_run = None
+
+
+def _init_worker(*run):
+    global _worker_run
+    _worker_run = run
+
+
+def _chunk_sums(span, run=None):
+    """Sums over trials ``span = (start, count)`` of ``run``, by default the
+    run this pool worker serves."""
+    instance, model, params, seed = _worker_run if run is None else run
+    res = run_trials_batch(instance, model, params, seed, *span)
     return (
         float(np.sum(res.ratios)),
         float(np.sum(res.ratios * res.ratios)),
@@ -93,15 +107,18 @@ def estimate_ratio(
         raise ValueError(f"threads must be >= 1, got {threads}")
     seed = _integer("seed", seed)
     spans = [(s, min(CHUNK, trials - s)) for s in range(0, trials, CHUNK)]
-    jobs = [(instance, model, params, seed, s, c) for s, c in spans]
+    run = (instance, model, params, seed)
     # an executor may start all its workers at the first submit, so ask for
     # no more than there are chunks to run and cores to run them on
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    workers = min(threads, len(spans), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_sums, jobs))
+        # the run goes to each worker once, not with every chunk
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=run
+        ) as pool:
+            parts = list(pool.map(_chunk_sums, spans))
     else:
-        parts = [_chunk_sums(j) for j in jobs]
+        parts = [_chunk_sums(span, run) for span in spans]
 
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)

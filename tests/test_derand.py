@@ -29,6 +29,17 @@ def test_uniform_transform_examples():
         uniform_from_first_arrival(0.5, 0)
 
 
+def test_uniform_transform_float_matches_array():
+    # a float goes through numpy's scalar loops, an array through its array
+    # loops: the two give the same bits
+    rng = np.random.default_rng(3)
+    t = np.concatenate([[0.0, 1.0, 1e-18, 0.5, 1 - 2**-53], rng.random(20_000)])
+    for n in (1, 7, 800):
+        want = uniform_from_first_arrival(t, n)
+        got = np.array([uniform_from_first_arrival(float(x), n) for x in t])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
 def test_uniform_transform_monotone():
     for n in (1, 5, 50):
         # strictly increasing where doubles can still resolve the increments

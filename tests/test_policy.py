@@ -15,6 +15,7 @@ from secpred import (
     make_rosp_schedule,
     run_trial,
 )
+from secpred import policy
 from secpred.policy import run_trials_batch
 from secpred.rng import TrialStream, trial_seed
 
@@ -233,6 +234,32 @@ def test_batch_redraws_colliding_schedule_like_scalar():
         assert batch.switched[i] == (out.switch_time is not None), i
 
 
+def test_batch_reads_redrawn_times():
+    # trial 0's first round collides as above.  In the redrawn round the
+    # true best, no mistake, arrives before the top prediction switches
+    # the mode, so nobody is hired; the first round's times would put it
+    # at beta and hire it
+    seed = 3
+    stream = TrialStream(trial_seed(seed, 0))
+    draws = [stream.uniform() for _ in range(2)]
+    params = PolicyParams(theta=0.5, tau=0.2, gamma=0.5, delta=0.5, beta=draws[0])
+    assert params.tau < draws[1] < params.beta
+    inst = build_instance([100.0, 1.0], [100.0, 190.0])
+    assert inst.top_predicted_index == 1
+
+    batch = run_trials_batch(inst, "cosp", params, seed, 0, 8)
+    for i in range(8):
+        stream = TrialStream(trial_seed(seed, i))
+        sched = make_cosp_schedule(inst, params.beta, stream)
+        out = run_trial(inst, sched, params, stream)
+        if i == 0:
+            assert sched.arrival_times == (draws[1], params.beta)
+            assert out.hired_index is None
+        assert batch.hired[i] == (out.hired_index if out.hired_index is not None else -1), i
+        assert batch.ratios[i] == out.ratio, i
+        assert batch.switched[i] == (out.switch_time is not None), i
+
+
 def test_batch_memory_bounded():
     # 16 384 trials at n = 800: an engine holding (trials x n) arrays
     # needs several hundred megabytes here
@@ -247,3 +274,84 @@ def test_batch_memory_bounded():
     assert peak < 150e6, f"peak {peak / 1e6:.0f} MB"
 
 
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_batch_matches_scalar_over_partial_blocks(model):
+    # a prime count above both stages' block sizes at n = 50: the
+    # collision stage's ROW_ELEMENTS // n rows and the resolution stage's
+    # at most ROW_ELEMENTS // 16, so each stage ends on a partial block
+    params = THEOREM_COSP_PARAMS if model == "cosp" else THEOREM_ROSP_PARAMS
+    inst = gen_case_family(4, 2, 1, 1, 50, params.theta)
+    seed, count = 31, 4999
+    assert count > policy.ROW_ELEMENTS // 16 > policy.ROW_ELEMENTS // inst.n
+    batch = run_trials_batch(inst, model, params, seed, 0, count)
+    for i in range(count):
+        stream = TrialStream(trial_seed(seed, i))
+        if model == "cosp":
+            sched = make_cosp_schedule(inst, params.beta, stream)
+        else:
+            sched = make_rosp_schedule(inst, stream)
+        out = run_trial(inst, sched, params, stream)
+        assert batch.hired[i] == (out.hired_index if out.hired_index is not None else -1), i
+        assert batch.ratios[i] == out.ratio, i
+        assert batch.switched[i] == (out.switch_time is not None), i
+
+
+# Raw 64-bit draws: a draw's time is its top 53 bits, its key the top 32.
+_HI = 0x9E3779B9 << 32
+
+
+def _collisions(z, key, pin=0, beta=None):
+    z = np.array(z, dtype=np.uint64)
+    return policy._key_collisions(z, np.empty(z.shape, key), pin, beta).tolist()
+
+
+# the 32-bit keys of short rows and the 53-bit keys of long ones
+KEYS = pytest.mark.parametrize("key", [np.uint32, np.uint64], ids=["u32", "u64"])
+
+
+@KEYS
+def test_key_prefilter_equal_keys_distinct_times_not_redrawn(key):
+    z = [[_HI | 1 << 11, 7 << 40, _HI | 2 << 11], [1 << 40, 2 << 40, 3 << 40]]
+    assert z[0][0] >> 32 == z[0][2] >> 32 and z[0][0] >> 11 != z[0][2] >> 11
+    assert _collisions(z, key) == []
+
+
+@KEYS
+def test_key_prefilter_equal_times_redrawn(key):
+    # equal times that differ in the 11 bits below them
+    z = [[1 << 40, 2 << 40, 3 << 40], [7 << 40, _HI | 5 << 11 | 3, _HI | 5 << 11 | 2047]]
+    assert _collisions(z, key) == [1]
+
+
+@KEYS
+def test_key_prefilter_cosp_beta(key):
+    # 0.1 is no multiple of 2^-53: it shares a key with the draw just below
+    # it (and a 32-bit key with the one above), and a time with neither
+    d = int(0.1 * 2**53)
+    assert d * 2.0**-53 < 0.1 < (d + 1) * 2.0**-53 and d >> 21 == (d + 1) >> 21
+    # column 0 is pinned; its own draw is not read
+    z = [[d << 11, d << 11, 5 << 40], [5 << 40, (d + 1) << 11, 9 << 40]]
+    assert _collisions(z, key, pin=0, beta=0.1) == []
+    # a beta that is a draw's time collides with it, through its own key
+    z = [[5 << 40, 1 << 63, 9 << 40], [5 << 40, 3 << 61, 9 << 40]]
+    assert _collisions(z, key, pin=0, beta=0.5) == [0]
+
+
+def test_wide_keys_change_nothing(monkeypatch):
+    # every row keyed on its 53-bit times gives the 32-bit keys' results,
+    # trial 0 of test_batch_reads_redrawn_times, whose first round collides
+    # and would hire another candidate, included
+    seed = 3
+    beta = TrialStream(trial_seed(seed, 0)).uniform()
+    redraw = PolicyParams(theta=0.5, tau=0.2, gamma=0.5, delta=0.5, beta=beta)
+    runs = [
+        (build_instance([100.0, 1.0], [100.0, 190.0]), "cosp", redraw, 8),
+        (gen_case_family(4, 2, 1, 1, 50, P.theta), "cosp", P, 3000),
+        (gen_case_family(4, 2, 1, 1, 50, THEOREM_ROSP_PARAMS.theta), "rosp", THEOREM_ROSP_PARAMS, 3000),
+    ]
+    want = [run_trials_batch(inst, model, params, seed, 0, count) for inst, model, params, count in runs]
+    monkeypatch.setattr(policy, "_WIDE_KEYS", 1)
+    for (inst, model, params, count), w in zip(runs, want):
+        got = run_trials_batch(inst, model, params, seed, 0, count)
+        assert np.array_equal(got.hired, w.hired) and np.array_equal(got.switched, w.switched)
+        assert np.array_equal(got.ratios, w.ratios)

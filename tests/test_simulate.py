@@ -43,11 +43,14 @@ def test_seed_determinism_and_thread_independence():
 
 
 class _RecordingPool:
-    # stands in for ProcessPoolExecutor: records its size, runs in process
+    # stands in for ProcessPoolExecutor: records its size and jobs, runs its
+    # initializer and its jobs in process
     sizes = []
+    jobs = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.sizes.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -56,6 +59,7 @@ class _RecordingPool:
         return False
 
     def map(self, fn, jobs):
+        self.jobs.extend(jobs)
         return map(fn, jobs)
 
 
@@ -69,10 +73,14 @@ def test_pool_clamped_to_chunks_and_cpus(monkeypatch, threads, cpus, want):
     monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(sim, "CHUNK", 64)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "jobs", [])
+    monkeypatch.setattr(sim, "_worker_run", None)
     inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
     serial = estimate_ratio(inst, "rosp", Q, trials=256, seed=2, threads=1)
     assert estimate_ratio(inst, "rosp", Q, trials=256, seed=2, threads=threads) == serial
     assert _RecordingPool.sizes == want
+    # the instance goes to the initializer, and a job is only its span
+    assert _RecordingPool.jobs == ([(0, 64), (64, 64), (128, 64), (192, 64)] if want else [])
 
 
 @pytest.mark.parametrize(
@@ -94,7 +102,7 @@ def test_threads_below_one_rejected(monkeypatch, threads, seed, message):
         estimate_ratio(inst, "rosp", Q, trials=10, seed=seed, threads=threads)
 
 
-def _no_chunks(args):
+def _no_chunks(*args):
     raise AssertionError("a chunk ran")
 
 
@@ -118,7 +126,9 @@ def test_bad_runs_rejected_before_any_chunk(monkeypatch, model, trials, message)
 def test_max_trials_accepted(monkeypatch):
     # the cap itself runs, as its documented 15 259 chunks
     spans = []
-    monkeypatch.setattr(sim, "_chunk_sums", lambda job: spans.append(job[-1]) or (0.0, 0.0, 0, 0))
+    monkeypatch.setattr(
+        sim, "_chunk_sums", lambda span, run: spans.append(span[-1]) or (0.0, 0.0, 0, 0)
+    )
     inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
     assert estimate_ratio(inst, "rosp", Q, trials=10**9, seed=2).trials == sim.MAX_TRIALS
     assert len(spans) == 15_259 and sum(spans) == 10**9
