@@ -197,7 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", action="store_true")
     p.add_argument("--tm", type=int, default=DEFAULT_THRESHOLDS[0])
     p.add_argument("--tk", type=int, default=DEFAULT_THRESHOLDS[1])
-    p.add_argument("--emit-all", default=None, dest="emit_all")
+    p.add_argument(
+        "--emit-all", default=None, dest="emit_all", metavar="PATH",
+        help="write every cell of the last search with its search bound as CSV "
+        "(with --refine, the refine grid's cells only)",
+    )
     p.set_defaults(fn=_cmd_tune)
 
     p = sub.add_parser("derand-demo", help="KS check of the first-arrival uniform transform")

@@ -306,6 +306,20 @@ def test_tune_emit_all(tmp_path, capsys):
                       f"gamma={best[3]} delta={best[4]}")
 
 
+def test_tune_refine_emit_all_lists_refine_cells(tmp_path, capsys):
+    # with --refine the file holds the refine search's cells, not the coarse ones
+    from secpred.tune import GridSpec, _mesh, _refined_grid, grid_search
+
+    path = tmp_path / "cells.csv"
+    code = main(["tune", "--model", "rosp", "--step", "0.3", "--tm", "8", "--tk", "8",
+                 "--refine", "--emit-all", str(path)])
+    assert code == 0
+    coarse, _ = grid_search("rosp", GridSpec.coarse("rosp", 0.3), thresholds=(8, 8))
+    cells = len(_mesh("rosp", _refined_grid(coarse, 0.3))[0])
+    assert cells != 4**3
+    assert len(path.read_text().splitlines()) == 1 + cells
+
+
 @pytest.mark.parametrize("step", ["nan", "inf"])
 def test_tune_non_finite_step_exit_two(capsys, step):
     assert main(["tune", "--model", "rosp", "--step", step]) == 2

@@ -197,20 +197,39 @@ def test_search_blocks_change_nothing(model, monkeypatch):
 
 
 _FLOOR_AXIS = (0.3, 0.7)  # gamma and delta of the small-tau grids
+_COARSE_COSP = GridSpec.coarse("cosp", step=0.1)
+# the refine grid around the step-0.05 cosp winner (tau 0.45, beta 0.75,
+# gamma 0.3, delta 0.45), every sixth tau and beta kept so that a flat point
+# holding every cell stays small; gamma and delta keep all 19 values
+_REFINE_COSP = GridSpec(
+    tau=tuple(round(0.45 + i * 0.005, 12) for i in range(-9, 10, 6)),
+    beta=tuple(round(0.75 + i * 0.005, 12) for i in range(-9, 10, 6)),
+    gamma=tuple(round(0.3 + i * 0.005, 12) for i in range(-9, 10)),
+    delta=tuple(round(0.45 + i * 0.005, 12) for i in range(-9, 10)),
+)
 
 
 @pytest.mark.parametrize(
-    "model, grid",
+    "model, grid, thresholds",
     [
-        ("cosp", GridSpec.coarse("cosp", step=0.1)),
-        ("rosp", GridSpec.coarse("rosp", step=0.1)),
+        ("cosp", _COARSE_COSP, None),
+        ("rosp", GridSpec.coarse("rosp", step=0.1), None),
         # tau = 0.001 is the floor of the refined grid, with beta just above it
         ("cosp", GridSpec(tau=(0.001, 0.002), beta=(0.0011, 0.0021, 0.5),
-                          gamma=_FLOOR_AXIS, delta=_FLOOR_AXIS)),
-        ("rosp", GridSpec(tau=(0.001, 0.002), gamma=_FLOOR_AXIS, delta=_FLOOR_AXIS)),
+                          gamma=_FLOOR_AXIS, delta=_FLOOR_AXIS), None),
+        ("rosp", GridSpec(tau=(0.001, 0.002), gamma=_FLOOR_AXIS, delta=_FLOOR_AXIS), None),
+        # one gamma and one delta: the screen's four corners coincide
+        ("cosp", GridSpec(_COARSE_COSP.tau, (0.3,), (0.5,), _COARSE_COSP.beta), None),
+        ("cosp", _REFINE_COSP, None),
+        ("cosp", _COARSE_COSP, (1, 1)),
+        ("rosp", GridSpec.coarse("rosp", step=0.1), (1, 1)),
+        ("cosp", GridSpec.coarse("cosp", step=0.2), (20, 20)),
+        ("rosp", GridSpec.coarse("rosp", step=0.2), (20, 20)),
     ],
+    ids=["cosp-grid0", "rosp-grid1", "cosp-grid2", "rosp-grid3", "cosp-one gamma and delta",
+         "cosp-refine", "cosp-T1", "rosp-T1", "cosp-T20", "rosp-T20"],
 )
-def test_factored_search_equals_flat_mesh(model, grid):
+def test_factored_search_equals_flat_mesh(model, grid, thresholds):
     # the search takes each block of the (tau, beta) axis once and broadcasts
     # over gamma and delta; the same fixpoint on one flat point holding every
     # cell must give the same array, bit for bit
@@ -220,18 +239,67 @@ def test_factored_search_equals_flat_mesh(model, grid):
     from secpred.certify import iter_entries
     from secpred.tune import SEARCH_THRESHOLDS, _mesh, _search_once
 
+    thresholds = thresholds or SEARCH_THRESHOLDS
     tau, beta, gamma, delta = _mesh(model, grid)
     point = Point(tau, gamma, delta, beta)
     flat = np.full(tau.shape, np.inf)
-    for case_id, _, m, k, m2 in iter_entries(model, *SEARCH_THRESHOLDS):
+    for case_id, _, m, k, m2 in iter_entries(model, *thresholds):
         if case_id == 6 and m == 0:
             continue
-        value = case_bound(model, case_id, m, k, m2, point, SEARCH_THRESHOLDS)
+        value = case_bound(model, case_id, m, k, m2, point, thresholds)
         if case_id == 6:
             value = value / (1.0 - case6_coef(model, m, point))
         flat = np.minimum(flat, value)
-    _, _, (b, _) = _search_once(model, grid, SEARCH_THRESHOLDS)
+    _, _, (b, _) = _search_once(model, grid, thresholds)
     assert np.array_equal(b, flat)
+
+
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+@pytest.mark.parametrize("thresholds", [(10, 10), (20, 20)], ids=["T10", "T20"])
+def test_case_forms_affine_in_gamma_and_delta(model, thresholds):
+    # the search's screen keeps an entry by its values at the gamma and delta
+    # corners alone, which is exact only while every entry, case 6 over
+    # 1 - coef included, is affine in gamma and in delta at fixed (tau, beta):
+    # each value must equal the bilinear interpolation of its four corners
+    import numpy as np
+
+    from secpred.analytic import Point
+    from secpred.certify import iter_entries
+    from secpred.tune import _term
+
+    tau = np.array([0.001, 0.05, 0.3, 0.6, 0.9])[:, None, None]
+    beta = np.array([0.0011, 0.15, 0.64, 0.8, 0.95])[:, None, None]
+    g = np.linspace(0.0, 1.0, 7)
+    gamma, delta = g[None, :, None], g[None, None, :]
+    point = Point(tau, gamma, delta, beta if model == "cosp" else None)
+    for case_id, _, m, k, m2 in iter_entries(model, *thresholds):
+        if case_id == 6 and m == 0:
+            continue  # r itself, which the search never evaluates
+        v = np.broadcast_to(_term(model, point, (case_id, m, k, m2), thresholds), (5, 7, 7))
+        corners = ((1 - gamma) * (1 - delta) * v[:, :1, :1] + (1 - gamma) * delta * v[:, :1, -1:]
+                   + gamma * (1 - delta) * v[:, -1:, :1] + gamma * delta * v[:, -1:, -1:])
+        assert np.abs(v - corners).max() <= 1e-13, (model, case_id, m, k, m2)
+
+
+def test_screen_drops_most_entries(monkeypatch):
+    # on the step-0.05 cosp grid fewer than a tenth of the entries can bind
+    # anywhere, and only those reach the full gamma x delta mesh
+    from secpred import tune
+
+    grid = GridSpec.coarse("cosp", step=0.05)
+    full, screened = set(), set()  # entries evaluated on the mesh, on the corners
+
+    def counted(form, case_id):
+        def run(p, m, k, m2, tm, tk):
+            (full if p.gamma.size == len(grid.gamma) else screened).add((case_id, m, k, m2))
+            return form(p, m, k, m2, tm, tk)
+        return run
+
+    forms = {key: counted(form, key[1]) for key, form in tune.CASE_FORMS.items()}
+    monkeypatch.setattr(tune, "CASE_FORMS", forms)
+    tune._search_once("cosp", grid, tune.SEARCH_THRESHOLDS)
+    assert full <= screened and len(screened) > 1000
+    assert len(full) < 0.1 * len(screened), (len(full), len(screened))
 
 
 def test_search_memory_flat_in_grid_size(monkeypatch):
