@@ -10,8 +10,8 @@ delta otherwise); anyone else is hired outright.
 
 ``run_trial`` replays one schedule step by step.  ``run_trials_batch`` is a
 vectorized engine that reproduces ``run_trial`` bit for bit across many
-trials (same per-trial streams, same draws, same redraws) and is what the
-simulation module uses.  It needs no arrival-order sort: secretary mode
+trials (same per-trial streams, same draws) and is what the simulation
+module uses.  It needs no arrival-order sort: secretary mode
 hires nobody before max(tau, t_switch), so its first hire is the earliest
 arrival after that point whose value beats every value that arrived
 before it, and a gated-out top prediction passes to the earliest later
@@ -24,13 +24,17 @@ A block of trials runs in two stages.  The collision stage is the only one
 that reads whole rows: it mixes each row's raw 64-bit draws and compares
 them on integer keys, which equal times share (32-bit ones below
 n = 2^16), so that only the rare rows with two equal keys are compared on
-their float times, and only the rows whose times truly collide are
-redrawn.  It keeps the raw draws of the columns the resolution stage
-reads: a short column prefix, the mistakes and the top prediction.  The
-resolution stage turns those into times, and draws a wider prefix only for
-the rows that need it.  Both stages work on blocks of about
+their float times.  It keeps the raw draws of the columns the resolution
+stage reads: a short column prefix, the mistakes and the top prediction.
+The resolution stage turns those into times, and draws a wider prefix only
+for the rows that need it.  Both stages work on blocks of about
 ``ROW_ELEMENTS`` draws, sized for a core's L2 cache, so memory does not
 grow with n or with the number of trials.
+
+The engine resolves only distinct times.  A row whose first round of times
+truly collides (about n^2 / 2^54 of the rows) is replayed by
+``make_*_schedule`` and ``run_trial``, which redraw the whole round until
+its times are distinct; that rule is written once, in ``_draw_times``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import COSP, Instance, PolicyParams, Schedule, check_model
-from .rng import TrialStream, advanced, to_uniforms, trial_seeds_vector, u64_at, uniforms_at
+from .rng import TrialStream, to_uniforms, trial_seed, trial_seeds_vector, u64_at, uniforms_at
 
 __all__ = [
     "TrialOutcome",
@@ -175,12 +179,6 @@ class BatchResult:
     switched: np.ndarray     # bool: left prediction mode
 
 
-def _colliding(times):
-    """Whether each row of float times holds two equal times."""
-    srt = np.sort(times, axis=1)
-    return (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-
-
 def _key_collisions(z, keys, pin, beta):
     """Rows of raw draws ``z`` whose arrival times collide.
 
@@ -207,25 +205,8 @@ def _key_collisions(z, keys, pin, beta):
     times = (z[rows] >> np.uint64(11)) * 2.0**-53
     if beta is not None:
         times[:, pin] = beta
-    return rows[_colliding(times)]
-
-
-def _redrawn(seeds, col_draw, per_round, pin, beta):
-    """Draws used by rows whose first round of times collided.
-
-    As ``_draw_times`` does, each row draws round after round of
-    ``per_round`` times until one round's times are distinct.
-    """
-    used = np.full(len(seeds), 2 * per_round, dtype=np.uint64)
-    todo = np.arange(len(seeds))
-    while todo.size:
-        last = advanced(seeds[todo], used[todo] - np.uint64(per_round))
-        times = uniforms_at(last[:, None], col_draw)
-        if beta is not None:
-            times[:, pin] = beta
-        todo = todo[_colliding(times)]
-        used[todo] += np.uint64(per_round)
-    return used
+    times.sort(axis=1)
+    return rows[(times[:, 1:] == times[:, :-1]).any(axis=1)]
 
 
 def _view(buf, shape, dtype):
@@ -233,30 +214,26 @@ def _view(buf, shape, dtype):
     return buf.reshape(-1).view(dtype)[: math.prod(shape)].reshape(shape)
 
 
-def _draws_used(seeds, col_draw, per_round, pin, beta, cols, z, scratch, taken):
-    """Draws each row's schedule takes, ``per_round`` for each round drawn.
+def _colliding_rows(seeds, col_draw, pin, beta, cols, z, scratch, taken):
+    """Rows whose first round of arrival times holds two equal times.
 
     Column j of a row takes draw ``col_draw[j]`` of its stream; in cosp the
     draw numbers skip ihat, whose column ``pin`` is pinned at beta.  Rows
     run in groups of ``len(z)``, whose raw draws are mixed into the uint64
     buffers ``z`` and ``scratch``; the collision keys reuse ``scratch``.
-    The raw draws of columns ``cols`` in each row's last round are copied
-    into ``taken``, so they need not be mixed again.
+    The raw draws of columns ``cols`` are copied into ``taken``, so they
+    need not be mixed again.
     """
-    used = np.full(len(seeds), per_round, dtype=np.uint64)
     step, n = z.shape
     key = np.uint32 if n < _WIDE_KEYS else np.uint64
+    bad = []
     for lo in range(0, len(seeds), step):
         group = seeds[lo:lo + step]
         k = len(group)
         raw = u64_at(group[:, None], col_draw, z[:k], scratch[:k])
         np.take(raw, cols, axis=1, out=taken[lo:lo + k], mode="clip")
-        bad = _key_collisions(raw, _view(scratch, (k, n), key), pin, beta)
-        if bad.size:
-            used[lo + bad] = _redrawn(group[bad], col_draw, per_round, pin, beta)
-            last = advanced(group[bad], used[lo + bad] - np.uint64(per_round))
-            taken[lo + bad] = u64_at(last[:, None], col_draw[cols])
-    return used
+        bad.append(lo + _key_collisions(raw, _view(scratch, (k, n), key), pin, beta))
+    return np.concatenate(bad)
 
 
 @dataclass(frozen=True)
@@ -264,13 +241,12 @@ class _Draws:
     """Where the arrival times of a block of rows come from, and go to.
 
     Column c of row r is draw ``col_draw[c]`` of the stream seeded
-    ``starts[r]``, which begins at the row's last round of draws, and in
-    cosp column ``pin`` is beta.  Times are drawn into the uint64 buffer
-    ``out`` (as float64) through the buffer ``scratch``, so each draw
-    overwrites the times the last one returned.
+    ``seeds[r]``, and in cosp column ``pin`` is beta.  Times are drawn into
+    the uint64 buffer ``out`` (as float64) through the buffer ``scratch``,
+    so each draw overwrites the times the last one returned.
     """
 
-    starts: np.ndarray
+    seeds: np.ndarray
     col_draw: np.ndarray
     pin: int
     beta: float | None
@@ -279,10 +255,10 @@ class _Draws:
 
     def times(self, rows, cols):
         """Arrival times of columns ``cols`` in rows ``rows``."""
-        starts = self.starts[rows]
-        shape = (len(starts), len(cols))
+        seeds = self.seeds[rows]
+        shape = (len(seeds), len(cols))
         t = uniforms_at(
-            starts[:, None],
+            seeds[:, None],
             self.col_draw[cols],
             _view(self.out, shape, np.float64),
             _view(self.scratch, shape, np.uint64),
@@ -393,9 +369,10 @@ def run_trials_batch(
     so the streams are read as the scalar replay reads them.  Trials run in
     blocks of about ``ROW_ELEMENTS`` draws in two stages.  The collision
     stage mixes whole rows, ``ROW_ELEMENTS // n`` at a time, to find the
-    draws each schedule takes, and keeps the raw draws of the columns the
-    resolution stage reads.  That stage finds the hires on column prefixes
-    and maps them back through ``order``.
+    rows whose first round of times collides, and keeps the raw draws of
+    the columns the resolution stage reads.  That stage finds the hires on
+    column prefixes from each row's first round, and maps them back through
+    ``order``.  The colliding rows are then replayed by ``run_trial``.
     """
     beta = params.require_beta() if check_model(model) == COSP else None
 
@@ -417,7 +394,8 @@ def run_trials_batch(
     if beta is not None:
         col_draw[ihat + 1:] -= np.uint64(1)
     col_draw = col_draw[order]
-    per_round = n - 1 if beta is not None else n
+    # the hire gate's uniform is the draw after the times
+    gate_draw = n if beta is not None else n + 1
 
     hired = np.empty(count, dtype=np.int64)
     switched = np.empty(count, dtype=bool)
@@ -435,22 +413,33 @@ def run_trials_batch(
     cols = np.flatnonzero(read)
     rows = max(1, z.size // len(cols))
     taken = np.empty((min(rows, count), len(cols)), dtype=np.uint64)
+    replay = []
     for lo in range(0, count, rows):
         block = slice(lo, lo + rows)
         seeds = trial_seeds_vector(base_seed, start + lo, min(rows, count - lo))
         k = len(seeds)
-        used = _draws_used(seeds, col_draw, per_round, pos_ihat, beta, cols, z, scratch, taken)
+        bad = _colliding_rows(seeds, col_draw, pos_ihat, beta, cols, z, scratch, taken)
+        replay += (lo + bad).tolist()
         times = to_uniforms(taken[:k], _view(z, (k, len(cols)), np.float64))
         if beta is not None:
             times[:, cols == pos_ihat] = beta
-        last = advanced(seeds, used - np.uint64(per_round))
-        # the hire gate's uniform is the draw after the last time draw
-        u_gate = uniforms_at(last, per_round + 1)
-        draws = _Draws(last, col_draw, pos_ihat, beta, z, scratch)
+        u_gate = uniforms_at(seeds, gate_draw)
+        draws = _Draws(seeds, col_draw, pos_ihat, beta, z, scratch)
         hired[block], switched[block] = _resolve_block(
             times, draws, cols, u_gate, gstart, mistake_cols, params
         )
 
     hired = np.where(hired >= 0, order[hired], -1)
+    # a row whose first round of times collides draws again, round after
+    # round, as the scalar schedule does
+    for r in replay:
+        stream = TrialStream(trial_seed(base_seed, start + r))
+        if beta is not None:
+            schedule = make_cosp_schedule(instance, beta, stream)
+        else:
+            schedule = make_rosp_schedule(instance, stream)
+        out = run_trial(instance, schedule, params, stream)
+        hired[r] = -1 if out.hired_index is None else out.hired_index
+        switched[r] = out.switch_time is not None
     ratios = np.where(hired >= 0, v[hired] / vstar, 0.0)
     return BatchResult(hired=hired, ratios=ratios, switched=switched)

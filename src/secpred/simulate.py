@@ -6,13 +6,14 @@ Trials are independent and reproducible: trial i derives its stream from a
 order, so the result is identical no matter how many workers run.  The
 batch engine works through each chunk in row blocks of bounded size, so a
 worker's memory stays a few tens of megabytes whatever n and the trial
-count are, and more workers add only that much each.  A pool worker gets
-the run (instance, model, parameters and seed) once, through the pool's
-initializer, and its jobs are spans of trial indices.
+count are, and more workers add only that much each.  A job is the run
+(instance, model, parameters and seed) and a span of trial indices, the
+same on one worker as on a pool of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -56,20 +57,10 @@ class SimResult:
     mode_switch_rate: float
 
 
-# (instance, model, params, seed) of the run a pool worker serves, set once
-# per worker by the pool's initializer so that jobs carry only their span
-_worker_run = None
-
-
-def _init_worker(*run):
-    global _worker_run
-    _worker_run = run
-
-
-def _chunk_sums(span, run=None):
-    """Sums over trials ``span = (start, count)`` of ``run``, by default the
-    run this pool worker serves."""
-    instance, model, params, seed = _worker_run if run is None else run
+def _chunk_sums(run, span):
+    """Sums over trials ``span = (start, count)`` of ``run = (instance,
+    model, params, seed)``."""
+    instance, model, params, seed = run
     res = run_trials_batch(instance, model, params, seed, *span)
     return (
         float(np.sum(res.ratios)),
@@ -107,18 +98,15 @@ def estimate_ratio(
         raise ValueError(f"threads must be >= 1, got {threads}")
     seed = _integer("seed", seed)
     spans = [(s, min(CHUNK, trials - s)) for s in range(0, trials, CHUNK)]
-    run = (instance, model, params, seed)
+    job = functools.partial(_chunk_sums, (instance, model, params, seed))
     # an executor may start all its workers at the first submit, so ask for
     # no more than there are chunks to run and cores to run them on
     workers = min(threads, len(spans), os.cpu_count() or 1)
     if workers > 1:
-        # the run goes to each worker once, not with every chunk
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=run
-        ) as pool:
-            parts = list(pool.map(_chunk_sums, spans))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(job, spans))
     else:
-        parts = [_chunk_sums(span, run) for span in spans]
+        parts = list(map(job, spans))
 
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)

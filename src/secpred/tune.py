@@ -204,8 +204,9 @@ def _screen(model, axes, thresholds):
             alive = (~(least > top + _SCREEN_SLACK)).any(axis=1)
             survivors += [(e, v) for e, v, kept in zip(chunk, least, alive) if kept]
         for entry, least in survivors:
-            where = keep.setdefault(entry, np.zeros(tau.shape[0], dtype=bool))
-            where[block] = ~(least > top + _SCREEN_SLACK)
+            here = ~(least > top + _SCREEN_SLACK)
+            if here.any():
+                keep.setdefault(entry, np.zeros(tau.shape[0], dtype=bool))[block] = here
     return keep
 
 

@@ -355,3 +355,31 @@ def test_wide_keys_change_nothing(monkeypatch):
         got = run_trials_batch(inst, model, params, seed, 0, count)
         assert np.array_equal(got.hired, w.hired) and np.array_equal(got.switched, w.switched)
         assert np.array_equal(got.ratios, w.ratios)
+
+
+@pytest.mark.parametrize("wide", [policy._WIDE_KEYS, 1], ids=["keys", "wide"])
+def test_only_colliding_rows_replayed(monkeypatch, wide):
+    monkeypatch.setattr(policy, "_WIDE_KEYS", wide)
+    calls = []
+
+    def counted(inst, schedule, params, stream):
+        calls.append(schedule)
+        return run_trial(inst, schedule, params, stream)
+
+    monkeypatch.setattr(policy, "run_trial", counted)
+    # trial 0 of test_batch_redraws_colliding_schedule_like_scalar collides,
+    # and is replayed from its redrawn round
+    seed = 3
+    stream = TrialStream(trial_seed(seed, 0))
+    draws = [stream.uniform() for _ in range(3)]
+    params = PolicyParams(
+        theta=0.5, tau=0.33, gamma=(draws[1] + draws[2]) / 2, delta=0.5, beta=draws[0]
+    )
+    inst = build_instance([1.0, 100.0], [1.0, 190.0])
+    run_trials_batch(inst, "cosp", params, seed, 0, 8)
+    assert [s.arrival_times for s in calls] == [(draws[1], params.beta)]
+    # rows with two equal 32-bit keys but distinct times are not replayed
+    calls.clear()
+    inst = gen_case_family(4, 2, 1, 1, 2**14, THEOREM_ROSP_PARAMS.theta)
+    run_trials_batch(inst, "rosp", THEOREM_ROSP_PARAMS, 5, 0, 200)
+    assert calls == []

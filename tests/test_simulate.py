@@ -44,13 +44,12 @@ def test_seed_determinism_and_thread_independence():
 
 class _RecordingPool:
     # stands in for ProcessPoolExecutor: records its size and jobs, runs its
-    # initializer and its jobs in process
+    # jobs in process
     sizes = []
     jobs = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -74,12 +73,11 @@ def test_pool_clamped_to_chunks_and_cpus(monkeypatch, threads, cpus, want):
     monkeypatch.setattr(sim, "CHUNK", 64)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "jobs", [])
-    monkeypatch.setattr(sim, "_worker_run", None)
     inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
     serial = estimate_ratio(inst, "rosp", Q, trials=256, seed=2, threads=1)
     assert estimate_ratio(inst, "rosp", Q, trials=256, seed=2, threads=threads) == serial
     assert _RecordingPool.sizes == want
-    # the instance goes to the initializer, and a job is only its span
+    # the pool maps the run's one job over exactly the spans
     assert _RecordingPool.jobs == ([(0, 64), (64, 64), (128, 64), (192, 64)] if want else [])
 
 
@@ -127,7 +125,7 @@ def test_max_trials_accepted(monkeypatch):
     # the cap itself runs, as its documented 15 259 chunks
     spans = []
     monkeypatch.setattr(
-        sim, "_chunk_sums", lambda span, run: spans.append(span[-1]) or (0.0, 0.0, 0, 0)
+        sim, "_chunk_sums", lambda run, span: spans.append(span[-1]) or (0.0, 0.0, 0, 0)
     )
     inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
     assert estimate_ratio(inst, "rosp", Q, trials=10**9, seed=2).trials == sim.MAX_TRIALS
@@ -274,6 +272,31 @@ def test_csv_row():
     parts = row.split(",")
     assert parts[0] == "cosp"
     assert parts[1:6] == ["5", "2", "1", "1", "1000"]
+
+
+# CSV rows of the case-4 family at (m, k, m2) = (2, 1, 1): any change to the
+# streams, the schedules or the engine moves their last digits
+PINNED_ROWS = [
+    "cosp,5,2,1,1,70000,1,0.413167142857,0.0017137847148,0.498757142857,1",
+    "cosp,5,2,1,1,70000,3,0.412792142857,0.00171646878939,0.496414285714,1",
+    "cosp,800,2,1,1,70000,1,0.413063571429,0.00171329953746,0.498757142857,1",
+    "cosp,800,2,1,1,70000,3,0.412846428571,0.00171672277062,0.496414285714,1",
+    "rosp,5,2,1,1,70000,1,0.504746428571,0.00178042774004,0.569285714286,1",
+    "rosp,5,2,1,1,70000,3,0.50515,0.00177824493709,0.570957142857,1",
+    "rosp,800,2,1,1,70000,1,0.504802857143,0.0017806406338,0.569285714286,1",
+    "rosp,800,2,1,1,70000,3,0.505161428571,0.00177828807482,0.570957142857,1",
+]
+
+
+def test_csv_rows_pinned():
+    rows = []
+    for model, params in (("cosp", P), ("rosp", Q)):
+        for n in (5, 800):
+            inst = gen_case_family(4, 2, 1, 1, n, params.theta)
+            for seed in (1, 3):
+                res = estimate_ratio(inst, model, params, 70_000, seed)
+                rows.append(sim_csv_row(model, inst, params.theta, res, seed))
+    assert rows == PINNED_ROWS
 
 
 def test_default_deviation():

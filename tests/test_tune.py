@@ -297,8 +297,13 @@ def test_screen_drops_most_entries(monkeypatch):
 
     forms = {key: counted(form, key[1]) for key, form in tune.CASE_FORMS.items()}
     monkeypatch.setattr(tune, "CASE_FORMS", forms)
+    kept = []
+    screen = tune._screen
+    monkeypatch.setattr(tune, "_screen", lambda *args: kept.append(screen(*args)) or kept[-1])
     tune._search_once("cosp", grid, tune.SEARCH_THRESHOLDS)
     assert full <= screened and len(screened) > 1000
+    # every entry returned can bind at some pair
+    assert kept and all(where.any() for keep in kept for where in keep.values())
     assert len(full) < 0.1 * len(screened), (len(full), len(screened))
 
 
