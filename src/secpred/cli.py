@@ -8,7 +8,6 @@ Exit codes: 0 success (and certification passed), 1 certification failed,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -180,7 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--threads", type=int, default=None,
+        help="worker threads (default: the cores this process may run on)",
+    )
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("evaluate", help="print one analytic case bound")

@@ -21,15 +21,19 @@ first column that did, and the candidates that beat it are the columns
 ahead of it.
 
 A block of trials runs in two stages.  The collision stage is the only one
-that reads whole rows: it mixes each row's raw 64-bit draws and compares
-them on integer keys, which equal times share (32-bit ones below
-n = 2^16), so that only the rare rows with two equal keys are compared on
-their float times.  It keeps the raw draws of the columns the resolution
-stage reads: a short column prefix, the mistakes and the top prediction.
-The resolution stage turns those into times, and draws a wider prefix only
-for the rows that need it.  Both stages work on blocks of about
-``ROW_ELEMENTS`` draws, sized for a core's L2 cache, so memory does not
-grow with n or with the number of trials.
+that reads whole rows: it mixes each row's raw 64-bit draws, all but the
+mix's last round, and compares them on integer keys, which equal times
+share (32-bit ones below n = 2^16); the last round maps those keys one to
+one, so it is taken only on the rare rows with two equal keys, which are
+compared on their float times.  It keeps the draws of the columns the
+resolution stage reads: a short column prefix, the mistakes and the top
+prediction.  The resolution stage finishes those draws into times, and
+draws a wider prefix only for the rows that need it.  Both stages work on
+blocks of about ``ROW_ELEMENTS`` draws, sized for a core's L2 cache, so
+memory does not grow with n or with the number of trials.  The blocks can
+run on several threads, each with buffers of its own: numpy releases the
+interpreter lock in the whole-block passes, and a row's result does not
+depend on the thread that runs it.
 
 The engine resolves only distinct times.  A row whose first round of times
 truly collides (about n^2 / 2^54 of the rows) is replayed by
@@ -41,12 +45,22 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import COSP, Instance, PolicyParams, Schedule, check_model
-from .rng import TrialStream, to_uniforms, trial_seed, trial_seeds_vector, u64_at, uniforms_at
+from .rng import (
+    TrialStream,
+    last_round,
+    offsets,
+    premixed_at,
+    to_uniforms,
+    trial_seed,
+    trial_seeds_vector,
+    uniforms_at,
+)
 
 __all__ = [
     "TrialOutcome",
@@ -57,9 +71,9 @@ __all__ = [
     "BatchResult",
 ]
 
-# Draws per block of either stage: the collision stage's two uint64 buffers
-# of ROW_ELEMENTS // n whole rows then take 512 KiB each and stay in a
-# core's L2 cache, and so do the draws a resolution block keeps.
+# Draws per block of either stage: a thread's two collision-stage uint64
+# buffers of ROW_ELEMENTS // n whole rows then take 512 KiB each and stay
+# in a core's L2 cache, and so do the draws a resolution block keeps.
 ROW_ELEMENTS = 1 << 16
 # Columns of the first prefix a row's hire is looked for on.
 _PREFIX = 16
@@ -180,15 +194,19 @@ class BatchResult:
 
 
 def _key_collisions(z, keys, pin, beta):
-    """Rows of raw draws ``z`` whose arrival times collide.
+    """Rows of draws ``z`` whose arrival times collide.
 
-    A draw's time is its top 53 bits.  The rows are compared first on keys
-    sorted in ``keys``, an array of z's shape that is overwritten: as
-    uint32 it holds each draw's high word, which equal times share, and as
-    uint64 its 53 time bits.  Only the rows with two equal keys are
-    compared on their float times.  In cosp, column ``pin`` is beta, keyed
-    as the draw ``floor(beta 2^53)`` would be: a beta that is not a
-    multiple of 2^-53 may share a key but never a time.
+    ``z`` holds raw draws but for the mix's last round (``premixed_at``),
+    and a draw's time is the top 53 bits of the finished draw.  The rows
+    are compared first on keys sorted in ``keys``, an array of z's shape
+    that is overwritten: as uint32 it holds each draw's high word, which
+    equal times share, and as uint64 its top 53 bits.  The last round,
+    ``x ^ (x >> 31)``, maps each of those keys one to one by the same rule
+    on the key's own bits, so two finished draws share a key exactly when
+    these do, and the round is taken only on the rows with two equal keys,
+    which are compared on their float times.  In cosp, column ``pin`` is
+    beta, keyed as the draw ``floor(beta 2^53)`` would be: a beta that is
+    not a multiple of 2^-53 may share a key but never a time.
     """
     if keys.dtype == np.uint32:
         np.copyto(keys, z.view(np.uint32)[:, _HIGH_WORD::2])
@@ -197,12 +215,14 @@ def _key_collisions(z, keys, pin, beta):
         np.right_shift(z, np.uint64(11), out=keys)
         drop = 0
     if beta is not None:
-        keys[:, pin] = int(beta * 2.0**53) >> drop
+        # the rule is its own inverse on keys of 53 bits or fewer
+        key = int(beta * 2.0**53) >> drop
+        keys[:, pin] = key ^ (key >> 31)
     keys.sort(axis=1)
     rows = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
     if not rows.size:
         return rows
-    times = (z[rows] >> np.uint64(11)) * 2.0**-53
+    times = (last_round(z[rows]) >> np.uint64(11)) * 2.0**-53
     if beta is not None:
         times[:, pin] = beta
     times.sort(axis=1)
@@ -214,15 +234,16 @@ def _view(buf, shape, dtype):
     return buf.reshape(-1).view(dtype)[: math.prod(shape)].reshape(shape)
 
 
-def _colliding_rows(seeds, col_draw, pin, beta, cols, z, scratch, taken):
+def _colliding_rows(seeds, offs, pin, beta, cols, z, scratch, taken):
     """Rows whose first round of arrival times holds two equal times.
 
-    Column j of a row takes draw ``col_draw[j]`` of its stream; in cosp the
-    draw numbers skip ihat, whose column ``pin`` is pinned at beta.  Rows
-    run in groups of ``len(z)``, whose raw draws are mixed into the uint64
-    buffers ``z`` and ``scratch``; the collision keys reuse ``scratch``.
-    The raw draws of columns ``cols`` are copied into ``taken``, so they
-    need not be mixed again.
+    Column j of a row takes the draw at offset ``offs[j]`` of its stream
+    (``rng.offsets`` of its draw number); in cosp the draw numbers skip
+    ihat, whose column ``pin`` is pinned at beta.  Rows run in groups of
+    ``len(z)``, whose draws are all but mixed in the uint64 buffers ``z``
+    and ``scratch``; the collision keys reuse ``scratch``.  The draws of
+    columns ``cols`` are copied into ``taken``, still without the mix's
+    last round, so they need not be mixed again.
     """
     step, n = z.shape
     key = np.uint32 if n < _WIDE_KEYS else np.uint64
@@ -230,7 +251,7 @@ def _colliding_rows(seeds, col_draw, pin, beta, cols, z, scratch, taken):
     for lo in range(0, len(seeds), step):
         group = seeds[lo:lo + step]
         k = len(group)
-        raw = u64_at(group[:, None], col_draw, z[:k], scratch[:k])
+        raw = premixed_at(group[:, None], offs, z[:k], scratch[:k])
         np.take(raw, cols, axis=1, out=taken[lo:lo + k], mode="clip")
         bad.append(lo + _key_collisions(raw, _view(scratch, (k, n), key), pin, beta))
     return np.concatenate(bad)
@@ -352,6 +373,44 @@ def _resolve_block(times, draws, cols, u_gate, gstart, mistake_cols, params):
     return hired, switched
 
 
+def _in_threads(work, workers):
+    """``[work(w, workers, stop) for w in range(workers)]``, run at once.
+
+    Worker 0 runs on the calling thread and each other one on a thread of
+    its own.  Every helper is joined before this returns or raises.  The
+    first worker to fail sets the event ``stop``, which the others read
+    between blocks, and its exception is raised here once all have
+    stopped.
+    """
+    results = [None] * workers
+    errors = []
+    stop = threading.Event()
+
+    def run(w):
+        try:
+            results[w] = work(w, workers, stop)
+        except BaseException as exc:
+            stop.set()
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for w in range(1, workers):
+            helper = threading.Thread(target=run, args=(w,), name=f"secpred-batch-{w}")
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def run_trials_batch(
     instance: Instance,
     model: str,
@@ -359,6 +418,7 @@ def run_trials_batch(
     base_seed: int,
     start: int,
     count: int,
+    threads: int = 1,
 ) -> BatchResult:
     """Run trials [start, start+count) with per-trial derived streams.
 
@@ -369,12 +429,21 @@ def run_trials_batch(
     so the streams are read as the scalar replay reads them.  Trials run in
     blocks of about ``ROW_ELEMENTS`` draws in two stages.  The collision
     stage mixes whole rows, ``ROW_ELEMENTS // n`` at a time, to find the
-    rows whose first round of times collides, and keeps the raw draws of
-    the columns the resolution stage reads.  That stage finds the hires on
-    column prefixes from each row's first round, and maps them back through
-    ``order``.  The colliding rows are then replayed by ``run_trial``.
+    rows whose first round of times collides, and keeps the draws of the
+    columns the resolution stage reads, still without the mix's last
+    round.  That stage finishes them, finds the hires on column prefixes
+    from each row's first round, and maps them back through ``order``.  The
+    colliding rows are then replayed by ``run_trial``.
+
+    The blocks run on W = min(threads, blocks) workers, the calling thread
+    and W - 1 helper threads: worker w takes blocks w, w + W, and so on,
+    with buffers of its own, and writes only its blocks' rows.  numpy
+    releases the interpreter lock in the whole-block passes, so the workers
+    share the cores, and the result does not depend on W.
     """
     beta = params.require_beta() if check_model(model) == COSP else None
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     n = instance.n
     v = np.asarray(instance.values)
@@ -394,45 +463,56 @@ def run_trials_batch(
     if beta is not None:
         col_draw[ihat + 1:] -= np.uint64(1)
     col_draw = col_draw[order]
+    offs = offsets(col_draw)
     # the hire gate's uniform is the draw after the times
     gate_draw = n if beta is not None else n + 1
 
     hired = np.empty(count, dtype=np.int64)
     switched = np.empty(count, dtype=bool)
-    # both stages draw into the same two buffers: block-sized arrays
-    # allocated for each block are handed back to the system and faulted
-    # in again
-    z = np.empty((min(max(1, ROW_ELEMENTS // n), count), n), dtype=np.uint64)
-    scratch = np.empty_like(z)
+    # whole rows per collision group
+    step = min(max(1, ROW_ELEMENTS // n), count)
     # the columns the resolution stage reads of every row: a prefix, the
-    # mistakes and ihat; a block's rows keep their raw draws in taken
+    # mistakes and ihat
     read = np.zeros(n, dtype=bool)
     read[:_PREFIX] = True
     read[mistake_cols] = True
     read[pos_ihat] = True
     cols = np.flatnonzero(read)
-    rows = max(1, z.size // len(cols))
-    taken = np.empty((min(rows, count), len(cols)), dtype=np.uint64)
-    replay = []
-    for lo in range(0, count, rows):
-        block = slice(lo, lo + rows)
-        seeds = trial_seeds_vector(base_seed, start + lo, min(rows, count - lo))
-        k = len(seeds)
-        bad = _colliding_rows(seeds, col_draw, pos_ihat, beta, cols, z, scratch, taken)
-        replay += (lo + bad).tolist()
-        times = to_uniforms(taken[:k], _view(z, (k, len(cols)), np.float64))
-        if beta is not None:
-            times[:, cols == pos_ihat] = beta
-        u_gate = uniforms_at(seeds, gate_draw)
-        draws = _Draws(seeds, col_draw, pos_ihat, beta, z, scratch)
-        hired[block], switched[block] = _resolve_block(
-            times, draws, cols, u_gate, gstart, mistake_cols, params
-        )
+    rows = max(1, step * n // len(cols))
+    starts = range(0, count, rows)
 
+    def work(w, workers, stop):
+        # both stages draw into the same two buffers: block-sized arrays
+        # allocated for each block are handed back to the system and
+        # faulted in again; a block's rows keep the draws of cols in taken
+        z = np.empty((step, n), dtype=np.uint64)
+        scratch = np.empty_like(z)
+        taken = np.empty((min(rows, count), len(cols)), dtype=np.uint64)
+        replay = []
+        for lo in starts[w::workers]:
+            if stop.is_set():
+                break
+            block = slice(lo, lo + rows)
+            seeds = trial_seeds_vector(base_seed, start + lo, min(rows, count - lo))
+            k = len(seeds)
+            bad = _colliding_rows(seeds, offs, pos_ihat, beta, cols, z, scratch, taken)
+            replay += (lo + bad).tolist()
+            kept = last_round(taken[:k], _view(z, (k, len(cols)), np.uint64))
+            times = to_uniforms(kept, _view(z, (k, len(cols)), np.float64))
+            if beta is not None:
+                times[:, cols == pos_ihat] = beta
+            u_gate = uniforms_at(seeds, gate_draw)
+            draws = _Draws(seeds, col_draw, pos_ihat, beta, z, scratch)
+            hired[block], switched[block] = _resolve_block(
+                times, draws, cols, u_gate, gstart, mistake_cols, params
+            )
+        return replay
+
+    replays = _in_threads(work, max(1, min(threads, len(starts))))
     hired = np.where(hired >= 0, order[hired], -1)
     # a row whose first round of times collides draws again, round after
     # round, as the scalar schedule does
-    for r in replay:
+    for r in sorted(r for replay in replays for r in replay):
         stream = TrialStream(trial_seed(base_seed, start + r))
         if beta is not None:
             schedule = make_cosp_schedule(instance, beta, stream)

@@ -34,11 +34,25 @@ def _mix_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     (allocated once when not given), rather than a new temporary.
     """
     t = np.empty_like(z) if scratch is None else scratch
+    return last_round(_first_rounds(z, t), t)
+
+
+def _first_rounds(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # the mix but for its last round, in place through t
     z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= np.uint64(_MIX1)
     z ^= np.right_shift(z, np.uint64(27), out=t)
     z *= np.uint64(_MIX2)
-    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
+
+
+def last_round(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The mix's last round, ``z ^ (z >> 31)``, applied in place to uint64 ``z``.
+
+    It finishes the draws ``premixed_at`` returns.  ``scratch`` is a uint64
+    array of z's shape, allocated when not given.
+    """
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
     return z
 
 
@@ -73,8 +87,9 @@ def u64_at(seeds, draws, out: np.ndarray | None = None, scratch: np.ndarray | No
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(seeds), np.shape(draws)), dtype=np.uint64)
+    seeds = np.asarray(seeds, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix_array(advanced(seeds, draws, out), scratch)
+        return _mix_array(np.add(seeds, offsets(draws), out=out), scratch)
 
 
 def uniforms_at(
@@ -106,16 +121,26 @@ def to_uniforms(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def advanced(seeds, draws, out: np.ndarray | None = None) -> np.ndarray:
-    """Seed of each stream moved on by ``draws`` draws, written into ``out``.
+def offsets(draws) -> np.ndarray:
+    """``draws * GAMMA``: what moves a seed on by ``draws`` draws.
 
-    Draw d of the stream seeded ``advanced(s, b)`` is draw b + d of the
-    stream seeded s, so the d-th raw draw of s is the mix of
-    ``advanced(s, d)``.
+    The d-th raw draw of the stream seeded s is the mix of
+    ``s + offsets(d)``, taken modulo 2^64.
     """
     with np.errstate(over="ignore"):
-        step = np.asarray(draws, dtype=np.uint64) * np.uint64(_GAMMA)
-        return np.add(np.asarray(seeds, dtype=np.uint64), step, out=out)
+        return np.asarray(draws, dtype=np.uint64) * np.uint64(_GAMMA)
+
+
+def premixed_at(seeds: np.ndarray, offs: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """Raw draws at ``offs = offsets(draws)`` of uint64 ``seeds``, all but mixed.
+
+    Only the mix's last round is left for ``last_round`` to take, so a
+    caller that reads a few of the draws takes it only on those.  The
+    arguments broadcast into the uint64 array ``out``; ``scratch`` is
+    another of its shape.
+    """
+    with np.errstate(over="ignore"):
+        return _first_rounds(np.add(seeds, offs, out=out), scratch)
 
 
 def trial_seeds_vector(base_seed: int, start: int, count: int) -> np.ndarray:

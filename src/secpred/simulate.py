@@ -3,21 +3,18 @@ for the adversarial instance families used in the analysis.
 
 Trials are independent and reproducible: trial i derives its stream from a
 64-bit mix of (seed, i), and aggregation sums fixed-size chunks in index
-order, so the result is identical no matter how many workers run.  The
-batch engine works through each chunk in row blocks of bounded size, so a
-worker's memory stays a few tens of megabytes whatever n and the trial
-count are, and more workers add only that much each.  A job is the run
-(instance, model, parameters and seed) and a span of trial indices, the
-same on one worker as on a pool of them.
+order.  The batch engine works through each chunk in row blocks of about
+2^16 draws, shared out among ``threads`` threads of this process, and each
+row's result is the same whichever thread runs it, so every output is
+identical for any thread count.  A thread's buffers take about 1.5 MB
+whatever n and the trial count are.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,17 +54,23 @@ class SimResult:
     mode_switch_rate: float
 
 
-def _chunk_sums(run, span):
-    """Sums over trials ``span = (start, count)`` of ``run = (instance,
-    model, params, seed)``."""
-    instance, model, params, seed = run
-    res = run_trials_batch(instance, model, params, seed, *span)
+def _chunk_sums(instance, model, params, seed, start, count, threads):
+    """Sums over trials [start, start + count) of one run."""
+    res = run_trials_batch(instance, model, params, seed, start, count, threads)
     return (
         float(np.sum(res.ratios)),
         float(np.sum(res.ratios * res.ratios)),
         int(np.count_nonzero(res.hired >= 0)),
         int(np.count_nonzero(res.switched)),
     )
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has the call
+        return os.cpu_count() or 1
 
 
 def _integer(name, x):
@@ -86,27 +89,25 @@ def estimate_ratio(
     params: PolicyParams,
     trials: int,
     seed: int,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> SimResult:
-    """Empirical E[hired value] / v* over independent schedule+trial pairs."""
+    """Empirical E[hired value] / v* over independent schedule+trial pairs.
+
+    Each chunk's row blocks run on ``threads`` threads, by default as many
+    as the cores this process may run on.
+    """
     check_model(model)
     trials = _integer("trials", trials)
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
-    threads = _integer("threads", threads)
+    threads = _cores() if threads is None else _integer("threads", threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     seed = _integer("seed", seed)
-    spans = [(s, min(CHUNK, trials - s)) for s in range(0, trials, CHUNK)]
-    job = functools.partial(_chunk_sums, (instance, model, params, seed))
-    # an executor may start all its workers at the first submit, so ask for
-    # no more than there are chunks to run and cores to run them on
-    workers = min(threads, len(spans), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, spans))
-    else:
-        parts = list(map(job, spans))
+    parts = [
+        _chunk_sums(instance, model, params, seed, s, min(CHUNK, trials - s), threads)
+        for s in range(0, trials, CHUNK)
+    ]
 
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)

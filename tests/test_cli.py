@@ -335,6 +335,27 @@ def test_simulate_zero_threads_exit_two(tmp_path, capsys):
     assert "threads must be >= 1" in capsys.readouterr().err
 
 
+def test_simulate_threads_default_to_usable_cores(tmp_path, monkeypatch, capsys):
+    # a process allowed one core of 64 runs one thread, not 64
+    import secpred.simulate as sim
+
+    threads = []
+    batch = sim.run_trials_batch
+
+    def recorded(*args):
+        threads.append(args[-1])
+        return batch(*args)
+
+    monkeypatch.setattr(sim, "run_trials_batch", recorded)
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 64)
+    inst = tmp_path / "inst.json"
+    main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.63", "--out", str(inst)])
+    assert main(["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", "10"]) == 0
+    assert threads == [1]
+    assert "\nmodel,n,m,k,m2," in capsys.readouterr().out
+
+
 def test_tune_oversized_grid_exit_two(capsys):
     assert main(["tune", "--model", "cosp", "--step", "0.001"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err

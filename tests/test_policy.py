@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from secpred import (
 )
 from secpred import policy
 from secpred.policy import run_trials_batch
-from secpred.rng import TrialStream, trial_seed
+from secpred.rng import TrialStream, last_round, trial_seed
 
 P = THEOREM_COSP_PARAMS
 
@@ -302,7 +303,11 @@ _HI = 0x9E3779B9 << 32
 
 def _collisions(z, key, pin=0, beta=None):
     z = np.array(z, dtype=np.uint64)
-    return policy._key_collisions(z, np.empty(z.shape, key), pin, beta).tolist()
+    # the engine hands over its draws before the mix's last round, y = x ^
+    # (x >> 31), so they go in through its inverse, x = y ^ (y >> 31) ^ (y >> 62)
+    premixed = z ^ (z >> np.uint64(31)) ^ (z >> np.uint64(62))
+    assert np.array_equal(last_round(premixed.copy()), z)
+    return policy._key_collisions(premixed, np.empty(z.shape, key), pin, beta).tolist()
 
 
 # the 32-bit keys of short rows and the 53-bit keys of long ones
@@ -383,3 +388,101 @@ def test_only_colliding_rows_replayed(monkeypatch, wide):
     inst = gen_case_family(4, 2, 1, 1, 2**14, THEOREM_ROSP_PARAMS.theta)
     run_trials_batch(inst, "rosp", THEOREM_ROSP_PARAMS, 5, 0, 200)
     assert calls == []
+
+
+def _threaded_runs():
+    seed = 3
+    # trial 0 of test_batch_redraws_colliding_schedule_like_scalar and of
+    # test_batch_reads_redrawn_times collides: beta is its first uniform,
+    # which candidate 0 draws as well.  Trial 700 collides the same way with
+    # its own beta; at ROW_ELEMENTS = 997 its block, block 1, is a helper's
+    stream = TrialStream(trial_seed(seed, 0))
+    d = [stream.uniform() for _ in range(3)]
+    gated = PolicyParams(theta=0.5, tau=0.33, gamma=(d[1] + d[2]) / 2, delta=0.5, beta=d[0])
+    redrawn = PolicyParams(theta=0.5, tau=0.2, gamma=0.5, delta=0.5, beta=d[0])
+    late = replace(redrawn, beta=TrialStream(trial_seed(seed, 700)).uniform())
+    low = build_instance([1.0, 100.0], [1.0, 190.0])
+    high = build_instance([100.0, 1.0], [100.0, 190.0])
+    cosp = gen_case_family(4, 2, 1, 1, 50, P.theta)
+    rosp = gen_case_family(4, 2, 1, 1, 50, THEOREM_ROSP_PARAMS.theta)
+    # instance, model, parameters and the number of trials replayed
+    return [
+        pytest.param(cosp, "cosp", P, 0, id="cosp"),
+        pytest.param(rosp, "rosp", THEOREM_ROSP_PARAMS, 0, id="rosp"),
+        pytest.param(low, "cosp", gated, 1, id="redraws-trial0"),
+        pytest.param(high, "cosp", redrawn, 1, id="reads-redrawn-trial0"),
+        pytest.param(high, "cosp", late, 1, id="redraws-trial700"),
+    ]
+
+
+@pytest.mark.parametrize("row_elements", [997, policy.ROW_ELEMENTS], ids=["uneven", "default"])
+@pytest.mark.parametrize("inst,model,params,replayed", _threaded_runs())
+def test_threads_change_nothing(monkeypatch, row_elements, inst, model, params, replayed):
+    # at ROW_ELEMENTS = 997 the 3000 trials run in 7 (n = 2) or 51 (n = 50)
+    # blocks, the last a partial one; at the default in one
+    monkeypatch.setattr(policy, "ROW_ELEMENTS", row_elements)
+    calls = []
+
+    def counted(inst, schedule, params, stream):
+        calls.append(schedule)
+        return run_trial(inst, schedule, params, stream)
+
+    monkeypatch.setattr(policy, "run_trial", counted)
+    want = None
+    for threads in (1, 2, 3):
+        calls.clear()
+        got = run_trials_batch(inst, model, params, 3, 0, 3000, threads=threads)
+        # each colliding trial is replayed once, by the calling thread
+        assert len(calls) == replayed, threads
+        if want is None:
+            want = got
+            continue
+        assert np.array_equal(got.hired, want.hired), threads
+        assert np.array_equal(got.ratios, want.ratios), threads
+        assert np.array_equal(got.switched, want.switched), threads
+
+
+def test_batch_refuses_no_threads():
+    inst = gen_case_family(4, 2, 1, 1, 5, P.theta)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_trials_batch(inst, "cosp", P, 1, 0, 10, threads=0)
+
+
+def test_many_threads_under_fast_switching(monkeypatch):
+    # more threads than cores, switched every microsecond, on 51 blocks: a
+    # row written by the wrong worker, or lost, would change the arrays
+    monkeypatch.setattr(policy, "ROW_ELEMENTS", 997)
+    inst = gen_case_family(4, 2, 1, 1, 50, P.theta)
+    want = run_trials_batch(inst, "cosp", P, 5, 0, 3000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_trials_batch(inst, "cosp", P, 5, 0, 3000, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.hired, want.hired)
+    assert np.array_equal(got.ratios, want.ratios)
+    assert np.array_equal(got.switched, want.switched)
+
+
+def test_second_thread_adds_one_workers_memory():
+    # a worker holds z and scratch, ROW_ELEMENTS // n whole rows of uint64
+    # draws (512 KiB each), taken (no more than z) and its block's
+    # temporaries, so a second thread adds about one worker's memory
+    params = THEOREM_ROSP_PARAMS
+    inst = gen_case_family(4, 2, 1, 1, 800, params.theta)
+    count = 20_000
+    peaks = []
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            run_trials_batch(inst, "rosp", params, 1, 0, count, threads=threads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    buffers = 3 * (policy.ROW_ELEMENTS // inst.n) * inst.n * 8
+    # what the one-thread peak holds besides hired and switched is its
+    # worker's: the buffers, and block temporaries of less than half as much
+    worker = peaks[0] - count * 9
+    assert buffers <= worker <= 1.5 * buffers, worker
+    assert peaks[1] - peaks[0] <= 1.1 * worker, (peaks, worker)

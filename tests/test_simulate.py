@@ -1,4 +1,5 @@
 import math
+import threading
 
 import pytest
 
@@ -14,6 +15,7 @@ from secpred import (
     mistake_set,
 )
 import secpred.simulate as sim
+from secpred import policy
 from secpred.analytic import case_bound
 from secpred.simulate import default_deviation, sim_csv_header, sim_csv_row
 
@@ -42,43 +44,90 @@ def test_seed_determinism_and_thread_independence():
     assert c.mean_ratio != a.mean_ratio
 
 
-class _RecordingPool:
-    # stands in for ProcessPoolExecutor: records its size and jobs, runs its
-    # jobs in process
-    sizes = []
-    jobs = []
+class _RecordingThread(threading.Thread):
+    # records the worker index of each helper thread the engine starts
+    workers = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        self.jobs.extend(jobs)
-        return map(fn, jobs)
+    def start(self):
+        self.workers.append(self._args[0])
+        super().start()
 
 
-# four chunks of 64 trials: the pool is sized by chunks, cpus or threads,
-# whichever is least, and not started when that is 1
+# four chunks of 64 trials at n = 5: one block per chunk at the default
+# ROW_ELEMENTS, four of 16 rows when it is 80; a chunk's blocks run on
+# min(threads, blocks) workers, the caller and a helper thread for each
+# other one
 @pytest.mark.parametrize(
-    "threads,cpus,want", [(64, 8, [4]), (64, 2, [2]), (3, 8, [3]), (64, 1, []), (1, 8, [])]
+    "threads,row_elements,want",
+    [
+        pytest.param(64, 80, [1, 2, 3] * 4, id="64-of-4-blocks"),
+        pytest.param(3, 80, [1, 2] * 4, id="3-of-4-blocks"),
+        pytest.param(2, 80, [1] * 4, id="2-of-4-blocks"),
+        pytest.param(1, 80, [], id="1-of-4-blocks"),
+        pytest.param(64, policy.ROW_ELEMENTS, [], id="64-of-1-block"),
+    ],
 )
-def test_pool_clamped_to_chunks_and_cpus(monkeypatch, threads, cpus, want):
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+def test_threads_started_per_chunk(monkeypatch, threads, row_elements, want):
     monkeypatch.setattr(sim, "CHUNK", 64)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "jobs", [])
     inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
     serial = estimate_ratio(inst, "rosp", Q, trials=256, seed=2, threads=1)
+    monkeypatch.setattr(policy, "ROW_ELEMENTS", row_elements)
+    monkeypatch.setattr(policy.threading, "Thread", _RecordingThread)
+    monkeypatch.setattr(_RecordingThread, "workers", [])
     assert estimate_ratio(inst, "rosp", Q, trials=256, seed=2, threads=threads) == serial
-    assert _RecordingPool.sizes == want
-    # the pool maps the run's one job over exactly the spans
-    assert _RecordingPool.jobs == ([(0, 64), (64, 64), (128, 64), (192, 64)] if want else [])
+    assert _RecordingThread.workers == want
+
+
+@pytest.mark.parametrize("fail", ["second-call", "helper"])
+def test_worker_error_raised_after_all_threads_stop(monkeypatch, fail):
+    # many blocks at n = 50; the failing block is the second one resolved,
+    # or the first one a helper thread resolves
+    monkeypatch.setattr(policy, "ROW_ELEMENTS", 997)
+    resolve = policy._resolve_block
+    calls = []
+    lock = threading.Lock()
+
+    def counted(*args):
+        with lock:
+            calls.append(threading.current_thread())
+            return len(calls)
+
+    def failing(*args):
+        second = counted() == 2
+        helper = threading.current_thread() is not threading.main_thread()
+        if second if fail == "second-call" else helper:
+            raise ArithmeticError("block failed")
+        return resolve(*args)
+
+    inst = gen_case_family(4, 2, 1, 1, 50, Q.theta)
+    monkeypatch.setattr(policy, "_resolve_block", lambda *args: counted() and resolve(*args))
+    estimate_ratio(inst, "rosp", Q, trials=2000, seed=2, threads=3)
+    blocks = len(calls)
+    calls.clear()
+    monkeypatch.setattr(policy, "_resolve_block", failing)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="block failed"):
+        estimate_ratio(inst, "rosp", Q, trials=2000, seed=2, threads=3)
+    assert threading.active_count() == before
+    # the other workers stop at their next block instead of running theirs
+    assert blocks > 3 * 4 and len(calls) < blocks
+
+
+def test_default_threads_are_the_usable_cores(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        sim, "_chunk_sums", lambda *job: seen.append(job[-1]) or (0.0, 0.0, 0, 0)
+    )
+    inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+    estimate_ratio(inst, "rosp", Q, trials=10, seed=2)
+    # where the affinity call does not exist, every core counts
+    monkeypatch.delattr(sim.os, "sched_getaffinity")
+    estimate_ratio(inst, "rosp", Q, trials=10, seed=2)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+    estimate_ratio(inst, "rosp", Q, trials=10, seed=2)
+    assert seen == [3, 8, 1]
 
 
 @pytest.mark.parametrize(
@@ -125,7 +174,10 @@ def test_max_trials_accepted(monkeypatch):
     # the cap itself runs, as its documented 15 259 chunks
     spans = []
     monkeypatch.setattr(
-        sim, "_chunk_sums", lambda run, span: spans.append(span[-1]) or (0.0, 0.0, 0, 0)
+        sim,
+        "_chunk_sums",
+        lambda instance, model, params, seed, start, count, threads: spans.append(count)
+        or (0.0, 0.0, 0, 0),
     )
     inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
     assert estimate_ratio(inst, "rosp", Q, trials=10**9, seed=2).trials == sim.MAX_TRIALS
