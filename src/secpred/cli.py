@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (default: the cores this process may run on)",
+        help="worker threads, at most 64 (default: the cores this process may run on)",
     )
     p.set_defaults(fn=_cmd_simulate)
 

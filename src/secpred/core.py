@@ -118,14 +118,19 @@ class CaseProfile:
 
 @dataclass(frozen=True)
 class Schedule:
+    """Each candidate's arrival time in [0, 1], by candidate index.
+
+    Two equal times are allowed: ``policy.run_trial`` takes tied arrivals
+    in index order.  In both arrival models the drawn times are
+    independent uniforms, so ties have probability zero, and they occur
+    only because a drawn time is a 53-bit float.
+    """
+
     arrival_times: tuple[float, ...]
 
     def __post_init__(self):
-        ts = self.arrival_times
-        if any(not 0.0 <= t <= 1.0 for t in ts):
+        if any(not 0.0 <= t <= 1.0 for t in self.arrival_times):
             raise ValueError("arrival times must lie in [0, 1]")
-        if len(set(ts)) != len(ts):
-            raise ValueError("arrival times must be pairwise distinct")
 
 
 def _perturb(xs: Sequence[float]) -> list[float]:

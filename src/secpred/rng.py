@@ -4,9 +4,10 @@ Every randomized component draws from a SplitMix64 stream.  Trial i of a
 simulation derives its own stream from a 64-bit mix of (base_seed, i), so
 trials are reproducible independently of execution order or worker count.
 A SplitMix64 stream is stateless in its draw number: draw d of the stream
-seeded with s is mix(s + d * GAMMA).  ``u64_at`` and ``uniforms_at``
-evaluate that for a whole array of (seed, draw number) pairs at once, which
-lets the batch simulation engine reproduce ``TrialStream`` runs bit for bit.
+seeded with s is mix(s + d * GAMMA).  ``uniforms_at`` evaluates that for a
+whole array of (seed, draw number) pairs at once, which lets the batch
+simulation engine draw only the arrival times it reads and still reproduce
+``TrialStream`` runs bit for bit.
 """
 
 from __future__ import annotations
@@ -34,25 +35,11 @@ def _mix_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     (allocated once when not given), rather than a new temporary.
     """
     t = np.empty_like(z) if scratch is None else scratch
-    return last_round(_first_rounds(z, t), t)
-
-
-def _first_rounds(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # the mix but for its last round, in place through t
     z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= np.uint64(_MIX1)
     z ^= np.right_shift(z, np.uint64(27), out=t)
     z *= np.uint64(_MIX2)
-    return z
-
-
-def last_round(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """The mix's last round, ``z ^ (z >> 31)``, applied in place to uint64 ``z``.
-
-    It finishes the draws ``premixed_at`` returns.  ``scratch`` is a uint64
-    array of z's shape, allocated when not given.
-    """
-    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
@@ -76,22 +63,6 @@ class TrialStream:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def u64_at(seeds, draws, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
-    """Raw 64-bit output number ``draws`` (counted from 1) of each seed's stream.
-
-    ``u64_at(s, d)`` equals the d-th ``TrialStream(s).next_u64()``, and the
-    arguments broadcast as in ``uniforms_at``.  The result is written into
-    ``out`` and mixed through ``scratch``, uint64 arrays of the broadcast
-    shape (each allocated when not given), so a caller drawing block after
-    block can reuse two buffers.
-    """
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(seeds), np.shape(draws)), dtype=np.uint64)
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix_array(np.add(seeds, offsets(draws), out=out), scratch)
-
-
 def uniforms_at(
     seeds, draws, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
@@ -105,42 +76,17 @@ def uniforms_at(
     allocated when not given, so a caller drawing block after block can
     reuse two buffers.
     """
-    u = np.empty(np.broadcast_shapes(np.shape(seeds), np.shape(draws))) if out is None else out
-    return to_uniforms(u64_at(seeds, draws, scratch, u.view(np.uint64)), u)
-
-
-def to_uniforms(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The uniforms of raw draws ``z``, as ``TrialStream.uniform`` takes them.
-
-    Their top 53 bits, scaled to [0, 1), are written into the float64
-    array ``out``; ``z`` is overwritten.
-    """
+    shape = np.broadcast_shapes(np.shape(seeds), np.shape(draws))
+    u = np.empty(shape) if out is None else out
+    z = np.empty(shape, dtype=np.uint64) if scratch is None else scratch
+    with np.errstate(over="ignore"):
+        offsets = np.asarray(draws, dtype=np.uint64) * np.uint64(_GAMMA)
+        np.add(np.asarray(seeds, dtype=np.uint64), offsets, out=z)
+    _mix_array(z, u.view(np.uint64))
     z >>= np.uint64(11)
-    out[...] = z
-    out *= 2.0**-53
-    return out
-
-
-def offsets(draws) -> np.ndarray:
-    """``draws * GAMMA``: what moves a seed on by ``draws`` draws.
-
-    The d-th raw draw of the stream seeded s is the mix of
-    ``s + offsets(d)``, taken modulo 2^64.
-    """
-    with np.errstate(over="ignore"):
-        return np.asarray(draws, dtype=np.uint64) * np.uint64(_GAMMA)
-
-
-def premixed_at(seeds: np.ndarray, offs: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-    """Raw draws at ``offs = offsets(draws)`` of uint64 ``seeds``, all but mixed.
-
-    Only the mix's last round is left for ``last_round`` to take, so a
-    caller that reads a few of the draws takes it only on those.  The
-    arguments broadcast into the uint64 array ``out``; ``scratch`` is
-    another of its shape.
-    """
-    with np.errstate(over="ignore"):
-        return _first_rounds(np.add(seeds, offs, out=out), scratch)
+    u[...] = z
+    u *= 2.0**-53
+    return u
 
 
 def trial_seeds_vector(base_seed: int, start: int, count: int) -> np.ndarray:

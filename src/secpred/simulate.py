@@ -4,10 +4,11 @@ for the adversarial instance families used in the analysis.
 Trials are independent and reproducible: trial i derives its stream from a
 64-bit mix of (seed, i), and aggregation sums fixed-size chunks in index
 order.  The batch engine works through each chunk in row blocks of about
-2^16 draws, shared out among ``threads`` threads of this process, and each
-row's result is the same whichever thread runs it, so every output is
-identical for any thread count.  A thread's buffers take about 1.5 MB
-whatever n and the trial count are.
+2^16 draws of the arrival times a row's hire depends on, shared out among
+``threads`` threads of this process, and each row's result is the same
+whichever thread runs it, so every output is identical for any thread
+count.  A thread's two buffers take about 1 MB below n = 2^16, whatever
+the trial count is.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ CHUNK = 1 << 16  # fixed so results do not depend on worker count
 # More trials are refused before the chunk list is built: 10^9 trials are
 # 15 259 chunks, hours of work on one core.
 MAX_TRIALS = 10**9
+# More threads are refused, and the default is capped here: a thread's
+# buffers take up to 16 MiB at the instance cap, so 64 threads hold 1 GiB.
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -94,15 +98,15 @@ def estimate_ratio(
     """Empirical E[hired value] / v* over independent schedule+trial pairs.
 
     Each chunk's row blocks run on ``threads`` threads, by default as many
-    as the cores this process may run on.
+    as the cores this process may run on, up to ``MAX_THREADS``.
     """
     check_model(model)
     trials = _integer("trials", trials)
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
-    threads = _cores() if threads is None else _integer("threads", threads)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = min(_cores(), MAX_THREADS) if threads is None else _integer("threads", threads)
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be >= 1 and at most {MAX_THREADS}, got {threads}")
     seed = _integer("seed", seed)
     parts = [
         _chunk_sums(instance, model, params, seed, s, min(CHUNK, trials - s), threads)

@@ -335,6 +335,18 @@ def test_simulate_zero_threads_exit_two(tmp_path, capsys):
     assert "threads must be >= 1" in capsys.readouterr().err
 
 
+def test_simulate_too_many_threads_exit_two(tmp_path, capsys, monkeypatch):
+    import secpred.simulate as sim
+
+    monkeypatch.setattr(sim, "_chunk_sums", lambda *job: pytest.fail("a chunk ran"))
+    inst = tmp_path / "inst.json"
+    main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.63", "--out", str(inst)])
+    code = main(["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", "10",
+                 "--threads", "100000"])
+    assert code == 2
+    assert "threads must be >= 1 and at most 64" in capsys.readouterr().err
+
+
 def test_simulate_threads_default_to_usable_cores(tmp_path, monkeypatch, capsys):
     # a process allowed one core of 64 runs one thread, not 64
     import secpred.simulate as sim

@@ -18,7 +18,7 @@ from secpred import (
 )
 from secpred import policy
 from secpred.policy import run_trials_batch
-from secpred.rng import TrialStream, last_round, trial_seed
+from secpred.rng import TrialStream, trial_seed
 
 P = THEOREM_COSP_PARAMS
 
@@ -207,13 +207,24 @@ def test_batch_matches_scalar(model, inst, params):
         assert batch.switched[i] == (out.switch_time is not None), i
 
 
-def test_batch_redraws_colliding_schedule_like_scalar():
+def _counted_replays(monkeypatch):
+    """The schedules ``policy.run_trial`` is called on, in call order."""
+    calls = []
+
+    def counted(inst, schedule, params, stream):
+        calls.append(schedule)
+        return run_trial(inst, schedule, params, stream)
+
+    monkeypatch.setattr(policy, "run_trial", counted)
+    return calls
+
+
+def _gated_tie(seed=3):
     # beta is trial 0's first uniform, which candidate 0 draws as well, so
-    # trial 0's schedule collides and is redrawn.  The top prediction is
-    # the only mistake, so the gamma gate decides trial 0, and gamma lies
-    # between draws 2 and 3: the hire depends on the gate reading draw 3,
-    # the one after the redrawn time.
-    seed = 3
+    # trial 0's schedule is (beta, beta).  The top prediction is the only
+    # mistake, so the gamma gate decides trial 0 on draw 2, the one after
+    # the times, and gamma lies between draws 2 and 3: the hire depends on
+    # the gate reading draw 2, as it does when the tied round is kept
     stream = TrialStream(trial_seed(seed, 0))
     draws = [stream.uniform() for _ in range(3)]
     params = PolicyParams(
@@ -222,11 +233,19 @@ def test_batch_redraws_colliding_schedule_like_scalar():
     assert params.tau < draws[1] < params.gamma < draws[2] and params.tau < params.beta
     inst = build_instance([1.0, 100.0], [1.0, 190.0])
     assert inst.top_predicted_index == 1
+    return inst, params
 
+
+def test_batch_redraws_colliding_schedule_like_scalar(monkeypatch):
+    seed = 3
+    inst, params = _gated_tie(seed)
     sched = make_cosp_schedule(inst, params.beta, TrialStream(trial_seed(seed, 0)))
-    assert sched.arrival_times[0] != params.beta
-    assert sched.arrival_times == (draws[1], params.beta)
+    assert sched.arrival_times == (params.beta, params.beta)
+    calls = _counted_replays(monkeypatch)
     batch = run_trials_batch(inst, "cosp", params, seed, 0, 8)
+    # trial 0 is replayed once, and nothing else is
+    assert [s.arrival_times for s in calls] == [sched.arrival_times]
+    assert batch.hired[0] == 1
     for i in range(8):
         stream = TrialStream(trial_seed(seed, i))
         out = run_trial(inst, make_cosp_schedule(inst, params.beta, stream), params, stream)
@@ -235,27 +254,29 @@ def test_batch_redraws_colliding_schedule_like_scalar():
         assert batch.switched[i] == (out.switch_time is not None), i
 
 
-def test_batch_reads_redrawn_times():
-    # trial 0's first round collides as above.  In the redrawn round the
-    # true best, no mistake, arrives before the top prediction switches
-    # the mode, so nobody is hired; the first round's times would put it
-    # at beta and hire it
+def test_batch_reads_redrawn_times(monkeypatch):
+    # trial 0's schedule is (beta, beta) as above.  Candidate 0, the true
+    # best and no mistake, is taken first, in prediction mode; the top
+    # prediction then switches the mode at the same time, and nobody beats
+    # candidate 0 after it, so nobody is hired.  Taking the top prediction
+    # first would gate it and then hire candidate 0
     seed = 3
-    stream = TrialStream(trial_seed(seed, 0))
-    draws = [stream.uniform() for _ in range(2)]
-    params = PolicyParams(theta=0.5, tau=0.2, gamma=0.5, delta=0.5, beta=draws[0])
-    assert params.tau < draws[1] < params.beta
+    beta = TrialStream(trial_seed(seed, 0)).uniform()
+    params = PolicyParams(theta=0.5, tau=0.2, gamma=0.5, delta=0.5, beta=beta)
+    assert params.tau < params.beta
     inst = build_instance([100.0, 1.0], [100.0, 190.0])
     assert inst.top_predicted_index == 1
 
+    calls = _counted_replays(monkeypatch)
     batch = run_trials_batch(inst, "cosp", params, seed, 0, 8)
+    assert [s.arrival_times for s in calls] == [(beta, beta)]
     for i in range(8):
         stream = TrialStream(trial_seed(seed, i))
         sched = make_cosp_schedule(inst, params.beta, stream)
         out = run_trial(inst, sched, params, stream)
         if i == 0:
-            assert sched.arrival_times == (draws[1], params.beta)
-            assert out.hired_index is None
+            assert sched.arrival_times == (beta, beta)
+            assert out.hired_index is None and out.switch_time == beta
         assert batch.hired[i] == (out.hired_index if out.hired_index is not None else -1), i
         assert batch.ratios[i] == out.ratio, i
         assert batch.switched[i] == (out.switch_time is not None), i
@@ -277,13 +298,13 @@ def test_batch_memory_bounded():
 
 @pytest.mark.parametrize("model", ["cosp", "rosp"])
 def test_batch_matches_scalar_over_partial_blocks(model):
-    # a prime count above both stages' block sizes at n = 50: the
-    # collision stage's ROW_ELEMENTS // n rows and the resolution stage's
-    # at most ROW_ELEMENTS // 16, so each stage ends on a partial block
+    # a prime count above the block size at n = 50, ROW_ELEMENTS // 16 rows
+    # of the 16-column prefix, which holds both mistakes and ihat, so the
+    # last block is a partial one
     params = THEOREM_COSP_PARAMS if model == "cosp" else THEOREM_ROSP_PARAMS
     inst = gen_case_family(4, 2, 1, 1, 50, params.theta)
     seed, count = 31, 4999
-    assert count > policy.ROW_ELEMENTS // 16 > policy.ROW_ELEMENTS // inst.n
+    assert count > policy.ROW_ELEMENTS // 16
     batch = run_trials_batch(inst, model, params, seed, 0, count)
     for i in range(count):
         stream = TrialStream(trial_seed(seed, i))
@@ -297,93 +318,15 @@ def test_batch_matches_scalar_over_partial_blocks(model):
         assert batch.switched[i] == (out.switch_time is not None), i
 
 
-# Raw 64-bit draws: a draw's time is its top 53 bits, its key the top 32.
-_HI = 0x9E3779B9 << 32
-
-
-def _collisions(z, key, pin=0, beta=None):
-    z = np.array(z, dtype=np.uint64)
-    # the engine hands over its draws before the mix's last round, y = x ^
-    # (x >> 31), so they go in through its inverse, x = y ^ (y >> 31) ^ (y >> 62)
-    premixed = z ^ (z >> np.uint64(31)) ^ (z >> np.uint64(62))
-    assert np.array_equal(last_round(premixed.copy()), z)
-    return policy._key_collisions(premixed, np.empty(z.shape, key), pin, beta).tolist()
-
-
-# the 32-bit keys of short rows and the 53-bit keys of long ones
-KEYS = pytest.mark.parametrize("key", [np.uint32, np.uint64], ids=["u32", "u64"])
-
-
-@KEYS
-def test_key_prefilter_equal_keys_distinct_times_not_redrawn(key):
-    z = [[_HI | 1 << 11, 7 << 40, _HI | 2 << 11], [1 << 40, 2 << 40, 3 << 40]]
-    assert z[0][0] >> 32 == z[0][2] >> 32 and z[0][0] >> 11 != z[0][2] >> 11
-    assert _collisions(z, key) == []
-
-
-@KEYS
-def test_key_prefilter_equal_times_redrawn(key):
-    # equal times that differ in the 11 bits below them
-    z = [[1 << 40, 2 << 40, 3 << 40], [7 << 40, _HI | 5 << 11 | 3, _HI | 5 << 11 | 2047]]
-    assert _collisions(z, key) == [1]
-
-
-@KEYS
-def test_key_prefilter_cosp_beta(key):
-    # 0.1 is no multiple of 2^-53: it shares a key with the draw just below
-    # it (and a 32-bit key with the one above), and a time with neither
-    d = int(0.1 * 2**53)
-    assert d * 2.0**-53 < 0.1 < (d + 1) * 2.0**-53 and d >> 21 == (d + 1) >> 21
-    # column 0 is pinned; its own draw is not read
-    z = [[d << 11, d << 11, 5 << 40], [5 << 40, (d + 1) << 11, 9 << 40]]
-    assert _collisions(z, key, pin=0, beta=0.1) == []
-    # a beta that is a draw's time collides with it, through its own key
-    z = [[5 << 40, 1 << 63, 9 << 40], [5 << 40, 3 << 61, 9 << 40]]
-    assert _collisions(z, key, pin=0, beta=0.5) == [0]
-
-
-def test_wide_keys_change_nothing(monkeypatch):
-    # every row keyed on its 53-bit times gives the 32-bit keys' results,
-    # trial 0 of test_batch_reads_redrawn_times, whose first round collides
-    # and would hire another candidate, included
+def test_only_colliding_rows_replayed(monkeypatch):
+    calls = _counted_replays(monkeypatch)
+    # trial 0 of test_batch_redraws_colliding_schedule_like_scalar holds a
+    # tie, and is replayed from its one round
     seed = 3
-    beta = TrialStream(trial_seed(seed, 0)).uniform()
-    redraw = PolicyParams(theta=0.5, tau=0.2, gamma=0.5, delta=0.5, beta=beta)
-    runs = [
-        (build_instance([100.0, 1.0], [100.0, 190.0]), "cosp", redraw, 8),
-        (gen_case_family(4, 2, 1, 1, 50, P.theta), "cosp", P, 3000),
-        (gen_case_family(4, 2, 1, 1, 50, THEOREM_ROSP_PARAMS.theta), "rosp", THEOREM_ROSP_PARAMS, 3000),
-    ]
-    want = [run_trials_batch(inst, model, params, seed, 0, count) for inst, model, params, count in runs]
-    monkeypatch.setattr(policy, "_WIDE_KEYS", 1)
-    for (inst, model, params, count), w in zip(runs, want):
-        got = run_trials_batch(inst, model, params, seed, 0, count)
-        assert np.array_equal(got.hired, w.hired) and np.array_equal(got.switched, w.switched)
-        assert np.array_equal(got.ratios, w.ratios)
-
-
-@pytest.mark.parametrize("wide", [policy._WIDE_KEYS, 1], ids=["keys", "wide"])
-def test_only_colliding_rows_replayed(monkeypatch, wide):
-    monkeypatch.setattr(policy, "_WIDE_KEYS", wide)
-    calls = []
-
-    def counted(inst, schedule, params, stream):
-        calls.append(schedule)
-        return run_trial(inst, schedule, params, stream)
-
-    monkeypatch.setattr(policy, "run_trial", counted)
-    # trial 0 of test_batch_redraws_colliding_schedule_like_scalar collides,
-    # and is replayed from its redrawn round
-    seed = 3
-    stream = TrialStream(trial_seed(seed, 0))
-    draws = [stream.uniform() for _ in range(3)]
-    params = PolicyParams(
-        theta=0.5, tau=0.33, gamma=(draws[1] + draws[2]) / 2, delta=0.5, beta=draws[0]
-    )
-    inst = build_instance([1.0, 100.0], [1.0, 190.0])
+    inst, params = _gated_tie(seed)
     run_trials_batch(inst, "cosp", params, seed, 0, 8)
-    assert [s.arrival_times for s in calls] == [(draws[1], params.beta)]
-    # rows with two equal 32-bit keys but distinct times are not replayed
+    assert [s.arrival_times for s in calls] == [(params.beta, params.beta)]
+    # rows of a long instance whose times are distinct are not replayed
     calls.clear()
     inst = gen_case_family(4, 2, 1, 1, 2**14, THEOREM_ROSP_PARAMS.theta)
     run_trials_batch(inst, "rosp", THEOREM_ROSP_PARAMS, 5, 0, 200)
@@ -393,14 +336,14 @@ def test_only_colliding_rows_replayed(monkeypatch, wide):
 def _threaded_runs():
     seed = 3
     # trial 0 of test_batch_redraws_colliding_schedule_like_scalar and of
-    # test_batch_reads_redrawn_times collides: beta is its first uniform,
-    # which candidate 0 draws as well.  Trial 700 collides the same way with
+    # test_batch_reads_redrawn_times holds a tie: beta is its first uniform,
+    # which candidate 0 draws as well.  Trial 700 holds one the same way with
     # its own beta; at ROW_ELEMENTS = 997 its block, block 1, is a helper's
     stream = TrialStream(trial_seed(seed, 0))
     d = [stream.uniform() for _ in range(3)]
     gated = PolicyParams(theta=0.5, tau=0.33, gamma=(d[1] + d[2]) / 2, delta=0.5, beta=d[0])
-    redrawn = PolicyParams(theta=0.5, tau=0.2, gamma=0.5, delta=0.5, beta=d[0])
-    late = replace(redrawn, beta=TrialStream(trial_seed(seed, 700)).uniform())
+    tied = PolicyParams(theta=0.5, tau=0.2, gamma=0.5, delta=0.5, beta=d[0])
+    late = replace(tied, beta=TrialStream(trial_seed(seed, 700)).uniform())
     low = build_instance([1.0, 100.0], [1.0, 190.0])
     high = build_instance([100.0, 1.0], [100.0, 190.0])
     cosp = gen_case_family(4, 2, 1, 1, 50, P.theta)
@@ -410,7 +353,7 @@ def _threaded_runs():
         pytest.param(cosp, "cosp", P, 0, id="cosp"),
         pytest.param(rosp, "rosp", THEOREM_ROSP_PARAMS, 0, id="rosp"),
         pytest.param(low, "cosp", gated, 1, id="redraws-trial0"),
-        pytest.param(high, "cosp", redrawn, 1, id="reads-redrawn-trial0"),
+        pytest.param(high, "cosp", tied, 1, id="reads-redrawn-trial0"),
         pytest.param(high, "cosp", late, 1, id="redraws-trial700"),
     ]
 
@@ -421,18 +364,12 @@ def test_threads_change_nothing(monkeypatch, row_elements, inst, model, params, 
     # at ROW_ELEMENTS = 997 the 3000 trials run in 7 (n = 2) or 51 (n = 50)
     # blocks, the last a partial one; at the default in one
     monkeypatch.setattr(policy, "ROW_ELEMENTS", row_elements)
-    calls = []
-
-    def counted(inst, schedule, params, stream):
-        calls.append(schedule)
-        return run_trial(inst, schedule, params, stream)
-
-    monkeypatch.setattr(policy, "run_trial", counted)
+    calls = _counted_replays(monkeypatch)
     want = None
     for threads in (1, 2, 3):
         calls.clear()
         got = run_trials_batch(inst, model, params, 3, 0, 3000, threads=threads)
-        # each colliding trial is replayed once, by the calling thread
+        # each trial with a tie is replayed once, by the calling thread
         assert len(calls) == replayed, threads
         if want is None:
             want = got
@@ -466,9 +403,9 @@ def test_many_threads_under_fast_switching(monkeypatch):
 
 
 def test_second_thread_adds_one_workers_memory():
-    # a worker holds z and scratch, ROW_ELEMENTS // n whole rows of uint64
-    # draws (512 KiB each), taken (no more than z) and its block's
-    # temporaries, so a second thread adds about one worker's memory
+    # a worker holds two buffers of max(ROW_ELEMENTS, n) uint64 draws
+    # (512 KiB each) and its block's temporaries, so a second thread adds
+    # about one worker's memory
     params = THEOREM_ROSP_PARAMS
     inst = gen_case_family(4, 2, 1, 1, 800, params.theta)
     count = 20_000
@@ -480,7 +417,7 @@ def test_second_thread_adds_one_workers_memory():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    buffers = 3 * (policy.ROW_ELEMENTS // inst.n) * inst.n * 8
+    buffers = 2 * max(policy.ROW_ELEMENTS, inst.n) * 8
     # what the one-thread peak holds besides hired and switched is its
     # worker's: the buffers, and block temporaries of less than half as much
     worker = peaks[0] - count * 9

@@ -1,14 +1,6 @@
 import numpy as np
 
-from secpred.rng import (
-    TrialStream,
-    last_round,
-    offsets,
-    premixed_at,
-    trial_seed,
-    trial_seeds_vector,
-    uniforms_at,
-)
+from secpred.rng import TrialStream, trial_seed, trial_seeds_vector, uniforms_at
 
 
 def _stream_table(seeds, k):
@@ -53,15 +45,3 @@ def test_uniforms_at_plain_ints():
     for r, s in enumerate(SEEDS.tolist()):
         for d in (1, 5, 12):
             assert float(uniforms_at(s, d)) == want[r, d - 1]
-
-
-def test_premixed_draws_finish_into_raw_draws():
-    # the mix without its last round, then that round, is the d-th next_u64
-    draws = np.arange(1, 13, dtype=np.uint64)
-    shape = (len(SEEDS), len(draws))
-    z = premixed_at(SEEDS[:, None], offsets(draws), np.empty(shape, np.uint64), np.empty(shape, np.uint64))
-    want = []
-    for s in SEEDS.tolist():
-        stream = TrialStream(s)
-        want.append([stream.next_u64() for _ in draws])
-    assert last_round(z).tolist() == want

@@ -127,7 +127,10 @@ def test_default_threads_are_the_usable_cores(monkeypatch):
     estimate_ratio(inst, "rosp", Q, trials=10, seed=2)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
     estimate_ratio(inst, "rosp", Q, trials=10, seed=2)
-    assert seen == [3, 8, 1]
+    # more cores than MAX_THREADS run MAX_THREADS threads
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 200)
+    estimate_ratio(inst, "rosp", Q, trials=10, seed=2)
+    assert seen == [3, 8, 1, sim.MAX_THREADS]
 
 
 @pytest.mark.parametrize(
@@ -135,6 +138,8 @@ def test_default_threads_are_the_usable_cores(monkeypatch):
     [
         pytest.param(0, 2, "threads must be >= 1", id="0"),
         pytest.param(-1, 2, "threads must be >= 1", id="-1"),
+        pytest.param(65, 2, "threads must be >= 1 and at most 64", id="65"),
+        pytest.param(100_000, 2, "threads must be >= 1 and at most 64", id="100000"),
         pytest.param(2.5, 2, "threads must be an integer", id="threads 2.5"),
         pytest.param(True, 2, "threads must be an integer", id="threads True"),
         pytest.param("2", 2, "threads must be an integer", id="threads '2'"),
