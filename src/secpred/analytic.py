@@ -20,11 +20,16 @@ controlled in exactly one place and no evaluation can fail to converge.  Each
 of cases 1, 4, 5 and 6 is one form of ``(point, m, k, m2, tm, tk)`` in
 ``CASE_FORMS``: ``None`` marks a parameter above its threshold, and with
 every parameter small the form is the exact bound.  The point's fields are
-floats for one policy or arrays for a search mesh.  ``case_bound`` is the one
-checked front end over ``CASE_FORMS``, for exact profiles and large regimes
-alike: ``None`` means large and m2 is ignored under a large k.  Case 0 is the
-floor, cases 2 and 3 reduce to cases 1 and 4, and these three are exact
-only.
+floats for one policy or arrays for a search mesh.  m, k and m2 are ints, or
+int arrays over a group of entries: the entry axis leads, and the array has
+one more axis than the point's fields, each of length 1 (``(E,)`` at a
+scalar point, ``(E, 1, 1, 1)`` on tune's mesh).  An array exponent is never
+a float power: every power and integral it reaches is gathered from a column
+of the values an int exponent gives, so a group's values equal the
+per-entry values bit for bit.  ``case_bound`` is the one checked front end
+over ``CASE_FORMS``, for exact profiles and large regimes alike: ``None``
+means large and m2 is ignored under a large k.  Case 0 is the floor, cases 2
+and 3 reduce to cases 1 and 4, and these three are exact only.
 """
 
 from __future__ import annotations
@@ -135,19 +140,25 @@ class Point:
 
     Building blocks are memoized on the point per integer argument, so a
     point shared by a whole enumeration takes each power and each pow-over-x
-    integral once.  On a mesh the integrals come from ``pow_over_x_integral``
-    at each element of the broadcast limits, once per (tau, beta) pair on
-    tune's mesh, so a mesh entry and the scalar point with the same fields
-    see the same values.
+    integral once.  A block given an int array is computed directly: its
+    powers and integrals are gathered from a column per point that holds
+    each exponent's value, computed as for an int exponent.  An integral's
+    column comes from one row per (lower, upper) limit pair, which
+    ``_pox_row`` fills in one pass; ``rows``, a dict of those rows, may be
+    shared by points over the same (tau, beta) values.  On a mesh an int
+    exponent's integral is ``pow_over_x_integral`` at each element of the
+    broadcast limits, once per (tau, beta) pair on tune's mesh, so a mesh
+    entry and the scalar point with the same fields see the same values.
     """
 
-    def __init__(self, tau, gamma, delta, beta=None, r=0.0):
+    def __init__(self, tau, gamma, delta, beta=None, r=0.0, rows=None):
         self.tau, self.gamma, self.delta, self.beta, self.r = tau, gamma, delta, beta, r
         self.mesh = isinstance(tau, np.ndarray)
         self.log = np.log if self.mesh else math.log
         self.min = np.minimum if self.mesh else min
         self.max = np.maximum if self.mesh else max
         self.memo: dict = {}
+        self.rows = {} if rows is None else rows
 
     @classmethod
     def of(cls, model: str, params) -> Point:
@@ -169,10 +180,13 @@ class Point:
 
 def _memo(fn):
     # a building block depends only on the point and its other arguments, and
-    # a block for a large parameter takes the threshold it reads as one of them
+    # a block for a large parameter takes the threshold it reads as one of
+    # them; a block over an array of entries is computed directly
     name = fn.__name__
 
     def cached(p, *args):
+        if any(isinstance(a, np.ndarray) for a in args):
+            return fn(p, *args)
         key = (name, args)
         if key not in p.memo:
             p.memo[key] = fn(p, *args)
@@ -181,13 +195,35 @@ def _memo(fn):
     return cached
 
 
+def _column(p, key, size, build):
+    # build(size), the values at 0, ..., size - 1 along a new leading axis,
+    # memoized on the point under key; rebuilt at least twice as long (and
+    # never shorter than 16) when shorter than size
+    values = p.memo.get(key)
+    if values is None or len(values) < size:
+        size = max(size, 16, 0 if values is None else 2 * len(values))
+        values = p.memo[key] = np.asarray(build(size))
+    return values
+
+
+def _gather(p, key, n, build):
+    # the values at the exponents n, an int array with the entry axis leading
+    if n.min() < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    return _column(p, key, int(n.max()) + 1, build)[n.reshape(-1)]
+
+
 @_memo
 def _ut(p, n):
+    if isinstance(n, np.ndarray):
+        return _gather(p, "ut", n, lambda size: [_ut(p, e) for e in range(size)])
     return (1.0 - p.tau) ** n
 
 
 @_memo
 def _ub(p, n):
+    if isinstance(n, np.ndarray):
+        return _gather(p, "ub", n, lambda size: [_ub(p, e) for e in range(size)])
     return (1.0 - p.beta) ** n
 
 
@@ -217,16 +253,62 @@ def _limits(p, interval):
     return (p.beta if interval == "b1" else p.tau), 1.0
 
 
+def _pox_row(rows, a, b, size):
+    # pow_over_x_integral(a, b, n) for n = 0, ..., size - 1 in one pass, kept
+    # in rows.  The terms are pow_over_x_integral's; partials holds their
+    # running sum exactly (Shewchuk's nonoverlapping partials), and math.fsum
+    # rounds an exact sum correctly, so each value has pow_over_x_integral's
+    # bits for any exponent, in time linear in size
+    row = rows.get((a, b))
+    if row is None or len(row) < size:
+        _check_interval(a, b, size - 1, positive_a=True)
+        ua, ub = 1.0 - a, 1.0 - b
+        head = math.log(b / a)
+        partials, values = [], [head]
+        for j in range(1, size):
+            x, i = (ua**j - ub**j) / j, 0
+            for y in partials:
+                if abs(x) < abs(y):
+                    x, y = y, x
+                hi = x + y
+                lo = y - (hi - x)
+                if lo:
+                    partials[i] = lo
+                    i += 1
+                x = hi
+            partials[i:] = [x]
+            values.append(head - math.fsum(partials))
+        row = rows[a, b] = np.array(values)
+    return row[:size]
+
+
+def _pox_column(p, lo, hi, size):
+    # the integral at exponents 0, ..., size - 1 along a new leading axis, one
+    # row per element of the broadcast limits
+    if not p.mesh:
+        return _pox_row(p.rows, lo, hi, size)
+    lo, hi = np.broadcast_arrays(lo, hi)
+    pairs = zip(lo.ravel().tolist(), hi.ravel().tolist())
+    rows = np.array([_pox_row(p.rows, a, b, size) for a, b in pairs])
+    return rows.T.reshape((size,) + lo.shape)
+
+
 @_memo
 def _pox(p, interval, n):
     # Integral of (1-x)^n / x over [tau, beta] ("tb"), [beta, 1] ("b1") or
-    # [tau, 1] ("t1"); on a mesh, pow_over_x_integral at each element of the
-    # broadcast limits, so each value has the scalar bits
+    # [tau, 1] ("t1").  An int n at a scalar point is pow_over_x_integral
+    # itself, which takes time linear in n with a small constant; otherwise
+    # the value comes from the point's column of every exponent up to n, at
+    # each element of the broadcast limits
+    lo, hi = _limits(p, interval)
+    key, build = ("pox", interval), partial(_pox_column, p, lo, hi)
+    if isinstance(n, np.ndarray):
+        return _gather(p, key, n, build)
     if not p.mesh:
-        return pow_over_x_integral(*_limits(p, interval), n)
-    lo, hi = np.broadcast_arrays(*_limits(p, interval))
-    pairs = zip(lo.ravel().tolist(), hi.ravel().tolist())
-    return np.array([pow_over_x_integral(a, b, n) for a, b in pairs]).reshape(lo.shape)
+        return pow_over_x_integral(lo, hi, n)
+    if n < 0:
+        raise ValueError(f"exponent must be a nonnegative integer, got {n}")
+    return _column(p, key, n + 1, build)[n]
 
 
 # Every case form below takes (point, m, k, m2, tm, tk), with None marking a
@@ -421,17 +503,13 @@ def _rosp4(p, m, k, m2, tm, tk):
     )
 
 
-def _one_minus_pow_int(n: int, tau):
-    # Integral_0^tau (1 - (1-b)^n) db
-    return tau - (1.0 - (1.0 - tau) ** (n + 1)) / (n + 1)
-
-
 @_memo
 def _one_minus_pow(p, n, tm):
+    # Integral_0^tau (1 - (1-b)^n) db
     if n is None:
-        # the floor of _one_minus_pow_int over every n > tm
+        # its floor over every n > tm
         return p.max(0.0, p.tau - 1.0 / (tm + 2))
-    return _one_minus_pow_int(n, p.tau)
+    return p.tau - (1.0 - _ut(p, n + 1)) / (n + 1)
 
 
 @_memo
@@ -528,7 +606,7 @@ def _rosp6(p, m, k, m2, tm, tk):
         pre_int = _rosp_pre_block(p, None, tm + 1)
         k_int = _rosp_c5_post(p, None, k, tm + 1, tk)
         return head + early + c_in * (pre_int + k_int + _rosp_delta_block(p, k, m2, tm))
-    if m == 0:
+    if np.ndim(m) == 0 and m == 0:
         return head + early
     body = head + early + _rosp_c6_pre_part(p, m)
     if k is None:

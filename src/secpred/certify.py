@@ -29,22 +29,30 @@ realize (``_LEAST_M`` holds each case's least m), and once per value:
 An entry left out equals a kept one that sorts before it, so the first
 minimum is the same.
 
-``iter_entries`` is the one enumeration of (case, regime, m, k, m2)
-entries.  ``certify`` is one serial pass over ``iter_entries`` at a single
-shared ``analytic.Point``, evaluating each entry with its case's form in
+``entry_groups`` is the one enumeration of (case, regime, m, k, m2)
+entries, built with numpy as groups of one case, regime and pattern of
+large parameters, each cut into pieces of at most ``_CHUNK`` entries that
+hold m, k and m2 as int arrays; ``iter_entries`` is its flattening.
+``certify`` is one serial pass over ``entry_groups`` at a single shared
+``analytic.Point``: each piece is one call of its case's form in
 ``analytic.CASE_FORMS``, which is exact on a small cell and takes ``None``
-for a large parameter.  It skips the argument checks of
-``analytic.case_bound``, the one checked front end, which every entry passes
-and which gives the same bits.  It keeps the first minimum (by
-``CaseBound.sort_key``) of the exact cells and of each large regime, and the
-first of those, with case 0, is the argmin.  The grid search in ``tune``
-walks the same entries on a parameter mesh.
+for a large parameter, and gives each entry the bits a call on the entry
+alone gives.  It skips the argument checks of ``analytic.case_bound``, the
+one checked front end, which every entry passes and which gives the same
+bits.  It keeps the first minimum (by ``CaseBound.sort_key``, one
+``np.lexsort`` over a piece's least entries and the one held) of the exact
+cells and of each large regime, and the first of those, with case 0, is
+the argmin.  Its memory is a piece's arrays and tables of (m, k) runs, so
+it barely grows with the thresholds.  The grid search in ``tune`` walks
+the same groups on a parameter mesh.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import analytic
 from .analytic import DEFAULT_THRESHOLDS, MAX_THRESHOLD, check_thresholds  # re-exported
@@ -57,6 +65,7 @@ __all__ = [
     "CertReport",
     "certify",
     "check_thresholds",
+    "entry_groups",
     "iter_entries",
     "small_cell_count",
     "report_to_json",
@@ -122,14 +131,6 @@ _LEAST_M = {
 }
 
 
-def _applicable_cases(model: str, m: int, k: int, m2: int) -> list[int]:
-    # k = 0 is the first cell (m, 0, m) of each m, as m2 >= m - k
-    if k == 0:
-        return [1] if m >= _LEAST_M[model, 1] else [6]
-    cases = [c for c in (4, 5) if m >= _LEAST_M[model, c] and m2 <= m - 1]
-    return cases + [6] if m >= 1 else cases
-
-
 def iter_small_cells(tm: int, tk: int):
     for m in range(0, tm + 1):
         for k in range(0, tk + 1):
@@ -141,35 +142,103 @@ def small_cell_count(tm: int, tk: int) -> int:
     return sum(min(m, k) + 1 for m in range(tm + 1) for k in range(tk + 1))
 
 
-def _regime_entries(model: str, label: str, tm: int, tk: int):
-    for case_id in (1, 4, 5, 6):
-        if label == "large_k":
-            for m in range(_LEAST_M[model, case_id], tm + 1):
-                yield case_id, label, m, None, None
-        elif case_id == 1 or label == "large_mk":
-            yield case_id, label, None, None, None
-        elif label == "large_m2":
-            for k in range(1, tk + 1):
-                yield case_id, label, None, k, None
-        else:
-            # small (k, m2) must admit some m > tm: m2 >= m-k means m <= k+m2
-            for k in range(1, tk + 1):
-                for m2 in range(max(0, tm + 1 - k), tm + 1):
-                    yield case_id, label, None, k, m2
+# a group is cut into pieces of at most this many entries, each built when it
+# is reached, so certify's memory stays flat as the thresholds grow
+_CHUNK = 1 << 11
+
+
+def _pieces(case_id, regime, m, k, lo, count):
+    # the group whose runs hold m2 = lo, ..., lo + count - 1 at each (m, k)
+    # (None: large), in pieces of at most _CHUNK entries
+    ends = np.cumsum(count)
+    for start in range(0, int(ends[-1]) if ends.size else 0, _CHUNK):
+        at = np.arange(start, min(start + _CHUNK, int(ends[-1])))
+        run = np.searchsorted(ends, at, side="right")
+        m2 = None if lo is None else lo[run] + count[run] - (ends[run] - at)
+        yield case_id, regime, *(None if a is None else a[run] for a in (m, k)), m2
+
+
+def entry_groups(model: str, tm: int, tk: int):
+    """The entries of ``iter_entries`` as groups ``(case_id, regime, m, k, m2)``.
+
+    A group holds entries of one case and regime with the same large
+    parameters: each of m, k and m2 is ``None`` (large) for the whole group
+    or an int array over its entries.  Case 6 at m = 0, the floor r, is a
+    group of one entry with m the int 0, as is an entry with every
+    parameter large.  A group is cut into pieces of at most ``_CHUNK``
+    entries, built when reached.  The exact cells come first: the floor,
+    then cases 1, 4, 5 and 6, each over its cells in (m, k, m2) order; then
+    each large regime, cases 1, 4, 5 and 6 in turn.
+    """
+    yield 6, "exact", 0, 0, 0
+    # case 1 reads m alone and is taken at the first cell (m, 0, m)
+    ms = np.arange(_LEAST_M[model, 1], tm + 1)
+    yield from _pieces(1, "exact", ms, np.zeros_like(ms), ms, np.ones_like(ms))
+    ks = np.arange(1, tk + 1)
+    for case_id in (4, 5, 6):
+        m = np.repeat(np.arange(max(1, _LEAST_M[model, case_id]), tm + 1), tk)
+        k = np.resize(ks, m.shape)
+        lo = np.maximum(0, m - k)  # m2 >= m - k, and m2 <= m - 1 in cases 4 and 5
+        yield from _pieces(case_id, "exact", m, k, lo, m - lo + (case_id == 6))
+    for label in _REGIMES:
+        for case_id in (1, 4, 5, 6):
+            if label == "large_k":
+                least = _LEAST_M[model, case_id]
+                if least == 0:
+                    yield case_id, label, 0, None, None
+                ms = np.arange(max(1, least), tm + 1)
+                yield from _pieces(case_id, label, ms, None, None, np.ones_like(ms))
+            elif case_id == 1 or label == "large_mk":
+                yield case_id, label, None, None, None
+            elif label == "large_m2":
+                yield from _pieces(case_id, label, None, ks, None, np.ones_like(ks))
+            else:
+                # small (k, m2) must admit some m > tm: m2 >= m-k means m <= k+m2
+                low = np.maximum(0, tm + 1 - ks)
+                yield from _pieces(case_id, label, None, ks, low, tm + 1 - low)
+
+
+def _size(group) -> int:
+    return next((a.size for a in group[2:] if isinstance(a, np.ndarray)), 1)
 
 
 def iter_entries(model: str, tm: int, tk: int):
-    """Every entry ``(case_id, regime, m, k, m2)`` of the enumeration.
+    """Every entry ``(case_id, regime, m, k, m2)`` of the enumeration:
+    ``entry_groups`` flattened, in its order.
 
     The exact small cells come first (regime ``"exact"``), then each large
-    regime once; ``None`` marks a large parameter.  Certify walks them in
-    one pass at a scalar point; tune walks them on a parameter mesh.
+    regime once; ``None`` marks a large parameter.  Certify and tune
+    evaluate the groups; this form is for checks and tests.
     """
-    for m, k, m2 in iter_small_cells(tm, tk):
-        for case_id in _applicable_cases(model, m, k, m2):
-            yield case_id, "exact", m, k, m2
-    for label in _REGIMES:
-        yield from _regime_entries(model, label, tm, tk)
+    for group in entry_groups(model, tm, tk):
+        size = _size(group)
+        case_id, regime, *params = group
+        columns = [a.tolist() if isinstance(a, np.ndarray) else [a] * size for a in params]
+        for m, k, m2 in zip(*columns):
+            yield case_id, regime, m, k, m2
+
+
+def _first(rows):
+    # the first of rows, tuples of (value, case, m, k, m2) arrays with _BIG
+    # for a large parameter, by CaseBound.sort_key, as a tuple of one-element
+    # arrays
+    value, case, m, k, m2 = (np.concatenate(a) for a in zip(*rows))
+    i = np.lexsort((m2, k, m, case, value))[:1]
+    return value[i], case[i], m[i], k[i], m2[i]
+
+
+def _least(group, values):
+    # the group's entries at its least value, as a row for _first
+    at = np.flatnonzero(values == values.min())
+    keys = [a[at] if isinstance(a, np.ndarray) else np.full(at.size, _BIG if a is None else a)
+            for a in group[2:]]
+    return values[at], np.full(at.size, group[0]), *keys
+
+
+def _case_bound(regime, row) -> CaseBound:
+    value, case, m, k, m2 = (a[0] for a in row)
+    m, k, m2 = (None if a == _BIG else int(a) for a in (m, k, m2))
+    return CaseBound(f"C{case}", float(value), regime, m, k, m2)
 
 
 def _regime_report(best: dict[str, CaseBound]) -> list[dict]:
@@ -208,18 +277,16 @@ def certify(
     # once; it also checks tau > 0 and, for cosp, beta > tau
     point = analytic.Point.of(model, params)
 
-    # first minimum by sort_key (strict <) of each group of entries, the groups
-    # met in order: case 0, the exact cells, then each large regime
-    best = {"analytic": CaseBound("C0", point.r, "analytic", None, None, None)}
-    for case_id, regime, m, k, m2 in iter_entries(model, tm, tk):
+    # the first minimum by sort_key of each regime, case 0 on its own, kept as
+    # the groups go through
+    first = {"analytic": _least((0, "analytic", None, None, None), np.array([point.r]))}
+    for group in entry_groups(model, tm, tk):
+        case_id, regime, m, k, m2 = group
         value = analytic.CASE_FORMS[model, case_id](point, m, k, m2, tm, tk)
-        held = best.get(regime)
-        # sort_key leads with the value, so a larger one cannot displace held
-        if held is None or value <= held.value:
-            cb = CaseBound(f"C{case_id}", value, regime, m, k, m2)
-            if held is None or cb.sort_key() < held.sort_key():
-                best[regime] = cb
-    # the first of the group minima is the first minimum of the whole enumeration
+        rows = [_least(group, np.broadcast_to(value, _size(group)))]
+        first[regime] = _first(rows + [first[regime]] if regime in first else rows)
+    best = {regime: _case_bound(regime, row) for regime, row in first.items()}
+    # the first of the regime minima is the first minimum of the whole enumeration
     argmin = min(best.values(), key=CaseBound.sort_key)
 
     return CertReport(

@@ -42,12 +42,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-
 import numpy as np
 
 from .analytic import CASE_FORMS, DEFAULT_THRESHOLDS, Point, case6_coef, check_thresholds
-from .certify import certify, iter_entries
+from .certify import certify, entry_groups
 from .core import BLOCK_ELEMENTS, COSP, PolicyParams, check_model
 
 __all__ = ["GridSpec", "grid_search", "SEARCH_THRESHOLDS", "MAX_GRID_POINTS"]
@@ -149,80 +147,127 @@ def _term(model, point, entry, thresholds):
     return value
 
 
-def _pair_blocks(pairs, cells, thresholds):
-    """Blocks of whole (tau, beta) pairs, as slices, each pair spanning
-    ``cells`` cells.  A block fills about BLOCK_ELEMENTS // (tm * tk) cells,
-    and holds at least one pair: a point over it memoizes a few block-sized
-    arrays per pair of small parameters."""
+def _pair_blocks(pairs: range, cells, thresholds):
+    """Blocks of whole (tau, beta) pairs over ``pairs``, as slices, each pair
+    spanning ``cells`` cells.  A block fills about BLOCK_ELEMENTS // (tm * tk)
+    cells, and holds at least one pair: a point over it memoizes a few
+    block-sized arrays per pair of small parameters."""
     tm, tk = thresholds
     size = max(1, BLOCK_ELEMENTS // (tm * tk) // cells)
-    return [slice(lo, lo + size) for lo in range(0, pairs, size)]
+    return [slice(lo, min(lo + size, pairs.stop)) for lo in pairs[::size]]
 
 
-def _entries(model, tm, tk):
-    """``iter_entries`` as (case_id, m, k, m2), less case 6 at m = 0, which
+def _groups(model, tm, tk):
+    """``entry_groups`` as (case_id, m, k, m2), less case 6 at m = 0, which
     is identically r and met by construction."""
-    for case_id, _, m, k, m2 in iter_entries(model, tm, tk):
-        if not (case_id == 6 and m == 0):
+    for case_id, _, m, k, m2 in entry_groups(model, tm, tk):
+        if not (case_id == 6 and isinstance(m, int) and m == 0):
             yield case_id, m, k, m2
 
 
-def _screen(model, axes, thresholds):
-    """The entries that can bind at some (tau, beta) pair, each with a bool
-    array over the pairs that says where.
+# The screen evaluates a group's entries in chunks that fill about this many
+# values of its point.
+_CHUNK = 1 << 14
 
-    Every entry is evaluated on the corners of each pair's gamma x delta
-    grid.  ``top`` is the least over entries of an entry's greatest corner
-    value, which bounds the fixpoint at every cell of the pair; an entry
-    whose least corner value exceeds it (plus ``_SCREEN_SLACK``) cannot be
-    the minimum anywhere there.  An entry dropped as the pass goes stays
-    dropped, as ``top`` only falls; the survivors are tested again against
-    the final ``top``.  A NaN keeps the entry.
+
+def _chunks(group, step):
+    """``group`` as (start, count, chunk) over chunks of ``step`` entries: the
+    chunk holds the group's entries start, ..., start + count - 1, its arrays
+    shaped (count, 1, 1, 1), the entry axis leading the mesh's three.  A
+    chunk of one entry holds ints instead, so that the point's memo shares
+    its blocks with other entries."""
+    case_id, *params = group
+    size = next((a.size for a in params if isinstance(a, np.ndarray)), 1)
+    for lo in range(0, size, step):
+        count = min(step, size - lo)
+        if count == 1:
+            part = (int(a[lo]) if isinstance(a, np.ndarray) else a for a in params)
+        else:
+            part = (a[lo : lo + step, None, None, None] if isinstance(a, np.ndarray) else a
+                    for a in params)
+        yield lo, count, (case_id, *part)
+
+
+def _take(group, index):
+    case_id, *params = group
+    return (case_id, *(a[index] if isinstance(a, np.ndarray) else a for a in params))
+
+
+def _screen(model, point, thresholds):
+    """The entries that can bind at some (tau, beta) pair of ``point``, as
+    (group, where) with ``where`` a bool array of (entries, pairs) that says
+    where each can.
+
+    The point holds the corners of each pair's gamma x delta grid along its
+    leading axes and the pairs along its last.  Every entry is evaluated
+    there, by group.  ``top`` is the least over entries of an entry's
+    greatest corner value, which bounds the fixpoint at every cell of the
+    pair; an entry whose least corner value exceeds it (plus
+    ``_SCREEN_SLACK``) cannot be the minimum anywhere there.  As ``top``
+    only falls, the survivors are tested again as each group ends and
+    against the final ``top``.  A NaN keeps the entry.
     """
-    tau, beta, gam, dlt = axes
-    tm, tk = thresholds
-    # corners along the leading axes and pairs along the last; a grid with
-    # one gamma or one delta value repeats it
-    gam = np.array([gam.min(), gam.max()])[:, None, None]
-    dlt = np.array([dlt.min(), dlt.max()])[None, :, None]
-    corners = gam.size * dlt.size
-    keep = {}
-    for block in _pair_blocks(tau.shape[0], corners, thresholds):
-        point = Point(tau[block].T, gam, dlt, None if beta is None else beta[block].T)
-        top = np.full(point.tau.size, np.inf)
-        # entries go through in chunks that fill one block's worth of values
-        rows = max(1, BLOCK_ELEMENTS // (tm * tk) // (corners * top.size))
-        values = np.empty((rows, gam.size, dlt.size, top.size))
-        survivors = []
-        entries = _entries(model, tm, tk)
-        while chunk := list(islice(entries, rows)):
-            for row, entry in zip(values, chunk):
-                row[...] = _term(model, point, entry, thresholds)
-            at = values[: len(chunk)].reshape(len(chunk), corners, top.size)
+    shape = np.broadcast_shapes(point.gamma.shape, point.delta.shape, point.tau.shape)
+    corners, pairs = shape[0] * shape[1], shape[2]
+    top = np.full(pairs, np.inf)
+    values = np.empty((max(1, _CHUNK // (corners * pairs)), *shape))
+    found = []
+    for group in _groups(model, *thresholds):
+        for lo, count, chunk in _chunks(group, len(values)):
+            at = values[:count]
+            at[...] = _term(model, point, chunk, thresholds)
+            at = at.reshape(count, corners, pairs)
             np.minimum(top, at.max(axis=1).min(axis=0), out=top)
-            least = at.min(axis=1)
-            alive = (~(least > top + _SCREEN_SLACK)).any(axis=1)
-            survivors += [(e, v) for e, v, kept in zip(chunk, least, alive) if kept]
-        for entry, least in survivors:
-            here = ~(least > top + _SCREEN_SLACK)
-            if here.any():
-                keep.setdefault(entry, np.zeros(tau.shape[0], dtype=bool))[block] = here
-    return keep
+            found += _alive([(group, np.arange(lo, lo + count), at.min(axis=1))], top)
+        found = _alive(found, top)
+    return [(_take(group, index), ~(least > top + _SCREEN_SLACK))
+            for group, index, least in _alive(found, top)]
+
+
+def _alive(found, top):
+    """The records (group, index, least) of ``found`` cut to the entries
+    whose least corner value ``least`` is within ``_SCREEN_SLACK`` of ``top``
+    at some pair.  A NaN keeps the entry."""
+    kept = []
+    for group, index, least in found:
+        rows = (~(least > top + _SCREEN_SLACK)).any(axis=1)
+        if rows.any():
+            kept.append((group, index[rows], least[rows]))
+    return kept
 
 
 def _search_bound(model, axes, thresholds):
     """The fixpoint B = f(B) at every cell of the mesh (r = 0), flat in the
-    order of ``_mesh``.  Each entry runs only on the blocks of pairs where
-    ``_screen`` keeps it; the array is the same as with every entry."""
+    order of ``_mesh``.
+
+    The pairs go through in blocks.  ``_screen`` runs on a block's gamma
+    and delta corners, then the full mesh of each sub-block of it sees only
+    the entries the screen keeps at some pair of the sub-block.  The points
+    of a block share their pow-over-x rows.  The array is the same as with
+    every entry, bit for bit.
+    """
     tau, beta, gam, dlt = axes
-    keep = _screen(model, axes, thresholds)
-    b = np.full((tau.shape[0], gam.size, dlt.size), np.inf)
-    for block in _pair_blocks(tau.shape[0], gam.size * dlt.size, thresholds):
-        point = Point(tau[block], gam, dlt, None if beta is None else beta[block])
-        out = b[block]
-        for entry, where in keep.items():
-            if where[block].any():
-                np.minimum(out, _term(model, point, entry, thresholds), out=out)
+    pairs = range(tau.shape[0])
+    b = None
+    # corners along the leading axes and pairs along the last; a grid with
+    # one gamma or one delta value repeats it
+    corners = (np.array([gam.min(), gam.max()])[:, None, None],
+               np.array([dlt.min(), dlt.max()])[None, :, None])
+    for outer in _pair_blocks(pairs, 4, thresholds):
+        rows = {}
+        point = Point(tau[outer].T, *corners, None if beta is None else beta[outer].T, rows=rows)
+        keep = _screen(model, point, thresholds)
+        del point
+        if b is None:  # allocated after the first screen, so as not to add to its peak
+            b = np.full((len(pairs), gam.size, dlt.size), np.inf)
+        for block in _pair_blocks(pairs[outer], gam.size * dlt.size, thresholds):
+            point = Point(tau[block], gam, dlt, None if beta is None else beta[block], rows=rows)
+            out = b[block]
+            local = slice(block.start - outer.start, block.stop - outer.start)
+            for group, where in keep:
+                use = np.flatnonzero(where[:, local].any(axis=1))
+                for _, _, entry in _chunks(_take(group, use), 1):
+                    np.minimum(out, _term(model, point, entry, thresholds), out=out)
     return b.ravel()
 
 

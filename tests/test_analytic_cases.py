@@ -195,9 +195,9 @@ def test_rosp_case6_m0():
     )
     # inner integral of the early term at m = 1 is tau^2/2
     tau = Q.tau
-    from secpred.analytic import _one_minus_pow_int
+    from secpred.analytic import Point, _one_minus_pow
 
-    assert _one_minus_pow_int(1, tau) == pytest.approx(tau**2 / 2, abs=1e-15)
+    assert _one_minus_pow(Point.of("rosp", Q), 1, 20) == pytest.approx(tau**2 / 2, abs=1e-15)
 
 
 def test_rosp_case6_large_m_matches_oracle():

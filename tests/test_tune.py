@@ -286,12 +286,18 @@ def test_screen_drops_most_entries(monkeypatch):
     # anywhere, and only those reach the full gamma x delta mesh
     from secpred import tune
 
+    import numpy as np
+
     grid = GridSpec.coarse("cosp", step=0.05)
     full, screened = set(), set()  # entries evaluated on the mesh, on the corners
 
     def counted(form, case_id):
+        # a call evaluates one entry per element of its parameter arrays
         def run(p, m, k, m2, tm, tk):
-            (full if p.gamma.size == len(grid.gamma) else screened).add((case_id, m, k, m2))
+            size = max((np.size(a) for a in (m, k, m2) if a is not None), default=1)
+            columns = [np.ravel(a).tolist() if np.ndim(a) else [a] * size for a in (m, k, m2)]
+            entries = {(case_id, *entry) for entry in zip(*columns)}
+            (full if p.gamma.size == len(grid.gamma) else screened).update(entries)
             return form(p, m, k, m2, tm, tk)
         return run
 
@@ -303,7 +309,7 @@ def test_screen_drops_most_entries(monkeypatch):
     tune._search_once("cosp", grid, tune.SEARCH_THRESHOLDS)
     assert full <= screened and len(screened) > 1000
     # every entry returned can bind at some pair
-    assert kept and all(where.any() for keep in kept for where in keep.values())
+    assert kept and all(where.any(axis=1).all() for keep in kept for _, where in keep)
     assert len(full) < 0.1 * len(screened), (len(full), len(screened))
 
 
