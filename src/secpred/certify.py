@@ -39,10 +39,9 @@ hold m, k and m2 as int arrays; ``iter_entries`` is its flattening.
 for a large parameter, and gives each entry the bits a call on the entry
 alone gives.  It skips the argument checks of ``analytic.case_bound``, the
 one checked front end, which every entry passes and which gives the same
-bits.  It keeps the first minimum (by ``CaseBound.sort_key``, one
-``np.lexsort`` over a piece's least entries and the one held) of the exact
-cells and of each large regime, and the first of those, with case 0, is
-the argmin.  Its memory is a piece's arrays and tables of (m, k) runs, so
+bits.  It keeps the first minimum (by ``CaseBound.sort_key``; within a
+piece, one ``np.lexsort`` over its least entries) of the exact cells and of
+each large regime, and the first of those, with case 0, is the argmin.  Its memory is a piece's arrays and tables of (m, k) runs, so
 it barely grows with the thresholds.  The grid search in ``tune`` walks
 the same groups on a parameter mesh.
 """
@@ -218,27 +217,16 @@ def iter_entries(model: str, tm: int, tk: int):
             yield case_id, regime, m, k, m2
 
 
-def _first(rows):
-    # the first of rows, tuples of (value, case, m, k, m2) arrays with _BIG
-    # for a large parameter, by CaseBound.sort_key, as a tuple of one-element
-    # arrays
-    value, case, m, k, m2 = (np.concatenate(a) for a in zip(*rows))
-    i = np.lexsort((m2, k, m, case, value))[:1]
-    return value[i], case[i], m[i], k[i], m2[i]
-
-
-def _least(group, values):
-    # the group's entries at its least value, as a row for _first
+def _first_min(group, values) -> CaseBound:
+    # the group's first minimum by CaseBound.sort_key: its case and large
+    # parameters are the same throughout, so after the value the order is
+    # that of its small parameters, one np.lexsort over the tied entries
+    case_id, regime, *params = group
     at = np.flatnonzero(values == values.min())
-    keys = [a[at] if isinstance(a, np.ndarray) else np.full(at.size, _BIG if a is None else a)
-            for a in group[2:]]
-    return values[at], np.full(at.size, group[0]), *keys
-
-
-def _case_bound(regime, row) -> CaseBound:
-    value, case, m, k, m2 = (a[0] for a in row)
-    m, k, m2 = (None if a == _BIG else int(a) for a in (m, k, m2))
-    return CaseBound(f"C{case}", float(value), regime, m, k, m2)
+    arrays = [a[at] for a in params if isinstance(a, np.ndarray)]
+    i = at[np.lexsort(arrays[::-1])[0]] if arrays else at[0]
+    m, k, m2 = (int(a[i]) if isinstance(a, np.ndarray) else a for a in params)
+    return CaseBound(f"C{case_id}", float(values[i]), regime, m, k, m2)
 
 
 def _regime_report(best: dict[str, CaseBound]) -> list[dict]:
@@ -277,15 +265,15 @@ def certify(
     # once; it also checks tau > 0 and, for cosp, beta > tau
     point = analytic.Point.of(model, params)
 
-    # the first minimum by sort_key of each regime, case 0 on its own, kept as
-    # the groups go through
-    first = {"analytic": _least((0, "analytic", None, None, None), np.array([point.r]))}
+    # first minimum by sort_key (strict <) of each regime, case 0 on its own,
+    # the groups met in order
+    best = {"analytic": CaseBound("C0", point.r, "analytic", None, None, None)}
     for group in entry_groups(model, tm, tk):
         case_id, regime, m, k, m2 = group
         value = analytic.CASE_FORMS[model, case_id](point, m, k, m2, tm, tk)
-        rows = [_least(group, np.broadcast_to(value, _size(group)))]
-        first[regime] = _first(rows + [first[regime]] if regime in first else rows)
-    best = {regime: _case_bound(regime, row) for regime, row in first.items()}
+        found = _first_min(group, np.broadcast_to(value, _size(group)))
+        if regime not in best or found.sort_key() < best[regime].sort_key():
+            best[regime] = found
     # the first of the regime minima is the first minimum of the whole enumeration
     argmin = min(best.values(), key=CaseBound.sort_key)
 

@@ -13,7 +13,7 @@ At m = 0 it is r itself and holds by construction; for m >= 1, coef < 1, so
 B <= base + coef * B is B <= base / (1 - coef).  The fixpoint is therefore
 the minimum of these bounds and of the r-free entries, in closed form.
 
-The search walks certify's enumeration (``iter_entries``) at r = 0 on an
+The search walks certify's enumeration (``entry_groups``) at r = 0 on an
 ``analytic.Point`` whose fields are broadcast mesh axes, so it shares every
 case formula with certification; the reported winner is re-certified with
 the exact enumeration at full thresholds.  tau and beta run along the first
@@ -27,12 +27,16 @@ Most entries never bind, so a screen runs first and the full mesh sees only
 the entries that can.  With (tau, beta) fixed, every case form is affine in
 gamma and in delta (no gamma * delta term), and the case-6 divisor 1 - coef
 reads (tau, beta) alone, so an entry's extremes over a pair's cells lie at
-the corners of its gamma x delta grid.  The screen evaluates every entry on
-those corners, in blocks of pairs like the full pass.  The least over
-entries of an entry's greatest corner value bounds the fixpoint at every
-cell of the pair; an entry whose least corner value exceeds it by more than
-a rounding slack is above the fixpoint at every cell there, and the full
-pass skips it on blocks where no pair keeps it.  ``np.minimum`` then picks
+the corners of its gamma x delta grid.  The screen evaluates every group of
+entries on those corners, a chunk of about ``_CHUNK`` values per call, with
+m, k and m2 as arrays over the chunk's entries.  The least over entries of
+an entry's greatest corner value bounds the fixpoint at every cell of the
+pair; an entry whose least corner value exceeds it by more than a rounding
+slack is above the fixpoint at every cell there.  The full pass then takes
+each sub-block of the screen's block of pairs and evaluates, one at a time,
+the entries the screen keeps at some pair of it, on a point that shares the
+screen's pow-over-x rows; a single entry fills a block, and its ints let
+the point's memo share blocks between entries.  ``np.minimum`` then picks
 the same values, so the array is bit-identical to the one over every entry.
 On the step-0.05 grid 66 of 1 495 cosp entries and 25 of 1 506 rosp entries
 reach the full mesh.
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .analytic import CASE_FORMS, DEFAULT_THRESHOLDS, Point, case6_coef, check_thresholds
@@ -266,8 +271,9 @@ def _search_bound(model, axes, thresholds):
             local = slice(block.start - outer.start, block.stop - outer.start)
             for group, where in keep:
                 use = np.flatnonzero(where[:, local].any(axis=1))
-                for _, _, entry in _chunks(_take(group, use), 1):
-                    np.minimum(out, _term(model, point, entry, thresholds), out=out)
+                if use.size:
+                    for _, _, entry in _chunks(_take(group, use), 1):
+                        np.minimum(out, _term(model, point, entry, thresholds), out=out)
     return b.ravel()
 
 

@@ -77,3 +77,23 @@ def test_pow_over_x_matches_mpmath():
             exact = mp.quad(lambda x: (1 - x) ** n / x, [a, b])
             err = abs(pow_over_x_integral(a, b, n) - float(exact))
             assert err < 1e-14, (a, b, n, err)
+
+
+def test_pow_over_x_rows_match_the_lemma():
+    # a row holds every exponent's integral from one pass; each value must be
+    # pow_over_x_integral's bits, from the smallest lower limit a refine grid
+    # reaches up to exponents of 400
+    from secpred.analytic import _pox_row
+
+    rng = np.random.default_rng(11)
+    limits = [(0.001, 1.0), (0.001, 0.0011), (0.37, 0.64), (0.64, 1.0), (0.9, 0.95)]
+    limits += [tuple(sorted(rng.uniform(1e-4, 1.0, 2))) for _ in range(20)]
+    for a, b in limits:
+        row = _pox_row({}, a, b, 401)
+        assert row.tolist() == [pow_over_x_integral(a, b, n) for n in range(401)], (a, b)
+    rows = {}
+    _pox_row(rows, 0.3, 1.0, 5)
+    assert _pox_row(rows, 0.3, 1.0, 40).tolist() == [pow_over_x_integral(0.3, 1.0, n)
+                                                     for n in range(40)]
+    with pytest.raises(ValueError):
+        _pox_row({}, 0.0, 1.0, 3)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -18,11 +19,14 @@ from secpred.certify import (
     DEFAULT_THRESHOLDS,
     MAX_THRESHOLD,
     CaseBound,
+    entry_groups,
     iter_entries,
     iter_small_cells,
     small_cell_count,
 )
 from secpred.tune import GridSpec, _mesh
+
+certify_module = importlib.import_module("secpred.certify")  # the package exports a function
 
 
 def cell_bounds(model, params, cell):
@@ -269,3 +273,135 @@ def test_precondition_errors():
         certify("cosp", PolicyParams(theta=0.5, tau=0.0, gamma=0.3, delta=0.4, beta=0.4), 0.2)
     with pytest.raises(ValueError, match="tau > 0"):
         certify("rosp", PolicyParams(theta=0.5, tau=0.0, gamma=0.3, delta=0.4), 0.2)
+
+
+def _cell_entries(model, tm, tk):
+    """The enumeration written out cell by cell, as certify's rules state
+    it: case 1 at (m, 0, m), cases 4 and 5 where k >= 1 and m2 <= m - 1,
+    case 6 where k >= 1 or at (0, 0, 0), each from its least m; then the
+    large regimes."""
+    least = {c: m for (mod, c), m in certify_module._LEAST_M.items() if mod == model}
+    out = []
+    for m, k, m2 in iter_small_cells(tm, tk):
+        if k == 0:
+            out.append((1 if m >= least[1] else 6, "exact", m, k, m2))
+            continue
+        for case_id in (4, 5):
+            if m >= least[case_id] and m2 <= m - 1:
+                out.append((case_id, "exact", m, k, m2))
+        if m >= 1:
+            out.append((6, "exact", m, k, m2))
+    for label in ("large_m", "large_k", "large_mk", "large_m2"):
+        for case_id in (1, 4, 5, 6):
+            if label == "large_k":
+                out += [(case_id, label, m, None, None) for m in range(least[case_id], tm + 1)]
+            elif case_id == 1 or label == "large_mk":
+                out.append((case_id, label, None, None, None))
+            elif label == "large_m2":
+                out += [(case_id, label, None, k, None) for k in range(1, tk + 1)]
+            else:
+                out += [(case_id, label, None, k, m2) for k in range(1, tk + 1)
+                        for m2 in range(max(0, tm + 1 - k), tm + 1)]
+    return out
+
+
+@pytest.mark.parametrize("thresholds", [(1, 1), (4, 7), (6, 6), (7, 3), (20, 20)])
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_iter_entries_flattens_entry_groups(model, thresholds, monkeypatch):
+    # the groups hold every entry of the cell-by-cell enumeration once, and
+    # iter_entries is their flattening in group order; pieces of 7 entries
+    # cut the same entries
+    def flattened():
+        entries = []
+        for case_id, regime, m, k, m2 in entry_groups(model, *thresholds):
+            arrays = [a for a in (m, k, m2) if isinstance(a, np.ndarray)]
+            size = arrays[0].size if arrays else 1
+            assert all(a.shape == (size,) for a in arrays)
+            assert 1 <= size <= certify_module._CHUNK
+            columns = [a.tolist() if isinstance(a, np.ndarray) else [a] * size for a in (m, k, m2)]
+            entries += [(case_id, regime, *entry) for entry in zip(*columns)]
+        return entries
+
+    want = _cell_entries(model, *thresholds)
+    got = flattened()
+    assert got == list(iter_entries(model, *thresholds))
+    assert sorted(got, key=repr) == sorted(want, key=repr) and len(set(got)) == len(got)
+    monkeypatch.setattr(certify_module, "_CHUNK", 7)
+    assert flattened() == got
+
+
+def _group_point(model, params):
+    if params == "mesh":
+        return _mesh_point(model)
+    return Point.of(model, P if model == "cosp" else Q)
+
+
+@pytest.mark.parametrize("thresholds", [(1, 1), (4, 7), (6, 6)])
+@pytest.mark.parametrize("kind", ["scalar", "mesh"])
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_group_values_equal_entry_values(model, kind, thresholds):
+    # a group evaluated at once, with m, k and m2 as arrays whose entry axis
+    # leads the point's axes, gives every entry the bits of a call on that
+    # entry alone, at a scalar point and on a flat step-0.3 tune mesh (two
+    # points, so neither call reads the other's memoized blocks)
+    point, single = _group_point(model, kind), _group_point(model, kind)
+    tail = (1,) * np.ndim(point.tau)
+    for group in entry_groups(model, *thresholds):
+        case_id, _, *params = group
+        form = CASE_FORMS[model, case_id]
+        arrays = [a.reshape(-1, *tail) if isinstance(a, np.ndarray) else a for a in params]
+        size = next((a.shape[0] for a in arrays if isinstance(a, np.ndarray)), 1)
+        values = np.broadcast_to(form(point, *arrays, *thresholds),
+                                 (size, *np.shape(point.tau)))
+        columns = [a.tolist() if isinstance(a, np.ndarray) else [a] * size for a in params]
+        for i, entry in enumerate(zip(*columns)):
+            want = form(single, *entry, *thresholds)
+            assert np.array_equal(values[i], want), (case_id, entry)
+
+
+@pytest.mark.parametrize("model,params,target_b", [("cosp", P, 0.262), ("rosp", Q, 0.221)])
+def test_pieces_of_seven_change_nothing(model, params, target_b, monkeypatch):
+    # pieces of 7 entries cut every group many times over; the report must
+    # be the same, field for field
+    whole = certify(model, params, target_b)
+    monkeypatch.setattr(certify_module, "_CHUNK", 7)
+    assert certify(model, params, target_b) == whole
+
+
+def test_certify_memory_flat_in_thresholds():
+    # certify holds a piece of at most _CHUNK entries and tables of (m, k)
+    # runs, so its traced peak barely moves from T = 20 to T = 40, where the
+    # entries grow 7.2-fold (a per-entry memo grew it 3.4- to 4-fold)
+    import tracemalloc
+
+    for model, params in (("cosp", P), ("rosp", Q)):
+        certify(model, params, 0.2, thresholds=(5, 5))  # first-call allocations untraced
+        peaks = []
+        for threshold in (20, 40):
+            tracemalloc.start()
+            try:
+                certify(model, params, 0.2, thresholds=(threshold, threshold))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.4 * peaks[0], (model, peaks)
+
+
+def test_first_minimum_follows_sort_key():
+    # within a group, ties in value go to the least m, then k, then m2, as
+    # CaseBound.sort_key orders them; a large parameter is the same for the
+    # whole group
+    values = np.array([0.3, 0.25, 0.25, 0.25, 0.25000000000000006, 0.25])
+    groups = [
+        (5, "exact", np.array([1, 3, 2, 2, 1, 2]), np.array([1, 1, 4, 2, 1, 2]),
+         np.array([0, 2, 1, 1, 0, 0])),
+        (4, "large_m", None, np.array([2, 3, 1, 1, 1, 1]), np.array([0, 0, 5, 4, 0, 6])),
+        (6, "large_k", np.arange(6), None, None),
+    ]
+    for group in groups:
+        case_id, regime, *params = group
+        columns = [a.tolist() if isinstance(a, np.ndarray) else [a] * 6 for a in params]
+        bounds = [CaseBound(f"C{case_id}", v, regime, *entry)
+                  for v, entry in zip(values.tolist(), zip(*columns))]
+        got = certify_module._first_min(group, values)
+        assert got == min(bounds, key=CaseBound.sort_key), group

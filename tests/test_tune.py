@@ -281,6 +281,40 @@ def test_case_forms_affine_in_gamma_and_delta(model, thresholds):
         assert np.abs(v - corners).max() <= 1e-13, (model, case_id, m, k, m2)
 
 
+@pytest.mark.parametrize("model,digest", [
+    ("cosp", "ea4717d2e15dbad6774429052df78285bb7c41e4b738a12facea7dea1c8b9b7a"),
+    ("rosp", "0e684dad1b498e28e4dcea90f018ab877c2240de519b3988c67b5217ad8127b7"),
+])
+def test_search_arrays_pinned(model, digest):
+    # the step-0.05 search array at the search thresholds, bit for bit
+    import hashlib
+
+    from secpred.tune import SEARCH_THRESHOLDS, _search_once
+
+    _, _, (b, _) = _search_once(model, GridSpec.coarse(model, step=0.05), SEARCH_THRESHOLDS)
+    assert hashlib.sha256(b.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_chunks_change_nothing(model, monkeypatch):
+    # groups cut into pieces of 7 entries, and a screen taking one entry per
+    # call, give the search array of the default chunks, bit for bit
+    import importlib
+
+    import numpy as np
+
+    from secpred import tune
+
+    grid = GridSpec.coarse(model, step=0.1)
+    _, _, (whole, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS)
+    monkeypatch.setattr(importlib.import_module("secpred.certify"), "_CHUNK", 7)
+    _, _, (pieces, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS)
+    assert np.array_equal(pieces, whole)
+    monkeypatch.setattr(tune, "_CHUNK", 1)
+    _, _, (single, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS)
+    assert np.array_equal(single, whole)
+
+
 def test_screen_drops_most_entries(monkeypatch):
     # on the step-0.05 cosp grid fewer than a tenth of the entries can bind
     # anywhere, and only those reach the full gamma x delta mesh
