@@ -144,11 +144,12 @@ class Point:
     powers and integrals are gathered from a column per point that holds
     each exponent's value, computed as for an int exponent.  An integral's
     column comes from one row per (lower, upper) limit pair, which
-    ``_pox_row`` fills in one pass; ``rows``, a dict of those rows, may be
-    shared by points over the same (tau, beta) values.  On a mesh an int
-    exponent's integral is ``pow_over_x_integral`` at each element of the
-    broadcast limits, once per (tau, beta) pair on tune's mesh, so a mesh
-    entry and the scalar point with the same fields see the same values.
+    ``_pox_row`` fills in one pass with ``pow_over_x_integral``'s bits, once
+    per (tau, beta) pair on tune's mesh; an int exponent's integral is read
+    from the column too, except at a scalar point, which calls
+    ``pow_over_x_integral``.  So a mesh entry and the scalar point with the
+    same fields see the same values.  ``rows``, a dict of those rows, may be
+    shared by points over the same (tau, beta) values.
     """
 
     def __init__(self, tau, gamma, delta, beta=None, r=0.0, rows=None):
