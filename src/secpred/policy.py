@@ -63,8 +63,9 @@ __all__ = [
 # draws, which take 512 KiB each below n = 2^16 and stay in a core's L2
 # cache.
 ROW_ELEMENTS = 1 << 16
-# Columns of the prefix a row's hire is looked for on.
-_PREFIX = 16
+# Widths of the column prefixes a row's hire is looked for on, narrowest
+# first; a row none of them settles is read whole.
+_PREFIXES = (4, 16)
 
 PREDICTION = "prediction"
 SECRETARY = "secretary"
@@ -193,10 +194,11 @@ def _view(buf, shape, dtype):
 class _Draws:
     """Where the arrival times of a block of rows come from, and go to.
 
-    Column c of row r is draw ``col_draw[c]`` of the stream seeded
-    ``seeds[r]``, and in cosp column ``pin`` is beta.  Times are drawn into
-    the uint64 buffer ``out`` (as float64) through the buffer ``scratch``,
-    so each draw overwrites the times the last one returned.
+    Row r of the block reads column c from draw ``col_draw[c]`` of the
+    stream seeded ``seeds[r]``, and in cosp column ``pin`` is beta.  Times
+    are drawn column-major, one array row per column, into the uint64
+    buffer ``out`` (as float64) through the buffer ``scratch``, so each
+    draw overwrites the times the last one returned.
     """
 
     seeds: np.ndarray
@@ -207,22 +209,19 @@ class _Draws:
     scratch: np.ndarray
 
     def times(self, rows, cols):
-        """Arrival times of columns ``cols`` in rows ``rows``, and whether
-        each row holds two equal ones, found on a sorted copy in ``scratch``."""
+        """Arrival times of columns ``cols`` in rows ``rows``, as a
+        (columns, rows) array, and whether each row holds two equal ones."""
         seeds = self.seeds[rows]
-        shape = (len(seeds), len(cols))
+        shape = (len(cols), len(seeds))
         t = uniforms_at(
-            seeds[:, None],
-            self.col_draw[cols],
+            seeds[None, :],
+            self.col_draw[cols][:, None],
             _view(self.out, shape, np.float64),
             _view(self.scratch, shape, np.uint64),
         )
         if self.beta is not None:
-            t[:, cols == self.pin] = self.beta
-        ordered = _view(self.scratch, shape, np.float64)
-        np.copyto(ordered, t)
-        ordered.sort(axis=1)
-        return t, (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            t[cols == self.pin] = self.beta
+        return t, _ties(t, self.scratch)
 
     def groups(self, rows, width):
         """``rows`` in groups whose times on ``width`` columns fit a draw."""
@@ -230,8 +229,48 @@ class _Draws:
         return (rows[lo:lo + step] for lo in range(0, len(rows), step))
 
 
+def _ties(t, scratch):
+    """Whether each column of the (columns, rows) array ``t`` holds two
+    equal times.  Up to 17 columns every pair is compared, into a bool
+    view of the uint64 buffer ``scratch``, where the compares fit; wider
+    blocks are sorted by row on a copy there instead."""
+    w, k = t.shape
+    pairs = w * (w - 1) // 2
+    # a block holds at most scratch.size // w rows, so the compares fit
+    # while there are at most 8 for each column (w <= 17)
+    if pairs <= 8 * w:
+        equal = _view(scratch, (pairs, k), np.bool_)
+        lo = 0
+        for c in range(w - 1):
+            np.equal(t[c + 1:], t[c], out=equal[lo:lo + w - 1 - c])
+            lo += w - 1 - c
+        return equal.any(axis=0)
+    ordered = _view(scratch, (k, w), np.float64)
+    np.copyto(ordered, t.T)
+    ordered.sort(axis=1)
+    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+
+
+def _first(mask):
+    """The first array row where each column of ``mask`` is true, and
+    len(mask) where none is, as the least unsigned type that holds it.
+
+    Row c weighs len(mask) - c, so the first true row weighs most; the
+    weights are of that type too, which keeps the products small and fast.
+    """
+    w = len(mask)
+    weights = np.arange(w, 0, -1, dtype=np.min_scalar_type(w))
+    return w - (mask * weights[:, None]).max(axis=0, initial=0)
+
+
+def _argmin(a):
+    """The first array row holding each column's least value of ``a``."""
+    return _first(a == a.min(axis=0))
+
+
 def _scan(pre, opens, gstart, pos, fall):
-    """Each row's secretary-mode hire found on the column prefix ``pre``.
+    """Each row's secretary-mode hire found on the column prefix ``pre``, a
+    (columns, rows) array.
 
     Columns run in decreasing value.  The best value outside the window is
     that of the first column j0 with ``t < opens``, and the candidates that
@@ -243,42 +282,48 @@ def _scan(pre, opens, gstart, pos, fall):
     none) and whether the prefix settles it: it holds j0 or the whole row.
     Overwrites ``pre``.
     """
-    width = pre.shape[1]
+    width = len(pre)
     n = len(gstart) - 1
-    mask = pre < opens[:, None]
-    found = mask.any(axis=1)
-    lim = gstart[np.where(found, mask.argmax(axis=1), n)]
-    np.greater_equal(np.arange(width), lim[:, None], out=mask)
+    mask = pre < opens
+    j0 = _first(mask)
+    found = j0 < width
+    lim = np.append(gstart[:width], n)[j0]
+    np.greater_equal(np.arange(width)[:, None], lim, out=mask)
     np.copyto(pre, np.inf, where=mask)
-    first = np.where(lim > 0, pre.argmin(axis=1), -1)
+    # a typed -1, which makes the unsigned positions signed
+    first = np.where(lim > 0, _argmin(pre), np.intp(-1))
     rows = np.flatnonzero(fall & (first == pos))
     above = gstart[pos]
-    first[rows] = pre[rows, :above].argmin(axis=1) if above else -1
+    first[rows] = _argmin(pre[:above, rows]) if above else -1
     return first, found | (width == n)
 
 
-def _resolve_block(draws, cols, mistakes, gstart, params, gate_draw, hired, switched):
+def _resolve_block(draws, stages, mistakes, gstart, params, gate_draw, hired, switched):
     """Each row's hired position (or -1) and switched flag, written into
     ``hired`` and ``switched``; returns the rows to replay.
 
-    Only the columns ``cols`` are drawn: every column, or a prefix of
-    ``_PREFIX`` columns, the mistakes (``cols[mistakes]``) and ihat.  A row
-    whose hire that prefix does not settle is drawn whole, which overwrites
-    the block's times.  Arrivals before max(tau, t_switch) are never hired,
-    and each of them arrives before every arrival in the window after it.
-    So the first candidate the secretary mode takes is the earliest window
-    arrival that beats the best value outside the window.  The rows
-    returned hold two equal times among the columns they read.
+    ``stages`` holds (width, cols) pairs of widening column prefixes, the
+    last the whole row.  Each stage draws the columns ``cols``: its prefix
+    of ``width`` columns, the mistakes and ihat, or every column.  The
+    first stage draws them for every row of the block, and finds the
+    switch on the mistakes (``stages[0][1][mistakes]``) and the hire on
+    its prefix; each later one draws its columns only for the rows the
+    stage before did not settle, which overwrites the block's times.
+    Arrivals before max(tau, t_switch) are never hired, and each of them
+    arrives before every arrival in the window after it.  So the first
+    candidate the secretary mode takes is the earliest window arrival that
+    beats the best value outside the window.  The rows returned hold two
+    equal times among the columns they read.
     """
-    n = len(gstart) - 1
     pos_ihat = draws.pin
+    width, cols = stages[0]
     times, tied = draws.times(slice(None), cols)
-    k = len(times)
+    k = times.shape[1]
     # the mistakes' times are gathered into scratch, which the ties no longer need
     t_switch = np.take(
-        times, mistakes, axis=1, mode="clip", out=_view(draws.scratch, (k, len(mistakes)), np.float64)
-    ).min(axis=1, initial=np.inf)
-    t_ihat = times[:, np.searchsorted(cols, pos_ihat)]
+        times, mistakes, axis=0, mode="clip", out=_view(draws.scratch, (len(mistakes), k), np.float64)
+    ).min(axis=0, initial=np.inf)
+    t_ihat = times[np.searchsorted(cols, pos_ihat)]
     pred_hire = t_ihat < t_switch
     # whether the gate rejects ihat, should secretary mode reach it
     p_gate = np.where(t_ihat == t_switch, params.gamma, params.delta)
@@ -289,13 +334,16 @@ def _resolve_block(draws, cols, mistakes, gstart, params, gate_draw, hired, swit
     # t > tau and t >= t_switch, as one comparison
     opens = np.maximum(np.nextafter(params.tau, np.inf), t_switch, out=t_switch)
     # cols begins with the prefix
-    width = n if len(cols) == n else _PREFIX
-    first, done = _scan(times[:, :width], opens, gstart, pos_ihat, fall)
-    every = np.arange(n)
-    for rows in draws.groups(np.flatnonzero(~(done | pred_hire)), n):
-        times, row_ties = draws.times(rows, every)
-        tied[rows] |= row_ties
-        first[rows] = _scan(times, opens[rows], gstart, pos_ihat, fall[rows])[0]
+    first, done = _scan(times[:width], opens, gstart, pos_ihat, fall)
+    rows = np.flatnonzero(~(done | pred_hire))
+    for width, cols in stages[1:]:
+        left = []
+        for group in draws.groups(rows, len(cols)):
+            times, group_ties = draws.times(group, cols)
+            tied[group] |= group_ties
+            first[group], done = _scan(times[:width], opens[group], gstart, pos_ihat, fall[group])
+            left.append(group[~done])
+        rows = np.concatenate(left) if left else rows
     np.copyto(hired, np.where(pred_hire, pos_ihat, first))
     return np.flatnonzero(tied)
 
@@ -336,6 +384,23 @@ def _in_threads(work, workers):
     if errors:
         raise errors[0]
     return results
+
+
+def _stages(is_mistake, pos_ihat):
+    """The (width, cols) stages a row's hire is looked for on, narrowest
+    first: each prefix of ``_PREFIXES`` with the mistakes and ihat, then
+    the whole row.  A stage whose columns are more than half of the row
+    reads the row whole, and is the last."""
+    n = len(is_mistake)
+    read = is_mistake.copy()
+    read[pos_ihat] = True
+    stages = []
+    for width in _PREFIXES:
+        read[:width] = True
+        if 2 * np.count_nonzero(read) > n or width >= n:
+            break
+        stages.append((width, np.flatnonzero(read)))
+    return stages + [(n, np.arange(n))]
 
 
 def run_trials_batch(
@@ -395,13 +460,9 @@ def run_trials_batch(
 
     hired = np.empty(count, dtype=np.int64)
     switched = np.empty(count, dtype=bool)
-    read = is_mistake.copy()
-    read[:_PREFIX] = True
-    read[pos_ihat] = True
-    # a block that reads most of each row reads it whole, and needs no
-    # second draw for the rows its prefix does not settle
-    cols = np.flatnonzero(read) if 2 * np.count_nonzero(read) <= n else np.arange(n)
-    mistakes = np.flatnonzero(is_mistake[cols])
+    stages = _stages(is_mistake, pos_ihat)
+    cols = stages[min(len(_PREFIXES), len(stages)) - 1][1]
+    mistakes = np.flatnonzero(is_mistake[stages[0][1]])
     rows = max(1, ROW_ELEMENTS // len(cols))
     starts = range(0, count, rows)
 
@@ -419,7 +480,7 @@ def run_trials_batch(
             seeds = trial_seeds_vector(base_seed, start + lo, min(rows, count - lo))
             draws = _Draws(seeds, col_draw, pos_ihat, beta, out, scratch)
             tied = _resolve_block(
-                draws, cols, mistakes, gstart, params, gate_draw, hired[block], switched[block]
+                draws, stages, mistakes, gstart, params, gate_draw, hired[block], switched[block]
             )
             replay += (lo + tied).tolist()
         return replay
