@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +28,7 @@ __all__ = [
     "load_instance",
     "dump_instance",
     "check_model",
+    "check_integer",
     "COSP",
     "ROSP",
     "BLOCK_ELEMENTS",
@@ -53,6 +55,18 @@ def check_model(model: str) -> str:
     if model not in (COSP, ROSP):
         raise ValueError(f"unknown model {model!r}")
     return model
+
+
+def check_integer(name: str, x) -> int:
+    """``x`` as an int if it is an exact integer, else a ValueError naming
+    ``name``.  A bool is refused, and so is a float even when it is whole."""
+    # operator.index takes an exact integer of any type, a bool among them
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COSP, Instance, PolicyParams, Schedule, check_model
+from .core import COSP, Instance, PolicyParams, Schedule, check_integer, check_model
 from .rng import TrialStream, trial_seed, trial_seeds_vector, uniforms_at
 
 __all__ = [
@@ -320,9 +320,8 @@ def _resolve_block(draws, stages, mistakes, gstart, params, gate_draw, hired, sw
     times, tied = draws.times(slice(None), cols)
     k = times.shape[1]
     # the mistakes' times are gathered into scratch, which the ties no longer need
-    t_switch = np.take(
-        times, mistakes, axis=0, mode="clip", out=_view(draws.scratch, (len(mistakes), k), np.float64)
-    ).min(axis=0, initial=np.inf)
+    gathered = _view(draws.scratch, (len(mistakes), k), np.float64)
+    t_switch = np.take(times, mistakes, axis=0, mode="clip", out=gathered).min(axis=0, initial=np.inf)
     t_ihat = times[np.searchsorted(cols, pos_ihat)]
     pred_hire = t_ihat < t_switch
     # whether the gate rejects ihat, should secretary mode reach it
@@ -434,8 +433,19 @@ def run_trials_batch(
     share the cores, and the result does not depend on W.
     """
     beta = params.require_beta() if check_model(model) == COSP else None
+    base_seed = check_integer("base_seed", base_seed)
+    start = check_integer("start", start)
+    count = check_integer("count", count)
+    threads = check_integer("threads", threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    # trial indices are drawn as uint64
+    if start + count > 2**64:
+        raise ValueError(f"start + count must be at most 2**64, got {start + count}")
 
     n = instance.n
     v = np.asarray(instance.values)

@@ -69,12 +69,17 @@ def uniforms_at(
     """Uniform number ``draws`` (counted from 1) of each seed's stream.
 
     ``uniforms_at(s, d)`` equals the d-th ``TrialStream(s).uniform()``.  The
-    two arguments broadcast against each other, so a (rows, 1) column of
-    seeds and a (rows, cols) array of draw numbers give a (rows, cols) block.
+    two arguments broadcast against each other, so a (1, rows) row of seeds
+    and a (cols, 1) column of draw numbers give a (cols, rows) block.
     The result is written into ``out``, a float64 array of the broadcast
     shape, and the raw draws into ``scratch``, a uint64 one; each is
     allocated when not given, so a caller drawing block after block can
-    reuse two buffers.
+    reuse two buffers.  Broadcast that way, along the leading axis, each
+    operand is read contiguously and numpy needs no buffers of its own: a
+    (16, 4096) block into given buffers allocates only the (16, 1) draw
+    offsets.  A (rows, 1) column of seeds against a (1, cols) row gives the
+    same values transposed, but numpy then buffers each broadcast operand,
+    some 130 KB for that block.
     """
     shape = np.broadcast_shapes(np.shape(seeds), np.shape(draws))
     u = np.empty(shape) if out is None else out

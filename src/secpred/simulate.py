@@ -14,7 +14,6 @@ the trial count is.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .core import (
     PolicyParams,
     build_instance,
     case_profile,
+    check_integer,
     check_model,
 )
 from .policy import run_trials_batch
@@ -77,16 +77,6 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _integer(name, x):
-    # operator.index takes an exact integer of any type, a bool among them
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {x!r}")
-
-
 def estimate_ratio(
     instance: Instance,
     model: str,
@@ -101,13 +91,13 @@ def estimate_ratio(
     as the cores this process may run on, up to ``MAX_THREADS``.
     """
     check_model(model)
-    trials = _integer("trials", trials)
+    trials = check_integer("trials", trials)
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
-    threads = min(_cores(), MAX_THREADS) if threads is None else _integer("threads", threads)
+    threads = min(_cores(), MAX_THREADS) if threads is None else check_integer("threads", threads)
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"threads must be >= 1 and at most {MAX_THREADS}, got {threads}")
-    seed = _integer("seed", seed)
+    seed = check_integer("seed", seed)
     parts = [
         _chunk_sums(instance, model, params, seed, s, min(CHUNK, trials - s), threads)
         for s in range(0, trials, CHUNK)

@@ -385,6 +385,97 @@ def test_batch_refuses_no_threads():
         run_trials_batch(inst, "cosp", P, 1, 0, 10, threads=0)
 
 
+@pytest.mark.parametrize(
+    "arg,value,match",
+    [
+        ("threads", 1.5, "threads must be an integer"),
+        ("threads", 2.0, "threads must be an integer"),
+        ("threads", True, "threads must be an integer"),
+        ("start", -3, "start must be >= 0"),
+        ("start", 2.0, "start must be an integer"),
+        ("start", 2**64, "start \\+ count must be at most 2\\*\\*64"),
+        ("count", -5, "count must be >= 0"),
+        ("count", 10.0, "count must be an integer"),
+        ("base_seed", 1.5, "base_seed must be an integer"),
+    ],
+)
+def test_batch_refuses_bad_integers(arg, value, match):
+    inst = gen_case_family(4, 2, 1, 1, 5, P.theta)
+    args = {"base_seed": 1, "start": 0, "count": 10, "threads": 1, arg: value}
+    with pytest.raises(ValueError, match=match):
+        run_trials_batch(inst, "cosp", P, **args)
+
+
+def test_batch_takes_numpy_integers_and_no_trials():
+    inst = gen_case_family(4, 2, 1, 1, 5, P.theta)
+    want = run_trials_batch(inst, "cosp", P, 1, 4, 10)
+    got = run_trials_batch(
+        inst, "cosp", P, np.uint64(1), np.int32(4), np.int64(10), threads=np.int8(2)
+    )
+    assert np.array_equal(got.hired, want.hired)
+    assert len(run_trials_batch(inst, "cosp", P, 1, 0, 0).hired) == 0
+
+
+def _stage_families():
+    # the stage widths a family's rows pass through, narrowest first
+    setups = []
+    for model, params in (("cosp", P), ("rosp", THEOREM_ROSP_PARAMS)):
+        # the mistakes and ihat rank among the top four values, so at tau
+        # 0.02 each of the 4-column, 16-column and whole-row stages settles
+        # some of the rows
+        inst = gen_case_family(4, 2, 1, 1, 50, params.theta)
+        setups.append(
+            pytest.param(inst, model, replace(params, tau=0.02), (4, 16, 50), id=f"{model}-tau0.02")
+        )
+    # 41 of 81 columns are mistakes or ihat: every row is read whole
+    inst = gen_case_family(4, 40, 40, 0, 81, THEOREM_ROSP_PARAMS.theta)
+    setups.append(pytest.param(inst, "rosp", THEOREM_ROSP_PARAMS, (81,), id="whole-row"))
+    return setups
+
+
+@pytest.mark.parametrize("inst,model,params,widths", _stage_families())
+def test_every_stage_matches_scalar(monkeypatch, inst, model, params, widths):
+    scan = policy._scan
+    entered = {}
+
+    def counted(pre, *args):
+        entered[len(pre)] = entered.get(len(pre), 0) + pre.shape[1]
+        return scan(pre, *args)
+
+    monkeypatch.setattr(policy, "_scan", counted)
+    seed, count = 11, 3000
+    batch = run_trials_batch(inst, model, params, seed, 0, count)
+    # the rows a stage settles are those it takes and the next does not
+    assert tuple(entered) == widths and entered[widths[0]] == count
+    settled = [entered[w] - entered.get(nxt, 0) for w, nxt in zip(widths, widths[1:] + (None,))]
+    assert all(s > 0 for s in settled), settled
+    for i in range(count):
+        stream = TrialStream(trial_seed(seed, i))
+        if model == "cosp":
+            sched = make_cosp_schedule(inst, params.beta, stream)
+        else:
+            sched = make_rosp_schedule(inst, stream)
+        out = run_trial(inst, sched, params, stream)
+        assert batch.hired[i] == (out.hired_index if out.hired_index is not None else -1), i
+        assert batch.ratios[i] == out.ratio, i
+        assert batch.switched[i] == (out.switch_time is not None), i
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 16, 17, 18, 50])
+def test_ties_found_by_pairs_and_by_sorting(width):
+    # up to 17 columns every pair is compared, above that each row is sorted
+    rng = np.random.default_rng(width)
+    rows = 300
+    t = rng.random((width, rows))
+    for r in range(0, rows, 3):
+        a, b = rng.integers(0, width, 2)
+        t[a, r] = t[b, r]
+    want = [len(set(t[:, r])) < width for r in range(rows)]
+    scratch = np.empty(max(policy.ROW_ELEMENTS, width * rows), dtype=np.uint64)
+    assert policy._ties(t, scratch).tolist() == want
+    assert width == 1 or any(want)
+
+
 def test_many_threads_under_fast_switching(monkeypatch):
     # more threads than cores, switched every microsecond, on 51 blocks: a
     # row written by the wrong worker, or lost, would change the arrays

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from secpred.rng import TrialStream, trial_seed, trial_seeds_vector, uniforms_at
@@ -45,3 +47,23 @@ def test_uniforms_at_plain_ints():
     for r, s in enumerate(SEEDS.tolist()):
         for d in (1, 5, 12):
             assert float(uniforms_at(s, d)) == want[r, d - 1]
+
+
+def test_uniforms_at_column_major_block_allocates_little():
+    # a (1, rows) row of seeds against a (cols, 1) column of draw numbers,
+    # drawn into given buffers: numpy buffers no broadcast operand, so the
+    # only allocation is the draw offsets (a (rows, 1) column against a
+    # (1, cols) row peaks at about 130 KB)
+    seeds = trial_seeds_vector(1, 0, 4096)
+    draws = np.arange(1, 17, dtype=np.uint64)
+    out = np.empty((16, 4096))
+    scratch = np.empty((16, 4096), dtype=np.uint64)
+    want = uniforms_at(seeds[:, None], draws[None, :]).T
+    tracemalloc.start()
+    try:
+        got = uniforms_at(seeds[None, :], draws[:, None], out, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is out and np.array_equal(got, want)
+    assert peak < 16 * 1024, peak
