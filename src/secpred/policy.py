@@ -25,13 +25,19 @@ window is the first column j0 that did, and the candidates that beat it
 are the columns ahead of it.
 
 So a row's result depends only on the columns it reads: a short column
-prefix, which holds j0 in most rows, the mistakes and the top prediction.
-Any other column is no mistake and not the top prediction, and it ranks
-below j0, which arrived before the window: it is never hired and changes
-nothing, and neither does a tie among such columns.  The engine draws only
-those columns, and reads a row whole when its prefix does not hold j0.  A
-row with two equal times among the columns it read is replayed by
-``run_trial``.  Rows run in blocks of about ``ROW_ELEMENTS`` draws, sized
+prefix that holds j0, the mistakes and the top prediction.  Any other
+column is no mistake and not the top prediction, and it ranks below j0,
+which arrived before the window: it is never hired and changes nothing,
+and neither does a tie among such columns.  The engine draws only those
+columns, on widening prefixes (``_PREFIXES``): every row of a block on
+the first 4 columns, the rows whose j0 lies beyond them on the first 16,
+and the few left after that on the whole row.  A row with two equal times
+among the columns it read is replayed by ``run_trial``.
+
+A block's times are stored column-major, one array row per column, so
+finding j0, the switch and the earliest candidate are reductions over
+contiguous rows of trials rather than over the short second axis of each
+trial's row.  Rows run in blocks of about ``ROW_ELEMENTS`` draws, sized
 for a core's L2 cache, so memory does not grow with n or with the number
 of trials.  The blocks can run on several threads, each with buffers of
 its own: numpy releases the interpreter lock in the whole-block passes,
@@ -253,14 +259,15 @@ def _ties(t, scratch):
 
 def _first(mask):
     """The first array row where each column of ``mask`` is true, and
-    len(mask) where none is, as the least unsigned type that holds it.
+    len(mask) where none is.
 
-    Row c weighs len(mask) - c, so the first true row weighs most; the
-    weights are of that type too, which keeps the products small and fast.
+    Row c weighs len(mask) - c, so the first true row weighs most.  The
+    weights take the least unsigned type that holds len(mask), which keeps
+    the products small and fast.
     """
     w = len(mask)
     weights = np.arange(w, 0, -1, dtype=np.min_scalar_type(w))
-    return w - (mask * weights[:, None]).max(axis=0, initial=0)
+    return np.subtract(w, (mask * weights[:, None]).max(axis=0, initial=0), dtype=np.intp)
 
 
 def _argmin(a):
@@ -284,14 +291,20 @@ def _scan(pre, opens, gstart, pos, fall):
     """
     width = len(pre)
     n = len(gstart) - 1
+    # column numbers in the least type that holds them, which keeps the
+    # compares fast
+    at = np.arange(width, dtype=np.min_scalar_type(width))
     mask = pre < opens
     j0 = _first(mask)
     found = j0 < width
-    lim = np.append(gstart[:width], n)[j0]
-    np.greater_equal(np.arange(width)[:, None], lim, out=mask)
-    np.copyto(pre, np.inf, where=mask)
-    # a typed -1, which makes the unsigned positions signed
-    first = np.where(lim > 0, _argmin(pre), np.intp(-1))
+    # the candidates are the columns before lim: every column of the prefix
+    # where it does not hold j0
+    lim = np.append(gstart[:width], width).astype(at.dtype)[j0]
+    np.greater_equal(at[:, None], lim, out=mask)
+    # times lie in [0, 1), so adding 1 to the other columns puts them
+    # after every candidate
+    np.add(pre, mask, out=pre)
+    first = np.where(lim > 0, _argmin(pre), -1)
     rows = np.flatnonzero(fall & (first == pos))
     above = gstart[pos]
     first[rows] = _argmin(pre[:above, rows]) if above else -1
@@ -418,13 +431,15 @@ def run_trials_batch(
     holds candidate ``order[c]``, the candidates sorted by decreasing value
     (ties in index order); each column keeps its candidate's draw number,
     so the streams are read as the scalar replay reads them.  Trials run in
-    blocks of ``ROW_ELEMENTS // len(cols)`` rows, which draw only the
-    columns ``cols`` a row's hire depends on: a prefix, the mistakes and
-    ihat, or every column when those are more than half of them.  The hires
-    are found on the prefix, or on the whole row where the prefix does not
-    settle them, and mapped back through ``order``.  The rows with two
-    equal times among the columns they read are then replayed by
-    ``run_trial``.
+    blocks of ``ROW_ELEMENTS // len(cols)`` rows, ``cols`` being the
+    columns of the 16-column stage, and a block draws only the columns a
+    row's hire depends on, in stages (``_stages``): the 4-column prefix,
+    the mistakes and ihat for every row; the 16-column prefix with them for
+    the rows whose hire the first does not settle; then the whole row for
+    the rows left.  A stage whose columns are more than half of the row
+    reads it whole, and is the last.  The hires are mapped back through
+    ``order``, and the rows with two equal times among the columns they
+    read are then replayed by ``run_trial``.
 
     The blocks run on W = min(threads, blocks) workers, the calling thread
     and W - 1 helper threads: worker w takes blocks w, w + W, and so on,
