@@ -301,8 +301,8 @@ def _scan(pre, opens, gstart, pos, fall):
     # where it does not hold j0
     lim = np.append(gstart[:width], width).astype(at.dtype)[j0]
     np.greater_equal(at[:, None], lim, out=mask)
-    # times lie in [0, 1), so adding 1 to the other columns puts them
-    # after every candidate
+    # times lie in [0, 1), so adding 1 to the other columns makes them
+    # later than every candidate
     np.add(pre, mask, out=pre)
     first = np.where(lim > 0, _argmin(pre), -1)
     rows = np.flatnonzero(fall & (first == pos))
@@ -486,6 +486,8 @@ def run_trials_batch(
     hired = np.empty(count, dtype=np.int64)
     switched = np.empty(count, dtype=bool)
     stages = _stages(is_mistake, pos_ihat)
+    # blocks are sized for the widest prefix's stage, or for the whole row
+    # where that stage reads it
     cols = stages[min(len(_PREFIXES), len(stages)) - 1][1]
     mistakes = np.flatnonzero(is_mistake[stages[0][1]])
     rows = max(1, ROW_ELEMENTS // len(cols))
