@@ -334,7 +334,8 @@ def _resolve_block(draws, stages, mistakes, gstart, params, gate_draw, hired, sw
     k = times.shape[1]
     # the mistakes' times are gathered into scratch, which the ties no longer need
     gathered = _view(draws.scratch, (len(mistakes), k), np.float64)
-    t_switch = np.take(times, mistakes, axis=0, mode="clip", out=gathered).min(axis=0, initial=np.inf)
+    np.take(times, mistakes, axis=0, mode="clip", out=gathered)
+    t_switch = gathered.min(axis=0, initial=np.inf)
     t_ihat = times[np.searchsorted(cols, pos_ihat)]
     pred_hire = t_ihat < t_switch
     # whether the gate rejects ihat, should secretary mode reach it
