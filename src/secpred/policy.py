@@ -37,11 +37,11 @@ among the columns it read is replayed by ``run_trial``.
 A block's times are stored column-major, one array row per column, so
 finding j0, the switch and the earliest candidate are reductions over
 contiguous rows of trials rather than over the short second axis of each
-trial's row.  Rows run in blocks of about ``ROW_ELEMENTS`` draws, sized
-for a core's L2 cache, so memory does not grow with n or with the number
-of trials.  The blocks can run on several threads, each with buffers of
-its own: numpy releases the interpreter lock in the whole-block passes,
-and a row's result does not depend on the thread that runs it.
+trial's row.  Rows run in blocks of about ``ROW_ELEMENTS`` draws, so
+memory does not grow with n or with the number of trials.  The blocks can
+run on several threads, each with buffers of its own: numpy releases the
+interpreter lock in the whole-block passes, and a row's result does not
+depend on the thread that runs it.
 """
 
 from __future__ import annotations
@@ -66,9 +66,12 @@ __all__ = [
 
 # Draws per block: a block of ROW_ELEMENTS // len(cols) rows draws its
 # columns cols into a thread's two uint64 buffers of max(ROW_ELEMENTS, n)
-# draws, which take 512 KiB each below n = 2^16 and stay in a core's L2
-# cache.
-ROW_ELEMENTS = 1 << 16
+# draws, 2 MiB each below n = 2^18.  A block's passes then take tens of
+# microseconds, so threads on separate cores rarely wait on each other for
+# the interpreter lock: at 2^16 draws the passes took a few, and two
+# threads spent more time handing the lock back and forth than one took
+# alone.
+ROW_ELEMENTS = 1 << 18
 # Widths of the column prefixes a row's hire is looked for on, narrowest
 # first; a row none of them settles is read whole.
 _PREFIXES = (4, 16)

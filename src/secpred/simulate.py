@@ -4,11 +4,11 @@ for the adversarial instance families used in the analysis.
 Trials are independent and reproducible: trial i derives its stream from a
 64-bit mix of (seed, i), and aggregation sums fixed-size chunks in index
 order.  The batch engine works through each chunk in row blocks of about
-2^16 draws of the arrival times a row's hire depends on, shared out among
+2^18 draws of the arrival times a row's hire depends on, shared out among
 ``threads`` threads of this process, and each row's result is the same
 whichever thread runs it, so every output is identical for any thread
-count.  A thread's two buffers take about 1 MB below n = 2^16, whatever
-the trial count is.
+count.  A thread's two buffers take 4 MiB below n = 2^18, whatever the
+trial count is.
 """
 
 from __future__ import annotations

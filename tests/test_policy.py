@@ -303,7 +303,7 @@ def test_batch_matches_scalar_over_partial_blocks(model):
     # last block is a partial one
     params = THEOREM_COSP_PARAMS if model == "cosp" else THEOREM_ROSP_PARAMS
     inst = gen_case_family(4, 2, 1, 1, 50, params.theta)
-    seed, count = 31, 4999
+    seed, count = 31, 16411
     assert count > policy.ROW_ELEMENTS // 16
     batch = run_trials_batch(inst, model, params, seed, 0, count)
     for i in range(count):
@@ -495,7 +495,7 @@ def test_many_threads_under_fast_switching(monkeypatch):
 
 def test_second_thread_adds_one_workers_memory():
     # a worker holds two buffers of max(ROW_ELEMENTS, n) uint64 draws
-    # (512 KiB each) and its block's temporaries, so a second thread adds
+    # (2 MiB each) and its block's temporaries, so a second thread adds
     # about one worker's memory
     params = THEOREM_ROSP_PARAMS
     inst = gen_case_family(4, 2, 1, 1, 800, params.theta)
