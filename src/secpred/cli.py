@@ -72,10 +72,7 @@ def _cmd_certify(args) -> int:
 def _cmd_simulate(args) -> int:
     instance = load_instance(args.instance)
     params = _params_from(args)
-    result = estimate_ratio(
-        instance, args.model, params, trials=args.trials, seed=args.seed,
-        threads=args.threads,
-    )
+    result = estimate_ratio(instance, args.model, params, trials=args.trials, seed=args.seed)
     row = sim_csv_row(args.model, instance, params.theta, result, args.seed)
     out = sim_csv_header() + "\n" + row + "\n"
     if args.out:
@@ -132,6 +129,8 @@ def _cmd_derand_demo(args) -> int:
             f"need 1 <= n <= {core.BLOCK_ELEMENTS} and 1 <= samples <= {MAX_DEMO_SAMPLES}, "
             f"got n={args.n} samples={args.samples}"
         )
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     # rows of about BLOCK_ELEMENTS draws at a time; the generator fills them
     # in order, so t1 is the same as from one (samples x n) draw
@@ -179,10 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads, at most 64 (default: the cores this process may run on)",
-    )
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("evaluate", help="print one analytic case bound")

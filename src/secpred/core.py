@@ -29,6 +29,7 @@ __all__ = [
     "dump_instance",
     "check_model",
     "check_integer",
+    "check_seed",
     "COSP",
     "ROSP",
     "BLOCK_ELEMENTS",
@@ -67,6 +68,15 @@ def check_integer(name: str, x) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
+def check_seed(name: str, x) -> int:
+    """``x`` as an int if it is an integer in [0, 2**64), the seeds a
+    SplitMix64 stream holds, else a ValueError naming ``name``."""
+    x = check_integer(name, x)
+    if not 0 <= x < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {x}")
+    return x
 
 
 @dataclass(frozen=True)

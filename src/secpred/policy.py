@@ -37,22 +37,19 @@ among the columns it read is replayed by ``run_trial``.
 A block's times are stored column-major, one array row per column, so
 finding j0, the switch and the earliest candidate are reductions over
 contiguous rows of trials rather than over the short second axis of each
-trial's row.  Rows run in blocks of about ``ROW_ELEMENTS`` draws, so
-memory does not grow with n or with the number of trials.  The blocks can
-run on several threads, each with buffers of its own: numpy releases the
-interpreter lock in the whole-block passes, and a row's result does not
-depend on the thread that runs it.
+trial's row.  Rows run in blocks of about ``ROW_ELEMENTS`` draws, one
+after another into the same two buffers, so memory does not grow with n or
+with the number of trials.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COSP, Instance, PolicyParams, Schedule, check_integer, check_model
+from .core import COSP, Instance, PolicyParams, Schedule, check_integer, check_model, check_seed
 from .rng import TrialStream, trial_seed, trial_seeds_vector, uniforms_at
 
 __all__ = [
@@ -65,12 +62,10 @@ __all__ = [
 ]
 
 # Draws per block: a block of ROW_ELEMENTS // len(cols) rows draws its
-# columns cols into a thread's two uint64 buffers of max(ROW_ELEMENTS, n)
-# draws, 2 MiB each below n = 2^18.  A block's passes then take tens of
-# microseconds, so threads on separate cores rarely wait on each other for
-# the interpreter lock: at 2^16 draws the passes took a few, and two
-# threads spent more time handing the lock back and forth than one took
-# alone.
+# columns cols into two uint64 buffers of max(ROW_ELEMENTS, n) draws, 2 MiB
+# each below n = 2^18.  Fewer, longer passes pay numpy's per-call cost less
+# often: 80 000 rosp trials at n = 800 took 26.6 ms in blocks of 2^16 draws
+# and 16.9 ms in blocks of 2^18 (warm medians).
 ROW_ELEMENTS = 1 << 18
 # Widths of the column prefixes a row's hire is looked for on, narrowest
 # first; a row none of them settles is read whole.
@@ -364,44 +359,6 @@ def _resolve_block(draws, stages, mistakes, gstart, params, gate_draw, hired, sw
     return np.flatnonzero(tied)
 
 
-def _in_threads(work, workers):
-    """``[work(w, workers, stop) for w in range(workers)]``, run at once.
-
-    Worker 0 runs on the calling thread and each other one on a thread of
-    its own.  Every helper is joined before this returns or raises.  The
-    first worker to fail sets the event ``stop``, which the others read
-    between blocks, and its exception is raised here once all have
-    stopped.
-    """
-    results = [None] * workers
-    errors = []
-    stop = threading.Event()
-
-    def run(w):
-        try:
-            results[w] = work(w, workers, stop)
-        except BaseException as exc:
-            stop.set()
-            errors.append(exc)
-
-    helpers = []
-    try:
-        for w in range(1, workers):
-            helper = threading.Thread(target=run, args=(w,), name=f"secpred-batch-{w}")
-            helper.start()
-            helpers.append(helper)
-        run(0)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def _stages(is_mistake, pos_ihat):
     """The (width, cols) stages a row's hire is looked for on, narrowest
     first: each prefix of ``_PREFIXES`` with the mistakes and ihat, then
@@ -426,7 +383,6 @@ def run_trials_batch(
     base_seed: int,
     start: int,
     count: int,
-    threads: int = 1,
 ) -> BatchResult:
     """Run trials [start, start+count) with per-trial derived streams.
 
@@ -441,23 +397,17 @@ def run_trials_batch(
     the mistakes and ihat for every row; the 16-column prefix with them for
     the rows whose hire the first does not settle; then the whole row for
     the rows left.  A stage whose columns are more than half of the row
-    reads it whole, and is the last.  The hires are mapped back through
+    reads it whole, and is the last.  The blocks run in order, each
+    drawing into the same two buffers.  The hires are mapped back through
     ``order``, and the rows with two equal times among the columns they
-    read are then replayed by ``run_trial``.
+    read are then replayed by ``run_trial``, in row order.
 
-    The blocks run on W = min(threads, blocks) workers, the calling thread
-    and W - 1 helper threads: worker w takes blocks w, w + W, and so on,
-    with buffers of its own, and writes only its blocks' rows.  numpy
-    releases the interpreter lock in the whole-block passes, so the workers
-    share the cores, and the result does not depend on W.
+    ``base_seed`` must lie in [0, 2**64), the seeds a stream can hold.
     """
     beta = params.require_beta() if check_model(model) == COSP else None
-    base_seed = check_integer("base_seed", base_seed)
+    base_seed = check_seed("base_seed", base_seed)
     start = check_integer("start", start)
     count = check_integer("count", count)
-    threads = check_integer("threads", threads)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
     if count < 0:
@@ -495,39 +445,32 @@ def run_trials_batch(
     cols = stages[min(len(_PREFIXES), len(stages)) - 1][1]
     mistakes = np.flatnonzero(is_mistake[stages[0][1]])
     rows = max(1, ROW_ELEMENTS // len(cols))
-    starts = range(0, count, rows)
+    # every block draws into the same two buffers: block-sized arrays
+    # allocated for each block are handed back to the system and faulted
+    # in again
+    out = np.empty(max(ROW_ELEMENTS, n), dtype=np.uint64)
+    scratch = np.empty_like(out)
+    replay = []
+    for lo in range(0, count, rows):
+        block = slice(lo, lo + rows)
+        seeds = trial_seeds_vector(base_seed, start + lo, min(rows, count - lo))
+        draws = _Draws(seeds, col_draw, pos_ihat, beta, out, scratch)
+        tied = _resolve_block(
+            draws, stages, mistakes, gstart, params, gate_draw, hired[block], switched[block]
+        )
+        replay += (lo + tied).tolist()
 
-    def work(w, workers, stop):
-        # every block draws into the same two buffers: block-sized arrays
-        # allocated for each block are handed back to the system and
-        # faulted in again
-        out = np.empty(max(ROW_ELEMENTS, n), dtype=np.uint64)
-        scratch = np.empty_like(out)
-        replay = []
-        for lo in starts[w::workers]:
-            if stop.is_set():
-                break
-            block = slice(lo, lo + rows)
-            seeds = trial_seeds_vector(base_seed, start + lo, min(rows, count - lo))
-            draws = _Draws(seeds, col_draw, pos_ihat, beta, out, scratch)
-            tied = _resolve_block(
-                draws, stages, mistakes, gstart, params, gate_draw, hired[block], switched[block]
-            )
-            replay += (lo + tied).tolist()
-        return replay
-
-    replays = _in_threads(work, max(1, min(threads, len(starts))))
     hired = np.where(hired >= 0, order[hired], -1)
     # a row with two equal times among those it read takes them in index
     # order, as the scalar replay does
-    for r in sorted(r for replay in replays for r in replay):
+    for r in replay:
         stream = TrialStream(trial_seed(base_seed, start + r))
         if beta is not None:
             schedule = make_cosp_schedule(instance, beta, stream)
         else:
             schedule = make_rosp_schedule(instance, stream)
-        out = run_trial(instance, schedule, params, stream)
-        hired[r] = -1 if out.hired_index is None else out.hired_index
-        switched[r] = out.switch_time is not None
+        outcome = run_trial(instance, schedule, params, stream)
+        hired[r] = -1 if outcome.hired_index is None else outcome.hired_index
+        switched[r] = outcome.switch_time is not None
     ratios = np.where(hired >= 0, v[hired] / vstar, 0.0)
     return BatchResult(hired=hired, ratios=ratios, switched=switched)

@@ -4,17 +4,14 @@ for the adversarial instance families used in the analysis.
 Trials are independent and reproducible: trial i derives its stream from a
 64-bit mix of (seed, i), and aggregation sums fixed-size chunks in index
 order.  The batch engine works through each chunk in row blocks of about
-2^18 draws of the arrival times a row's hire depends on, shared out among
-``threads`` threads of this process, and each row's result is the same
-whichever thread runs it, so every output is identical for any thread
-count.  A thread's two buffers take 4 MiB below n = 2^18, whatever the
+2^18 draws of the arrival times a row's hire depends on, one block after
+another, into two buffers that take 4 MiB below n = 2^18, whatever the
 trial count is.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +24,7 @@ from .core import (
     case_profile,
     check_integer,
     check_model,
+    check_seed,
 )
 from .policy import run_trials_batch
 
@@ -40,13 +38,13 @@ __all__ = [
     "sim_csv_row",
 ]
 
-CHUNK = 1 << 16  # fixed so results do not depend on worker count
+# Trials per chunk.  numpy sums each chunk's ratios on their own and
+# math.fsum adds the chunk sums, so the chunk size fixes how the sums are
+# rounded, and with it every bit of the result.
+CHUNK = 1 << 16
 # More trials are refused before the chunk list is built: 10^9 trials are
 # 15 259 chunks, hours of work on one core.
 MAX_TRIALS = 10**9
-# More threads are refused, and the default is capped here: a thread's
-# buffers take up to 16 MiB at the instance cap, so 64 threads hold 1 GiB.
-MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -58,9 +56,9 @@ class SimResult:
     mode_switch_rate: float
 
 
-def _chunk_sums(instance, model, params, seed, start, count, threads):
+def _chunk_sums(instance, model, params, seed, start, count):
     """Sums over trials [start, start + count) of one run."""
-    res = run_trials_batch(instance, model, params, seed, start, count, threads)
+    res = run_trials_batch(instance, model, params, seed, start, count)
     return (
         float(np.sum(res.ratios)),
         float(np.sum(res.ratios * res.ratios)),
@@ -69,37 +67,24 @@ def _chunk_sums(instance, model, params, seed, start, count, threads):
     )
 
 
-def _cores() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has the call
-        return os.cpu_count() or 1
-
-
 def estimate_ratio(
     instance: Instance,
     model: str,
     params: PolicyParams,
     trials: int,
     seed: int,
-    threads: int | None = None,
 ) -> SimResult:
     """Empirical E[hired value] / v* over independent schedule+trial pairs.
 
-    Each chunk's row blocks run on ``threads`` threads, by default as many
-    as the cores this process may run on, up to ``MAX_THREADS``.
+    ``seed`` must lie in [0, 2**64), the seeds a stream can hold.
     """
     check_model(model)
     trials = check_integer("trials", trials)
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
-    threads = min(_cores(), MAX_THREADS) if threads is None else check_integer("threads", threads)
-    if not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"threads must be >= 1 and at most {MAX_THREADS}, got {threads}")
-    seed = check_integer("seed", seed)
+    seed = check_seed("seed", seed)
     parts = [
-        _chunk_sums(instance, model, params, seed, s, min(CHUNK, trials - s), threads)
+        _chunk_sums(instance, model, params, seed, s, min(CHUNK, trials - s))
         for s in range(0, trials, CHUNK)
     ]
 

@@ -76,7 +76,7 @@ def test_gen_then_simulate(tmp_path, capsys):
     assert code == 0
     code = main(
         ["simulate", "--instance", str(inst), *COSP_FLAGS, "--trials", "20000",
-         "--seed", "7", "--threads", "1"]
+         "--seed", "7"]
     )
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -90,7 +90,7 @@ def test_simulate_out_file(tmp_path, capsys):
     main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.63", "--out", str(inst)])
     code = main(
         ["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", "500", "--seed", "3",
-         "--threads", "1", "--out", str(csv)]
+         "--out", str(csv)]
     )
     assert code == 0
     lines = csv.read_text().splitlines()
@@ -133,6 +133,12 @@ def test_derand_demo_rejects_empty_draw(capsys, flags):
     assert err.startswith("error:")
 
 
+def test_derand_demo_negative_seed_exit_two(capsys):
+    # refused before numpy's generator, so the message names the flag
+    assert main(["derand-demo", "--n", "5", "--samples", "100", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("family", [
     ["--family", "case", "--case", "4", "--m", "2", "--k", "1", "--m2", "1"],
     ["--family", "underest-best"],
@@ -162,8 +168,7 @@ def test_simulate_oversized_trials_exit_two(tmp_path, capsys, monkeypatch):
     inst = tmp_path / "inst.json"
     main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.63", "--out", str(inst)])
     code = main(
-        ["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", str(sim.MAX_TRIALS + 1),
-         "--threads", "1"]
+        ["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", str(sim.MAX_TRIALS + 1)]
     )
     assert code == 2
     assert "trials must lie in" in capsys.readouterr().err
@@ -184,7 +189,7 @@ def test_usage_error_exit_two(capsys):
 def test_io_error_exit_two(capsys):
     code = main(
         ["simulate", "--instance", "/nonexistent/file.json", *COSP_FLAGS,
-         "--trials", "10", "--threads", "1"]
+         "--trials", "10"]
     )
     assert code == 2
 
@@ -198,7 +203,7 @@ def test_simulate_oversized_instance_file_exit_two(tmp_path, capsys, monkeypatch
 
     inst = tmp_path / "inst.json"
     main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.58", "--out", str(inst)])
-    argv = ["simulate", "--instance", str(inst), *COSP_FLAGS, "--trials", "10", "--threads", "1"]
+    argv = ["simulate", "--instance", str(inst), *COSP_FLAGS, "--trials", "10"]
     size = inst.stat().st_size
     monkeypatch.setattr(core, "MAX_INSTANCE_BYTES", size)
     assert main(argv) == 0
@@ -224,7 +229,7 @@ def test_simulate_malformed_instance_exit_two(tmp_path, capsys, body):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(body))
     code = main(
-        ["simulate", "--instance", str(inst), *COSP_FLAGS, "--trials", "10", "--threads", "1"]
+        ["simulate", "--instance", str(inst), *COSP_FLAGS, "--trials", "10"]
     )
     assert code == 2
     assert "list of real numbers" in capsys.readouterr().err
@@ -326,46 +331,19 @@ def test_tune_non_finite_step_exit_two(capsys, step):
     assert "grid step must be finite" in capsys.readouterr().err
 
 
-def test_simulate_zero_threads_exit_two(tmp_path, capsys):
-    inst = tmp_path / "inst.json"
-    main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.63", "--out", str(inst)])
-    code = main(["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", "10",
-                 "--threads", "0"])
-    assert code == 2
-    assert "threads must be >= 1" in capsys.readouterr().err
-
-
-def test_simulate_too_many_threads_exit_two(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+def test_simulate_seed_out_of_range_exit_two(tmp_path, capsys, monkeypatch, seed):
+    # a seed a stream cannot hold is refused rather than wrapped to 2**64 - 5
+    # or to 0
     import secpred.simulate as sim
 
     monkeypatch.setattr(sim, "_chunk_sums", lambda *job: pytest.fail("a chunk ran"))
     inst = tmp_path / "inst.json"
     main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.63", "--out", str(inst)])
     code = main(["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", "10",
-                 "--threads", "100000"])
+                 "--seed", seed])
     assert code == 2
-    assert "threads must be >= 1 and at most 64" in capsys.readouterr().err
-
-
-def test_simulate_threads_default_to_usable_cores(tmp_path, monkeypatch, capsys):
-    # a process allowed one core of 64 runs one thread, not 64
-    import secpred.simulate as sim
-
-    threads = []
-    batch = sim.run_trials_batch
-
-    def recorded(*args):
-        threads.append(args[-1])
-        return batch(*args)
-
-    monkeypatch.setattr(sim, "run_trials_batch", recorded)
-    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {5}, raising=False)
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 64)
-    inst = tmp_path / "inst.json"
-    main(["gen", "--family", "overest-top", "--n", "4", "--theta", "0.63", "--out", str(inst)])
-    assert main(["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", "10"]) == 0
-    assert threads == [1]
-    assert "\nmodel,n,m,k,m2," in capsys.readouterr().out
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
 
 
 def test_tune_oversized_grid_exit_two(capsys):

@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -333,12 +332,12 @@ def test_only_colliding_rows_replayed(monkeypatch):
     assert calls == []
 
 
-def _threaded_runs():
+def _tie_runs():
     seed = 3
     # trial 0 of test_batch_redraws_colliding_schedule_like_scalar and of
     # test_batch_reads_redrawn_times holds a tie: beta is its first uniform,
     # which candidate 0 draws as well.  Trial 700 holds one the same way with
-    # its own beta; at ROW_ELEMENTS = 997 its block, block 1, is a helper's
+    # its own beta; at ROW_ELEMENTS = 997 it lies in block 1
     stream = TrialStream(trial_seed(seed, 0))
     d = [stream.uniform() for _ in range(3)]
     gated = PolicyParams(theta=0.5, tau=0.33, gamma=(d[1] + d[2]) / 2, delta=0.5, beta=d[0])
@@ -359,59 +358,64 @@ def _threaded_runs():
 
 
 @pytest.mark.parametrize("row_elements", [997, policy.ROW_ELEMENTS], ids=["uneven", "default"])
-@pytest.mark.parametrize("inst,model,params,replayed", _threaded_runs())
-def test_threads_change_nothing(monkeypatch, row_elements, inst, model, params, replayed):
+@pytest.mark.parametrize("inst,model,params,replayed", _tie_runs())
+def test_each_tie_replayed_once(monkeypatch, row_elements, inst, model, params, replayed):
     # at ROW_ELEMENTS = 997 the 3000 trials run in 7 (n = 2) or 51 (n = 50)
     # blocks, the last a partial one; at the default in one
+    want = run_trials_batch(inst, model, params, 3, 0, 3000)
     monkeypatch.setattr(policy, "ROW_ELEMENTS", row_elements)
     calls = _counted_replays(monkeypatch)
-    want = None
-    for threads in (1, 2, 3):
-        calls.clear()
-        got = run_trials_batch(inst, model, params, 3, 0, 3000, threads=threads)
-        # each trial with a tie is replayed once, by the calling thread
-        assert len(calls) == replayed, threads
-        if want is None:
-            want = got
-            continue
-        assert np.array_equal(got.hired, want.hired), threads
-        assert np.array_equal(got.ratios, want.ratios), threads
-        assert np.array_equal(got.switched, want.switched), threads
-
-
-def test_batch_refuses_no_threads():
-    inst = gen_case_family(4, 2, 1, 1, 5, P.theta)
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        run_trials_batch(inst, "cosp", P, 1, 0, 10, threads=0)
+    got = run_trials_batch(inst, model, params, 3, 0, 3000)
+    assert len(calls) == replayed
+    assert np.array_equal(got.hired, want.hired)
+    assert np.array_equal(got.ratios, want.ratios)
+    assert np.array_equal(got.switched, want.switched)
 
 
 @pytest.mark.parametrize(
     "arg,value,match",
     [
-        ("threads", 1.5, "threads must be an integer"),
-        ("threads", 2.0, "threads must be an integer"),
-        ("threads", True, "threads must be an integer"),
         ("start", -3, "start must be >= 0"),
         ("start", 2.0, "start must be an integer"),
         ("start", 2**64, "start \\+ count must be at most 2\\*\\*64"),
         ("count", -5, "count must be >= 0"),
         ("count", 10.0, "count must be an integer"),
         ("base_seed", 1.5, "base_seed must be an integer"),
+        ("base_seed", -1, "base_seed must lie in \\[0, 2\\*\\*64\\)"),
+        ("base_seed", 2**64, "base_seed must lie in \\[0, 2\\*\\*64\\)"),
     ],
 )
 def test_batch_refuses_bad_integers(arg, value, match):
     inst = gen_case_family(4, 2, 1, 1, 5, P.theta)
-    args = {"base_seed": 1, "start": 0, "count": 10, "threads": 1, arg: value}
+    args = {"base_seed": 1, "start": 0, "count": 10, arg: value}
     with pytest.raises(ValueError, match=match):
         run_trials_batch(inst, "cosp", P, **args)
+
+
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_batch_matches_scalar_at_top_seed(model):
+    # the greatest seed a stream holds, which numpy's uint64 arithmetic and
+    # the scalar stream's masked ints must both take as it is
+    params = P if model == "cosp" else THEOREM_ROSP_PARAMS
+    inst = gen_case_family(4, 2, 1, 1, 50, params.theta)
+    seed, count = 2**64 - 1, 2000
+    batch = run_trials_batch(inst, model, params, seed, 0, count)
+    for i in range(count):
+        stream = TrialStream(trial_seed(seed, i))
+        if model == "cosp":
+            sched = make_cosp_schedule(inst, params.beta, stream)
+        else:
+            sched = make_rosp_schedule(inst, stream)
+        out = run_trial(inst, sched, params, stream)
+        assert batch.hired[i] == (out.hired_index if out.hired_index is not None else -1), i
+        assert batch.ratios[i] == out.ratio, i
+        assert batch.switched[i] == (out.switch_time is not None), i
 
 
 def test_batch_takes_numpy_integers_and_no_trials():
     inst = gen_case_family(4, 2, 1, 1, 5, P.theta)
     want = run_trials_batch(inst, "cosp", P, 1, 4, 10)
-    got = run_trials_batch(
-        inst, "cosp", P, np.uint64(1), np.int32(4), np.int64(10), threads=np.int8(2)
-    )
+    got = run_trials_batch(inst, "cosp", P, np.uint64(1), np.int32(4), np.int64(10))
     assert np.array_equal(got.hired, want.hired)
     assert len(run_trials_batch(inst, "cosp", P, 1, 0, 0).hired) == 0
 
@@ -476,41 +480,20 @@ def test_ties_found_by_pairs_and_by_sorting(width):
     assert width == 1 or any(want)
 
 
-def test_many_threads_under_fast_switching(monkeypatch):
-    # more threads than cores, switched every microsecond, on 51 blocks: a
-    # row written by the wrong worker, or lost, would change the arrays
-    monkeypatch.setattr(policy, "ROW_ELEMENTS", 997)
-    inst = gen_case_family(4, 2, 1, 1, 50, P.theta)
-    want = run_trials_batch(inst, "cosp", P, 5, 0, 3000)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = run_trials_batch(inst, "cosp", P, 5, 0, 3000, threads=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(got.hired, want.hired)
-    assert np.array_equal(got.ratios, want.ratios)
-    assert np.array_equal(got.switched, want.switched)
-
-
-def test_second_thread_adds_one_workers_memory():
-    # a worker holds two buffers of max(ROW_ELEMENTS, n) uint64 draws
-    # (2 MiB each) and its block's temporaries, so a second thread adds
-    # about one worker's memory
+def test_batch_memory_is_its_buffers():
+    # the engine holds two buffers of max(ROW_ELEMENTS, n) uint64 draws
+    # (2 MiB each) and one block's temporaries at a time
     params = THEOREM_ROSP_PARAMS
     inst = gen_case_family(4, 2, 1, 1, 800, params.theta)
     count = 20_000
-    peaks = []
-    for threads in (1, 2):
-        tracemalloc.start()
-        try:
-            run_trials_batch(inst, "rosp", params, 1, 0, count, threads=threads)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        run_trials_batch(inst, "rosp", params, 1, 0, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     buffers = 2 * max(policy.ROW_ELEMENTS, inst.n) * 8
-    # what the one-thread peak holds besides hired and switched is its
-    # worker's: the buffers, and block temporaries of less than half as much
-    worker = peaks[0] - count * 9
-    assert buffers <= worker <= 1.5 * buffers, worker
-    assert peaks[1] - peaks[0] <= 1.1 * worker, (peaks, worker)
+    # what the peak holds besides hired and switched is the buffers, and
+    # block temporaries of less than half as much
+    engine = peak - count * 9
+    assert buffers <= engine <= 1.5 * buffers, engine

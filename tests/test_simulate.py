@@ -1,5 +1,4 @@
 import math
-import threading
 
 import pytest
 
@@ -15,7 +14,6 @@ from secpred import (
     mistake_set,
 )
 import secpred.simulate as sim
-from secpred import policy
 from secpred.analytic import case_bound
 from secpred.simulate import default_deviation, sim_csv_header, sim_csv_row
 
@@ -35,123 +33,29 @@ def test_single_candidate_rosp():
     assert res.mean_ratio == 1.0
 
 
-def test_seed_determinism_and_thread_independence():
+def test_seed_determinism():
     inst = gen_case_family(4, 2, 1, 1, 5, P.theta)
-    a = estimate_ratio(inst, "cosp", P, trials=150_000, seed=11, threads=1)
-    b = estimate_ratio(inst, "cosp", P, trials=150_000, seed=11, threads=3)
+    a = estimate_ratio(inst, "cosp", P, trials=150_000, seed=11)
+    b = estimate_ratio(inst, "cosp", P, trials=150_000, seed=11)
     assert a == b
     c = estimate_ratio(inst, "cosp", P, trials=150_000, seed=12)
     assert c.mean_ratio != a.mean_ratio
 
 
-class _RecordingThread(threading.Thread):
-    # records the worker index of each helper thread the engine starts
-    workers = []
-
-    def start(self):
-        self.workers.append(self._args[0])
-        super().start()
-
-
-# four chunks of 64 trials at n = 5: one block per chunk at the default
-# ROW_ELEMENTS, four of 16 rows when it is 80; a chunk's blocks run on
-# min(threads, blocks) workers, the caller and a helper thread for each
-# other one
 @pytest.mark.parametrize(
-    "threads,row_elements,want",
+    "seed,message",
     [
-        pytest.param(64, 80, [1, 2, 3] * 4, id="64-of-4-blocks"),
-        pytest.param(3, 80, [1, 2] * 4, id="3-of-4-blocks"),
-        pytest.param(2, 80, [1] * 4, id="2-of-4-blocks"),
-        pytest.param(1, 80, [], id="1-of-4-blocks"),
-        pytest.param(64, policy.ROW_ELEMENTS, [], id="64-of-1-block"),
+        pytest.param(1.5, "seed must be an integer", id="seed 1.5"),
+        pytest.param("2", "seed must be an integer", id="seed '2'"),
+        pytest.param(-1, "seed must lie in \\[0, 2\\*\\*64\\)", id="seed -1"),
+        pytest.param(2**64, "seed must lie in \\[0, 2\\*\\*64\\)", id="seed 2**64"),
     ],
 )
-def test_threads_started_per_chunk(monkeypatch, threads, row_elements, want):
-    monkeypatch.setattr(sim, "CHUNK", 64)
-    inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
-    serial = estimate_ratio(inst, "rosp", Q, trials=256, seed=2, threads=1)
-    monkeypatch.setattr(policy, "ROW_ELEMENTS", row_elements)
-    monkeypatch.setattr(policy.threading, "Thread", _RecordingThread)
-    monkeypatch.setattr(_RecordingThread, "workers", [])
-    assert estimate_ratio(inst, "rosp", Q, trials=256, seed=2, threads=threads) == serial
-    assert _RecordingThread.workers == want
-
-
-@pytest.mark.parametrize("fail", ["second-call", "helper"])
-def test_worker_error_raised_after_all_threads_stop(monkeypatch, fail):
-    # many blocks at n = 50; the failing block is the second one resolved,
-    # or the first one a helper thread resolves
-    monkeypatch.setattr(policy, "ROW_ELEMENTS", 997)
-    resolve = policy._resolve_block
-    calls = []
-    lock = threading.Lock()
-
-    def counted(*args):
-        with lock:
-            calls.append(threading.current_thread())
-            return len(calls)
-
-    def failing(*args):
-        second = counted() == 2
-        helper = threading.current_thread() is not threading.main_thread()
-        if second if fail == "second-call" else helper:
-            raise ArithmeticError("block failed")
-        return resolve(*args)
-
-    inst = gen_case_family(4, 2, 1, 1, 50, Q.theta)
-    monkeypatch.setattr(policy, "_resolve_block", lambda *args: counted() and resolve(*args))
-    estimate_ratio(inst, "rosp", Q, trials=2000, seed=2, threads=3)
-    blocks = len(calls)
-    calls.clear()
-    monkeypatch.setattr(policy, "_resolve_block", failing)
-    before = threading.active_count()
-    with pytest.raises(ArithmeticError, match="block failed"):
-        estimate_ratio(inst, "rosp", Q, trials=2000, seed=2, threads=3)
-    assert threading.active_count() == before
-    # the other workers stop at their next block instead of running theirs
-    assert blocks > 3 * 4 and len(calls) < blocks
-
-
-def test_default_threads_are_the_usable_cores(monkeypatch):
-    seen = []
-    monkeypatch.setattr(
-        sim, "_chunk_sums", lambda *job: seen.append(job[-1]) or (0.0, 0.0, 0, 0)
-    )
-    inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
-    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
-    estimate_ratio(inst, "rosp", Q, trials=10, seed=2)
-    # where the affinity call does not exist, every core counts
-    monkeypatch.delattr(sim.os, "sched_getaffinity")
-    estimate_ratio(inst, "rosp", Q, trials=10, seed=2)
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
-    estimate_ratio(inst, "rosp", Q, trials=10, seed=2)
-    # more cores than MAX_THREADS run MAX_THREADS threads
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 200)
-    estimate_ratio(inst, "rosp", Q, trials=10, seed=2)
-    assert seen == [3, 8, 1, sim.MAX_THREADS]
-
-
-@pytest.mark.parametrize(
-    "threads,seed,message",
-    [
-        pytest.param(0, 2, "threads must be >= 1", id="0"),
-        pytest.param(-1, 2, "threads must be >= 1", id="-1"),
-        pytest.param(65, 2, "threads must be >= 1 and at most 64", id="65"),
-        pytest.param(100_000, 2, "threads must be >= 1 and at most 64", id="100000"),
-        pytest.param(2.5, 2, "threads must be an integer", id="threads 2.5"),
-        pytest.param(True, 2, "threads must be an integer", id="threads True"),
-        pytest.param("2", 2, "threads must be an integer", id="threads '2'"),
-        pytest.param(1, 1.5, "seed must be an integer", id="seed 1.5"),
-        pytest.param(1, "2", "seed must be an integer", id="seed '2'"),
-    ],
-)
-def test_threads_below_one_rejected(monkeypatch, threads, seed, message):
+def test_bad_seeds_rejected(monkeypatch, seed, message):
     monkeypatch.setattr(sim, "_chunk_sums", _no_chunks)
     inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
     with pytest.raises(ValueError, match=message):
-        estimate_ratio(inst, "rosp", Q, trials=10, seed=seed, threads=threads)
+        estimate_ratio(inst, "rosp", Q, trials=10, seed=seed)
 
 
 def _no_chunks(*args):
@@ -181,7 +85,7 @@ def test_max_trials_accepted(monkeypatch):
     monkeypatch.setattr(
         sim,
         "_chunk_sums",
-        lambda instance, model, params, seed, start, count, threads: spans.append(count)
+        lambda instance, model, params, seed, start, count: spans.append(count)
         or (0.0, 0.0, 0, 0),
     )
     inst = gen_case_family(4, 2, 1, 1, 5, Q.theta)
