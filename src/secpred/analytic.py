@@ -20,12 +20,13 @@ controlled in exactly one place and no evaluation can fail to converge.  Each
 of cases 1, 4, 5 and 6 is one form of ``(point, m, k, m2, tm, tk)`` in
 ``CASE_FORMS``: ``None`` marks a parameter above its threshold, and with
 every parameter small the form is the exact bound.  The point's fields are
-floats for one policy or arrays for a search mesh.  m, k and m2 are ints, or
-int arrays over a group of entries: the entry axis leads, and the array has
-one more axis than the point's fields, each of length 1 (``(E,)`` at a
-scalar point, ``(E, 1, 1, 1)`` on tune's mesh).  An array exponent is never
-a float power: every power and integral it reaches is gathered from a column
-of the values an int exponent gives, so a group's values equal the
+floats for one policy or arrays for a search mesh, and both take the same
+numpy calls, so a scalar point gives the bits of the one-cell mesh with its
+fields.  m, k and m2 are ints, or int arrays over a group of entries: the
+entry axis leads, and the array has one more axis than the point's fields,
+each of length 1 (``(E,)`` at a scalar point, ``(E, 1, 1, 1)`` on tune's
+mesh).  Every power and integral, at an int or an int array, is gathered
+from a column of the values at each exponent, so a group's values equal the
 per-entry values bit for bit.  ``case_bound`` is the one checked front end
 over ``CASE_FORMS``, for exact profiles and large regimes alike: ``None``
 means large and m2 is ignored under a large k.  Case 0 is the floor, cases 2
@@ -131,33 +132,28 @@ class Point:
 
     The fields are floats for one policy (certify, evaluate) or arrays that
     broadcast against each other for a search mesh (tune); every bound below
-    is written once over a point and serves both.  A term takes the shape of
-    the fields it reads, so on tune's mesh, with tau and beta along one axis
-    and gamma and delta along two others, a block of (tau, beta) alone holds
-    one value per (tau, beta) pair.  ``r`` is the no-mistake floor
-    (1-theta)/(1+theta), the only way theta enters (case 0 and the case-6
-    head).
+    is written once over a point, in numpy calls, and serves both, so a
+    scalar point gives the bits of the one-cell mesh with its fields.  A term
+    takes the shape of the fields it reads, so on tune's mesh, with tau and
+    beta along one axis and gamma and delta along two others, a block of
+    (tau, beta) alone holds one value per (tau, beta) pair.  ``r`` is the
+    no-mistake floor (1-theta)/(1+theta), the only way theta enters (case 0
+    and the case-6 head).
 
     Building blocks are memoized on the point per integer argument, so a
     point shared by a whole enumeration takes each power and each pow-over-x
-    integral once.  A block given an int array is computed directly: its
-    powers and integrals are gathered from a column per point that holds
-    each exponent's value, computed as for an int exponent.  An integral's
-    column comes from one row per (lower, upper) limit pair, which
-    ``_pox_row`` fills in one pass with ``pow_over_x_integral``'s bits, once
-    per (tau, beta) pair on tune's mesh; an int exponent's integral is read
-    from the column too, except at a scalar point, which calls
-    ``pow_over_x_integral``.  So a mesh entry and the scalar point with the
-    same fields see the same values.  ``rows``, a dict of those rows, may be
-    shared by points over the same (tau, beta) values.
+    integral once; a block given an int array is computed directly.  Either
+    way its powers and integrals are read from a column per point that holds
+    each exponent's value.  A power's column is numpy's array power of the
+    base, a 0-d array at a scalar point.  An integral's column comes from one
+    row per (lower, upper) limit pair, which ``_pox_row`` fills in one pass
+    with ``pow_over_x_integral``'s bits, once per (tau, beta) pair on tune's
+    mesh.  ``rows``, a dict of those rows, may be shared by points over the
+    same (tau, beta) values.
     """
 
     def __init__(self, tau, gamma, delta, beta=None, r=0.0, rows=None):
         self.tau, self.gamma, self.delta, self.beta, self.r = tau, gamma, delta, beta, r
-        self.mesh = isinstance(tau, np.ndarray)
-        self.log = np.log if self.mesh else math.log
-        self.min = np.minimum if self.mesh else min
-        self.max = np.maximum if self.mesh else max
         self.memo: dict = {}
         self.rows = {} if rows is None else rows
 
@@ -208,44 +204,52 @@ def _column(p, key, size, build):
 
 
 def _gather(p, key, n, build):
-    # the values at the exponents n, an int array with the entry axis leading
-    if n.min() < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    return _column(p, key, int(n.max()) + 1, build)[n.reshape(-1)]
+    # the values at the exponents n, an int or an int array with the entry
+    # axis leading; the one place where the two differ
+    if isinstance(n, np.ndarray):
+        least, most, n = n.min(), int(n.max()), n.reshape(-1)
+    else:
+        least = most = n
+    if least < 0:
+        raise ValueError(f"exponent must be a nonnegative integer, got {least}")
+    return _column(p, key, most + 1, build)[n]
+
+
+def _powers(base, size):
+    # base ** e for e = 0, ..., size - 1; a 0-d array takes numpy's array
+    # power, as a mesh does, where a float base would take Python's
+    base = np.asarray(base)
+    return [base**e for e in range(size)]
 
 
 @_memo
 def _ut(p, n):
-    if isinstance(n, np.ndarray):
-        return _gather(p, "ut", n, lambda size: [_ut(p, e) for e in range(size)])
-    return (1.0 - p.tau) ** n
+    return _gather(p, "ut", n, partial(_powers, 1.0 - p.tau))
 
 
 @_memo
 def _ub(p, n):
-    if isinstance(n, np.ndarray):
-        return _gather(p, "ub", n, lambda size: [_ub(p, e) for e in range(size)])
-    return (1.0 - p.beta) ** n
+    return _gather(p, "ub", n, partial(_powers, 1.0 - p.beta))
 
 
 @_memo
 def _ln_bt(p):
-    return p.log(p.beta / p.tau)
+    return np.log(p.beta / p.tau)
 
 
 @_memo
 def _ln_ib(p):
-    return p.log(1.0 / p.beta)
+    return np.log(1.0 / p.beta)
 
 
 @_memo
 def _ln_it(p):
-    return p.log(1.0 / p.tau)
+    return np.log(1.0 / p.tau)
 
 
 @_memo
 def _ln_t(p):
-    return p.log(p.tau)
+    return np.log(p.tau)
 
 
 def _limits(p, interval):
@@ -286,8 +290,6 @@ def _pox_row(rows, a, b, size):
 def _pox_column(p, lo, hi, size):
     # the integral at exponents 0, ..., size - 1 along a new leading axis, one
     # row per element of the broadcast limits
-    if not p.mesh:
-        return _pox_row(p.rows, lo, hi, size)
     lo, hi = np.broadcast_arrays(lo, hi)
     pairs = zip(lo.ravel().tolist(), hi.ravel().tolist())
     rows = np.array([_pox_row(p.rows, a, b, size) for a, b in pairs])
@@ -297,19 +299,10 @@ def _pox_column(p, lo, hi, size):
 @_memo
 def _pox(p, interval, n):
     # Integral of (1-x)^n / x over [tau, beta] ("tb"), [beta, 1] ("b1") or
-    # [tau, 1] ("t1").  An int n at a scalar point is pow_over_x_integral
-    # itself, which takes time linear in n with a small constant; otherwise
-    # the value comes from the point's column of every exponent up to n, at
-    # each element of the broadcast limits
+    # [tau, 1] ("t1"), read from the point's column of every exponent up to
+    # n, at each element of the broadcast limits
     lo, hi = _limits(p, interval)
-    key, build = ("pox", interval), partial(_pox_column, p, lo, hi)
-    if isinstance(n, np.ndarray):
-        return _gather(p, key, n, build)
-    if not p.mesh:
-        return pow_over_x_integral(lo, hi, n)
-    if n < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {n}")
-    return _column(p, key, n + 1, build)[n]
+    return _gather(p, ("pox", interval), n, partial(_pox_column, p, lo, hi))
 
 
 # Every case form below takes (point, m, k, m2, tm, tk), with None marking a
@@ -324,11 +317,11 @@ def _pox(p, interval, n):
 # arbitrary ones, so the factor is the sound min(0.9999, 1 - base^T).
 
 def _shrink_t(p, n):
-    return p.min(0.9999, 1.0 - _ut(p, n))
+    return np.minimum(0.9999, 1.0 - _ut(p, n))
 
 
 def _shrink_b(p, n):
-    return p.min(0.9999, 1.0 - _ub(p, n))
+    return np.minimum(0.9999, 1.0 - _ub(p, n))
 
 
 @_memo
@@ -489,7 +482,9 @@ def _rosp_delta_block(p, k, m2, tm):
 def _rosp4(p, m, k, m2, tm, tk):
     # top prediction is a mistake, the true best is not
     if k is None:
-        early, gamma_tail = _shrink_t(p, tk + 1) * p.tau**2 * _ln_it(p), 0.0
+        # tau * tau: a float's tau**2 is Python's pow, which rounds otherwise
+        # than numpy's square on a mesh
+        early, gamma_tail = _shrink_t(p, tk + 1) * (p.tau * p.tau) * _ln_it(p), 0.0
     else:
         early = p.tau * (p.tau * _s1(p, k) + _ut(p, k + 1) / (k + 1))
         gamma_tail = (
@@ -509,7 +504,7 @@ def _one_minus_pow(p, n, tm):
     # Integral_0^tau (1 - (1-b)^n) db
     if n is None:
         # its floor over every n > tm
-        return p.max(0.0, p.tau - 1.0 / (tm + 2))
+        return np.maximum(0.0, p.tau - 1.0 / (tm + 2))
     return p.tau - (1.0 - _ut(p, n + 1)) / (n + 1)
 
 

@@ -37,12 +37,6 @@ def uniform_from_first_arrival(t1: float | np.ndarray, n: int) -> float | np.nda
     """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    if isinstance(t1, (int, float)):
-        # numpy's scalar loops give the array path's bits, without its 0-d
-        # arrays; math.log1p and math.expm1 round differently
-        if not 0.0 <= t1 <= 1.0:
-            raise ValueError(f"t1={t1} outside [0, 1]")
-        return 1.0 if t1 == 1.0 else float(-np.expm1(n * np.log1p(-np.float64(t1))))
     t = np.asarray(t1, dtype=float)
     bad = ~((0.0 <= t) & (t <= 1.0))  # NaN included
     if bad.any():

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import check_seed
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -45,6 +47,7 @@ def _mix_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
 
 def trial_seed(base_seed: int, index: int) -> int:
     """64-bit mix of (base_seed, trial index)."""
+    base_seed = check_seed("base_seed", base_seed)
     return _mix((_mix(base_seed) + (index + 1) * _DERIVE) & _MASK)
 
 
@@ -52,7 +55,7 @@ class TrialStream:
     """Scalar SplitMix64 stream of uniforms in [0, 1)."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._state = check_seed("seed", seed)
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
@@ -96,6 +99,7 @@ def uniforms_at(
 
 def trial_seeds_vector(base_seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized ``trial_seed`` for indices start .. start+count-1."""
+    base_seed = check_seed("base_seed", base_seed)
     idx = np.arange(start, start + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = np.uint64(_mix(base_seed)) + (idx + np.uint64(1)) * np.uint64(_DERIVE)

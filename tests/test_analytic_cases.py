@@ -1,6 +1,7 @@
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
 
 from secpred import THEOREM_COSP_PARAMS as P, THEOREM_ROSP_PARAMS as Q
@@ -230,3 +231,35 @@ def test_case_values_in_unit_range():
             if regime == "exact":
                 value = case_bound(model, case_id, m, k, m2, params)
                 assert 0.0 <= value <= 1.0, (model, entry, value)
+
+
+def _random_params(model, count, seed):
+    # count seeded parameter sets, the first two at the floor of tune's tau
+    # grid and, for cosp, two with beta a hair below 1
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        theta, gamma, delta = rng.random(3).tolist()
+        tau = 0.001 if i < 2 else 0.001 + 0.9 * float(rng.random())
+        beta = None
+        if model == "cosp":
+            beta = tau + (1 - tau) * float(rng.random())
+            beta = max((0.0011, 1 - 1e-9, 1 - 1e-6)[i] if i < 3 else beta, tau + 1e-4)
+        yield PolicyParams(theta=theta, tau=tau, gamma=gamma, delta=delta, beta=beta)
+
+
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_scalar_point_equals_one_cell_mesh(model):
+    # a scalar point runs the numpy calls of a mesh, so each case bound equals
+    # the one at the one-cell mesh with the same fields, bit for bit
+    from secpred.analytic import Point
+    from secpred.certify import iter_entries
+
+    entries = list(iter_entries(model, 10, 10))
+    for params in [P if model == "cosp" else Q, *_random_params(model, 24, 26)]:
+        scalar = Point.of(model, params)
+        fields = (scalar.tau, scalar.gamma, scalar.delta, scalar.beta)
+        cell = Point(*(None if x is None else np.array([x]) for x in fields), r=scalar.r)
+        for case_id, _, m, k, m2 in entries:
+            got = case_bound(model, case_id, m, k, m2, scalar, (10, 10))
+            want = case_bound(model, case_id, m, k, m2, cell, (10, 10))
+            assert np.array_equal(np.reshape(got, -1), want), (params, case_id, m, k, m2)

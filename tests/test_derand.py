@@ -30,8 +30,8 @@ def test_uniform_transform_examples():
 
 
 def test_uniform_transform_float_matches_array():
-    # a float goes through numpy's scalar loops, an array through its array
-    # loops: the two give the same bits
+    # a float is taken as a 0-d array, so it runs the array's numpy calls and
+    # gives the same bits, returned as a float
     rng = np.random.default_rng(3)
     t = np.concatenate([[0.0, 1.0, 1e-18, 0.5, 1 - 2**-53], rng.random(20_000)])
     for n in (1, 7, 800):

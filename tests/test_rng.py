@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from secpred.rng import TrialStream, trial_seed, trial_seeds_vector, uniforms_at
 
@@ -39,6 +40,28 @@ def test_uniforms_at_offset_draws():
 def test_trial_seeds_vector_matches_trial_seed():
     got = trial_seeds_vector(2**63 + 5, 1000, 6)
     assert got.tolist() == [trial_seed(2**63 + 5, i) for i in range(1000, 1006)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TrialStream(-1),
+        lambda: TrialStream(2**64),
+        lambda: TrialStream(True),
+        lambda: TrialStream(3.0),
+        lambda: trial_seed(2**64, 0),
+        lambda: trial_seed(False, 0),
+        lambda: trial_seeds_vector(-5, 0, 2),
+        lambda: trial_seeds_vector(2**64, 0, 2),
+    ],
+    ids=["stream -1", "stream 2**64", "stream bool", "stream float", "trial_seed 2**64",
+         "trial_seed bool", "vector -5", "vector 2**64"],
+)
+def test_seeds_outside_stream_range_rejected(make):
+    # a seed is one of the 2**64 states a stream holds; -1 would otherwise
+    # draw what 2**64 - 1 draws
+    with pytest.raises(ValueError, match="seed"):
+        make()
 
 
 def test_uniforms_at_plain_ints():
