@@ -27,10 +27,11 @@ entry axis leads, and the array has one more axis than the point's fields,
 each of length 1 (``(E,)`` at a scalar point, ``(E, 1, 1, 1)`` on tune's
 mesh).  Every power and integral, at an int or an int array, is gathered
 from a column of the values at each exponent, so a group's values equal the
-per-entry values bit for bit.  ``case_bound`` is the one checked front end
-over ``CASE_FORMS``, for exact profiles and large regimes alike: ``None``
-means large and m2 is ignored under a large k.  Case 0 is the floor, cases 2
-and 3 reduce to cases 1 and 4, and these three are exact only.
+per-entry values bit for bit, and each ln(b/a) is its integral's value at
+n = 0.  ``case_bound`` is the one checked front end over ``CASE_FORMS``,
+for exact profiles and large regimes alike: ``None`` means large and m2 is
+ignored under a large k.  Case 0 is the floor, cases 2 and 3 reduce to
+cases 1 and 4, and these three are exact only.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import COSP, ROSP, PolicyParams, check_model
+from .core import COSP, ROSP, PolicyParams, check_integer, check_model
 
 __all__ = [
     "min_density_mass",
@@ -118,7 +119,7 @@ def _check_interval(a: float, b: float, m: int, positive_a: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parameter points and shared building blocks
+# parameter points and their columns
 # ---------------------------------------------------------------------------
 
 def prediction_floor(theta: float) -> float:
@@ -140,21 +141,22 @@ class Point:
     no-mistake floor (1-theta)/(1+theta), the only way theta enters (case 0
     and the case-6 head).
 
-    Building blocks are memoized on the point per integer argument, so a
-    point shared by a whole enumeration takes each power and each pow-over-x
-    integral once; a block given an int array is computed directly.  Either
-    way its powers and integrals are read from a column per point that holds
-    each exponent's value.  A power's column is numpy's array power of the
-    base, a 0-d array at a scalar point.  An integral's column comes from one
-    row per (lower, upper) limit pair, which ``_pox_row`` fills in one pass
-    with ``pow_over_x_integral``'s bits, once per (tau, beta) pair on tune's
-    mesh.  ``rows``, a dict of those rows, may be shared by points over the
-    same (tau, beta) values.
+    ``columns`` is the point's one cache: every power and pow-over-x
+    integral a form reads, at an int or an int array, is gathered from a
+    column that holds each exponent's value, so a point shared by a whole
+    enumeration takes each of them once.  A power's column is numpy's array
+    power of the base, a 0-d array at a scalar point.  An integral's column
+    comes from one row per (lower, upper) limit pair, which ``_pox_row``
+    fills in one pass with ``pow_over_x_integral``'s bits, once per
+    (tau, beta) pair on tune's mesh; the row's n = 0 entry, ln(b/a), is the
+    interval's log wherever a form reads it.  ``rows``, a dict of those rows,
+    may be shared by points over the same (tau, beta) values.  Nothing on a
+    point depends on the thresholds.
     """
 
     def __init__(self, tau, gamma, delta, beta=None, r=0.0, rows=None):
         self.tau, self.gamma, self.delta, self.beta, self.r = tau, gamma, delta, beta, r
-        self.memo: dict = {}
+        self.columns: dict = {}
         self.rows = {} if rows is None else rows
 
     @classmethod
@@ -175,31 +177,14 @@ class Point:
         return cls(params.tau, params.gamma, params.delta, beta, prediction_floor(params.theta))
 
 
-def _memo(fn):
-    # a building block depends only on the point and its other arguments, and
-    # a block for a large parameter takes the threshold it reads as one of
-    # them; a block over an array of entries is computed directly
-    name = fn.__name__
-
-    def cached(p, *args):
-        if any(isinstance(a, np.ndarray) for a in args):
-            return fn(p, *args)
-        key = (name, args)
-        if key not in p.memo:
-            p.memo[key] = fn(p, *args)
-        return p.memo[key]
-
-    return cached
-
-
 def _column(p, key, size, build):
     # build(size), the values at 0, ..., size - 1 along a new leading axis,
-    # memoized on the point under key; rebuilt at least twice as long (and
-    # never shorter than 16) when shorter than size
-    values = p.memo.get(key)
+    # kept in the point's columns under key; rebuilt at least twice as long
+    # (and never shorter than 16) when shorter than size
+    values = p.columns.get(key)
     if values is None or len(values) < size:
         size = max(size, 16, 0 if values is None else 2 * len(values))
-        values = p.memo[key] = np.asarray(build(size))
+        values = p.columns[key] = np.asarray(build(size))
     return values
 
 
@@ -222,34 +207,12 @@ def _powers(base, size):
     return [base**e for e in range(size)]
 
 
-@_memo
 def _ut(p, n):
     return _gather(p, "ut", n, partial(_powers, 1.0 - p.tau))
 
 
-@_memo
 def _ub(p, n):
     return _gather(p, "ub", n, partial(_powers, 1.0 - p.beta))
-
-
-@_memo
-def _ln_bt(p):
-    return np.log(p.beta / p.tau)
-
-
-@_memo
-def _ln_ib(p):
-    return np.log(1.0 / p.beta)
-
-
-@_memo
-def _ln_it(p):
-    return np.log(1.0 / p.tau)
-
-
-@_memo
-def _ln_t(p):
-    return np.log(p.tau)
 
 
 def _limits(p, interval):
@@ -296,7 +259,6 @@ def _pox_column(p, lo, hi, size):
     return rows.T.reshape((size,) + lo.shape)
 
 
-@_memo
 def _pox(p, interval, n):
     # Integral of (1-x)^n / x over [tau, beta] ("tb"), [beta, 1] ("b1") or
     # [tau, 1] ("t1"), read from the point's column of every exponent up to
@@ -324,20 +286,18 @@ def _shrink_b(p, n):
     return np.minimum(0.9999, 1.0 - _ub(p, n))
 
 
-@_memo
 def _sum_pre(p, m):
     # tau * sum_{i=1}^{m-1} C(m-1,i)(-1)^{i+1}(beta^i - tau^i)/i
     #   = tau * Integral_tau^beta (1 - (1-t)^{m-1}) / t dt
-    return p.tau * (_ln_bt(p) - _pox(p, "tb", m - 1))
+    return p.tau * (_pox(p, "tb", 0) - _pox(p, "tb", m - 1))
 
 
-@_memo
 def _sum_post(p, k, tk):
     # tau * sum_{i=1}^{k} C(k,i)(-1)^{i+1}(1 - beta^i)/i
     #   = tau * Integral_beta^1 (1 - (1-t)^k) / t dt
     if k is None:
-        return _shrink_b(p, tk + 1) * p.tau * _ln_ib(p)
-    return p.tau * (_ln_ib(p) - _pox(p, "b1", k))
+        return _shrink_b(p, tk + 1) * p.tau * _pox(p, "b1", 0)
+    return p.tau * (_pox(p, "b1", 0) - _pox(p, "b1", k))
 
 
 def case6_coef(model: str, m: int | None, params):
@@ -346,9 +306,15 @@ def case6_coef(model: str, m: int | None, params):
     Every case-6 bound, exact or large-regime, is ``base + coef * r`` with
     ``base`` free of theta.  coef < 1 for m >= 1; at m = 0 it is 1 and the
     bound is r itself; a large m (``None``) drops the head, so coef = 0.
+    Any other m must be an integer in [0, ``MAX_PROFILE``]; an int array,
+    as certify and tune pass, is taken unchecked.
     """
     if m is None:
         return 0.0
+    if not isinstance(m, np.ndarray):
+        m = _check_profile("m", m)
+        if m < 0:
+            raise ValueError(f"case 6 requires m >= 0, got m={m}")
     p = Point.of(model, params)
     if model == COSP:
         return _ub(p, m)
@@ -371,13 +337,11 @@ def _cosp1(p, m, k, m2, tm, tk):
     return (p.tau / p.beta) * p.delta * (1.0 - skip) + p.gamma * skip
 
 
-@_memo
 def _cosp_bracket4(p, m2):
     # case 4's late-window weight, by the m2 mistakes below the top prediction
     return (1.0 - _ub(p, m2)) * (1.0 - p.delta) * p.tau / p.beta + _ub(p, m2) * (1.0 - p.gamma)
 
 
-@_memo
 def _cosp_tail(p, k, m2, tm):
     # the late-window term of cases 5 and 6, and of case 4 at a large m2
     if k is None:
@@ -388,7 +352,7 @@ def _cosp_tail(p, k, m2, tm):
 
 def _cosp4(p, m, k, m2, tm, tk):
     # top prediction is a mistake, the true best is not
-    pre = _shrink_t(p, tm) * p.tau * _ln_bt(p) if m is None else _sum_pre(p, m)
+    pre = _shrink_t(p, tm) * p.tau * _pox(p, "tb", 0) if m is None else _sum_pre(p, m)
     if k is None or m2 is None:
         tail = _cosp_tail(p, k, m2, tm)
     else:
@@ -399,7 +363,7 @@ def _cosp4(p, m, k, m2, tm, tk):
 def _cosp5(p, m, k, m2, tm, tk):
     # true best is a mistake, the top prediction is not
     if m is None:
-        early, cover = _shrink_t(p, tm) * p.tau * _ln_bt(p), _shrink_b(p, tm)
+        early, cover = _shrink_t(p, tm) * p.tau * _pox(p, "tb", 0), _shrink_b(p, tm)
     else:
         early = _sum_pre(p, m) + (_ut(p, m) - _ub(p, m)) / m
         cover = 1.0 - _ub(p, m - 1)
@@ -411,7 +375,7 @@ def _cosp6(p, m, k, m2, tm, tk):
     # prediction-mode factor uses the pessimistic (1-theta)/(1+theta); both
     # relevant deviations are at most theta in this case.
     if m is None:
-        pre, cover = _shrink_t(p, tm + 1) * p.tau * _ln_bt(p), _shrink_b(p, tm + 1)
+        pre, cover = _shrink_t(p, tm + 1) * p.tau * _pox(p, "tb", 0), _shrink_b(p, tm + 1)
     else:
         # tau * Integral_tau^beta (1 - (1-t)^m) / t dt is the pre-switch sum at m+1
         pre, cover = _sum_pre(p, m + 1), 1.0 - _ub(p, m)
@@ -423,31 +387,32 @@ def _cosp6(p, m, k, m2, tm, tk):
 # random-order case bounds
 # ---------------------------------------------------------------------------
 
-@_memo
 def _s1(p, n):
     # sum_{i=1}^{n} C(n,i)(-1)^{i+1}(1 - tau^i)/i
     #   = Integral_tau^1 (1 - (1-t)^n) / t dt
-    return _ln_it(p) - _pox(p, "t1", n)
+    return _pox(p, "t1", 0) - _pox(p, "t1", n)
 
 
 def _rosp1(p, m, k, m2, tm, tk):
     # top prediction is the true best and is itself a mistake
     if m is None:
-        return _shrink_t(p, tm) * p.delta * p.tau * _ln_it(p)
+        return _shrink_t(p, tm) * p.delta * p.tau * _pox(p, "t1", 0)
     return p.delta * p.tau * _s1(p, m - 1) + p.gamma * _ut(p, m) / m
 
 
 def _rosp_l_pre(p):
     # Integral_tau^1 ln(t/tau) dt, the pre-switch block's large-m limit over tau
-    return _ln_it(p) - 1.0 + p.tau
+    return _pox(p, "t1", 0) - 1.0 + p.tau
 
 
 def _rosp_l_post(p):
-    # Integral_tau^1 ln(1/t) dt, the post-switch block's large-k limit over tau
-    return 1.0 - p.tau + p.tau * _ln_t(p)
+    # Integral_tau^1 ln(1/t) dt, the post-switch block's large-k limit over
+    # tau.  ln tau is the one log not read from a row: -ln(1/tau), the t1
+    # row's head negated, rounds otherwise at 9 of the 19 step-0.05 taus,
+    # and so would move the bits of large-k rosp bounds
+    return 1.0 - p.tau + p.tau * np.log(p.tau)
 
 
-@_memo
 def _rosp_pre_block(p, m, tm):
     # Integral over beta in [tau,1] of the case-4 pre-switch sum; collapses to
     # a single pow_over_x term after swapping the integration order.
@@ -456,7 +421,6 @@ def _rosp_pre_block(p, m, tm):
     return p.tau * (_rosp_l_pre(p) - _pox(p, "t1", m))
 
 
-@_memo
 def _rosp_post_block(p, k, tk):
     # Integral over beta in [tau,1] of the case-4 post-switch sum.
     if k is None:
@@ -464,7 +428,6 @@ def _rosp_post_block(p, k, tk):
     return p.tau * (_rosp_l_post(p) - _ut(p, k + 1) / (k + 1) + p.tau * _pox(p, "t1", k))
 
 
-@_memo
 def _rosp_delta_block(p, k, m2, tm):
     # ((1-delta) tau/(k+1)) Integral_tau^1 (1-b)^{k+1}(1-(1-b)^{m2})/b db
     if k is None:
@@ -484,7 +447,7 @@ def _rosp4(p, m, k, m2, tm, tk):
     if k is None:
         # tau * tau: a float's tau**2 is Python's pow, which rounds otherwise
         # than numpy's square on a mesh
-        early, gamma_tail = _shrink_t(p, tk + 1) * (p.tau * p.tau) * _ln_it(p), 0.0
+        early, gamma_tail = _shrink_t(p, tk + 1) * (p.tau * p.tau) * _pox(p, "t1", 0), 0.0
     else:
         early = p.tau * (p.tau * _s1(p, k) + _ut(p, k + 1) / (k + 1))
         gamma_tail = (
@@ -499,7 +462,6 @@ def _rosp4(p, m, k, m2, tm, tk):
     )
 
 
-@_memo
 def _one_minus_pow(p, n, tm):
     # Integral_0^tau (1 - (1-b)^n) db
     if n is None:
@@ -508,7 +470,6 @@ def _one_minus_pow(p, n, tm):
     return p.tau - (1.0 - _ut(p, n + 1)) / (n + 1)
 
 
-@_memo
 def _rosp_c5_post(p, m, k, tm, tk):
     # Integral over beta of (post-switch sum) * (1 - (1-beta)^{m-1}); the
     # swapped order leaves only pow_over_x terms.
@@ -530,7 +491,7 @@ def _rosp_c5_post(p, m, k, tm, tk):
 
 def _rosp5(p, m, k, m2, tm, tk):
     # true best is a mistake, the top prediction is not
-    s1k = _shrink_t(p, tk + 1) * _ln_it(p) if k is None else _s1(p, k)
+    s1k = _shrink_t(p, tk + 1) * _pox(p, "t1", 0) if k is None else _s1(p, k)
     a = p.tau * s1k * _one_minus_pow(p, m, tm)
     b = 0.0 if k is None else _ut(p, k + 1) / (k + 1) * _one_minus_pow(p, m2, tm)
     c = _rosp_pre_block(p, m, tm)
@@ -543,20 +504,17 @@ def _rosp5(p, m, k, m2, tm, tk):
 # (1-(1-t)^m) over the top prediction's arrival t in [tau, 1].  Swapping the
 # integration order leaves finite sums of pt(n) = Integral_tau^1 (1-x)^n/x dx.
 
-@_memo
 def _rosp_c6_floor_weight(p, m):
     # Integral_tau^1 (1-(1-t)^m) (1-t)^m dt, the weight of (1-th)/(1+th)
     return _ut(p, m + 1) / (m + 1) - _ut(p, 2 * m + 1) / (2 * m + 1)
 
 
-@_memo
 def _rosp_c6_pre_part(p, m):
     # Integral_tau^1 (1-(1-t)^m) * pre-switch-sum(m, t) dt
     pt = partial(_pox, p, "t1")
     return p.tau * (pt(1) - (1.0 + 1.0 / (m + 1)) * pt(m + 1) + pt(2 * m + 1) / (m + 1))
 
 
-@_memo
 def _rosp_c6_k_part(p, m, k):
     # Integral_tau^1 (1-(1-t)^m)^2 * post-switch-sum(k, t) dt
     pt = partial(_pox, p, "t1")
@@ -574,7 +532,7 @@ def _rosp_c6_log_part(p, m):
     # tau * Integral_tau^1 (1-(1-t)^m)^2 ln(1/t) dt, from
     # Integral_tau^1 (1-t)^n ln(1/t) dt = ((1-tau)^{n+1} ln(1/tau) - pt(n+1)) / (n+1)
     def j(n):
-        return (_ut(p, n + 1) * _ln_it(p) - _pox(p, "t1", n + 1)) / (n + 1)
+        return (_ut(p, n + 1) * _pox(p, "t1", 0) - _pox(p, "t1", n + 1)) / (n + 1)
 
     return p.tau * (j(0) - 2.0 * j(m) + j(2 * m))
 
@@ -595,7 +553,7 @@ def _rosp6(p, m, k, m2, tm, tk):
     # pow_over_x_integral(tau, 1, n) terms: the no-mistake head, an m-only
     # part, an (m,k) part, and an (m,k,m2) tail.  No quadrature is involved.
     head = _c6_head(ROSP, p, m)
-    early = p.tau * _ln_it(p) * _one_minus_pow(p, m, tm)
+    early = p.tau * _pox(p, "t1", 0) * _one_minus_pow(p, m, tm)
     if m is None:
         # the post-switch term is case 5's at a large m, one threshold higher
         c_in = _shrink_t(p, tm + 1)
@@ -635,6 +593,16 @@ MAX_THRESHOLD = 200
 MAX_PROFILE = 100_000
 
 
+def _check_profile(name: str, value):
+    # None, or an integer no greater than MAX_PROFILE
+    if value is None:
+        return None
+    value = check_integer(name, value)
+    if value > MAX_PROFILE:
+        raise ValueError(f"{name} exceeds the cap of {MAX_PROFILE}")
+    return value
+
+
 def check_thresholds(thresholds) -> tuple[int, int]:
     """``thresholds`` as (tm, tk), two integers each in [1, MAX_THRESHOLD]."""
     try:
@@ -663,10 +631,10 @@ def case_bound(
     ``thresholds`` bounds m and m2, tk bounds k), and the bound is then the
     case's floor over every such value.  A large m2 needs a large m, since
     m2 <= m; under a large k, m2 is ignored.  Every case, case 0 included,
-    checks the values given: m at least the case's minimum, k >= 0,
-    0 <= m2 <= m and none above ``MAX_PROFILE``, and the thresholds with
-    ``check_thresholds``, before cases 1 and 2 drop k and m2 and case 3
-    clamps m2.
+    checks the values given: each an integer (a bool or a float is
+    refused), m at least the case's minimum, k >= 0, 0 <= m2 <= m and none
+    above ``MAX_PROFILE``, and the thresholds with ``check_thresholds``,
+    before cases 1 and 2 drop k and m2 and case 3 clamps m2.
 
     Case 0 (no mistakes) is the floor (1-theta)/(1+theta), theta being the
     worst admissible error.  Case 2 (the top prediction is the true best, not
@@ -681,9 +649,7 @@ def case_bound(
     if None in (m, k, m2) and (model, case_id) not in CASE_FORMS:
         raise ValueError(f"case {case_id} has no large-regime form")
     tm, tk = check_thresholds(thresholds)
-    for name, value in (("m", m), ("k", k), ("m2", m2)):
-        if value is not None and value > MAX_PROFILE:
-            raise ValueError(f"{name} exceeds the cap of {MAX_PROFILE}")
+    m, k, m2 = (_check_profile(name, v) for name, v in (("m", m), ("k", k), ("m2", m2)))
     if m is not None and m < _CASE_M_MIN[case_id]:
         raise ValueError(f"case {case_id} requires m >= {_CASE_M_MIN[case_id]}, got m={m}")
     if k is not None and k < 0:

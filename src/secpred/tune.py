@@ -21,7 +21,7 @@ axis, over the (tau, beta) pairs of the grid, and gamma and delta along the
 second and third, so every power, log and integral of a case form, which
 depends on (tau, beta) alone, is taken once per pair and only the terms
 with gamma or delta span the full mesh.  The pairs are walked in blocks,
-each on a fresh Point, so the points' memos stay a fixed size.
+each on a fresh Point, so the points' columns stay a fixed size.
 
 Most entries never bind, so a screen runs first and the full mesh sees only
 the entries that can.  With (tau, beta) fixed, every case form is affine in
@@ -35,8 +35,8 @@ pair; an entry whose least corner value exceeds it by more than a rounding
 slack is above the fixpoint at every cell there.  The full pass then takes
 each sub-block of the screen's block of pairs and evaluates, one at a time,
 the entries the screen keeps at some pair of it, on a point that shares the
-screen's pow-over-x rows; a single entry fills a block, and its ints let
-the point's memo share blocks between entries.  ``np.minimum`` then picks
+screen's pow-over-x rows; a single entry fills a block, and its ints take
+a plain index into the point's columns.  ``np.minimum`` then picks
 the same values, so the array is bit-identical to the one over every entry.
 On the step-0.05 grid 66 of 1 495 cosp entries and 25 of 1 506 rosp entries
 reach the full mesh.
@@ -155,8 +155,8 @@ def _term(model, point, entry, thresholds):
 def _pair_blocks(pairs: range, cells, thresholds):
     """Blocks of whole (tau, beta) pairs over ``pairs``, as slices, each pair
     spanning ``cells`` cells.  A block fills about BLOCK_ELEMENTS // (tm * tk)
-    cells, and holds at least one pair: a point over it memoizes a few
-    block-sized arrays per pair of small parameters."""
+    cells, and holds at least one pair: the screen keeps a value per pair of
+    the block for each entry it keeps, and the entries grow with tm * tk."""
     tm, tk = thresholds
     size = max(1, BLOCK_ELEMENTS // (tm * tk) // cells)
     return [slice(lo, min(lo + size, pairs.stop)) for lo in pairs[::size]]
@@ -179,8 +179,9 @@ def _chunks(group, step):
     """``group`` as (start, count, chunk) over chunks of ``step`` entries: the
     chunk holds the group's entries start, ..., start + count - 1, its arrays
     shaped (count, 1, 1, 1), the entry axis leading the mesh's three.  A
-    chunk of one entry holds ints instead, so that the point's memo shares
-    its blocks with other entries."""
+    chunk of one entry holds ints instead, which ``analytic._gather`` takes
+    as a plain index into a column, with none of an array's reductions
+    (one-entry arrays made a step-0.05 search about 15 % slower)."""
     case_id, *params = group
     size = next((a.size for a in params if isinstance(a, np.ndarray)), 1)
     for lo in range(0, size, step):

@@ -6,7 +6,7 @@ import pytest
 
 from secpred import THEOREM_COSP_PARAMS as P, THEOREM_ROSP_PARAMS as Q
 from secpred import PolicyParams
-from secpred.analytic import case_bound, prediction_floor
+from secpred.analytic import case6_coef, case_bound, prediction_floor
 from oracles import COSP_ORACLES, ROSP_ORACLES
 
 
@@ -85,6 +85,15 @@ BAD_CALLS = {
     "case 1, k=-7": (partial(case_bound, "cosp", 1, 2, -7, 99, P), "k must be nonnegative"),
     "case 1, m2>m": (partial(case_bound, "rosp", 1, 2, 0, 99, Q), "m2=99 outside"),
     "case 2, m2>m": (partial(case_bound, "cosp", 2, 1, 0, 5, P), "m2=5 outside"),
+    "m=2.5": (partial(case_bound, "cosp", 1, 2.5, 0, 0, P), "m must be an integer, got 2.5"),
+    "m=True": (partial(case_bound, "cosp", 1, True, 0, 0, P), "m must be an integer, got True"),
+    "k=1.0": (partial(case_bound, "rosp", 4, 2, 1.0, 0, Q), "k must be an integer, got 1.0"),
+    "m2=False": (partial(case_bound, "cosp", 4, 2, 1, False, P), "m2 must be an integer"),
+    "regime, k=0.5": (partial(case_bound, "cosp", 5, None, 0.5, None, P), "k must be an integer"),
+    "case6_coef, m=-1": (partial(case6_coef, "rosp", -1, Q), "case 6 requires m >= 0, got m=-1"),
+    "case6_coef, m=2.5": (partial(case6_coef, "cosp", 2.5, P), "m must be an integer, got 2.5"),
+    "case6_coef, m=True": (partial(case6_coef, "rosp", True, Q), "m must be an integer, got True"),
+    "case6_coef, m above cap": (partial(case6_coef, "cosp", 10**6, P), "m exceeds the cap"),
 }
 
 
@@ -92,6 +101,17 @@ BAD_CALLS = {
 def test_bad_calls_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_case6_coef_takes_ints_and_int_arrays():
+    # a numpy int passes the checks; an int array (certify's and tune's
+    # groups) is unchecked and gives each entry the bits of its int
+    for model, params in (("cosp", P), ("rosp", Q)):
+        ms = np.arange(0, 12)
+        want = [case6_coef(model, m, params) for m in ms.tolist()]
+        assert [case6_coef(model, m, params) for m in ms] == want
+        assert case6_coef(model, ms, params).tolist() == want
+        assert case6_coef(model, None, params) == 0.0
 
 
 def test_large_k_ignores_m2():

@@ -162,7 +162,7 @@ def _mesh_point(model):
 def test_entry_bound_matches_front_ends(model, params, thresholds):
     # certify and tune read analytic.CASE_FORMS directly; the checked front
     # end must accept every entry and give the same bits, on a tune mesh as
-    # well (two points, so neither call reads the other's memoized blocks)
+    # well (two points, so neither call reads the other's columns)
     mesh = params == "mesh"
     point = _mesh_point(model) if mesh else Point.of(model, params)
     front = _mesh_point(model) if mesh else params
@@ -176,8 +176,8 @@ def test_entry_bound_matches_front_ends(model, params, thresholds):
 @pytest.mark.parametrize("kind", ["scalar", "mesh"])
 @pytest.mark.parametrize("model", ["cosp", "rosp"])
 def test_memo_keys_carry_thresholds(model, kind):
-    # a point memoizes the blocks of large parameters too, so one point walked
-    # at (6, 6) and then at (4, 7) must give what a fresh point gives at each
+    # a point's columns carry no threshold state: one point walked at (6, 6)
+    # and then at (4, 7) must give what a fresh point gives at each
     def fresh():
         if kind == "mesh":
             return _mesh_point(model)
@@ -343,7 +343,7 @@ def test_group_values_equal_entry_values(model, kind, thresholds):
     # a group evaluated at once, with m, k and m2 as arrays whose entry axis
     # leads the point's axes, gives every entry the bits of a call on that
     # entry alone, at a scalar point and on a flat step-0.3 tune mesh (two
-    # points, so neither call reads the other's memoized blocks)
+    # points, so neither call reads the other's columns)
     point, single = _group_point(model, kind), _group_point(model, kind)
     tail = (1,) * np.ndim(point.tau)
     for group in entry_groups(model, *thresholds):
