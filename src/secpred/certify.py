@@ -304,7 +304,7 @@ def report_to_json(report: CertReport) -> str:
         "params": {
             "theta": _fmt(p.theta),
             "tau": _fmt(p.tau),
-            "beta": _fmt(p.beta) if p.beta is not None else None,
+            "beta": _fmt(p.beta),
             "gamma": _fmt(p.gamma),
             "delta": _fmt(p.delta),
         },
@@ -323,7 +323,7 @@ def report_to_json(report: CertReport) -> str:
         "thresholds": {"m": report.thresholds[0], "k": report.thresholds[1]},
         "case0_value": _fmt(analytic.prediction_floor(p.theta)),
         "regimes": [
-            {key: _fmt(v) if isinstance(v, float) else v for key, v in entry.items()}
+            {key: _fmt(v) for key, v in entry.items()}
             for entry in report.regimes
         ],
     }

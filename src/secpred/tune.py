@@ -32,12 +32,12 @@ entries on those corners, a chunk of about ``_CHUNK`` values per call, with
 m, k and m2 as arrays over the chunk's entries.  The least over entries of
 an entry's greatest corner value bounds the fixpoint at every cell of the
 pair; an entry whose least corner value exceeds it by more than a rounding
-slack is above the fixpoint at every cell there.  The full pass then takes
-each sub-block of the screen's block of pairs and evaluates, one at a time,
-the entries the screen keeps at some pair of it, on a point that shares the
-screen's pow-over-x rows; a single entry fills a block, and its ints take
-a plain index into the point's columns.  ``np.minimum`` then picks
-the same values, so the array is bit-identical to the one over every entry.
+slack is above the fixpoint at every cell there.  The screen hands each
+entry it keeps to the full pass as ints, a plain index into the point's
+columns, with a mask over its block's pairs; on each sub-block the full pass
+evaluates, one at a time, the entries kept at some pair of it, on a point
+that shares the screen's pow-over-x rows.  ``np.minimum`` then picks the
+same values, so the array is bit-identical to the one over every entry.
 On the step-0.05 grid 66 of 1 495 cosp entries and 25 of 1 506 rosp entries
 reach the full mesh.
 """
@@ -162,63 +162,61 @@ def _pair_blocks(pairs: range, cells, thresholds):
     return [slice(lo, min(lo + size, pairs.stop)) for lo in pairs[::size]]
 
 
-def _groups(model, tm, tk):
-    """``entry_groups`` as (case_id, m, k, m2), less case 6 at m = 0, which
-    is identically r and met by construction."""
-    for case_id, _, m, k, m2 in entry_groups(model, tm, tk):
-        if not (case_id == 6 and isinstance(m, int) and m == 0):
-            yield case_id, m, k, m2
-
-
 # The screen evaluates a group's entries in chunks that fill about this many
 # values of its point.
 _CHUNK = 1 << 14
+
+
+def _entry(group, i):
+    """Entry i of ``group`` as (case_id, m, k, m2) with int parameters, which
+    ``analytic._gather`` takes as a plain index into a column, with none of
+    an array's reductions (one-entry arrays made a step-0.05 search about
+    15 % slower)."""
+    case_id, *params = group
+    return (case_id, *(int(a[i]) if isinstance(a, np.ndarray) else a for a in params))
 
 
 def _chunks(group, step):
     """``group`` as (start, count, chunk) over chunks of ``step`` entries: the
     chunk holds the group's entries start, ..., start + count - 1, its arrays
     shaped (count, 1, 1, 1), the entry axis leading the mesh's three.  A
-    chunk of one entry holds ints instead, which ``analytic._gather`` takes
-    as a plain index into a column, with none of an array's reductions
-    (one-entry arrays made a step-0.05 search about 15 % slower)."""
+    chunk of one entry is ``_entry``'s ints."""
     case_id, *params = group
     size = next((a.size for a in params if isinstance(a, np.ndarray)), 1)
     for lo in range(0, size, step):
         count = min(step, size - lo)
         if count == 1:
-            part = (int(a[lo]) if isinstance(a, np.ndarray) else a for a in params)
+            yield lo, count, _entry(group, lo)
         else:
             part = (a[lo : lo + step, None, None, None] if isinstance(a, np.ndarray) else a
                     for a in params)
-        yield lo, count, (case_id, *part)
-
-
-def _take(group, index):
-    case_id, *params = group
-    return (case_id, *(a[index] if isinstance(a, np.ndarray) else a for a in params))
+            yield lo, count, (case_id, *part)
 
 
 def _screen(model, point, thresholds):
     """The entries that can bind at some (tau, beta) pair of ``point``, as
-    (group, where) with ``where`` a bool array of (entries, pairs) that says
-    where each can.
+    (entry, where): the entry's ints as ``_entry`` gives them, and a bool
+    array over the pairs that says where it can.
 
     The point holds the corners of each pair's gamma x delta grid along its
-    leading axes and the pairs along its last.  Every entry is evaluated
-    there, by group.  ``top`` is the least over entries of an entry's
-    greatest corner value, which bounds the fixpoint at every cell of the
-    pair; an entry whose least corner value exceeds it (plus
-    ``_SCREEN_SLACK``) cannot be the minimum anywhere there.  As ``top``
-    only falls, the survivors are tested again as each group ends and
-    against the final ``top``.  A NaN keeps the entry.
+    leading axes and the pairs along its last.  Every entry of
+    ``entry_groups`` is evaluated there, by group, less case 6 at m = 0,
+    which is identically r and met by construction.  ``top`` is the least
+    over entries of an entry's greatest corner value, which bounds the
+    fixpoint at every cell of the pair; an entry whose least corner value
+    exceeds it (plus ``_SCREEN_SLACK``) cannot be the minimum anywhere
+    there.  As ``top`` only falls, the survivors are tested again as each
+    group ends and against the final ``top``.  A NaN keeps the entry.
     """
     shape = np.broadcast_shapes(point.gamma.shape, point.delta.shape, point.tau.shape)
     corners, pairs = shape[0] * shape[1], shape[2]
     top = np.full(pairs, np.inf)
     values = np.empty((max(1, _CHUNK // (corners * pairs)), *shape))
     found = []
-    for group in _groups(model, *thresholds):
+    for case_id, _, m, k, m2 in entry_groups(model, *thresholds):
+        if case_id == 6 and isinstance(m, int) and m == 0:
+            continue
+        group = case_id, m, k, m2
         for lo, count, chunk in _chunks(group, len(values)):
             at = values[:count]
             at[...] = _term(model, point, chunk, thresholds)
@@ -226,8 +224,8 @@ def _screen(model, point, thresholds):
             np.minimum(top, at.max(axis=1).min(axis=0), out=top)
             found += _alive([(group, np.arange(lo, lo + count), at.min(axis=1))], top)
         found = _alive(found, top)
-    return [(_take(group, index), ~(least > top + _SCREEN_SLACK))
-            for group, index, least in _alive(found, top)]
+    return [(_entry(group, i), ~(row > top + _SCREEN_SLACK))
+            for group, index, least in _alive(found, top) for i, row in zip(index, least)]
 
 
 def _alive(found, top):
@@ -249,12 +247,12 @@ def _search_bound(model, axes, thresholds):
     The pairs go through in blocks.  ``_screen`` runs on a block's gamma
     and delta corners, then the full mesh of each sub-block of it sees only
     the entries the screen keeps at some pair of the sub-block.  The points
-    of a block share their pow-over-x rows.  The array is the same as with
-    every entry, bit for bit.
+    of a block share their pow-over-x rows.  The array, allocated first, is
+    the same as with every entry, bit for bit.
     """
     tau, beta, gam, dlt = axes
     pairs = range(tau.shape[0])
-    b = None
+    b = np.full((len(pairs), gam.size, dlt.size), np.inf)
     # corners along the leading axes and pairs along the last; a grid with
     # one gamma or one delta value repeats it
     corners = (np.array([gam.min(), gam.max()])[:, None, None],
@@ -264,17 +262,13 @@ def _search_bound(model, axes, thresholds):
         point = Point(tau[outer].T, *corners, None if beta is None else beta[outer].T, rows=rows)
         keep = _screen(model, point, thresholds)
         del point
-        if b is None:  # allocated after the first screen, so as not to add to its peak
-            b = np.full((len(pairs), gam.size, dlt.size), np.inf)
         for block in _pair_blocks(pairs[outer], gam.size * dlt.size, thresholds):
             point = Point(tau[block], gam, dlt, None if beta is None else beta[block], rows=rows)
             out = b[block]
             local = slice(block.start - outer.start, block.stop - outer.start)
-            for group, where in keep:
-                use = np.flatnonzero(where[:, local].any(axis=1))
-                if use.size:
-                    for _, _, entry in _chunks(_take(group, use), 1):
-                        np.minimum(out, _term(model, point, entry, thresholds), out=out)
+            for entry, where in keep:
+                if where[local].any():
+                    np.minimum(out, _term(model, point, entry, thresholds), out=out)
     return b.ravel()
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from secpred import THEOREM_COSP_PARAMS as P, THEOREM_ROSP_PARAMS as Q
 from secpred import PolicyParams
-from secpred.analytic import case6_coef, case_bound, prediction_floor
+from secpred.analytic import case6_coef, case_bound, pow_over_x_integral, prediction_floor
 from oracles import COSP_ORACLES, ROSP_ORACLES
 
 
@@ -94,6 +94,13 @@ BAD_CALLS = {
     "case6_coef, m=2.5": (partial(case6_coef, "cosp", 2.5, P), "m must be an integer, got 2.5"),
     "case6_coef, m=True": (partial(case6_coef, "rosp", True, Q), "m must be an integer, got True"),
     "case6_coef, m above cap": (partial(case6_coef, "cosp", 10**6, P), "m exceeds the cap"),
+    "case6_coef, m array with -1": (
+        partial(case6_coef, "cosp", np.array([2, -1]), P),
+        "exponent must be a nonnegative integer, got -1",
+    ),
+    "pow_over_x_integral, m=-1": (
+        partial(pow_over_x_integral, 0.2, 0.5, -1), "exponent must be a nonnegative integer"
+    ),
 }
 
 

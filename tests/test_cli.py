@@ -174,6 +174,12 @@ def test_simulate_oversized_trials_exit_two(tmp_path, capsys, monkeypatch):
     assert "trials must lie in" in capsys.readouterr().err
 
 
+def test_evaluate_theta_outside_unit_interval_exit_two(capsys):
+    flags = [*ROSP_FLAGS[:2], "--theta", "1.5", *ROSP_FLAGS[4:]]
+    assert main(["evaluate", "--case", "4", *flags, "--m", "1", "--k", "1"]) == 2
+    assert "theta=1.5 outside [0, 1]" in capsys.readouterr().err
+
+
 def test_evaluate_tau_zero_exit_two(capsys):
     flags = ["--model", "rosp", "--theta", "0.5", "--tau", "0", "--gamma", "0.3", "--delta", "0.4"]
     assert main(["evaluate", "--case", "4", *flags, "--m", "1", "--k", "1"]) == 2

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from secpred import CaseProfile, build_instance, case_profile, load_instance, mistake_set
+from secpred import (
+    CaseProfile,
+    PolicyParams,
+    Schedule,
+    build_instance,
+    case_profile,
+    load_instance,
+    mistake_set,
+)
 from secpred.core import dump_instance
 
 
@@ -51,6 +59,26 @@ def test_build_errors():
         with pytest.raises(ValueError, match="predictions must be a list of real numbers"):
             build_instance([1.0, 1.0], bad)
     assert build_instance((1, np.float64(2.0)), [np.int64(1), 2.5]).n == 2
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: PolicyParams(theta=1.5, tau=0.3, gamma=0.3, delta=0.5), "theta=1.5 outside"),
+        (lambda: PolicyParams(theta=0.5, tau=float("nan"), gamma=0.3, delta=0.5),
+         "tau=nan outside"),
+        (lambda: PolicyParams(theta=0.5, tau=0.3, gamma=0.3, delta=0.5, beta=1.0),
+         "beta=1.0 outside"),
+        (lambda: CaseProfile(1, -1, 0), "profile counts must be nonnegative"),
+        (lambda: CaseProfile(3, 0, 0), "inadmissible profile"),
+        (lambda: Schedule((0.5, 1.5)), "arrival times must lie in"),
+        (lambda: mistake_set(build_instance([1.0], [1.0]), 1.5), "theta=1.5 outside"),
+    ],
+    ids=["theta 1.5", "tau nan", "beta 1", "k -1", "m2 too small", "time 1.5", "mistake theta"],
+)
+def test_bad_fields_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_oversized_instance_rejected(monkeypatch):

@@ -15,6 +15,8 @@ from secpred import (
     run_trial,
     uniform_from_first_arrival,
 )
+from secpred.core import Schedule
+from secpred.derand import _OneDraw
 from secpred.rng import TrialStream, trial_seed
 
 
@@ -27,6 +29,29 @@ def test_uniform_transform_examples():
         uniform_from_first_arrival(-0.1, 3)
     with pytest.raises(ValueError):
         uniform_from_first_arrival(0.5, 0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: bits_from_uniform(1.0, 3), "u=1.0 outside"),
+        (lambda: bits_from_uniform(0.5, 0), "count must be >= 1"),
+        (lambda: derandomized_trial(build_instance([1.0], [1.0]), Schedule(()), Q),
+         "at least one arrival"),
+    ],
+    ids=["u 1", "count 0", "empty schedule"],
+)
+def test_bad_calls_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_second_uniform_is_refused():
+    # run_trial draws at most once, so a second draw is a bug, not a refill
+    draw = _OneDraw(0.5)
+    draw.uniform()
+    with pytest.raises(RuntimeError, match="second uniform"):
+        draw.uniform()
 
 
 def test_uniform_transform_float_matches_array():

@@ -124,6 +124,12 @@ def test_schedule_length_mismatch():
         run_trial(inst, Schedule((0.5,)), P, TrialStream(0))
 
 
+def test_cosp_schedule_refuses_beta_outside_unit_interval():
+    inst = build_instance([1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="beta=1.0 outside"):
+        make_cosp_schedule(inst, 1.0, TrialStream(0))
+
+
 def test_policy_runs_with_early_beta():
     # analytic bounds require beta > tau, but the policy itself executes for
     # any pinned arrival; a mistaken top prediction at beta < tau is skipped

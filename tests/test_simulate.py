@@ -168,6 +168,21 @@ def test_case_family_infeasible_requests():
         gen_case_family(4, 2, 1, 1, 3, 0.58)  # n < m + k + 1
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: gen_overestimated_top(4, 0.5, 0.58), "deviation 0.5 must exceed theta 0.58"),
+        (lambda: gen_case_family(4, 2, 1, 1, 5, 0.58, deviation=0.58),
+         "deviation 0.58 must exceed theta 0.58"),
+        (lambda: gen_case_family(7, 2, 1, 1, 5, 0.58), "case_id must be 1..6, got 7"),
+    ],
+    ids=["overestimated top", "case family", "case 7"],
+)
+def test_bad_generator_arguments_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_one_sided_bounds_small_run():
     # quick version of the acceptance check: 1e5 trials, 3 sigma one-sided
     for model, params in (("cosp", P), ("rosp", Q)):

@@ -52,6 +52,8 @@ def test_oversized_inputs_rejected_before_search():
     assert len(axis) ** 4 <= MAX_GRID_POINTS
     with pytest.raises(ValueError, match="exceeds the cap"):
         grid_search("cosp", GridSpec.coarse("cosp", step=1e-3))
+    with pytest.raises(ValueError, match="grid step must be >= 1e-3"):
+        GridSpec.coarse("cosp", step=5e-4)
     with pytest.raises(ValueError, match="exceeds the cap"):
         grid_search("cosp", GridSpec(axis * 2, axis, axis, axis))
     single = GridSpec.single(Q)
@@ -74,8 +76,10 @@ def test_oversized_inputs_rejected_before_search():
         ("rosp", GridSpec(tau=(0.3,), gamma=(0.3,), delta=(-float("inf"),)),
          "grid delta values must lie in"),
         ("foo", GridSpec.coarse("rosp", 0.3), "unknown model 'foo'"),
+        ("cosp", GridSpec.coarse("rosp", 0.3), "chosen-order search needs beta values"),
     ],
-    ids=["nan gamma", "gamma 1.5", "tau 1.2", "beta 1", "delta -inf", "unknown model"],
+    ids=["nan gamma", "gamma 1.5", "tau 1.2", "beta 1", "delta -inf", "unknown model",
+         "cosp without beta"],
 )
 def test_bad_grid_values_rejected_before_search(model, grid, message, monkeypatch):
     from secpred import tune
@@ -343,19 +347,23 @@ def test_screen_drops_most_entries(monkeypatch):
     tune._search_once("cosp", grid, tune.SEARCH_THRESHOLDS)
     assert full <= screened and len(screened) > 1000
     # every entry returned can bind at some pair
-    assert kept and all(where.any(axis=1).all() for keep in kept for _, where in keep)
+    assert kept and all(where.ndim == 1 and where.any() for keep in kept for _, where in keep)
     assert len(full) < 0.1 * len(screened), (len(full), len(screened))
 
 
 def test_search_memory_flat_in_grid_size(monkeypatch):
-    # with blocks of 500 cells the traced peak of a rosp search stays about
-    # level from the step-0.1 grid (1000 cells) to the step-0.05 grid (6859);
-    # a point holding the whole mesh grows about as the grid does
+    # with screen blocks of 5 pairs, fewer than either grid's 10 or 19, the
+    # traced peak of a rosp search less its search array (8 bytes a cell)
+    # stays level from the step-0.1 grid (1000 cells) to the step-0.05 grid
+    # (6859); a full pass on a point holding the whole mesh grows with it.
+    # The screen's chunks are cut to 1024 values, as at the default 16384
+    # its 128 KiB buffer outweighs such a full pass on the smaller grid
     import tracemalloc
 
     from secpred import tune
 
-    monkeypatch.setattr(tune, "BLOCK_ELEMENTS", 500 * FAST[0] * FAST[1])
+    monkeypatch.setattr(tune, "BLOCK_ELEMENTS", 4 * 5 * FAST[0] * FAST[1])
+    monkeypatch.setattr(tune, "_CHUNK", 1 << 10)
     grids = [GridSpec.coarse("rosp", step=step) for step in (0.1, 0.05)]
     tune._search_once("rosp", grids[0], FAST)  # first-call allocations untraced
     peaks = []
@@ -363,10 +371,11 @@ def test_search_memory_flat_in_grid_size(monkeypatch):
         tracemalloc.start()
         try:
             tune._search_once("rosp", grid, FAST)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            cells = len(grid.tau) * len(grid.gamma) * len(grid.delta)
+            peaks.append(tracemalloc.get_traced_memory()[1] - 8 * cells)
         finally:
             tracemalloc.stop()
-    assert peaks[1] < 1.5 * peaks[0], peaks
+    assert peaks[1] < 1.2 * peaks[0], peaks
 
 
 def test_refine_improves_or_holds():
