@@ -286,9 +286,11 @@ def _shrink_b(p, n):
     return np.minimum(0.9999, 1.0 - _ub(p, n))
 
 
-def _sum_pre(p, m):
+def _sum_pre(p, m, tm):
     # tau * sum_{i=1}^{m-1} C(m-1,i)(-1)^{i+1}(beta^i - tau^i)/i
     #   = tau * Integral_tau^beta (1 - (1-t)^{m-1}) / t dt
+    if m is None:
+        return _shrink_t(p, tm) * p.tau * _pox(p, "tb", 0)
     return p.tau * (_pox(p, "tb", 0) - _pox(p, "tb", m - 1))
 
 
@@ -352,7 +354,7 @@ def _cosp_tail(p, k, m2, tm):
 
 def _cosp4(p, m, k, m2, tm, tk):
     # top prediction is a mistake, the true best is not
-    pre = _shrink_t(p, tm) * p.tau * _pox(p, "tb", 0) if m is None else _sum_pre(p, m)
+    pre = _sum_pre(p, m, tm)
     if k is None or m2 is None:
         tail = _cosp_tail(p, k, m2, tm)
     else:
@@ -363,9 +365,9 @@ def _cosp4(p, m, k, m2, tm, tk):
 def _cosp5(p, m, k, m2, tm, tk):
     # true best is a mistake, the top prediction is not
     if m is None:
-        early, cover = _shrink_t(p, tm) * p.tau * _pox(p, "tb", 0), _shrink_b(p, tm)
+        early, cover = _sum_pre(p, None, tm), _shrink_b(p, tm)
     else:
-        early = _sum_pre(p, m) + (_ut(p, m) - _ub(p, m)) / m
+        early = _sum_pre(p, m, tm) + (_ut(p, m) - _ub(p, m)) / m
         cover = 1.0 - _ub(p, m - 1)
     return early + _sum_post(p, k, tk) * cover + _cosp_tail(p, k, m2, tm)
 
@@ -375,10 +377,10 @@ def _cosp6(p, m, k, m2, tm, tk):
     # prediction-mode factor uses the pessimistic (1-theta)/(1+theta); both
     # relevant deviations are at most theta in this case.
     if m is None:
-        pre, cover = _shrink_t(p, tm + 1) * p.tau * _pox(p, "tb", 0), _shrink_b(p, tm + 1)
+        pre, cover = _sum_pre(p, None, tm + 1), _shrink_b(p, tm + 1)
     else:
         # tau * Integral_tau^beta (1 - (1-t)^m) / t dt is the pre-switch sum at m+1
-        pre, cover = _sum_pre(p, m + 1), 1.0 - _ub(p, m)
+        pre, cover = _sum_pre(p, m + 1, tm + 1), 1.0 - _ub(p, m)
     late = _sum_post(p, k, tk) * cover
     return _c6_head(COSP, p, m) + pre + late + _cosp_tail(p, k, m2, tm)
 

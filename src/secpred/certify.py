@@ -31,8 +31,9 @@ minimum is the same.
 
 ``entry_groups`` is the one enumeration of (case, regime, m, k, m2)
 entries, built with numpy as groups of one case, regime and pattern of
-large parameters, each cut into pieces of at most ``_CHUNK`` entries that
-hold m, k and m2 as int arrays; ``iter_entries`` is its flattening.
+large parameters, each cut into pieces, of a size the caller sets, that
+hold m, k and m2 as int arrays; ``entry`` turns one entry into ints, and
+``iter_entries`` is their flattening.
 ``certify`` is one serial pass over ``entry_groups`` at a single shared
 ``analytic.Point``: each piece is one call of its case's form in
 ``analytic.CASE_FORMS``, which is exact on a small cell and takes ``None``
@@ -41,9 +42,10 @@ alone gives.  It skips the argument checks of ``analytic.case_bound``, the
 one checked front end, which every entry passes and which gives the same
 bits.  It keeps the first minimum (by ``CaseBound.sort_key``; within a
 piece, one ``np.lexsort`` over its least entries) of the exact cells and of
-each large regime, and the first of those, with case 0, is the argmin.  Its memory is a piece's arrays and tables of (m, k) runs, so
-it barely grows with the thresholds.  The grid search in ``tune`` walks
-the same groups on a parameter mesh.
+each large regime, and the first of those, with case 0, is the argmin.  Its
+memory is a piece's arrays and tables of (m, k) runs, so it barely grows
+with the thresholds.  The grid search in ``tune`` walks the same pieces on
+a parameter mesh.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import DEFAULT_THRESHOLDS, MAX_THRESHOLD, check_thresholds  # re-exported
-from .core import COSP, ROSP, PolicyParams, check_model
+from .core import COSP, ROSP, PolicyParams, check_integer, check_model
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
@@ -64,6 +66,7 @@ __all__ = [
     "CertReport",
     "certify",
     "check_thresholds",
+    "entry",
     "entry_groups",
     "iter_entries",
     "small_cell_count",
@@ -141,44 +144,51 @@ def small_cell_count(tm: int, tk: int) -> int:
     return sum(min(m, k) + 1 for m in range(tm + 1) for k in range(tk + 1))
 
 
-# a group is cut into pieces of at most this many entries, each built when it
-# is reached, so certify's memory stays flat as the thresholds grow
+# certify's piece size: each piece is built when it is reached, so its
+# memory stays flat as the thresholds grow
 _CHUNK = 1 << 11
 
 
-def _pieces(case_id, regime, m, k, lo, count):
+def _pieces(case_id, regime, m, k, lo, count, size):
     # the group whose runs hold m2 = lo, ..., lo + count - 1 at each (m, k)
-    # (None: large), in pieces of at most _CHUNK entries
+    # (None: large), in pieces of at most size entries
     ends = np.cumsum(count)
-    for start in range(0, int(ends[-1]) if ends.size else 0, _CHUNK):
-        at = np.arange(start, min(start + _CHUNK, int(ends[-1])))
+    for start in range(0, int(ends[-1]) if ends.size else 0, size):
+        at = np.arange(start, min(start + size, int(ends[-1])))
         run = np.searchsorted(ends, at, side="right")
         m2 = None if lo is None else lo[run] + count[run] - (ends[run] - at)
         yield case_id, regime, *(None if a is None else a[run] for a in (m, k)), m2
 
 
-def entry_groups(model: str, tm: int, tk: int):
+def entry_groups(model: str, tm: int, tk: int, size: int | None = None):
     """The entries of ``iter_entries`` as groups ``(case_id, regime, m, k, m2)``.
 
     A group holds entries of one case and regime with the same large
     parameters: each of m, k and m2 is ``None`` (large) for the whole group
     or an int array over its entries.  Case 6 at m = 0, the floor r, is a
     group of one entry with m the int 0, as is an entry with every
-    parameter large.  A group is cut into pieces of at most ``_CHUNK``
-    entries, built when reached.  The exact cells come first: the floor,
-    then cases 1, 4, 5 and 6, each over its cells in (m, k, m2) order; then
-    each large regime, cases 1, 4, 5 and 6 in turn.
+    parameter large.  A group is cut into pieces of at most ``size``
+    entries (certify's ``_CHUNK``, 2048, by default), built when reached.
+    The exact cells come first: the floor, then cases 1, 4, 5 and 6, each
+    over its cells in (m, k, m2) order; then each large regime, cases 1, 4,
+    5 and 6 in turn.  A bad model, thresholds or size raises ValueError
+    before the first piece.
     """
+    check_model(model)
+    tm, tk = check_thresholds((tm, tk))
+    size = check_integer("size", _CHUNK if size is None else size)
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     yield 6, "exact", 0, 0, 0
     # case 1 reads m alone and is taken at the first cell (m, 0, m)
     ms = np.arange(_LEAST_M[model, 1], tm + 1)
-    yield from _pieces(1, "exact", ms, np.zeros_like(ms), ms, np.ones_like(ms))
+    yield from _pieces(1, "exact", ms, np.zeros_like(ms), ms, np.ones_like(ms), size)
     ks = np.arange(1, tk + 1)
     for case_id in (4, 5, 6):
         m = np.repeat(np.arange(max(1, _LEAST_M[model, case_id]), tm + 1), tk)
         k = np.resize(ks, m.shape)
         lo = np.maximum(0, m - k)  # m2 >= m - k, and m2 <= m - 1 in cases 4 and 5
-        yield from _pieces(case_id, "exact", m, k, lo, m - lo + (case_id == 6))
+        yield from _pieces(case_id, "exact", m, k, lo, m - lo + (case_id == 6), size)
     for label in _REGIMES:
         for case_id in (1, 4, 5, 6):
             if label == "large_k":
@@ -186,35 +196,40 @@ def entry_groups(model: str, tm: int, tk: int):
                 if least == 0:
                     yield case_id, label, 0, None, None
                 ms = np.arange(max(1, least), tm + 1)
-                yield from _pieces(case_id, label, ms, None, None, np.ones_like(ms))
+                yield from _pieces(case_id, label, ms, None, None, np.ones_like(ms), size)
             elif case_id == 1 or label == "large_mk":
                 yield case_id, label, None, None, None
             elif label == "large_m2":
-                yield from _pieces(case_id, label, None, ks, None, np.ones_like(ks))
+                yield from _pieces(case_id, label, None, ks, None, np.ones_like(ks), size)
             else:
                 # small (k, m2) must admit some m > tm: m2 >= m-k means m <= k+m2
                 low = np.maximum(0, tm + 1 - ks)
-                yield from _pieces(case_id, label, None, ks, low, tm + 1 - low)
+                yield from _pieces(case_id, label, None, ks, low, tm + 1 - low, size)
 
 
 def _size(group) -> int:
     return next((a.size for a in group[2:] if isinstance(a, np.ndarray)), 1)
 
 
+def entry(group, i):
+    """Entry i of ``group`` as (case_id, regime, m, k, m2) with int
+    parameters, which ``analytic._gather`` takes as a plain index, with none
+    of an array's reductions (one-entry arrays made tune 15 % slower)."""
+    case_id, regime, *params = group
+    return (case_id, regime, *(int(a[i]) if isinstance(a, np.ndarray) else a for a in params))
+
+
 def iter_entries(model: str, tm: int, tk: int):
     """Every entry ``(case_id, regime, m, k, m2)`` of the enumeration:
-    ``entry_groups`` flattened, in its order.
+    ``entry_groups`` flattened, in its order, each as ``entry`` gives it.
 
     The exact small cells come first (regime ``"exact"``), then each large
     regime once; ``None`` marks a large parameter.  Certify and tune
     evaluate the groups; this form is for checks and tests.
     """
     for group in entry_groups(model, tm, tk):
-        size = _size(group)
-        case_id, regime, *params = group
-        columns = [a.tolist() if isinstance(a, np.ndarray) else [a] * size for a in params]
-        for m, k, m2 in zip(*columns):
-            yield case_id, regime, m, k, m2
+        for i in range(_size(group)):
+            yield entry(group, i)
 
 
 def _first_min(group, values) -> CaseBound:
@@ -225,7 +240,7 @@ def _first_min(group, values) -> CaseBound:
     at = np.flatnonzero(values == values.min())
     arrays = [a[at] for a in params if isinstance(a, np.ndarray)]
     i = at[np.lexsort(arrays[::-1])[0]] if arrays else at[0]
-    m, k, m2 = (int(a[i]) if isinstance(a, np.ndarray) else a for a in params)
+    _, _, m, k, m2 = entry(group, i)
     return CaseBound(f"C{case_id}", float(values[i]), regime, m, k, m2)
 
 

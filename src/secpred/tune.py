@@ -27,12 +27,13 @@ Most entries never bind, so a screen runs first and the full mesh sees only
 the entries that can.  With (tau, beta) fixed, every case form is affine in
 gamma and in delta (no gamma * delta term), and the case-6 divisor 1 - coef
 reads (tau, beta) alone, so an entry's extremes over a pair's cells lie at
-the corners of its gamma x delta grid.  The screen evaluates every group of
-entries on those corners, a chunk of about ``_CHUNK`` values per call, with
-m, k and m2 as arrays over the chunk's entries.  The least over entries of
-an entry's greatest corner value bounds the fixpoint at every cell of the
-pair; an entry whose least corner value exceeds it by more than a rounding
-slack is above the fixpoint at every cell there.  The screen hands each
+the corners of its gamma x delta grid.  The screen walks certify's pieces of
+entries on those corners, each sized to about ``_CHUNK`` values per call,
+with m, k and m2 as arrays over the piece's entries.  The least over
+entries of an entry's greatest corner value bounds the fixpoint at every
+cell of the pair; an entry whose least corner value exceeds it by more than
+a rounding slack is above the fixpoint at every cell there, tested as its
+piece lands and against the final bound.  The screen hands each
 entry it keeps to the full pass as ints, a plain index into the point's
 columns, with a mask over its block's pairs; on each sub-block the full pass
 evaluates, one at a time, the entries kept at some pair of it, on a point
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import CASE_FORMS, DEFAULT_THRESHOLDS, Point, case6_coef, check_thresholds
-from .certify import certify, entry_groups
+from .certify import _size, certify, entry, entry_groups
 from .core import BLOCK_ELEMENTS, COSP, PolicyParams, check_model
 
 __all__ = ["GridSpec", "grid_search", "SEARCH_THRESHOLDS", "MAX_GRID_POINTS"]
@@ -144,8 +145,9 @@ _SCREEN_SLACK = 1e-12
 
 def _term(model, point, entry, thresholds):
     """One entry's bound on the fixpoint at ``point`` (r = 0): the case form,
-    or for case 6 the form over 1 - coef."""
-    case_id, m, k, m2 = entry
+    or for case 6 the form over 1 - coef.  ``entry`` is as ``certify.entry``
+    gives it, or a piece of entries; its regime is not read."""
+    case_id, _, m, k, m2 = entry
     value = CASE_FORMS[model, case_id](point, m, k, m2, *thresholds)
     if case_id == 6:
         value = value / (1.0 - case6_coef(model, m, point))
@@ -162,81 +164,58 @@ def _pair_blocks(pairs: range, cells, thresholds):
     return [slice(lo, min(lo + size, pairs.stop)) for lo in pairs[::size]]
 
 
-# The screen evaluates a group's entries in chunks that fill about this many
-# values of its point.
+# The screen evaluates pieces of entries that fill about this many values of
+# its point.
 _CHUNK = 1 << 14
-
-
-def _entry(group, i):
-    """Entry i of ``group`` as (case_id, m, k, m2) with int parameters, which
-    ``analytic._gather`` takes as a plain index into a column, with none of
-    an array's reductions (one-entry arrays made a step-0.05 search about
-    15 % slower)."""
-    case_id, *params = group
-    return (case_id, *(int(a[i]) if isinstance(a, np.ndarray) else a for a in params))
-
-
-def _chunks(group, step):
-    """``group`` as (start, count, chunk) over chunks of ``step`` entries: the
-    chunk holds the group's entries start, ..., start + count - 1, its arrays
-    shaped (count, 1, 1, 1), the entry axis leading the mesh's three.  A
-    chunk of one entry is ``_entry``'s ints."""
-    case_id, *params = group
-    size = next((a.size for a in params if isinstance(a, np.ndarray)), 1)
-    for lo in range(0, size, step):
-        count = min(step, size - lo)
-        if count == 1:
-            yield lo, count, _entry(group, lo)
-        else:
-            part = (a[lo : lo + step, None, None, None] if isinstance(a, np.ndarray) else a
-                    for a in params)
-            yield lo, count, (case_id, *part)
 
 
 def _screen(model, point, thresholds):
     """The entries that can bind at some (tau, beta) pair of ``point``, as
-    (entry, where): the entry's ints as ``_entry`` gives them, and a bool
-    array over the pairs that says where it can.
+    (entry, where): the entry's ints as ``certify.entry`` gives them, and a
+    bool array over the pairs that says where it can.
 
     The point holds the corners of each pair's gamma x delta grid along its
     leading axes and the pairs along its last.  Every entry of
-    ``entry_groups`` is evaluated there, by group, less case 6 at m = 0,
-    which is identically r and met by construction.  ``top`` is the least
-    over entries of an entry's greatest corner value, which bounds the
-    fixpoint at every cell of the pair; an entry whose least corner value
-    exceeds it (plus ``_SCREEN_SLACK``) cannot be the minimum anywhere
-    there.  As ``top`` only falls, the survivors are tested again as each
-    group ends and against the final ``top``.  A NaN keeps the entry.
+    ``entry_groups`` is evaluated there, in pieces that fill ``values``
+    (arrays shaped (count, 1, 1, 1), or one entry's ints), less case 6 at
+    m = 0, which is identically r and met by construction.  ``top`` is the
+    least over entries of an entry's greatest corner value, which bounds
+    the fixpoint at every cell of the pair; an entry whose least corner
+    value exceeds it (plus ``_SCREEN_SLACK``) cannot be the minimum anywhere
+    there.  Entries are tested as their piece lands and, as ``top`` only
+    falls, the survivors again against the final ``top``.  A NaN keeps the
+    entry.
     """
     shape = np.broadcast_shapes(point.gamma.shape, point.delta.shape, point.tau.shape)
     corners, pairs = shape[0] * shape[1], shape[2]
     top = np.full(pairs, np.inf)
     values = np.empty((max(1, _CHUNK // (corners * pairs)), *shape))
     found = []
-    for case_id, _, m, k, m2 in entry_groups(model, *thresholds):
+    for piece in entry_groups(model, *thresholds, size=len(values)):
+        case_id, regime, m, k, m2 = piece
         if case_id == 6 and isinstance(m, int) and m == 0:
             continue
-        group = case_id, m, k, m2
-        for lo, count, chunk in _chunks(group, len(values)):
-            at = values[:count]
-            at[...] = _term(model, point, chunk, thresholds)
-            at = at.reshape(count, corners, pairs)
-            np.minimum(top, at.max(axis=1).min(axis=0), out=top)
-            found += _alive([(group, np.arange(lo, lo + count), at.min(axis=1))], top)
-        found = _alive(found, top)
-    return [(_entry(group, i), ~(row > top + _SCREEN_SLACK))
-            for group, index, least in _alive(found, top) for i, row in zip(index, least)]
+        count = _size(piece)
+        form = entry(piece, 0) if count == 1 else (
+            case_id, regime, *(None if a is None else a[:, None, None, None] for a in (m, k, m2)))
+        at = values[:count]
+        at[...] = _term(model, point, form, thresholds)
+        at = at.reshape(count, corners, pairs)
+        np.minimum(top, at.max(axis=1).min(axis=0), out=top)
+        found += _alive([(piece, np.arange(count), at.min(axis=1))], top)
+    return [(entry(piece, i), ~(row > top + _SCREEN_SLACK))
+            for piece, index, least in _alive(found, top) for i, row in zip(index, least)]
 
 
 def _alive(found, top):
-    """The records (group, index, least) of ``found`` cut to the entries
+    """The records (piece, index, least) of ``found`` cut to the entries
     whose least corner value ``least`` is within ``_SCREEN_SLACK`` of ``top``
     at some pair.  A NaN keeps the entry."""
     kept = []
-    for group, index, least in found:
+    for piece, index, least in found:
         rows = (~(least > top + _SCREEN_SLACK)).any(axis=1)
         if rows.any():
-            kept.append((group, index[rows], least[rows]))
+            kept.append((piece, index[rows], least[rows]))
     return kept
 
 

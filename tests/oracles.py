@@ -1,8 +1,8 @@
 """Independent quadrature oracles for the analytic case bounds.
 
 Everything here evaluates the defining sub-case integrals with scipy's
-QUADPACK, never reusing the package's closed forms or its Simpson rule, so
-formula bugs and oracle bugs stay uncorrelated.
+QUADPACK, never reusing the package's closed forms, so formula bugs and
+oracle bugs stay uncorrelated.
 """
 
 import math

@@ -115,7 +115,7 @@ def test_interval_logs_make_identities_exact(kind):
     else:
         points = [(Point(t, 0.5, 0.5, b), t, b) for t, b in zip(tau.tolist(), beta.tolist())]
     for p, t, b in points:
-        for value in (_s1(p, 0), _sum_pre(p, 1), _sum_post(p, 0, 10)):
+        for value in (_s1(p, 0), _sum_pre(p, 1, 10), _sum_post(p, 0, 10)):
             assert np.all(value == 0.0)
         for interval, lo, hi in (("tb", t, b), ("b1", b, 1.0), ("t1", t, 1.0)):
             logs = np.vectorize(log_ratio)(lo, hi)

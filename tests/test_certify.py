@@ -275,6 +275,26 @@ def test_precondition_errors():
         certify("rosp", PolicyParams(theta=0.5, tau=0.0, gamma=0.3, delta=0.4), 0.2)
 
 
+@pytest.mark.parametrize("args,match", [
+    (("xosp", 3, 3), "unknown model"),
+    (("cosp", 0, 3), ">= 1"),
+    (("rosp", 3, -2), ">= 1"),
+    (("cosp", 3.5, 3), "two integers"),
+    (("rosp", 300, 300), "exceed the cap"),
+])
+@pytest.mark.parametrize("walk", [entry_groups, iter_entries], ids=["entry_groups", "iter_entries"])
+def test_enumeration_arguments_checked(walk, args, match):
+    # a bad model or thresholds raise before the first piece or entry
+    with pytest.raises(ValueError, match=match):
+        next(walk(*args))
+
+
+@pytest.mark.parametrize("size,match", [(0, ">= 1"), (-7, ">= 1"), (2.0, "integer"), (True, "integer")])
+def test_piece_size_checked(size, match):
+    with pytest.raises(ValueError, match=f"size must be.*{match}"):
+        next(entry_groups("cosp", 3, 3, size=size))
+
+
 def _cell_entries(model, tm, tk):
     """The enumeration written out cell by cell, as certify's rules state
     it: case 1 at (m, 0, m), cases 4 and 5 where k >= 1 and m2 <= m - 1,
@@ -307,17 +327,17 @@ def _cell_entries(model, tm, tk):
 
 @pytest.mark.parametrize("thresholds", [(1, 1), (4, 7), (6, 6), (7, 3), (20, 20)])
 @pytest.mark.parametrize("model", ["cosp", "rosp"])
-def test_iter_entries_flattens_entry_groups(model, thresholds, monkeypatch):
+def test_iter_entries_flattens_entry_groups(model, thresholds):
     # the groups hold every entry of the cell-by-cell enumeration once, and
-    # iter_entries is their flattening in group order; pieces of 7 entries
-    # cut the same entries
-    def flattened():
+    # iter_entries is their flattening in group order; pieces of one entry
+    # and of 7 entries cut the same entries, none past the size asked for
+    def flattened(most=None):
         entries = []
-        for case_id, regime, m, k, m2 in entry_groups(model, *thresholds):
+        for case_id, regime, m, k, m2 in entry_groups(model, *thresholds, size=most):
             arrays = [a for a in (m, k, m2) if isinstance(a, np.ndarray)]
             size = arrays[0].size if arrays else 1
             assert all(a.shape == (size,) for a in arrays)
-            assert 1 <= size <= certify_module._CHUNK
+            assert 1 <= size <= (most or certify_module._CHUNK)
             columns = [a.tolist() if isinstance(a, np.ndarray) else [a] * size for a in (m, k, m2)]
             entries += [(case_id, regime, *entry) for entry in zip(*columns)]
         return entries
@@ -326,8 +346,7 @@ def test_iter_entries_flattens_entry_groups(model, thresholds, monkeypatch):
     got = flattened()
     assert got == list(iter_entries(model, *thresholds))
     assert sorted(got, key=repr) == sorted(want, key=repr) and len(set(got)) == len(got)
-    monkeypatch.setattr(certify_module, "_CHUNK", 7)
-    assert flattened() == got
+    assert flattened(1) == got and flattened(7) == got
 
 
 def _group_point(model, params):

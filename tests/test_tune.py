@@ -276,10 +276,11 @@ def test_case_forms_affine_in_gamma_and_delta(model, thresholds):
     g = np.linspace(0.0, 1.0, 7)
     gamma, delta = g[None, :, None], g[None, None, :]
     point = Point(tau, gamma, delta, beta if model == "cosp" else None)
-    for case_id, _, m, k, m2 in iter_entries(model, *thresholds):
+    for entry in iter_entries(model, *thresholds):
+        case_id, _, m, k, m2 = entry
         if case_id == 6 and m == 0:
             continue  # r itself, which the search never evaluates
-        v = np.broadcast_to(_term(model, point, (case_id, m, k, m2), thresholds), (5, 7, 7))
+        v = np.broadcast_to(_term(model, point, entry, thresholds), (5, 7, 7))
         corners = ((1 - gamma) * (1 - delta) * v[:, :1, :1] + (1 - gamma) * delta * v[:, :1, -1:]
                    + gamma * (1 - delta) * v[:, -1:, :1] + gamma * delta * v[:, -1:, -1:])
         assert np.abs(v - corners).max() <= 1e-13, (model, case_id, m, k, m2)
@@ -301,22 +302,28 @@ def test_search_arrays_pinned(model, digest):
 
 @pytest.mark.parametrize("model", ["cosp", "rosp"])
 def test_chunks_change_nothing(model, monkeypatch):
-    # groups cut into pieces of 7 entries, and a screen taking one entry per
-    # call, give the search array of the default chunks, bit for bit
-    import importlib
-
+    # a screen asking for pieces of one entry or of 7 entries gives the
+    # search array of the pieces that fill its buffer, bit for bit
     import numpy as np
 
     from secpred import tune
+    from secpred.certify import entry_groups
 
     grid = GridSpec.coarse(model, step=0.1)
     _, _, (whole, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS)
-    monkeypatch.setattr(importlib.import_module("secpred.certify"), "_CHUNK", 7)
-    _, _, (pieces, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS)
-    assert np.array_equal(pieces, whole)
-    monkeypatch.setattr(tune, "_CHUNK", 1)
-    _, _, (single, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS)
-    assert np.array_equal(single, whole)
+    sizes = []
+
+    def pieces_of(most):
+        def groups(model, tm, tk, size):
+            sizes.append(size)
+            return entry_groups(model, tm, tk, size=min(size, most))
+        return groups
+
+    for most in (1, 7):
+        monkeypatch.setattr(tune, "entry_groups", pieces_of(most))
+        _, _, (pieces, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS)
+        assert np.array_equal(pieces, whole), most
+    assert min(sizes) > 7  # tune asks for more, so the default pieces differ
 
 
 def test_screen_drops_most_entries(monkeypatch):
