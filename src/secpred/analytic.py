@@ -37,7 +37,6 @@ cases 1 and 4, and these three are exact only.
 from __future__ import annotations
 
 import math
-import operator
 from functools import partial
 
 import numpy as np
@@ -111,8 +110,7 @@ def pow_over_x_integral(a: float, b: float, m: int) -> float:
 
 
 def _check_interval(a: float, b: float, m: int, positive_a: bool) -> None:
-    if m < 0 or m != int(m):
-        raise ValueError(f"exponent must be a nonnegative integer, got {m}")
+    check_integer("m", m, 0)
     lo_ok = a > 0 if positive_a else a >= 0
     if not (lo_ok and a <= b <= 1.0):
         raise ValueError(f"invalid interval [{a}, {b}]")
@@ -314,9 +312,7 @@ def case6_coef(model: str, m: int | None, params):
     if m is None:
         return 0.0
     if not isinstance(m, np.ndarray):
-        m = _check_profile("m", m)
-        if m < 0:
-            raise ValueError(f"case 6 requires m >= 0, got m={m}")
+        m = check_integer("m", m, 0, MAX_PROFILE)
     p = Point.of(model, params)
     if model == COSP:
         return _ub(p, m)
@@ -595,27 +591,14 @@ MAX_THRESHOLD = 200
 MAX_PROFILE = 100_000
 
 
-def _check_profile(name: str, value):
-    # None, or an integer no greater than MAX_PROFILE
-    if value is None:
-        return None
-    value = check_integer(name, value)
-    if value > MAX_PROFILE:
-        raise ValueError(f"{name} exceeds the cap of {MAX_PROFILE}")
-    return value
-
-
 def check_thresholds(thresholds) -> tuple[int, int]:
-    """``thresholds`` as (tm, tk), two integers each in [1, MAX_THRESHOLD]."""
+    """``thresholds`` as (tm, tk), each checked by ``check_integer`` in
+    [1, MAX_THRESHOLD] under its name; a non-pair is not "two integers"."""
     try:
-        tm, tk = map(operator.index, thresholds)
+        tm, tk = thresholds
     except (TypeError, ValueError):
         raise ValueError(f"thresholds must be two integers, got {thresholds!r}") from None
-    if tm < 1 or tk < 1:
-        raise ValueError("thresholds must be >= 1")
-    if tm > MAX_THRESHOLD or tk > MAX_THRESHOLD:
-        raise ValueError(f"thresholds {tm}, {tk} exceed the cap of {MAX_THRESHOLD}")
-    return tm, tk
+    return check_integer("tm", tm, 1, MAX_THRESHOLD), check_integer("tk", tk, 1, MAX_THRESHOLD)
 
 
 def case_bound(
@@ -633,10 +616,10 @@ def case_bound(
     ``thresholds`` bounds m and m2, tk bounds k), and the bound is then the
     case's floor over every such value.  A large m2 needs a large m, since
     m2 <= m; under a large k, m2 is ignored.  Every case, case 0 included,
-    checks the values given: each an integer (a bool or a float is
-    refused), m at least the case's minimum, k >= 0, 0 <= m2 <= m and none
-    above ``MAX_PROFILE``, and the thresholds with ``check_thresholds``,
-    before cases 1 and 2 drop k and m2 and case 3 clamps m2.
+    checks with ``core.check_integer`` case_id in [0, 6], the thresholds and
+    each of m, k and m2 given in [lo, ``MAX_PROFILE``] (lo is the case's
+    least m for m, 0 for k and m2), then m2 <= m, before cases 1 and 2 drop
+    k and m2 and case 3 clamps m2.
 
     Case 0 (no mistakes) is the floor (1-theta)/(1+theta), theta being the
     worst admissible error.  Case 2 (the top prediction is the true best, not
@@ -646,19 +629,16 @@ def case_bound(
     reduced profile's window.  Cases 0, 2 and 3 are exact only.
     """
     check_model(model)
-    if case_id not in _CASE_M_MIN:
-        raise ValueError(f"unknown case {case_id}")
+    case_id = check_integer("case_id", case_id, 0, 6)
     if None in (m, k, m2) and (model, case_id) not in CASE_FORMS:
         raise ValueError(f"case {case_id} has no large-regime form")
     tm, tk = check_thresholds(thresholds)
-    m, k, m2 = (_check_profile(name, v) for name, v in (("m", m), ("k", k), ("m2", m2)))
-    if m is not None and m < _CASE_M_MIN[case_id]:
-        raise ValueError(f"case {case_id} requires m >= {_CASE_M_MIN[case_id]}, got m={m}")
-    if k is not None and k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    m = None if m is None else check_integer("m", m, _CASE_M_MIN[case_id], MAX_PROFILE)
+    k = None if k is None else check_integer("k", k, 0, MAX_PROFILE)
+    m2 = None if m2 is None else check_integer("m2", m2, 0, MAX_PROFILE)
     if m2 is None and m is not None and k is not None:
         raise ValueError(f"m2 cannot be large while m={m} and k={k} are small")
-    if m2 is not None and (m2 < 0 or m is not None and m2 > m):
+    if m2 is not None and m is not None and m2 > m:
         raise ValueError(f"m2={m2} outside [0, m={m}]")
     if case_id == 0:
         return params.r if isinstance(params, Point) else prediction_floor(params.theta)

@@ -176,9 +176,7 @@ def entry_groups(model: str, tm: int, tk: int, size: int | None = None):
     """
     check_model(model)
     tm, tk = check_thresholds((tm, tk))
-    size = check_integer("size", _CHUNK if size is None else size)
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    size = check_integer("size", _CHUNK if size is None else size, 1)
     yield 6, "exact", 0, 0, 0
     # case 1 reads m alone and is taken at the first cell (m, 0, m)
     ms = np.arange(_LEAST_M[model, 1], tm + 1)

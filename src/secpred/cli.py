@@ -124,23 +124,18 @@ def _cmd_tune(args) -> int:
 def _cmd_derand_demo(args) -> int:
     from scipy.stats import kstest
 
-    if not (1 <= args.n <= core.BLOCK_ELEMENTS and 1 <= args.samples <= MAX_DEMO_SAMPLES):
-        raise ValueError(
-            f"need 1 <= n <= {core.BLOCK_ELEMENTS} and 1 <= samples <= {MAX_DEMO_SAMPLES}, "
-            f"got n={args.n} samples={args.samples}"
-        )
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
+    n = core.check_integer("--n", args.n, 1, core.BLOCK_ELEMENTS)
+    samples = core.check_integer("--samples", args.samples, 1, MAX_DEMO_SAMPLES)
+    rng = np.random.default_rng(core.check_integer("--seed", args.seed, 0))
     # rows of about BLOCK_ELEMENTS draws at a time; the generator fills them
     # in order, so t1 is the same as from one (samples x n) draw
-    rows = max(1, core.BLOCK_ELEMENTS // args.n)
+    rows = max(1, core.BLOCK_ELEMENTS // n)
     t1 = np.concatenate([
-        rng.random((min(rows, args.samples - lo), args.n)).min(axis=1)
-        for lo in range(0, args.samples, rows)
+        rng.random((min(rows, samples - lo), n)).min(axis=1)
+        for lo in range(0, samples, rows)
     ])
-    stat, pvalue = kstest(uniform_from_first_arrival(t1, args.n), "uniform")
-    print(f"n={args.n} samples={args.samples} ks_stat={_F.format(stat)} p={_F.format(pvalue)}")
+    stat, pvalue = kstest(uniform_from_first_arrival(t1, n), "uniform")
+    print(f"n={n} samples={samples} ks_stat={_F.format(stat)} p={_F.format(pvalue)}")
     return 0
 
 

@@ -58,25 +58,30 @@ def check_model(model: str) -> str:
     return model
 
 
-def check_integer(name: str, x) -> int:
-    """``x`` as an int if it is an exact integer, else a ValueError naming
-    ``name``.  A bool is refused, and so is a float even when it is whole."""
+def check_integer(name: str, x, lo: int | None = None, hi: int | None = None) -> int:
+    """``x`` as an int if it is an exact integer in [lo, hi] (a bound of None
+    is not checked), else a ValueError naming ``name``: "must be an integer"
+    for a bool, a float (even a whole one) or any other type, "must be >= lo",
+    or "exceeds the cap of hi", which does not echo a value that may have
+    hundreds of digits.  The package's one check of an integer argument."""
     # operator.index takes an exact integer of any type, a bool among them
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {x!r}")
+    try:
+        if isinstance(x, bool):
+            raise TypeError
+        x = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    if lo is not None and x < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {x}")
+    if hi is not None and x > hi:
+        raise ValueError(f"{name} exceeds the cap of {hi}")
+    return x
 
 
 def check_seed(name: str, x) -> int:
     """``x`` as an int if it is an integer in [0, 2**64), the seeds a
     SplitMix64 stream holds, else a ValueError naming ``name``."""
-    x = check_integer(name, x)
-    if not 0 <= x < 2**64:
-        raise ValueError(f"{name} must lie in [0, 2**64), got {x}")
-    return x
+    return check_integer(name, x, 0, 2**64 - 1)
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,8 @@ class CaseProfile:
     m2: int
 
     def __post_init__(self):
-        if min(self.m, self.k, self.m2) < 0:
-            raise ValueError("profile counts must be nonnegative")
+        for name in ("m", "k", "m2"):
+            check_integer(name, getattr(self, name), 0)
         # A mistake is either below the top-predicted value (m2 of them),
         # above it (at most k), or the top-predicted candidate itself.
         if not max(0, self.m - self.k - 1) <= self.m2 <= self.m:
@@ -181,7 +186,11 @@ def build_instance(values: Sequence[float], predictions: Sequence[float]) -> Ins
         raise ValueError("empty instance")
     if len(values) != len(predictions):
         raise ValueError(f"length mismatch: {len(values)} values, {len(predictions)} predictions")
-    if not all(map(math.isfinite, [*values, *predictions])):
+    try:
+        finite = all(map(math.isfinite, [*values, *predictions]))
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("values and predictions must fit in a float") from None
+    if not finite:
         raise ValueError("values and predictions must be finite")
     if any(v < 0 for v in values) or any(p < 0 for p in predictions):
         raise ValueError("values and predictions must be nonnegative")
@@ -229,7 +238,10 @@ def load_instance(path: str) -> Instance:
         text = fh.read(MAX_INSTANCE_BYTES + 1)
     if len(text) > MAX_INSTANCE_BYTES:
         raise ValueError(f"{path}: larger than the cap of {MAX_INSTANCE_BYTES} bytes")
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply to parse") from None
     if not isinstance(obj, dict) or "values" not in obj or "predictions" not in obj:
         raise ValueError(f"{path}: expected an object with 'values' and 'predictions'")
     return build_instance(obj["values"], obj["predictions"])

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import Instance, PolicyParams, Schedule
+from .core import Instance, PolicyParams, Schedule, check_integer
 from .policy import TrialOutcome, run_trial
 
 __all__ = [
@@ -35,8 +35,7 @@ def uniform_from_first_arrival(t1: float | np.ndarray, n: int) -> float | np.nda
     relative precision for small t1 where the direct form rounds to 0; at
     t1 = 1 the log is -inf and the result is exactly 1.
     """
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
+    n = check_integer("n", n, 1)
     t = np.asarray(t1, dtype=float)
     bad = ~((0.0 <= t) & (t <= 1.0))  # NaN included
     if bad.any():
@@ -50,8 +49,7 @@ def bits_from_uniform(u: float, count: int) -> list[int]:
     """First ``count`` bits of the binary expansion of u in [0, 1)."""
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u={u} outside [0, 1)")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = check_integer("count", count, 1)
     bits = []
     x = u
     for _ in range(count):

@@ -402,19 +402,14 @@ def run_trials_batch(
     ``order``, and the rows with two equal times among the columns they
     read are then replayed by ``run_trial``, in row order.
 
-    ``base_seed`` must lie in [0, 2**64), the seeds a stream can hold.
+    ``base_seed`` must lie in [0, 2**64), the seeds a stream can hold, and
+    start and count are integers >= 0 with start + count <= 2**64, since
+    trial indices are uint64; each is checked by ``core.check_integer``.
     """
     beta = params.require_beta() if check_model(model) == COSP else None
     base_seed = check_seed("base_seed", base_seed)
-    start = check_integer("start", start)
-    count = check_integer("count", count)
-    if start < 0:
-        raise ValueError(f"start must be >= 0, got {start}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    # trial indices are drawn as uint64
-    if start + count > 2**64:
-        raise ValueError(f"start + count must be at most 2**64, got {start + count}")
+    start = check_integer("start", start, 0, 2**64)
+    count = check_integer("count", count, 0, 2**64 - start)
 
     n = instance.n
     v = np.asarray(instance.values)

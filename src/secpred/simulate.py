@@ -79,9 +79,7 @@ def estimate_ratio(
     ``seed`` must lie in [0, 2**64), the seeds a stream can hold.
     """
     check_model(model)
-    trials = check_integer("trials", trials)
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    trials = check_integer("trials", trials, 1, MAX_TRIALS)
     seed = check_seed("seed", seed)
     parts = [
         _chunk_sums(instance, model, params, seed, s, min(CHUNK, trials - s))
@@ -120,12 +118,6 @@ def default_deviation(theta: float) -> float:
 _FILLER_GEOMETRIC_MAX = 6000
 
 
-def _check_n(n: int, least: int) -> None:
-    # before _fillers builds its list; build_instance would refuse the result
-    if not least <= n <= BLOCK_ELEMENTS:
-        raise ValueError(f"need {least} <= n <= {BLOCK_ELEMENTS}, got n={n}")
-
-
 def _fillers(count: int, below: float) -> list[float]:
     # count distinct positive values decreasing from below / 2
     last = _FILLER_GEOMETRIC_MAX
@@ -138,7 +130,7 @@ def _fillers(count: int, below: float) -> list[float]:
 def gen_underestimated_best(n: int, deviation: float, theta: float) -> Instance:
     """Exact predictions everywhere except the true best, which is
     underestimated past the switching threshold."""
-    _check_n(n, 2)
+    n = check_integer("n", n, 2, BLOCK_ELEMENTS)
     if not deviation > theta:
         raise ValueError(f"deviation {deviation} must exceed theta {theta}")
     runner_up = max(0.9, 1.0 - deviation + 0.01)
@@ -153,7 +145,7 @@ def gen_underestimated_best(n: int, deviation: float, theta: float) -> Instance:
 def gen_overestimated_top(n: int, deviation: float, theta: float) -> Instance:
     """Exact predictions everywhere except a runner-up overestimated into the
     top predicted slot."""
-    _check_n(n, 2)
+    n = check_integer("n", n, 2, BLOCK_ELEMENTS)
     if not deviation > theta:
         raise ValueError(f"deviation {deviation} must exceed theta {theta}")
     v_hat = min(0.98, max(0.9, 1.001 / (1.0 + deviation)))
@@ -197,18 +189,20 @@ def gen_case_family(
     if not dev > theta:
         raise ValueError(f"deviation {dev} must exceed theta {theta}")
     near = 0.9 * theta
-    _check_n(n, m + k + 1)
+    case_id = check_integer("case_id", case_id, 1, 6)
+    m = check_integer("m", m, 1)
+    k = check_integer("k", k, 0)
+    m2 = check_integer("m2", m2, 0)
+    n = check_integer("n", n, m + k + 1, BLOCK_ELEMENTS)  # before _fillers builds a list
 
     feasible = {
-        1: m >= 1 and k == 0 and m2 == m - 1,
-        2: m >= 1 and k == 0 and m2 == m,
+        1: k == 0 and m2 == m - 1,
+        2: k == 0 and m2 == m,
         3: m >= 2 and k >= 1 and m2 <= m - 2 and 1 <= m - 1 - m2 <= k,
-        4: m >= 1 and k >= 1 and m2 <= m - 1 and m - 1 - m2 <= k - 1,
-        5: m >= 1 and k >= 1 and m2 <= m - 1 and 1 <= m - m2 <= k,
-        6: m >= 1 and k >= 1 and m2 <= m and m - m2 <= k - 1,
+        4: k >= 1 and m2 <= m - 1 and m - 1 - m2 <= k - 1,
+        5: k >= 1 and m2 <= m - 1 and 1 <= m - m2 <= k,
+        6: k >= 1 and m2 <= m and m - m2 <= k - 1,
     }
-    if case_id not in feasible:
-        raise ValueError(f"case_id must be 1..6, got {case_id}")
     if not feasible[case_id]:
         raise ValueError(f"case {case_id} cannot realize profile {(m, k, m2)}")
 

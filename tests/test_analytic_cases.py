@@ -34,30 +34,30 @@ def test_case0_examples():
 
 BAD_CALLS = {
     "unknown model": (partial(case_bound, "bogus", 1, 1, 0, 0, P), "unknown model 'bogus'"),
-    "case 7": (partial(case_bound, "cosp", 7, 1, 1, 0, P), "unknown case 7"),
-    "case 0, m=-5": (partial(case_bound, "cosp", 0, -5, 3, 9, P), "case 0 requires m >= 0"),
+    "case 7": (partial(case_bound, "cosp", 7, 1, 1, 0, P), "case_id exceeds the cap of 6"),
+    "case 0, m=-5": (partial(case_bound, "cosp", 0, -5, 3, 9, P), "m must be >= 0, got -5"),
     "case 0, m2>m": (partial(case_bound, "rosp", 0, 0, 0, 2, Q), "m2=2 outside"),
-    "case 1, m=0": (partial(case_bound, "cosp", 1, 0, 0, 0, P), "case 1 requires m >= 1"),
-    "case 3, m=1": (partial(case_bound, "rosp", 3, 1, 1, 0, Q), "case 3 requires m >= 2"),
-    "case 4, m=0": (partial(case_bound, "cosp", 4, 0, 1, 0, P), "case 4 requires m >= 1"),
-    "k=-1": (partial(case_bound, "rosp", 5, 2, -1, 0, Q), "k must be nonnegative"),
+    "case 1, m=0": (partial(case_bound, "cosp", 1, 0, 0, 0, P), "m must be >= 1, got 0"),
+    "case 3, m=1": (partial(case_bound, "rosp", 3, 1, 1, 0, Q), "m must be >= 2, got 1"),
+    "case 4, m=0": (partial(case_bound, "cosp", 4, 0, 1, 0, P), "m must be >= 1, got 0"),
+    "k=-1": (partial(case_bound, "rosp", 5, 2, -1, 0, Q), "k must be >= 0, got -1"),
     "m2>m": (partial(case_bound, "cosp", 4, 2, 1, 3, P), "m2=3 outside"),
-    "case 6, m=-1": (partial(case_bound, "rosp", 6, -1, 1, 0, Q), "case 6 requires m >= 0"),
+    "case 6, m=-1": (partial(case_bound, "rosp", 6, -1, 1, 0, Q), "m must be >= 0, got -1"),
     "regime thresholds": (
         partial(case_bound, "cosp", 1, None, 0, 0, P, thresholds=(0, 20)),
-        "thresholds must be >= 1",
+        "tm must be >= 1, got 0",
     ),
     "thresholds nan": (
         partial(case_bound, "rosp", 4, 1, None, None, Q, thresholds=(float("nan"), 20)),
-        "thresholds must be two integers",
+        "tm must be an integer, got nan",
     ),
     "thresholds 20.5": (
         partial(case_bound, "rosp", 4, 1, None, None, Q, thresholds=(20.5, 20)),
-        "thresholds must be two integers",
+        "tm must be an integer, got 20.5",
     ),
     "thresholds above cap": (
         partial(case_bound, "cosp", 1, 2, 0, 0, P, thresholds=(10**6, 20)),
-        "exceed the cap of 200",
+        "tm exceeds the cap of 200",
     ),
     "m above cap": (partial(case_bound, "cosp", 1, 10**400, 0, 0, P), "m exceeds the cap"),
     "k above cap": (partial(case_bound, "cosp", 4, 5, 10**6, 1, P), "k exceeds the cap"),
@@ -72,17 +72,17 @@ BAD_CALLS = {
         partial(case_bound, "cosp", 3, 4, None, 0, P), "case 3 has no large-regime form"
     ),
     "regime case 1, m=0": (
-        partial(case_bound, "rosp", 1, 0, None, None, Q), "case 1 requires m >= 1"
+        partial(case_bound, "rosp", 1, 0, None, None, Q), "m must be >= 1, got 0"
     ),
-    "large m, m2=-4": (partial(case_bound, "cosp", 5, None, 1, -4, P), "m2=-4 outside"),
-    "large m, m2=-3": (partial(case_bound, "rosp", 4, None, 2, -3, Q), "m2=-3 outside"),
-    "large m, k=-1": (partial(case_bound, "cosp", 4, None, -1, 0, P), "k must be nonnegative"),
+    "large m, m2=-4": (partial(case_bound, "cosp", 5, None, 1, -4, P), "m2 must be >= 0, got -4"),
+    "large m, m2=-3": (partial(case_bound, "rosp", 4, None, 2, -3, Q), "m2 must be >= 0, got -3"),
+    "large m, k=-1": (partial(case_bound, "cosp", 4, None, -1, 0, P), "k must be >= 0, got -1"),
     "large m2, small m": (
         partial(case_bound, "cosp", 4, 3, 1, None, P), "m2 cannot be large while m=3"
     ),
     "case 3, m2>m": (partial(case_bound, "cosp", 3, 4, 1, 99, P), "m2=99 outside"),
-    "case 3, m2=-3": (partial(case_bound, "cosp", 3, 4, 1, -3, P), "m2=-3 outside"),
-    "case 1, k=-7": (partial(case_bound, "cosp", 1, 2, -7, 99, P), "k must be nonnegative"),
+    "case 3, m2=-3": (partial(case_bound, "cosp", 3, 4, 1, -3, P), "m2 must be >= 0, got -3"),
+    "case 1, k=-7": (partial(case_bound, "cosp", 1, 2, -7, 99, P), "k must be >= 0, got -7"),
     "case 1, m2>m": (partial(case_bound, "rosp", 1, 2, 0, 99, Q), "m2=99 outside"),
     "case 2, m2>m": (partial(case_bound, "cosp", 2, 1, 0, 5, P), "m2=5 outside"),
     "m=2.5": (partial(case_bound, "cosp", 1, 2.5, 0, 0, P), "m must be an integer, got 2.5"),
@@ -90,7 +90,7 @@ BAD_CALLS = {
     "k=1.0": (partial(case_bound, "rosp", 4, 2, 1.0, 0, Q), "k must be an integer, got 1.0"),
     "m2=False": (partial(case_bound, "cosp", 4, 2, 1, False, P), "m2 must be an integer"),
     "regime, k=0.5": (partial(case_bound, "cosp", 5, None, 0.5, None, P), "k must be an integer"),
-    "case6_coef, m=-1": (partial(case6_coef, "rosp", -1, Q), "case 6 requires m >= 0, got m=-1"),
+    "case6_coef, m=-1": (partial(case6_coef, "rosp", -1, Q), "m must be >= 0, got -1"),
     "case6_coef, m=2.5": (partial(case6_coef, "cosp", 2.5, P), "m must be an integer, got 2.5"),
     "case6_coef, m=True": (partial(case6_coef, "rosp", True, Q), "m must be an integer, got True"),
     "case6_coef, m above cap": (partial(case6_coef, "cosp", 10**6, P), "m exceeds the cap"),
@@ -99,7 +99,7 @@ BAD_CALLS = {
         "exponent must be a nonnegative integer, got -1",
     ),
     "pow_over_x_integral, m=-1": (
-        partial(pow_over_x_integral, 0.2, 0.5, -1), "exponent must be a nonnegative integer"
+        partial(pow_over_x_integral, 0.2, 0.5, -1), "m must be >= 0, got -1"
     ),
 }
 

@@ -247,7 +247,7 @@ def test_margin_is_fixed():
 def test_threshold_cap():
     certify("cosp", P, 0.262, thresholds=(MAX_THRESHOLD, 1))
     for thresholds in ((MAX_THRESHOLD + 1, 1), (1, MAX_THRESHOLD + 1), (100_000, 1)):
-        with pytest.raises(ValueError, match="exceed the cap"):
+        with pytest.raises(ValueError, match="t[mk] exceeds the cap of 200"):
             certify("cosp", P, 0.262, thresholds=thresholds)
 
 
@@ -258,7 +258,10 @@ def test_threshold_cap():
     lambda t: grid_search("rosp", GridSpec.single(Q), search_thresholds=t),
 ], ids=["certify", "grid_search", "grid_search search_thresholds"])
 def test_non_integer_thresholds_rejected(run, thresholds):
-    with pytest.raises(ValueError, match="thresholds must be two integers"):
+    # a pair is checked item by item, anything else as a whole
+    pair = isinstance(thresholds, tuple) and len(thresholds) == 2
+    match = "t[mk] must be an integer" if pair else "thresholds must be two integers"
+    with pytest.raises(ValueError, match=match):
         run(thresholds)
 
 
@@ -279,8 +282,10 @@ def test_precondition_errors():
     (("xosp", 3, 3), "unknown model"),
     (("cosp", 0, 3), ">= 1"),
     (("rosp", 3, -2), ">= 1"),
-    (("cosp", 3.5, 3), "two integers"),
-    (("rosp", 300, 300), "exceed the cap"),
+    # the two ids name the rule their row breaks, as they did before the
+    # message named the threshold
+    pytest.param(("cosp", 3.5, 3), "tm must be an integer, got 3.5", id="args3-two integers"),
+    pytest.param(("rosp", 300, 300), "tm exceeds the cap of 200", id="args4-exceed the cap"),
 ])
 @pytest.mark.parametrize("walk", [entry_groups, iter_entries], ids=["entry_groups", "iter_entries"])
 def test_enumeration_arguments_checked(walk, args, match):

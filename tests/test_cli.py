@@ -48,7 +48,7 @@ def test_certify_oversized_thresholds_exit_two(capsys):
     assert main(["certify", *ROSP_FLAGS, "--target-b", "0.221", "--tm", "100000", "--tk", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "exceed the cap" in err
+    assert "tm exceeds the cap of 200" in err
 
 
 def test_certificate_byte_stable(tmp_path):
@@ -154,7 +154,7 @@ def test_gen_oversized_instance_exit_two(tmp_path, capsys, monkeypatch, family):
     out = tmp_path / "inst.json"
     argv = ["gen", *family, "--n", str(BLOCK_ELEMENTS + 1), "--theta", "0.58", "--out", str(out)]
     assert main(argv) == 2
-    assert f"n <= {BLOCK_ELEMENTS}" in capsys.readouterr().err
+    assert f"n exceeds the cap of {BLOCK_ELEMENTS}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -171,7 +171,7 @@ def test_simulate_oversized_trials_exit_two(tmp_path, capsys, monkeypatch):
         ["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", str(sim.MAX_TRIALS + 1)]
     )
     assert code == 2
-    assert "trials must lie in" in capsys.readouterr().err
+    assert f"trials exceeds the cap of {sim.MAX_TRIALS}" in capsys.readouterr().err
 
 
 def test_evaluate_theta_outside_unit_interval_exit_two(capsys):
@@ -239,6 +239,26 @@ def test_simulate_malformed_instance_exit_two(tmp_path, capsys, body):
     )
     assert code == 2
     assert "list of real numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"values": [1' + "0" * 400 + ', 2], "predictions": [1, 2]}', "fit in a float"),
+        ('{"values": ' + "[" * 200_000 + "]" * 200_000 + ', "predictions": [1]}',
+         "nested too deeply to parse"),
+    ],
+    ids=["overflow", "recursion"],
+)
+def test_simulate_unreadable_instance_exit_two(tmp_path, capsys, text, message):
+    # an integer beyond the float range and brackets nested past the parser's
+    # recursion limit are usage errors, not tracebacks
+    inst = tmp_path / "inst.json"
+    inst.write_text(text)
+    code = main(["simulate", "--instance", str(inst), *COSP_FLAGS, "--trials", "10"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize(
@@ -349,7 +369,8 @@ def test_simulate_seed_out_of_range_exit_two(tmp_path, capsys, monkeypatch, seed
     code = main(["simulate", "--instance", str(inst), *ROSP_FLAGS, "--trials", "10",
                  "--seed", seed])
     assert code == 2
-    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    want = "seed must be >= 0, got -5" if seed == "-5" else f"seed exceeds the cap of {2**64 - 1}"
+    assert want in capsys.readouterr().err
 
 
 def test_tune_oversized_grid_exit_two(capsys):

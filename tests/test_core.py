@@ -69,7 +69,7 @@ def test_build_errors():
          "tau=nan outside"),
         (lambda: PolicyParams(theta=0.5, tau=0.3, gamma=0.3, delta=0.5, beta=1.0),
          "beta=1.0 outside"),
-        (lambda: CaseProfile(1, -1, 0), "profile counts must be nonnegative"),
+        (lambda: CaseProfile(1, -1, 0), "k must be >= 0, got -1"),
         (lambda: CaseProfile(3, 0, 0), "inadmissible profile"),
         (lambda: Schedule((0.5, 1.5)), "arrival times must lie in"),
         (lambda: mistake_set(build_instance([1.0], [1.0]), 1.5), "theta=1.5 outside"),
@@ -190,3 +190,21 @@ def test_instance_file_round_trip(tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")
         load_instance(str(bad))
+
+
+# an integer beyond the float range, and brackets nested past the parser's
+# recursion limit: each is a ValueError, not an OverflowError or a
+# RecursionError
+UNREADABLE_FILES = {
+    "overflow": ('{"values": [1' + "0" * 400 + ', 2], "predictions": [1, 2]}', "fit in a float"),
+    "recursion": ('{"values": ' + "[" * 200_000 + "]" * 200_000 + ', "predictions": [1]}',
+                  "nested too deeply to parse"),
+}
+
+
+@pytest.mark.parametrize("text,message", UNREADABLE_FILES.values(), ids=list(UNREADABLE_FILES))
+def test_unreadable_instance_file_rejected(tmp_path, text, message):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_instance(str(path))

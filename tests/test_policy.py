@@ -383,12 +383,23 @@ def test_each_tie_replayed_once(monkeypatch, row_elements, inst, model, params, 
     [
         ("start", -3, "start must be >= 0"),
         ("start", 2.0, "start must be an integer"),
-        ("start", 2**64, "start \\+ count must be at most 2\\*\\*64"),
+        # these three ids name the rule their row breaks, as the message
+        # did before the bounds moved into check_integer
+        pytest.param(
+            "start", 2**64, "count exceeds the cap of 0",
+            id="start-18446744073709551616-start \\+ count must be at most 2\\*\\*64",
+        ),
         ("count", -5, "count must be >= 0"),
         ("count", 10.0, "count must be an integer"),
         ("base_seed", 1.5, "base_seed must be an integer"),
-        ("base_seed", -1, "base_seed must lie in \\[0, 2\\*\\*64\\)"),
-        ("base_seed", 2**64, "base_seed must lie in \\[0, 2\\*\\*64\\)"),
+        pytest.param(
+            "base_seed", -1, "base_seed must be >= 0, got -1",
+            id="base_seed--1-base_seed must lie in \\[0, 2\\*\\*64\\)",
+        ),
+        pytest.param(
+            "base_seed", 2**64, f"base_seed exceeds the cap of {2**64 - 1}",
+            id="base_seed-18446744073709551616-base_seed must lie in \\[0, 2\\*\\*64\\)",
+        ),
     ],
 )
 def test_batch_refuses_bad_integers(arg, value, match):

@@ -47,8 +47,8 @@ def test_seed_determinism():
     [
         pytest.param(1.5, "seed must be an integer", id="seed 1.5"),
         pytest.param("2", "seed must be an integer", id="seed '2'"),
-        pytest.param(-1, "seed must lie in \\[0, 2\\*\\*64\\)", id="seed -1"),
-        pytest.param(2**64, "seed must lie in \\[0, 2\\*\\*64\\)", id="seed 2**64"),
+        pytest.param(-1, "seed must be >= 0, got -1", id="seed -1"),
+        pytest.param(2**64, f"seed exceeds the cap of {2**64 - 1}", id="seed 2**64"),
     ],
 )
 def test_bad_seeds_rejected(monkeypatch, seed, message):
@@ -66,8 +66,12 @@ def _no_chunks(*args):
     "model,trials,message",
     [
         ("foo", 10, "unknown model 'foo'"),
-        ("rosp", 10**9 + 1, "trials must lie in"),  # MAX_TRIALS + 1
-        ("rosp", 0, "trials must lie in"),
+        # these two ids name the rule their row breaks, trials in [1, MAX_TRIALS]
+        pytest.param(
+            "rosp", 10**9 + 1, "trials exceeds the cap of 1000000000",  # MAX_TRIALS + 1
+            id="rosp-1000000001-trials must lie in",
+        ),
+        pytest.param("rosp", 0, "trials must be >= 1, got 0", id="rosp-0-trials must lie in"),
         ("rosp", 1000.0, "trials must be an integer"),
         ("rosp", "1000", "trials must be an integer"),
     ],
@@ -174,7 +178,7 @@ def test_case_family_infeasible_requests():
         (lambda: gen_overestimated_top(4, 0.5, 0.58), "deviation 0.5 must exceed theta 0.58"),
         (lambda: gen_case_family(4, 2, 1, 1, 5, 0.58, deviation=0.58),
          "deviation 0.58 must exceed theta 0.58"),
-        (lambda: gen_case_family(7, 2, 1, 1, 5, 0.58), "case_id must be 1..6, got 7"),
+        (lambda: gen_case_family(7, 2, 1, 1, 5, 0.58), "case_id exceeds the cap of 6"),
     ],
     ids=["overestimated top", "case family", "case 7"],
 )

@@ -57,9 +57,9 @@ def test_oversized_inputs_rejected_before_search():
     with pytest.raises(ValueError, match="exceeds the cap"):
         grid_search("cosp", GridSpec(axis * 2, axis, axis, axis))
     single = GridSpec.single(Q)
-    with pytest.raises(ValueError, match="exceed the cap"):
+    with pytest.raises(ValueError, match="tm exceeds the cap of 200"):
         grid_search("rosp", single, thresholds=(MAX_THRESHOLD + 1, 20))
-    with pytest.raises(ValueError, match="exceed the cap"):
+    with pytest.raises(ValueError, match="tk exceeds the cap of 200"):
         grid_search("rosp", single, search_thresholds=(10, MAX_THRESHOLD + 1))
 
 
