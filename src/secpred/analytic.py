@@ -1,9 +1,9 @@
 """Closed-form case bounds for the prediction-aware secretary policy.
 
 Evaluates the per-case competitive-ratio lower bounds for chosen-order
-(cosp) and random-order (rosp) arrivals, the appendix integral lemmas they
-are built from, and the symbolic floors used when a structure parameter
-(m, k, or m2) is large.
+(cosp) and random-order (rosp) arrivals, the pow-over-x integral they are
+built from, and the symbolic floors used when a structure parameter (m, k,
+or m2) is large.
 
 Conventions used throughout:
 
@@ -44,9 +44,6 @@ import numpy as np
 from .core import COSP, ROSP, PolicyParams, check_integer, check_model
 
 __all__ = [
-    "min_density_mass",
-    "min_density_first_moment",
-    "log_ratio",
     "pow_over_x_integral",
     "prediction_floor",
     "Point",
@@ -61,59 +58,26 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# appendix lemmas
+# the pow-over-x integral
 # ---------------------------------------------------------------------------
 
-def min_density_mass(a: float, b: float, m: int) -> float:
-    """Mass of the min-of-m-uniforms density m(1-x)^(m-1) on [a, b]."""
-    _check_interval(a, b, m, positive_a=False)
-    return (1.0 - a) ** m - (1.0 - b) ** m
-
-
-def min_density_first_moment(a: float, b: float, m: int) -> float:
-    """Integral of x * m(1-x)^(m-1) over [a, b]."""
-    _check_interval(a, b, m, positive_a=False)
-    f = m / (m + 1.0)
-    return (
-        (1.0 - a) ** m
-        - (1.0 - b) ** m
-        - f * (1.0 - a) ** (m + 1)
-        + f * (1.0 - b) ** (m + 1)
-    )
-
-
-def log_ratio(a: float, b: float) -> float:
-    """Integral of 1/x over [a, b], i.e. ln(b/a)."""
-    if a <= 0:
-        raise ValueError(f"log_ratio requires a > 0, got a={a}")
-    if b < a:
-        raise ValueError(f"log_ratio requires a <= b, got {a} > {b}")
-    return math.log(b / a)
-
-
 def pow_over_x_integral(a: float, b: float, m: int) -> float:
-    """Integral of (1-x)^m / x over [a, b], for 0 < a <= b <= 1.
+    """Integral of (1-x)^m / x over [a, b], for 0 < a <= b <= 1 and m in
+    [0, ``MAX_PROFILE``]: entry m of ``_pox_row``'s row for the limits, the
+    values every case form, and so certify and tune, reads.
 
     Since (1-x)^m / x = (1-x)^(m-1) / x - (1-x)^(m-1), the integral obeys
     I_m = I_(m-1) - ((1-a)^m - (1-b)^m) / m with I_0 = ln(b/a), so
 
         I_m = ln(b/a) - sum_{j=1}^{m} ((1-a)^j - (1-b)^j) / j,
 
-    a finite sum of nonnegative terms, taken with ``math.fsum``.  The error
-    is absolute, not relative: against 50-digit mpmath it is at most 1.7e-15
+    a finite sum of nonnegative terms, rounded correctly.  The error is
+    absolute, not relative: against 40-digit mpmath it is at most 1.7e-15
     for a >= 0.001 and m <= 400.  Where I_m is far below ln(b/a) the result
-    can sit a few ulps below zero.
+    can sit a few ulps below zero.  The row holds m + 1 floats, hence the cap.
     """
-    _check_interval(a, b, m, positive_a=True)
-    ua, ub = 1.0 - a, 1.0 - b
-    return math.log(b / a) - math.fsum((ua**j - ub**j) / j for j in range(1, m + 1))
-
-
-def _check_interval(a: float, b: float, m: int, positive_a: bool) -> None:
-    check_integer("m", m, 0)
-    lo_ok = a > 0 if positive_a else a >= 0
-    if not (lo_ok and a <= b <= 1.0):
-        raise ValueError(f"invalid interval [{a}, {b}]")
+    m = check_integer("m", m, 0, MAX_PROFILE)
+    return float(_pox_row({}, a, b, m + 1)[m])
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +109,10 @@ class Point:
     enumeration takes each of them once.  A power's column is numpy's array
     power of the base, a 0-d array at a scalar point.  An integral's column
     comes from one row per (lower, upper) limit pair, which ``_pox_row``
-    fills in one pass with ``pow_over_x_integral``'s bits, once per
-    (tau, beta) pair on tune's mesh; the row's n = 0 entry, ln(b/a), is the
-    interval's log wherever a form reads it.  ``rows``, a dict of those rows,
-    may be shared by points over the same (tau, beta) values.  Nothing on a
-    point depends on the thresholds.
+    fills in one pass, once per (tau, beta) pair on tune's mesh; the row's
+    n = 0 entry, ln(b/a), is the interval's log wherever a form reads it.
+    ``rows``, a dict of those rows, may be shared by points over the same
+    (tau, beta) values.  Nothing on a point depends on the thresholds.
     """
 
     def __init__(self, tau, gamma, delta, beta=None, r=0.0, rows=None):
@@ -221,13 +184,15 @@ def _limits(p, interval):
 
 def _pox_row(rows, a, b, size):
     # pow_over_x_integral(a, b, n) for n = 0, ..., size - 1 in one pass, kept
-    # in rows.  The terms are pow_over_x_integral's; partials holds their
-    # running sum exactly (Shewchuk's nonoverlapping partials), and math.fsum
-    # rounds an exact sum correctly, so each value has pow_over_x_integral's
-    # bits for any exponent, in time linear in size
+    # in rows: ln(b/a) minus the sum of the terms ((1-a)^j - (1-b)^j) / j for
+    # j <= n.  partials holds their running sum exactly (Shewchuk's
+    # nonoverlapping partials), and math.fsum rounds an exact sum correctly,
+    # so each value is the correctly rounded sum taken from the log, in time
+    # linear in size
     row = rows.get((a, b))
     if row is None or len(row) < size:
-        _check_interval(a, b, size - 1, positive_a=True)
+        if not 0.0 < a <= b <= 1.0:
+            raise ValueError(f"invalid interval [{a}, {b}]")
         ua, ub = 1.0 - a, 1.0 - b
         head = math.log(b / a)
         partials, values = [], [head]

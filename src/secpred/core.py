@@ -38,8 +38,8 @@ __all__ = [
 COSP = "cosp"
 ROSP = "rosp"
 
-# Elements per array in a block of simulation rows or of tune's search mesh,
-# so memory stays a few megabytes; also the most candidates an instance has.
+# Elements per array in a block of tune's search mesh or a row of derand-demo
+# draws, so memory stays a few megabytes; also an instance's most candidates.
 BLOCK_ELEMENTS = 1 << 20
 # Instance files above this are refused unparsed.  dump_instance writes at
 # most 50 bytes a candidate (two float reprs of at most 23 characters, each

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import check_seed
+from .core import check_integer, check_seed
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -46,8 +46,9 @@ def _mix_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
 
 
 def trial_seed(base_seed: int, index: int) -> int:
-    """64-bit mix of (base_seed, trial index)."""
+    """64-bit mix of (base_seed, trial index), for an index in [0, 2**64)."""
     base_seed = check_seed("base_seed", base_seed)
+    index = check_integer("index", index, 0, 2**64 - 1)
     return _mix((_mix(base_seed) + (index + 1) * _DERIVE) & _MASK)
 
 
@@ -98,8 +99,11 @@ def uniforms_at(
 
 
 def trial_seeds_vector(base_seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized ``trial_seed`` for indices start .. start+count-1."""
+    """Vectorized ``trial_seed`` for indices start .. start+count-1, all in
+    [0, 2**64): start and count are checked as in ``run_trials_batch``."""
     base_seed = check_seed("base_seed", base_seed)
+    start = check_integer("start", start, 0, 2**64)
+    count = check_integer("count", count, 0, 2**64 - start)
     idx = np.arange(start, start + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = np.uint64(_mix(base_seed)) + (idx + np.uint64(1)) * np.uint64(_DERIVE)

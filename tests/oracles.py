@@ -1,13 +1,18 @@
-"""Independent quadrature oracles for the analytic case bounds.
+"""Independent oracles for the analytic case bounds.
 
-Everything here evaluates the defining sub-case integrals with scipy's
+The case oracles evaluate the defining sub-case integrals with scipy's
 QUADPACK, never reusing the package's closed forms, so formula bugs and
-oracle bugs stay uncorrelated.
+oracle bugs stay uncorrelated.  The appendix lemmas at the end are closed
+forms kept here as specs: ``pow_over_x_fsum`` is the sum that the
+package's pow-over-x rows must match bit for bit, and the three others
+have no caller in the package and are checked against quadrature.
 """
 
 import math
 
 from scipy.integrate import quad
+
+from secpred.core import check_integer
 
 EPS = 1e-12
 
@@ -92,3 +97,50 @@ def _with_beta(p, b):
 
 COSP_ORACLES = {1: cosp_case1_oracle, 4: cosp_case4_oracle, 5: cosp_case5_oracle, 6: cosp_case6_oracle}
 ROSP_ORACLES = {1: rosp_case1_oracle, 4: rosp_case4_oracle, 5: rosp_case5_oracle, 6: rosp_case6_oracle}
+
+
+# ---------------------------------------------------------------------------
+# appendix lemmas
+# ---------------------------------------------------------------------------
+
+def min_density_mass(a: float, b: float, m: int) -> float:
+    """Mass of the min-of-m-uniforms density m(1-x)^(m-1) on [a, b]."""
+    _check_interval(a, b, m, positive_a=False)
+    return (1.0 - a) ** m - (1.0 - b) ** m
+
+
+def min_density_first_moment(a: float, b: float, m: int) -> float:
+    """Integral of x * m(1-x)^(m-1) over [a, b]."""
+    _check_interval(a, b, m, positive_a=False)
+    f = m / (m + 1.0)
+    return (
+        (1.0 - a) ** m
+        - (1.0 - b) ** m
+        - f * (1.0 - a) ** (m + 1)
+        + f * (1.0 - b) ** (m + 1)
+    )
+
+
+def log_ratio(a: float, b: float) -> float:
+    """Integral of 1/x over [a, b], i.e. ln(b/a)."""
+    if a <= 0:
+        raise ValueError(f"log_ratio requires a > 0, got a={a}")
+    if b < a:
+        raise ValueError(f"log_ratio requires a <= b, got {a} > {b}")
+    return math.log(b / a)
+
+
+def pow_over_x_fsum(a: float, b: float, m: int) -> float:
+    """Integral of (1-x)^m / x over [a, b], for 0 < a <= b <= 1:
+    ln(b/a) - sum_{j=1}^{m} ((1-a)^j - (1-b)^j) / j, the sum taken with
+    ``math.fsum`` over a generator."""
+    _check_interval(a, b, m, positive_a=True)
+    ua, ub = 1.0 - a, 1.0 - b
+    return math.log(b / a) - math.fsum((ua**j - ub**j) / j for j in range(1, m + 1))
+
+
+def _check_interval(a: float, b: float, m: int, positive_a: bool) -> None:
+    check_integer("m", m, 0)
+    lo_ok = a > 0 if positive_a else a >= 0
+    if not (lo_ok and a <= b <= 1.0):
+        raise ValueError(f"invalid interval [{a}, {b}]")

@@ -23,15 +23,15 @@ from secpred import (
     run_trial,
     derandomized_trial,
 )
-from secpred.analytic import (
-    case_bound,
+from secpred.analytic import case_bound, pow_over_x_integral
+from secpred.rng import TrialStream, trial_seed
+from oracles import (
+    COSP_ORACLES,
+    ROSP_ORACLES,
     log_ratio,
     min_density_first_moment,
     min_density_mass,
-    pow_over_x_integral,
 )
-from secpred.rng import TrialStream, trial_seed
-from oracles import COSP_ORACLES, ROSP_ORACLES
 from scipy.integrate import quad
 
 from test_large_regimes import PATTERNS, sample_profiles

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from secpred.analytic import (
-    log_ratio,
-    min_density_first_moment,
-    min_density_mass,
-    pow_over_x_integral,
-)
+from oracles import log_ratio, min_density_first_moment, min_density_mass, pow_over_x_fsum
+from secpred.analytic import pow_over_x_integral
 
 
 def test_mass_examples():
@@ -72,8 +68,12 @@ def test_pow_over_x_matches_mpmath():
         for b in (a + 0.3 * (1 - a), 1.0)
         for n in (0, 5, 14, 20, 21, 40, 160)
     ]
+    # the exponent the docstring's error statement reaches, at the two lower
+    # limits where (1-a)^n decays slowest
+    grid += [(a, b, 400) for a in (0.001, 0.01) for b in (a + 0.3 * (1 - a), 1.0)]
+    grid += [(0.37, 0.64, 25), (0.2, 0.9, 120), (0.33, 0.33, 30)]
     with mp.workdps(40):
-        for a, b, n in grid + [(0.37, 0.64, 25), (0.2, 0.9, 120), (0.33, 0.33, 30)]:
+        for a, b, n in grid:
             exact = mp.quad(lambda x: (1 - x) ** n / x, [a, b])
             err = abs(pow_over_x_integral(a, b, n) - float(exact))
             assert err < 1e-14, (a, b, n, err)
@@ -81,7 +81,7 @@ def test_pow_over_x_matches_mpmath():
 
 def test_pow_over_x_rows_match_the_lemma():
     # a row holds every exponent's integral from one pass; each value must be
-    # pow_over_x_integral's bits, from the smallest lower limit a refine grid
+    # the bits of the fsum spec, from the smallest lower limit a refine grid
     # reaches up to exponents of 400
     from secpred.analytic import _pox_row
 
@@ -90,10 +90,12 @@ def test_pow_over_x_rows_match_the_lemma():
     limits += [tuple(sorted(rng.uniform(1e-4, 1.0, 2))) for _ in range(20)]
     for a, b in limits:
         row = _pox_row({}, a, b, 401)
-        assert row.tolist() == [pow_over_x_integral(a, b, n) for n in range(401)], (a, b)
+        assert row.tolist() == [pow_over_x_fsum(a, b, n) for n in range(401)], (a, b)
+        for n in (0, 1, 20, 400):
+            assert pow_over_x_integral(a, b, n) == row[n], (a, b, n)
     rows = {}
     _pox_row(rows, 0.3, 1.0, 5)
-    assert _pox_row(rows, 0.3, 1.0, 40).tolist() == [pow_over_x_integral(0.3, 1.0, n)
+    assert _pox_row(rows, 0.3, 1.0, 40).tolist() == [pow_over_x_fsum(0.3, 1.0, n)
                                                      for n in range(40)]
     with pytest.raises(ValueError):
         _pox_row({}, 0.0, 1.0, 3)

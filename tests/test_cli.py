@@ -158,6 +158,17 @@ def test_gen_oversized_instance_exit_two(tmp_path, capsys, monkeypatch, family):
     assert not out.exists()
 
 
+def test_gen_construction_mismatch_exit_two(tmp_path, capsys):
+    # a deviation of 0.011 does not lift the runner-up's prediction above the
+    # best's, so the overestimated-top family cannot be built
+    out = tmp_path / "inst.json"
+    argv = ["gen", "--family", "overest-top", "--n", "5", "--theta", "0.01",
+            "--deviation", "0.011", "--out", str(out)]
+    assert main(argv) == 2
+    assert "construction mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_oversized_trials_exit_two(tmp_path, capsys, monkeypatch):
     import secpred.simulate as sim
 

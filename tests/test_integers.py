@@ -31,7 +31,7 @@ from secpred.certify import entry_groups
 from secpred.cli import MAX_DEMO_SAMPLES, _cmd_derand_demo
 from secpred.core import BLOCK_ELEMENTS
 from secpred.policy import run_trials_batch
-from secpred.rng import TrialStream
+from secpred.rng import TrialStream, trial_seed, trial_seeds_vector
 from secpred.simulate import MAX_TRIALS
 
 INST = gen_case_family(4, 2, 1, 1, 5, P.theta)
@@ -58,10 +58,13 @@ ROWS = {
     "case_bound k": ("k", lambda x: case_bound("cosp", 6, 1, x, 0, P), 0, MAX_PROFILE),
     "case_bound m2": ("m2", lambda x: case_bound("rosp", 6, 1, 1, x, Q), 0, MAX_PROFILE),
     "case6_coef m": ("m", partial(case6_coef, "cosp", params=P), 0, MAX_PROFILE),
-    "pow_over_x_integral m": ("m", partial(pow_over_x_integral, 0.2, 0.5), 0, None),
+    "pow_over_x_integral m": ("m", partial(pow_over_x_integral, 0.2, 0.5), 0, MAX_PROFILE),
     "entry_groups size": ("size", lambda x: next(entry_groups("cosp", 1, 1, size=x)), 1, None),
     "run_trials_batch start": ("start", lambda x: _batch(start=x), 0, 2**64),
     "run_trials_batch count": ("count", lambda x: _batch(count=x), 0, 2**64),
+    "trial_seed index": ("index", partial(trial_seed, 1), 0, 2**64 - 1),
+    "trial_seeds_vector start": ("start", lambda x: trial_seeds_vector(1, x, 1), 0, 2**64),
+    "trial_seeds_vector count": ("count", lambda x: trial_seeds_vector(1, 0, x), 0, 2**64),
     "estimate_ratio trials": ("trials", partial(estimate_ratio, INST, "cosp", P, seed=1), 1,
                               MAX_TRIALS),
     "underestimated best n": ("n", partial(gen_underestimated_best, deviation=0.9, theta=0.58), 2,

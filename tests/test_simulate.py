@@ -179,8 +179,11 @@ def test_case_family_infeasible_requests():
         (lambda: gen_case_family(4, 2, 1, 1, 5, 0.58, deviation=0.58),
          "deviation 0.58 must exceed theta 0.58"),
         (lambda: gen_case_family(7, 2, 1, 1, 5, 0.58), "case_id exceeds the cap of 6"),
+        # the inflated prediction 1.011 * 0.98 stays below the best's 1.0, so
+        # the top prediction is the best and the family is not built
+        (lambda: gen_overestimated_top(5, 0.011, 0.01), "construction mismatch"),
     ],
-    ids=["overestimated top", "case family", "case 7"],
+    ids=["overestimated top", "case family", "case 7", "top not overestimated"],
 )
 def test_bad_generator_arguments_rejected(make, message):
     with pytest.raises(ValueError, match=message):
