@@ -1,6 +1,14 @@
 """Prediction-aware secretary algorithm: simulation, analytic case bounds,
 and numerical certification for chosen-order (cosp) and random-order (rosp)
-arrivals."""
+arrivals.
+
+Only ``core`` is imported with the package.  Every other public name, and
+each submodule, loads on first access (PEP 562), so a run compiles only the
+modules it reaches."""
+
+import importlib
+import sys
+import types
 
 from .core import (
     COSP,
@@ -15,22 +23,62 @@ from .core import (
     load_instance,
     mistake_set,
 )
-from .policy import TrialOutcome, make_cosp_schedule, make_rosp_schedule, run_trial
-from .certify import CertReport, certify, report_to_json
-from .simulate import (
-    SimResult,
-    estimate_ratio,
-    gen_case_family,
-    gen_overestimated_top,
-    gen_underestimated_best,
-)
-from .derand import bits_from_uniform, derandomized_trial, uniform_from_first_arrival
-from .tune import GridSpec, grid_search
 
 THEOREM_COSP_PARAMS = PolicyParams(theta=0.58, tau=0.37, gamma=0.27, delta=0.46, beta=0.64)
 THEOREM_COSP_BOUND = 0.262
 THEOREM_ROSP_PARAMS = PolicyParams(theta=0.63, tau=0.33, gamma=0.34, delta=0.66)
 THEOREM_ROSP_BOUND = 0.221
+
+# each public name outside core, with the submodule that defines it
+_LAZY = {
+    "TrialOutcome": "policy",
+    "make_cosp_schedule": "policy",
+    "make_rosp_schedule": "policy",
+    "run_trial": "policy",
+    "CertReport": "certify",
+    "certify": "certify",
+    "report_to_json": "certify",
+    "SimResult": "simulate",
+    "estimate_ratio": "simulate",
+    "gen_case_family": "simulate",
+    "gen_overestimated_top": "simulate",
+    "gen_underestimated_best": "simulate",
+    "bits_from_uniform": "derand",
+    "derandomized_trial": "derand",
+    "uniform_from_first_arrival": "derand",
+    "GridSpec": "tune",
+    "grid_search": "tune",
+}
+# the submodules reachable as attributes; the name certify is the function
+_SUBMODULES = ("analytic", "derand", "policy", "rng", "simulate", "tune")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module("." + name, __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__
+
+
+class _Package(types.ModuleType):
+    # The import system binds each submodule it loads to the package under
+    # the submodule's name, whatever the import that loaded it; this keeps
+    # the name certify bound to the function, as it is before the load.
+    def __setattr__(self, name, value):
+        if name == "certify" and isinstance(value, types.ModuleType):
+            value = value.certify
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "COSP",

@@ -13,20 +13,10 @@ import sys
 import numpy as np
 
 from . import core
-from .analytic import DEFAULT_THRESHOLDS, case_bound
-from .certify import certify, report_to_json
+# the parser's defaults; each command imports the rest of what it runs, so a
+# run loads only its own modules
+from .analytic import DEFAULT_THRESHOLDS
 from .core import COSP, ROSP, PolicyParams, dump_instance, load_instance
-from .derand import uniform_from_first_arrival
-from .simulate import (
-    default_deviation,
-    estimate_ratio,
-    gen_case_family,
-    gen_overestimated_top,
-    gen_underestimated_best,
-    sim_csv_header,
-    sim_csv_row,
-)
-from .tune import GridSpec, grid_search
 
 _F = "{:.12g}"
 # derand-demo keeps a few float arrays of this many samples (80 MB each)
@@ -52,6 +42,8 @@ def _add_param_flags(p):
 
 
 def _cmd_certify(args) -> int:
+    from .certify import certify, report_to_json
+
     params = _params_from(args)
     report = certify(args.model, params, target_b=args.target_b, thresholds=(args.tm, args.tk))
     text = report_to_json(report)
@@ -70,6 +62,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import estimate_ratio, sim_csv_header, sim_csv_row
+
     instance = load_instance(args.instance)
     params = _params_from(args)
     result = estimate_ratio(instance, args.model, params, trials=args.trials, seed=args.seed)
@@ -83,6 +77,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .analytic import case_bound
+
     params = _params_from(args)
     value = case_bound(args.model, args.case, args.m, args.k, args.m2, params)
     print(_F.format(value))
@@ -90,6 +86,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    from .tune import GridSpec, grid_search
+
     grid = GridSpec.coarse(args.model, step=args.step)
     out = grid_search(
         args.model,
@@ -124,6 +122,8 @@ def _cmd_tune(args) -> int:
 def _cmd_derand_demo(args) -> int:
     from scipy.stats import kstest
 
+    from .derand import uniform_from_first_arrival
+
     n = core.check_integer("--n", args.n, 1, core.BLOCK_ELEMENTS)
     samples = core.check_integer("--samples", args.samples, 1, MAX_DEMO_SAMPLES)
     rng = np.random.default_rng(core.check_integer("--seed", args.seed, 0))
@@ -140,6 +140,13 @@ def _cmd_derand_demo(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .simulate import (
+        default_deviation,
+        gen_case_family,
+        gen_overestimated_top,
+        gen_underestimated_best,
+    )
+
     theta = args.theta
     dev = args.deviation if args.deviation is not None else default_deviation(theta)
     if args.family == "underest-best":
