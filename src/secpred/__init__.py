@@ -4,7 +4,13 @@ arrivals.
 
 Only ``core`` is imported with the package.  Every other public name, and
 each submodule, loads on first access (PEP 562), so a run compiles only the
-modules it reaches."""
+modules it reaches.
+
+``secpred.certify`` is the function ``certify``, not the module that defines
+it, and ``import secpred.certify as m`` binds ``m`` to that function too: the
+statement reads the package's attribute ``certify``.  The module itself is
+``importlib.import_module("secpred.certify")``; ``from secpred.certify import
+name`` also reads the module."""
 
 import importlib
 import sys

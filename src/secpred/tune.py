@@ -38,9 +38,22 @@ entry it keeps to the full pass as ints, a plain index into the point's
 columns, with a mask over its block's pairs; on each sub-block the full pass
 evaluates, one at a time, the entries kept at some pair of it, on a point
 that shares the screen's pow-over-x rows.  ``np.minimum`` then picks the
-same values, so the array is bit-identical to the one over every entry.
+same values, so each cell is bit-identical to the one over every entry.
 On the step-0.05 grid 66 of 1 495 cosp entries and 25 of 1 506 rosp entries
 reach the full mesh.
+
+Most pairs cannot hold the greatest cell either, so the search is a branch
+and bound over the pairs.  The same corners bound the fixpoint at every cell
+of a pair by ``top``, the least over entries of an entry's greatest corner
+value, up to a few ulps.  The full mesh runs first on the pair with the
+greatest ``top``, which gives ``best``, an exact search value, and then only
+on the pairs whose ``top`` is not more than ``_SCREEN_SLACK`` below ``best``;
+the cells of the others hold -inf.  So no pair holding a cell equal to the
+maximum is left out, and the maximum, the cells tied at it and the winner
+are those of the search over every cell.  On the step-0.05 grid the full
+mesh runs on 3 of the 171 cosp pairs and on 1 of the 19 rosp pairs.
+``grid_search(..., emit_all=True)`` lists every cell, so its last search
+costs the full mesh.
 """
 
 from __future__ import annotations
@@ -140,6 +153,9 @@ def _mesh(model: str, grid: GridSpec):
 # at the corners up to rounding, a few ulps of values in [0, 1] (2.2e-16
 # measured); the slack covers that many times over, so a dropped entry is
 # above the fixpoint at every cell and the minimum is unchanged, bit for bit.
+# A pair is left out of the full mesh when its bound ``top`` lies more than
+# this below the greatest cell found, as its cells lie below ``top`` up to
+# the same rounding.
 _SCREEN_SLACK = 1e-12
 
 
@@ -154,14 +170,13 @@ def _term(model, point, entry, thresholds):
     return value
 
 
-def _pair_blocks(pairs: range, cells, thresholds):
-    """Blocks of whole (tau, beta) pairs over ``pairs``, as slices, each pair
-    spanning ``cells`` cells.  A block fills about BLOCK_ELEMENTS // (tm * tk)
-    cells, and holds at least one pair: the screen keeps a value per pair of
-    the block for each entry it keeps, and the entries grow with tm * tk."""
+def _block_pairs(cells, thresholds):
+    """How many (tau, beta) pairs a block holds, each pair spanning ``cells``
+    cells.  A block fills about BLOCK_ELEMENTS // (tm * tk) cells, and holds
+    at least one pair: the screen keeps a value per pair of the block for
+    each entry it keeps, and the entries grow with tm * tk."""
     tm, tk = thresholds
-    size = max(1, BLOCK_ELEMENTS // (tm * tk) // cells)
-    return [slice(lo, min(lo + size, pairs.stop)) for lo in pairs[::size]]
+    return max(1, BLOCK_ELEMENTS // (tm * tk) // cells)
 
 
 # The screen evaluates pieces of entries that fill about this many values of
@@ -170,9 +185,10 @@ _CHUNK = 1 << 14
 
 
 def _screen(model, point, thresholds):
-    """The entries that can bind at some (tau, beta) pair of ``point``, as
-    (entry, where): the entry's ints as ``certify.entry`` gives them, and a
-    bool array over the pairs that says where it can.
+    """The entries that can bind at some (tau, beta) pair of ``point``, and
+    ``top``, as (keep, top).  ``keep`` lists (entry, where): the entry's ints
+    as ``certify.entry`` gives them, and a bool array over the pairs that
+    says where it can.
 
     The point holds the corners of each pair's gamma x delta grid along its
     leading axes and the pairs along its last.  Every entry of
@@ -203,8 +219,9 @@ def _screen(model, point, thresholds):
         at = at.reshape(count, corners, pairs)
         np.minimum(top, at.max(axis=1).min(axis=0), out=top)
         found += _alive([(piece, np.arange(count), at.min(axis=1))], top)
-    return [(entry(piece, i), ~(row > top + _SCREEN_SLACK))
+    keep = [(entry(piece, i), ~(row > top + _SCREEN_SLACK))
             for piece, index, least in _alive(found, top) for i, row in zip(index, least)]
+    return keep, top
 
 
 def _alive(found, top):
@@ -219,35 +236,50 @@ def _alive(found, top):
     return kept
 
 
-def _search_bound(model, axes, thresholds):
-    """The fixpoint B = f(B) at every cell of the mesh (r = 0), flat in the
-    order of ``_mesh``.
+def _search_bound(model, axes, thresholds, every=False):
+    """The fixpoint B = f(B) (r = 0) at the cells of the mesh that can hold
+    its maximum, and -inf at the rest, flat in the order of ``_mesh``; with
+    ``every``, at every cell, which costs the full mesh.
 
     The pairs go through in blocks.  ``_screen`` runs on a block's gamma
-    and delta corners, then the full mesh of each sub-block of it sees only
-    the entries the screen keeps at some pair of the sub-block.  The points
-    of a block share their pow-over-x rows.  The array, allocated first, is
-    the same as with every entry, bit for bit.
+    and delta corners and gives each pair's ``top``.  The full mesh runs
+    first on the pair with the greatest ``top``, alone, and then on the
+    block's other pairs whose ``top`` is not ``_SCREEN_SLACK`` below
+    ``best``, the greatest cell so far, in sub-blocks; ``best`` carries
+    across blocks, and a NaN in ``top`` or ``best`` keeps a pair.  Each
+    sub-block sees only the entries the screen keeps at some pair of it, and
+    the points of a block share their pow-over-x rows.  Every cell computed
+    is the same as with every entry, bit for bit.
     """
     tau, beta, gam, dlt = axes
-    pairs = range(tau.shape[0])
-    b = np.full((len(pairs), gam.size, dlt.size), np.inf)
+    b = np.full((tau.shape[0], gam.size, dlt.size), -np.inf)
     # corners along the leading axes and pairs along the last; a grid with
     # one gamma or one delta value repeats it
     corners = (np.array([gam.min(), gam.max()])[:, None, None],
                np.array([dlt.min(), dlt.max()])[None, :, None])
-    for outer in _pair_blocks(pairs, 4, thresholds):
+    outer_size, inner_size = (_block_pairs(n, thresholds) for n in (4, gam.size * dlt.size))
+    best = -np.inf
+    for lo in range(0, len(b), outer_size):
+        outer = slice(lo, lo + outer_size)
         rows = {}
         point = Point(tau[outer].T, *corners, None if beta is None else beta[outer].T, rows=rows)
-        keep = _screen(model, point, thresholds)
+        keep, top = _screen(model, point, thresholds)
         del point
-        for block in _pair_blocks(pairs[outer], gam.size * dlt.size, thresholds):
-            point = Point(tau[block], gam, dlt, None if beta is None else beta[block], rows=rows)
-            out = b[block]
-            local = slice(block.start - outer.start, block.stop - outer.start)
-            for entry, where in keep:
-                if where[local].any():
-                    np.minimum(out, _term(model, point, entry, thresholds), out=out)
+        pairs = np.arange(top.size)
+        lead = int(np.argmax(top))
+        for local in [pairs] if every else [pairs[lead:lead + 1], np.delete(pairs, lead)]:
+            if not every:  # best includes the lead pair here
+                local = local[~(top[local] + _SCREEN_SLACK < best)]
+            for i in range(0, local.size, inner_size):
+                sub = local[i:i + inner_size]
+                block = lo + sub
+                point = Point(tau[block], gam, dlt, None if beta is None else beta[block], rows=rows)
+                out = np.full((sub.size, gam.size, dlt.size), np.inf)
+                for entry, where in keep:
+                    if where[sub].any():
+                        np.minimum(out, _term(model, point, entry, thresholds), out=out)
+                b[block] = out
+                best = np.maximum(best, out.max())
     return b.ravel()
 
 
@@ -272,9 +304,9 @@ def _cell_params(b, axes, i) -> PolicyParams:
     return PolicyParams(theta=(1.0 - bi) / (1.0 + bi), tau=tau, gamma=gam, delta=dlt, beta=beta)
 
 
-def _search_once(model, grid, thresholds):
+def _search_once(model, grid, thresholds, every=False):
     axes = _axes(model, grid)
-    b = _search_bound(model, axes, thresholds)
+    b = _search_bound(model, axes, thresholds, every)
     best = float(np.max(b))
     # ties go to the least (tau, beta, gamma, delta); a None beta compares equal
     pick = min(np.nonzero(b == best)[0], key=lambda i: _cell(axes, i))
@@ -310,6 +342,10 @@ def grid_search(
     never a stale search-time value).  With ``emit_all`` a third element
     lists ``(params, search_bound)`` for every cell of the last search:
     with ``refine``, the refine grid's cells only, not the coarse grid's.
+    Without it the search computes only the (tau, beta) pairs whose screen
+    bound can reach the greatest cell; ``emit_all`` costs the full mesh of
+    the search whose cells it lists, and changes neither the winner nor the
+    bound.
 
     The winner's theta comes from the fixpoint at ``search_thresholds``, so
     at larger ``thresholds`` its certified bound can come out lower than the
@@ -319,14 +355,16 @@ def grid_search(
     """
     check_thresholds(thresholds)
     check_thresholds(search_thresholds)
-    params, search_b, cells = _search_once(model, grid, search_thresholds)
+    params, search_b, cells = _search_once(
+        model, grid, search_thresholds, emit_all and not refine
+    )
     if refine:
         step = min(
             (abs(v[1] - v[0]) for v in (grid.tau, grid.gamma, grid.delta) if len(v) > 1),
             default=0.05,
         )
         params, search_b, cells = _search_once(
-            model, _refined_grid(params, step), search_thresholds
+            model, _refined_grid(params, step), search_thresholds, emit_all
         )
 
     report = certify(model, params, target_b=max(search_b - 0.05, 1e-6), thresholds=thresholds)

@@ -191,12 +191,12 @@ def test_search_blocks_change_nothing(model, monkeypatch):
 
     grid = GridSpec.coarse(model, step=0.2)
     tm, tk = tune.SEARCH_THRESHOLDS
-    _, _, (whole, axes) = tune._search_once(model, grid, (tm, tk))
+    _, _, (whole, axes) = tune._search_once(model, grid, (tm, tk), every=True)
     pairs, per_pair = axes[0].shape[0], axes[2].size * axes[3].size
     assert whole.size == pairs * per_pair <= tune.BLOCK_ELEMENTS // (tm * tk)  # one block
     monkeypatch.setattr(tune, "BLOCK_ELEMENTS", 3 * per_pair * tm * tk)
     assert pairs > 3 and pairs % 3
-    _, _, (blocked, _) = tune._search_once(model, grid, (tm, tk))
+    _, _, (blocked, _) = tune._search_once(model, grid, (tm, tk), every=True)
     assert np.array_equal(blocked, whole)
 
 
@@ -213,26 +213,29 @@ _REFINE_COSP = GridSpec(
 )
 
 
-@pytest.mark.parametrize(
-    "model, grid, thresholds",
-    [
-        ("cosp", _COARSE_COSP, None),
-        ("rosp", GridSpec.coarse("rosp", step=0.1), None),
-        # tau = 0.001 is the floor of the refined grid, with beta just above it
-        ("cosp", GridSpec(tau=(0.001, 0.002), beta=(0.0011, 0.0021, 0.5),
-                          gamma=_FLOOR_AXIS, delta=_FLOOR_AXIS), None),
-        ("rosp", GridSpec(tau=(0.001, 0.002), gamma=_FLOOR_AXIS, delta=_FLOOR_AXIS), None),
-        # one gamma and one delta: the screen's four corners coincide
-        ("cosp", GridSpec(_COARSE_COSP.tau, (0.3,), (0.5,), _COARSE_COSP.beta), None),
-        ("cosp", _REFINE_COSP, None),
-        ("cosp", _COARSE_COSP, (1, 1)),
-        ("rosp", GridSpec.coarse("rosp", step=0.1), (1, 1)),
-        ("cosp", GridSpec.coarse("cosp", step=0.2), (20, 20)),
-        ("rosp", GridSpec.coarse("rosp", step=0.2), (20, 20)),
-    ],
-    ids=["cosp-grid0", "rosp-grid1", "cosp-grid2", "rosp-grid3", "cosp-one gamma and delta",
-         "cosp-refine", "cosp-T1", "rosp-T1", "cosp-T20", "rosp-T20"],
-)
+# (model, grid, search thresholds or None for SEARCH_THRESHOLDS) of the
+# whole-array checks below
+_SEARCH_GRIDS = [
+    ("cosp", _COARSE_COSP, None),
+    ("rosp", GridSpec.coarse("rosp", step=0.1), None),
+    # tau = 0.001 is the floor of the refined grid, with beta just above it
+    ("cosp", GridSpec(tau=(0.001, 0.002), beta=(0.0011, 0.0021, 0.5),
+                      gamma=_FLOOR_AXIS, delta=_FLOOR_AXIS), None),
+    ("rosp", GridSpec(tau=(0.001, 0.002), gamma=_FLOOR_AXIS, delta=_FLOOR_AXIS), None),
+    # one gamma and one delta: the screen's four corners coincide
+    ("cosp", GridSpec(_COARSE_COSP.tau, (0.3,), (0.5,), _COARSE_COSP.beta), None),
+    ("cosp", _REFINE_COSP, None),
+    ("cosp", _COARSE_COSP, (1, 1)),
+    ("rosp", GridSpec.coarse("rosp", step=0.1), (1, 1)),
+    ("cosp", GridSpec.coarse("cosp", step=0.2), (20, 20)),
+    ("rosp", GridSpec.coarse("rosp", step=0.2), (20, 20)),
+]
+_SEARCH_GRID_IDS = ["cosp-grid0", "rosp-grid1", "cosp-grid2", "rosp-grid3",
+                    "cosp-one gamma and delta", "cosp-refine", "cosp-T1", "rosp-T1", "cosp-T20",
+                    "rosp-T20"]
+
+
+@pytest.mark.parametrize("model, grid, thresholds", _SEARCH_GRIDS, ids=_SEARCH_GRID_IDS)
 def test_factored_search_equals_flat_mesh(model, grid, thresholds):
     # the search takes each block of the (tau, beta) axis once and broadcasts
     # over gamma and delta; the same fixpoint on one flat point holding every
@@ -254,8 +257,74 @@ def test_factored_search_equals_flat_mesh(model, grid, thresholds):
         if case_id == 6:
             value = value / (1.0 - case6_coef(model, m, point))
         flat = np.minimum(flat, value)
-    _, _, (b, _) = _search_once(model, grid, thresholds)
+    _, _, (b, _) = _search_once(model, grid, thresholds, every=True)
     assert np.array_equal(b, flat)
+
+
+@pytest.mark.parametrize(
+    "model, grid, thresholds",
+    _SEARCH_GRIDS + [(m, GridSpec.coarse(m, step=0.05), None) for m in ("cosp", "rosp")],
+    ids=_SEARCH_GRID_IDS + ["cosp-step 0.05", "rosp-step 0.05"],
+)
+def test_pruned_search_equals_every_cell(model, grid, thresholds, monkeypatch):
+    # without every=True the full mesh runs only on the (tau, beta) pairs
+    # whose screen bound top can reach the greatest cell, and the others hold
+    # -inf.  The maximum, the cells equal to it (90 on the rosp step-0.05
+    # grid), the winner and every computed cell must be those of the search
+    # over every cell, and each pair left out must have its top more than
+    # the slack below the maximum
+    import numpy as np
+
+    from secpred import tune
+
+    thresholds = thresholds or tune.SEARCH_THRESHOLDS
+    tops = []
+    screen = tune._screen
+
+    def recorded(*args):
+        keep, top = screen(*args)
+        tops.append(top)
+        return keep, top
+
+    monkeypatch.setattr(tune, "_screen", recorded)
+    params_all, best_all, (b_all, _) = tune._search_once(model, grid, thresholds, every=True)
+    assert (b_all > -np.inf).all()
+    tops.clear()
+    params, best, (b, axes) = tune._search_once(model, grid, thresholds)
+    assert best == best_all and params == params_all
+    assert np.array_equal(np.nonzero(b == best), np.nonzero(b_all == best))
+    computed = (b > -np.inf).reshape(axes[0].shape[0], -1)
+    assert (computed.all(axis=1) | ~computed.any(axis=1)).all()  # whole pairs
+    assert np.array_equal(b[computed.ravel()], b_all[computed.ravel()])
+    top = np.concatenate(tops)
+    assert (top[~computed[:, 0]] + 1e-12 < best).all()
+
+
+@pytest.mark.parametrize("model, pairs, most", [("cosp", 171, 3), ("rosp", 19, 1)])
+def test_full_mesh_runs_on_few_pairs(model, pairs, most, monkeypatch):
+    # on the step-0.05 grids the screen sees every (tau, beta) pair, and the
+    # full gamma x delta mesh at most 3 of the 171 cosp pairs and 1 of the 19
+    # rosp pairs
+    import numpy as np
+
+    from secpred import tune
+
+    grid = GridSpec.coarse(model, step=0.05)
+    full, screened = set(), set()  # pairs evaluated on the mesh, on the corners
+
+    def counted(form):
+        def run(p, m, k, m2, tm, tk):
+            taus = np.ravel(p.tau).tolist()
+            betas = [None] * len(taus) if p.beta is None else np.ravel(p.beta).tolist()
+            (full if p.gamma.size == len(grid.gamma) else screened).update(zip(taus, betas))
+            return form(p, m, k, m2, tm, tk)
+        return run
+
+    monkeypatch.setattr(tune, "CASE_FORMS", {key: counted(form)
+                                             for key, form in tune.CASE_FORMS.items()})
+    tune._search_once(model, grid, tune.SEARCH_THRESHOLDS)
+    assert len(screened) == pairs
+    assert full <= screened and 1 <= len(full) <= most, len(full)
 
 
 @pytest.mark.parametrize("model", ["cosp", "rosp"])
@@ -296,7 +365,8 @@ def test_search_arrays_pinned(model, digest):
 
     from secpred.tune import SEARCH_THRESHOLDS, _search_once
 
-    _, _, (b, _) = _search_once(model, GridSpec.coarse(model, step=0.05), SEARCH_THRESHOLDS)
+    grid = GridSpec.coarse(model, step=0.05)
+    _, _, (b, _) = _search_once(model, grid, SEARCH_THRESHOLDS, every=True)
     assert hashlib.sha256(b.tobytes()).hexdigest() == digest
 
 
@@ -310,7 +380,7 @@ def test_chunks_change_nothing(model, monkeypatch):
     from secpred.certify import entry_groups
 
     grid = GridSpec.coarse(model, step=0.1)
-    _, _, (whole, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS)
+    _, _, (whole, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS, every=True)
     sizes = []
 
     def pieces_of(most):
@@ -321,7 +391,7 @@ def test_chunks_change_nothing(model, monkeypatch):
 
     for most in (1, 7):
         monkeypatch.setattr(tune, "entry_groups", pieces_of(most))
-        _, _, (pieces, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS)
+        _, _, (pieces, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS, every=True)
         assert np.array_equal(pieces, whole), most
     assert min(sizes) > 7  # tune asks for more, so the default pieces differ
 
@@ -354,7 +424,7 @@ def test_screen_drops_most_entries(monkeypatch):
     tune._search_once("cosp", grid, tune.SEARCH_THRESHOLDS)
     assert full <= screened and len(screened) > 1000
     # every entry returned can bind at some pair
-    assert kept and all(where.ndim == 1 and where.any() for keep in kept for _, where in keep)
+    assert kept and all(where.ndim == 1 and where.any() for keep, _ in kept for _, where in keep)
     assert len(full) < 0.1 * len(screened), (len(full), len(screened))
 
 
