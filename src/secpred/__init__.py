@@ -4,17 +4,9 @@ arrivals.
 
 Only ``core`` is imported with the package.  Every other public name, and
 each submodule, loads on first access (PEP 562), so a run compiles only the
-modules it reaches.
-
-``secpred.certify`` is the function ``certify``, not the module that defines
-it, and ``import secpred.certify as m`` binds ``m`` to that function too: the
-statement reads the package's attribute ``certify``.  The module itself is
-``importlib.import_module("secpred.certify")``; ``from secpred.certify import
-name`` also reads the module."""
+modules it reaches."""
 
 import importlib
-import sys
-import types
 
 from .core import (
     COSP,
@@ -41,9 +33,9 @@ _LAZY = {
     "make_cosp_schedule": "policy",
     "make_rosp_schedule": "policy",
     "run_trial": "policy",
-    "CertReport": "certify",
-    "certify": "certify",
-    "report_to_json": "certify",
+    "CertReport": "certificate",
+    "certify": "certificate",
+    "report_to_json": "certificate",
     "SimResult": "simulate",
     "estimate_ratio": "simulate",
     "gen_case_family": "simulate",
@@ -55,8 +47,8 @@ _LAZY = {
     "GridSpec": "tune",
     "grid_search": "tune",
 }
-# the submodules reachable as attributes; the name certify is the function
-_SUBMODULES = ("analytic", "derand", "policy", "rng", "simulate", "tune")
+# the submodules reachable as attributes
+_SUBMODULES = ("analytic", "certificate", "derand", "policy", "rng", "simulate", "tune")
 
 
 def __getattr__(name):
@@ -73,18 +65,6 @@ def __getattr__(name):
 def __dir__():
     return __all__
 
-
-class _Package(types.ModuleType):
-    # The import system binds each submodule it loads to the package under
-    # the submodule's name, whatever the import that loaded it; this keeps
-    # the name certify bound to the function, as it is before the load.
-    def __setattr__(self, name, value):
-        if name == "certify" and isinstance(value, types.ModuleType):
-            value = value.certify
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "COSP",

@@ -40,12 +40,12 @@ hold m, k and m2 as int arrays; ``entry`` turns one entry into ints, and
 for a large parameter, and gives each entry the bits a call on the entry
 alone gives.  It skips the argument checks of ``analytic.case_bound``, the
 one checked front end, which every entry passes and which gives the same
-bits.  It keeps the first minimum (by ``CaseBound.sort_key``; within a
-piece, one ``np.lexsort`` over its least entries) of the exact cells and of
-each large regime, and the first of those, with case 0, is the argmin.  Its
-memory is a piece's arrays and tables of (m, k) runs, so it barely grows
-with the thresholds.  The grid search in ``tune`` walks the same pieces on
-a parameter mesh.
+bits.  It keeps the first minimum (by ``CaseBound.sort_key``; a group lists
+its entries in increasing (m, k, m2), so within a piece it is the first
+``np.argmin``) of the exact cells and of each large regime, and the first of
+those, with case 0, is the argmin.  Its memory is a piece's arrays and
+tables of (m, k) runs, so it barely grows with the thresholds.  The grid
+search in ``tune`` walks the same pieces on a parameter mesh.
 """
 
 from __future__ import annotations
@@ -232,13 +232,12 @@ def iter_entries(model: str, tm: int, tk: int):
 
 def _first_min(group, values) -> CaseBound:
     # the group's first minimum by CaseBound.sort_key: its case and large
-    # parameters are the same throughout, so after the value the order is
-    # that of its small parameters, one np.lexsort over the tied entries
-    case_id, regime, *params = group
-    at = np.flatnonzero(values == values.min())
-    arrays = [a[at] for a in params if isinstance(a, np.ndarray)]
-    i = at[np.lexsort(arrays[::-1])[0]] if arrays else at[0]
-    _, _, m, k, m2 = entry(group, i)
+    # parameters are the same throughout and its entries run in increasing
+    # (m, k, m2), so it is the first np.argmin
+    i = int(np.argmin(values))
+    case_id, regime, m, k, m2 = entry(group, i)
+    if np.isnan(values[i]):  # argmin finds the first NaN, if there is one
+        raise ValueError(f"case {case_id} ({regime}) gave NaN at m={m}, k={k}, m2={m2}")
     return CaseBound(f"C{case_id}", float(values[i]), regime, m, k, m2)
 
 

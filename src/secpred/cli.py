@@ -42,7 +42,7 @@ def _add_param_flags(p):
 
 
 def _cmd_certify(args) -> int:
-    from .certify import certify, report_to_json
+    from .certificate import certify, report_to_json
 
     params = _params_from(args)
     report = certify(args.model, params, target_b=args.target_b, thresholds=(args.tm, args.tk))

@@ -39,8 +39,9 @@ columns, with a mask over its block's pairs; on each sub-block the full pass
 evaluates, one at a time, the entries kept at some pair of it, on a point
 that shares the screen's pow-over-x rows.  ``np.minimum`` then picks the
 same values, so each cell is bit-identical to the one over every entry.
-On the step-0.05 grid 66 of 1 495 cosp entries and 25 of 1 506 rosp entries
-reach the full mesh.
+On the step-0.05 grid the screen keeps 66 of 1 495 cosp entries and 25 of
+1 506 rosp entries, and the full mesh, run only on the pairs below, evaluates
+33 and 22 of them.
 
 Most pairs cannot hold the greatest cell either, so the search is a branch
 and bound over the pairs.  The same corners bound the fixpoint at every cell
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import CASE_FORMS, DEFAULT_THRESHOLDS, Point, case6_coef, check_thresholds
-from .certify import _size, certify, entry, entry_groups
+from .certificate import _size, certify, entry, entry_groups
 from .core import BLOCK_ELEMENTS, COSP, PolicyParams, check_model
 
 __all__ = ["GridSpec", "grid_search", "SEARCH_THRESHOLDS", "MAX_GRID_POINTS"]
@@ -107,9 +108,10 @@ def _axes(model: str, grid: GridSpec):
     beta > tau, in nested grid order (random order: P is the tau axis and
     beta is None); gamma is (1, G, 1) and delta (1, 1, D).  The (P, G, D)
     mesh they span, flattened, is the cells in nested axis order.  A grid
-    over ``MAX_GRID_POINTS``, a NaN, a tau or beta outside (0, 1) and a
-    gamma or delta outside [0, 1] are refused before a mesh is built, as is
-    a model that ``check_model`` refuses.
+    over ``MAX_GRID_POINTS``, a NaN, a tau or beta outside (0, 1), a beta
+    with 1 - beta == 1 (beta <= 2**-54) and a gamma or delta outside [0, 1]
+    are refused before a mesh is built, as is a model that ``check_model``
+    refuses.
     """
     cosp = check_model(model) == COSP
     if cosp and grid.beta is None:
@@ -130,6 +132,11 @@ def _axes(model: str, grid: GridSpec):
             span = "[0, 1]" if closed else "(0, 1)"
             raise ValueError(f"grid {name} values must lie in {span}, got {a[~inside][0]}")
     if cosp:
+        # 1 - beta rounds to 1 for beta <= 2**-54, and case 6's divisor
+        # 1 - (1-beta)^m to 0
+        flat = 1.0 - beta == 1.0
+        if flat.any():
+            raise ValueError(f"grid beta values must leave 1 - beta below 1, got {beta[flat][0]}")
         tau, beta = (a.ravel() for a in np.meshgrid(tau, beta, indexing="ij"))
         keep = beta > tau
         tau, beta = tau[keep], beta[keep, None, None]
@@ -161,7 +168,7 @@ _SCREEN_SLACK = 1e-12
 
 def _term(model, point, entry, thresholds):
     """One entry's bound on the fixpoint at ``point`` (r = 0): the case form,
-    or for case 6 the form over 1 - coef.  ``entry`` is as ``certify.entry``
+    or for case 6 the form over 1 - coef.  ``entry`` is as ``certificate.entry``
     gives it, or a piece of entries; its regime is not read."""
     case_id, _, m, k, m2 = entry
     value = CASE_FORMS[model, case_id](point, m, k, m2, *thresholds)
@@ -187,7 +194,7 @@ _CHUNK = 1 << 14
 def _screen(model, point, thresholds):
     """The entries that can bind at some (tau, beta) pair of ``point``, and
     ``top``, as (keep, top).  ``keep`` lists (entry, where): the entry's ints
-    as ``certify.entry`` gives them, and a bool array over the pairs that
+    as ``certificate.entry`` gives them, and a bool array over the pairs that
     says where it can.
 
     The point holds the corners of each pair's gamma x delta grid along its
@@ -359,10 +366,9 @@ def grid_search(
         model, grid, search_thresholds, emit_all and not refine
     )
     if refine:
-        step = min(
-            (abs(v[1] - v[0]) for v in (grid.tau, grid.gamma, grid.delta) if len(v) > 1),
-            default=0.05,
-        )
+        # the gap between an axis's first two distinct values, sorted
+        axes = (sorted(set(v)) for v in (grid.tau, grid.gamma, grid.delta))
+        step = min((v[1] - v[0] for v in axes if len(v) > 1), default=0.05)
         params, search_b, cells = _search_once(
             model, _refined_grid(params, step), search_thresholds, emit_all
         )

@@ -250,7 +250,7 @@ def test_rosp_case_oracle_equivalence():
 
 def test_case_values_in_unit_range():
     # every enumerated profile within the full thresholds stays in [0, 1]
-    from secpred.certify import iter_entries
+    from secpred.certificate import iter_entries
 
     for model, params in (("cosp", P), ("rosp", Q)):
         for entry in iter_entries(model, 20, 20):
@@ -279,7 +279,7 @@ def test_scalar_point_equals_one_cell_mesh(model):
     # a scalar point runs the numpy calls of a mesh, so each case bound equals
     # the one at the one-cell mesh with the same fields, bit for bit
     from secpred.analytic import Point
-    from secpred.certify import iter_entries
+    from secpred.certificate import iter_entries
 
     entries = list(iter_entries(model, 10, 10))
     for params in [P if model == "cosp" else Q, *_random_params(model, 24, 26)]:

@@ -47,7 +47,7 @@ LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'secpred'))"
     ("import secpred; secpred.estimate_ratio", ["core", "policy", "rng", "simulate"]),
     (
         "import secpred; secpred.estimate_ratio; secpred.GridSpec",
-        ["analytic", "certify", "core", "policy", "rng", "simulate", "tune"],
+        ["analytic", "certificate", "core", "policy", "rng", "simulate", "tune"],
     ),
 ])
 def test_submodules_load_on_first_use(code, loaded):
@@ -63,27 +63,31 @@ def test_cli_gen_loads_neither_tune_certify_nor_derand(tmp_path):
     code = f"""import sys
 from secpred.cli import main
 assert main({argv!r}) == 0
-print(sorted({{"secpred.tune", "secpred.certify", "secpred.derand"}} & sys.modules.keys()))"""
+print(sorted({{"secpred.tune", "secpred.certificate", "secpred.derand"}} & sys.modules.keys()))"""
     assert _run(code).splitlines()[-1] == "[]"
     assert out.exists()
 
 
 @pytest.mark.parametrize("first", [
     "import secpred.tune",
-    "import secpred.certify",
-    "from secpred.certify import entry_groups",
+    "import secpred.certificate",
+    "from secpred.certificate import entry_groups",
     "from secpred import *",
 ])
 def test_certify_name_is_the_function(first):
-    # loading the submodule secpred.certify binds it to the package under the
-    # name certify; the package keeps that name for the function, whichever
-    # import loads the submodule first
+    # secpred.certify is the function and secpred.certificate the module that
+    # defines it, whichever import loads the module first; no module is
+    # named certify
     code = f"""{first}
-import importlib, types
+import types
 import secpred
 assert callable(secpred.certify) and secpred.certify.__name__ == "certify", secpred.certify
-assert isinstance(importlib.import_module("secpred.certify"), types.ModuleType)
-assert secpred.certify is importlib.import_module("secpred.certify").certify
+assert isinstance(secpred.certificate, types.ModuleType)
+assert secpred.certify is secpred.certificate.certify
 assert set(secpred.__all__) <= set(dir(secpred))
-print("ok")"""
+try:
+    import secpred.certify
+except ModuleNotFoundError:
+    assert secpred.certify is secpred.certificate.certify
+    print("ok")"""
     assert _run(code) == "ok"

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -10,23 +9,23 @@ from secpred import (
     PolicyParams,
     THEOREM_COSP_PARAMS as P,
     THEOREM_ROSP_PARAMS as Q,
+    certificate,
     certify,
     grid_search,
     report_to_json,
 )
 from secpred.analytic import CASE_FORMS, Point, case_bound, prediction_floor
-from secpred.certify import (
+from secpred.certificate import (
     DEFAULT_THRESHOLDS,
     MAX_THRESHOLD,
     CaseBound,
+    entry,
     entry_groups,
     iter_entries,
     iter_small_cells,
     small_cell_count,
 )
 from secpred.tune import GridSpec, _mesh
-
-certify_module = importlib.import_module("secpred.certify")  # the package exports a function
 
 
 def cell_bounds(model, params, cell):
@@ -305,7 +304,7 @@ def _cell_entries(model, tm, tk):
     it: case 1 at (m, 0, m), cases 4 and 5 where k >= 1 and m2 <= m - 1,
     case 6 where k >= 1 or at (0, 0, 0), each from its least m; then the
     large regimes."""
-    least = {c: m for (mod, c), m in certify_module._LEAST_M.items() if mod == model}
+    least = {c: m for (mod, c), m in certificate._LEAST_M.items() if mod == model}
     out = []
     for m, k, m2 in iter_small_cells(tm, tk):
         if k == 0:
@@ -342,7 +341,7 @@ def test_iter_entries_flattens_entry_groups(model, thresholds):
             arrays = [a for a in (m, k, m2) if isinstance(a, np.ndarray)]
             size = arrays[0].size if arrays else 1
             assert all(a.shape == (size,) for a in arrays)
-            assert 1 <= size <= (most or certify_module._CHUNK)
+            assert 1 <= size <= (most or certificate._CHUNK)
             columns = [a.tolist() if isinstance(a, np.ndarray) else [a] * size for a in (m, k, m2)]
             entries += [(case_id, regime, *entry) for entry in zip(*columns)]
         return entries
@@ -388,7 +387,7 @@ def test_pieces_of_seven_change_nothing(model, params, target_b, monkeypatch):
     # pieces of 7 entries cut every group many times over; the report must
     # be the same, field for field
     whole = certify(model, params, target_b)
-    monkeypatch.setattr(certify_module, "_CHUNK", 7)
+    monkeypatch.setattr(certificate, "_CHUNK", 7)
     assert certify(model, params, target_b) == whole
 
 
@@ -411,21 +410,32 @@ def test_certify_memory_flat_in_thresholds():
         assert peaks[1] < 1.4 * peaks[0], (model, peaks)
 
 
-def test_first_minimum_follows_sort_key():
-    # within a group, ties in value go to the least m, then k, then m2, as
-    # CaseBound.sort_key orders them; a large parameter is the same for the
-    # whole group
-    values = np.array([0.3, 0.25, 0.25, 0.25, 0.25000000000000006, 0.25])
-    groups = [
-        (5, "exact", np.array([1, 3, 2, 2, 1, 2]), np.array([1, 1, 4, 2, 1, 2]),
-         np.array([0, 2, 1, 1, 0, 0])),
-        (4, "large_m", None, np.array([2, 3, 1, 1, 1, 1]), np.array([0, 0, 5, 4, 0, 6])),
-        (6, "large_k", np.arange(6), None, None),
-    ]
-    for group in groups:
-        case_id, regime, *params = group
-        columns = [a.tolist() if isinstance(a, np.ndarray) else [a] * 6 for a in params]
-        bounds = [CaseBound(f"C{case_id}", v, regime, *entry)
-                  for v, entry in zip(values.tolist(), zip(*columns))]
-        got = certify_module._first_min(group, values)
-        assert got == min(bounds, key=CaseBound.sort_key), group
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_groups_list_entries_in_increasing_order(model):
+    # each piece lists its entries in strictly increasing (m, k, m2), a large
+    # parameter (None) sorting last, as CaseBound.sort_key orders them
+    for thresholds in [(1, 1), (2, 7), (5, 2), (20, 20)]:
+        for size in (7, None):
+            for group in entry_groups(model, *thresholds, size=size):
+                keys = [tuple(10**9 if p is None else p for p in entry(group, i)[2:])
+                        for i in range(certificate._size(group))]
+                assert all(a < b for a, b in zip(keys, keys[1:])), group
+
+
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_first_min_is_the_sort_key_minimum(model):
+    # with a tie at the least value injected at two entries of each piece,
+    # _first_min picks the entry CaseBound.sort_key puts first; a NaN is
+    # refused
+    rng = np.random.default_rng(5)
+    for group in entry_groups(model, 5, 7, size=23):
+        count = certificate._size(group)
+        values = rng.uniform(0.2, 0.3, count)
+        values[rng.choice(count, min(2, count), replace=False)] = 0.1
+        bounds = [CaseBound(f"C{case_id}", v, regime, m, k, m2)
+                  for v, (case_id, regime, m, k, m2)
+                  in zip(values.tolist(), (entry(group, i) for i in range(count)))]
+        assert certificate._first_min(group, values) == min(bounds, key=CaseBound.sort_key)
+        values[rng.integers(count)] = np.nan
+        with pytest.raises(ValueError, match="gave NaN"):
+            certificate._first_min(group, values)

@@ -27,7 +27,7 @@ from secpred import (
     uniform_from_first_arrival,
 )
 from secpred.analytic import MAX_PROFILE, MAX_THRESHOLD, case6_coef, case_bound, pow_over_x_integral
-from secpred.certify import entry_groups
+from secpred.certificate import entry_groups
 from secpred.cli import MAX_DEMO_SAMPLES, _cmd_derand_demo
 from secpred.core import BLOCK_ELEMENTS
 from secpred.policy import run_trials_batch

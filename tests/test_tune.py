@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from secpred import GridSpec, PolicyParams, THEOREM_COSP_PARAMS as P, THEOREM_ROSP_PARAMS as Q
 from secpred import certify, grid_search
-from secpred.certify import MAX_THRESHOLD
+from secpred.certificate import MAX_THRESHOLD
 from secpred.tune import MAX_GRID_POINTS
 
 FAST = (6, 6)  # search thresholds for quick tests
@@ -77,9 +78,14 @@ def test_oversized_inputs_rejected_before_search():
          "grid delta values must lie in"),
         ("foo", GridSpec.coarse("rosp", 0.3), "unknown model 'foo'"),
         ("cosp", GridSpec.coarse("rosp", 0.3), "chosen-order search needs beta values"),
+        # 1 - beta rounds to 1, so case 6 would divide 0 by 0
+        ("cosp", GridSpec(tau=(1e-20,), beta=(2**-54,), gamma=(0.3,), delta=(0.5,)),
+         "grid beta values must leave 1 - beta below 1, got 5.55"),
+        ("cosp", GridSpec(tau=(1e-20, 0.3), beta=(1e-19, 0.5), gamma=(0.3,), delta=(0.5,)),
+         "grid beta values must leave 1 - beta below 1, got 1e-19"),
     ],
     ids=["nan gamma", "gamma 1.5", "tau 1.2", "beta 1", "delta -inf", "unknown model",
-         "cosp without beta"],
+         "cosp without beta", "beta 2**-54", "beta 1e-19 beside a sound pair"],
 )
 def test_bad_grid_values_rejected_before_search(model, grid, message, monkeypatch):
     from secpred import tune
@@ -90,6 +96,14 @@ def test_bad_grid_values_rejected_before_search(model, grid, message, monkeypatc
     monkeypatch.setattr(tune, "_search_bound", no_search)
     with pytest.raises(ValueError, match=message):
         grid_search(model, grid, thresholds=FAST, search_thresholds=FAST)
+
+
+def test_least_beta_with_1_minus_beta_below_1_runs():
+    # the next double above 2**-54 is the least beta the grid admits
+    beta = float(np.nextafter(2**-54, 1))
+    grid = GridSpec(tau=(1e-20,), beta=(beta,), gamma=(0.3,), delta=(0.5,))
+    params, bound = grid_search("cosp", grid, thresholds=FAST, search_thresholds=FAST)
+    assert (params.tau, params.beta, bound) == (1e-20, beta, 0.0)
 
 
 def test_theta_set_analytically():
@@ -106,10 +120,8 @@ def test_search_fixpoint_matches_scalar_certify():
     # the search walks certify's enumeration on a mesh Point: solving B = f(B)
     # and then certifying at theta = (1-B)/(1+B) must reproduce exactly B as
     # the global minimum
-    import numpy as np
-
     from secpred.analytic import Point, case_bound
-    from secpred.certify import iter_entries
+    from secpred.certificate import iter_entries
     from secpred.tune import SEARCH_THRESHOLDS, _search_once
 
     rng = np.random.default_rng(3)
@@ -160,8 +172,6 @@ def test_mesh_pow_over_x_matches_scalar_at_small_tau():
     # tau = 0.001 is the floor of the refined grid.  The mesh maps
     # pow_over_x_integral itself, so its values equal the scalar ones, up to
     # the exponents a search at SEARCH_THRESHOLDS reaches.
-    import numpy as np
-
     from secpred.analytic import Point, _pox, pow_over_x_integral
     from secpred.tune import SEARCH_THRESHOLDS, _mesh
 
@@ -185,8 +195,6 @@ def test_search_blocks_change_nothing(model, monkeypatch):
     # blocks of three (tau, beta) pairs leave a ragged last block on both
     # step-0.2 meshes (10 and 5 pairs of 25 cells); the array must equal the
     # one-block search bit for bit
-    import numpy as np
-
     from secpred import tune
 
     grid = GridSpec.coarse(model, step=0.2)
@@ -240,10 +248,8 @@ def test_factored_search_equals_flat_mesh(model, grid, thresholds):
     # the search takes each block of the (tau, beta) axis once and broadcasts
     # over gamma and delta; the same fixpoint on one flat point holding every
     # cell must give the same array, bit for bit
-    import numpy as np
-
     from secpred.analytic import Point, case6_coef, case_bound
-    from secpred.certify import iter_entries
+    from secpred.certificate import iter_entries
     from secpred.tune import SEARCH_THRESHOLDS, _mesh, _search_once
 
     thresholds = thresholds or SEARCH_THRESHOLDS
@@ -273,8 +279,6 @@ def test_pruned_search_equals_every_cell(model, grid, thresholds, monkeypatch):
     # grid), the winner and every computed cell must be those of the search
     # over every cell, and each pair left out must have its top more than
     # the slack below the maximum
-    import numpy as np
-
     from secpred import tune
 
     thresholds = thresholds or tune.SEARCH_THRESHOLDS
@@ -305,8 +309,6 @@ def test_full_mesh_runs_on_few_pairs(model, pairs, most, monkeypatch):
     # on the step-0.05 grids the screen sees every (tau, beta) pair, and the
     # full gamma x delta mesh at most 3 of the 171 cosp pairs and 1 of the 19
     # rosp pairs
-    import numpy as np
-
     from secpred import tune
 
     grid = GridSpec.coarse(model, step=0.05)
@@ -334,10 +336,8 @@ def test_case_forms_affine_in_gamma_and_delta(model, thresholds):
     # corners alone, which is exact only while every entry, case 6 over
     # 1 - coef included, is affine in gamma and in delta at fixed (tau, beta):
     # each value must equal the bilinear interpolation of its four corners
-    import numpy as np
-
     from secpred.analytic import Point
-    from secpred.certify import iter_entries
+    from secpred.certificate import iter_entries
     from secpred.tune import _term
 
     tau = np.array([0.001, 0.05, 0.3, 0.6, 0.9])[:, None, None]
@@ -374,10 +374,8 @@ def test_search_arrays_pinned(model, digest):
 def test_chunks_change_nothing(model, monkeypatch):
     # a screen asking for pieces of one entry or of 7 entries gives the
     # search array of the pieces that fill its buffer, bit for bit
-    import numpy as np
-
     from secpred import tune
-    from secpred.certify import entry_groups
+    from secpred.certificate import entry_groups
 
     grid = GridSpec.coarse(model, step=0.1)
     _, _, (whole, _) = tune._search_once(model, grid, tune.SEARCH_THRESHOLDS, every=True)
@@ -400,8 +398,6 @@ def test_screen_drops_most_entries(monkeypatch):
     # on the step-0.05 cosp grid fewer than a tenth of the entries can bind
     # anywhere, and only those reach the full gamma x delta mesh
     from secpred import tune
-
-    import numpy as np
 
     grid = GridSpec.coarse("cosp", step=0.05)
     full, screened = set(), set()  # entries evaluated on the mesh, on the corners
@@ -467,16 +463,19 @@ def test_refine_improves_or_holds():
 
 
 def test_refine_step_from_grid_spacing():
-    grid = GridSpec.coarse("rosp", step=0.1)
-    coarse, _ = grid_search("rosp", grid, thresholds=FAST, search_thresholds=FAST)
-    _, _, rows = grid_search(
-        "rosp", grid, thresholds=FAST, search_thresholds=FAST, refine=True, emit_all=True
-    )
-    # the refined axis steps by a tenth of the grid's 0.1 spacing around the
-    # coarse winner (the 0.05 fallback would step by 0.005)
-    want = [round(coarse.tau + i * 0.01, 12) for i in range(-9, 10)]
-    taus = sorted({p.tau for p, _ in rows})
-    assert taus == pytest.approx([t for t in want if 0.001 <= t <= 0.999], abs=1e-12)
+    # the refined axis steps by a tenth of the grid's spacing around the
+    # coarse winner: 0.01 on the step-0.1 grid, and 0.005, from the 0.05
+    # fallback, where no axis has two distinct values (a repeated value is
+    # no spacing)
+    for grid, step in ((GridSpec.coarse("rosp", step=0.1), 0.1),
+                       (GridSpec(tau=(0.3, 0.3), gamma=(0.3,), delta=(0.5,)), 0.05)):
+        coarse, _ = grid_search("rosp", grid, thresholds=FAST, search_thresholds=FAST)
+        _, _, rows = grid_search(
+            "rosp", grid, thresholds=FAST, search_thresholds=FAST, refine=True, emit_all=True
+        )
+        want = [round(coarse.tau + i * step / 10, 12) for i in range(-9, 10)]
+        taus = sorted({p.tau for p, _ in rows})
+        assert taus == pytest.approx([t for t in want if 0.001 <= t <= 0.999], abs=1e-12), grid
 
 
 def test_emit_all():
