@@ -133,13 +133,6 @@ _LEAST_M = {
 }
 
 
-def iter_small_cells(tm: int, tk: int):
-    for m in range(0, tm + 1):
-        for k in range(0, tk + 1):
-            for m2 in range(max(0, m - k), m + 1):
-                yield m, k, m2
-
-
 def small_cell_count(tm: int, tk: int) -> int:
     return sum(min(m, k) + 1 for m in range(tm + 1) for k in range(tk + 1))
 

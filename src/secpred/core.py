@@ -150,9 +150,10 @@ class Schedule:
     """Each candidate's arrival time in [0, 1], by candidate index.
 
     Two equal times are allowed: ``policy.run_trial`` takes tied arrivals
-    in index order.  In both arrival models the drawn times are
-    independent uniforms, so ties have probability zero, and they occur
-    only because a drawn time is a 53-bit float.
+    as simultaneous, so the outcome does not depend on the candidates'
+    labels.  In both arrival models the drawn times are independent
+    uniforms, so ties have probability zero, and they occur only because a
+    drawn time is a 53-bit float.
     """
 
     arrival_times: tuple[float, ...]
@@ -199,6 +200,9 @@ def build_instance(values: Sequence[float], predictions: Sequence[float]) -> Ins
 
     vs = tuple(_perturb(values))
     ps = tuple(_perturb(predictions))
+    # a duplicate near the float maximum is perturbed past it
+    if not all(map(math.isfinite, vs + ps)):
+        raise ValueError("values and predictions must stay finite once duplicates are perturbed")
     devs = tuple(abs(1.0 - p / v) for v, p in zip(vs, ps))
     ihat = max(range(len(ps)), key=lambda i: ps[i])
     istar = max(range(len(vs)), key=lambda i: vs[i])

@@ -11,28 +11,31 @@ delta otherwise); anyone else is hired outright.
 ``run_trial`` replays one schedule step by step and is the reference.
 Arrival times are independent uniforms, so two equal times have
 probability zero; they occur only because a time is a 53-bit float, and
-``run_trial`` takes tied arrivals in index order.
+``run_trial`` takes arrivals at one time as simultaneous: a mistake among
+them switches the mode before any of them is considered, and only the
+greatest value among them can be hired.  So the outcome does not depend
+on how the candidates are labelled.
 
 ``run_trials_batch`` is a vectorized engine that reproduces ``run_trial``
-bit for bit across many trials (same per-trial streams, same draws) and is
-what the simulation module uses.  It needs no arrival-order sort:
-secretary mode hires nobody before max(tau, t_switch), so its first hire
-is the earliest arrival after that point whose value beats every value
-that arrived before it, and a gated-out top prediction passes to the
-earliest later arrival that beats it.  The engine holds the candidates as
-columns in decreasing value, so the best value that arrived before the
-window is the first column j0 that did, and the candidates that beat it
-are the columns ahead of it.
+bit for bit across many trials (same per-trial streams, same draws, tied
+rows included) and is what the simulation module uses.  It needs no
+arrival-order sort: secretary mode hires nobody before max(tau, t_switch),
+so its first hire is the earliest arrival after that point whose value
+beats every value that arrived before it, the greatest of them on a tie,
+and a gated-out top prediction passes to the earliest later arrival that
+beats it.  The engine holds the candidates as columns in decreasing
+value, so the best value that arrived before the window is the first
+column j0 that did, and the candidates that beat it are the columns ahead
+of it.
 
 So a row's result depends only on the columns it reads: a short column
 prefix that holds j0, the mistakes and the top prediction.  Any other
 column is no mistake and not the top prediction, and it ranks below j0,
-which arrived before the window: it is never hired and changes nothing,
-and neither does a tie among such columns.  The engine draws only those
-columns, on widening prefixes (``_PREFIXES``): every row of a block on
-the first 4 columns, the rows whose j0 lies beyond them on the first 16,
-and the few left after that on the whole row.  A row with two equal times
-among the columns it read is replayed by ``run_trial``.
+which arrived before the window: it is never hired and changes nothing.
+The engine draws only those columns, on widening prefixes
+(``_PREFIXES``): every row of a block on the first 4 columns, the rows
+whose j0 lies beyond them on the first 16, and the few left after that on
+the whole row.
 
 A block's times are stored column-major, one array row per column, so
 finding j0, the switch and the earliest candidate are reductions over
@@ -46,11 +49,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .core import COSP, Instance, PolicyParams, Schedule, check_integer, check_model, check_seed
-from .rng import TrialStream, trial_seed, trial_seeds_vector, uniforms_at
+from .rng import TrialStream, trial_seeds_vector, uniforms_at
 
 __all__ = [
     "TrialOutcome",
@@ -64,8 +68,7 @@ __all__ = [
 # Draws per block: a block of ROW_ELEMENTS // len(cols) rows draws its
 # columns cols into two uint64 buffers of max(ROW_ELEMENTS, n) draws, 2 MiB
 # each below n = 2^18.  Fewer, longer passes pay numpy's per-call cost less
-# often: 80 000 rosp trials at n = 800 took 26.6 ms in blocks of 2^16 draws
-# and 16.9 ms in blocks of 2^18 (warm medians).
+# often.
 ROW_ELEMENTS = 1 << 18
 # Widths of the column prefixes a row's hire is looked for on, narrowest
 # first; a row none of them settles is read whole.
@@ -99,7 +102,7 @@ def make_cosp_schedule(instance: Instance, beta: float, stream: TrialStream) -> 
 
     Draws one uniform per other candidate, in index order.  A drawn time
     equal to beta or to another is kept, and ``run_trial`` takes the tied
-    arrivals in index order.
+    arrivals as simultaneous.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta={beta} outside (0, 1)")
@@ -111,7 +114,7 @@ def make_rosp_schedule(instance: Instance, stream: TrialStream) -> Schedule:
     """Random-order schedule: all arrivals independently uniform on [0, 1].
 
     Draws one uniform per candidate, in index order; equal times are kept,
-    and ``run_trial`` takes the tied arrivals in index order.
+    and ``run_trial`` takes the tied arrivals as simultaneous.
     """
     times = _draw_times(instance, stream, None)
     return Schedule(tuple(times))
@@ -125,13 +128,16 @@ def run_trial(
 ) -> TrialOutcome:
     """Replay the policy once over the given schedule.
 
-    Candidates arrive in order of their times, and tied arrivals in index
-    order.  An arrival at the switch time counts as the switch: a top
-    prediction reached in secretary mode at that time (it switched the
-    mode, or came after a tied candidate that did) is gated by gamma, a
-    later one by delta.
-    Each probabilistic hire decision consumes exactly one uniform from the
-    stream, in arrival order.
+    Candidates arrive in order of their times, and the arrivals at one
+    time as a group.  In prediction mode a mistake in the group switches
+    the mode at that time, before anyone in it is considered; a group with
+    no mistake that holds the top prediction hires it.  In secretary mode,
+    after tau, only the group's greatest value (the lowest index among
+    equal ones) can be hired, and only if it beats every earlier value.  A
+    top prediction there is gated by gamma at the switch time and by delta
+    later; a rejection ends the group, as nobody else in it beats the top
+    prediction.  Each probabilistic hire decision consumes exactly one
+    uniform from the stream.
     """
     times = schedule.arrival_times
     if len(times) != instance.n:
@@ -143,30 +149,29 @@ def run_trial(
     ihat = instance.top_predicted_index
     vstar = instance.top_true_value
 
-    order = sorted(range(instance.n), key=lambda i: times[i])
+    # by time, and within a time by decreasing value; the sort is stable,
+    # so equal values keep index order
+    order = sorted(range(instance.n), key=lambda i: (times[i], -vs[i]))
     mode = PREDICTION
     switch_time: float | None = None
     best_seen = -float("inf")
     hired: int | None = None
 
-    for i in order:
-        t = times[i]
-        if mode == PREDICTION and devs[i] > theta:
-            mode = SECRETARY
-            switch_time = t
-        if mode == PREDICTION and i == ihat:
-            hired = i
-            break
-        if mode == SECRETARY and t > tau and vs[i] > best_seen:
-            if i == ihat:
-                p = gamma if t == switch_time else delta
-                if stream.uniform() < p:
-                    hired = i
-                    break
-            else:
-                hired = i
+    for t, group in groupby(order, key=times.__getitem__):
+        group = list(group)
+        if mode == PREDICTION:
+            if any(devs[i] > theta for i in group):
+                mode = SECRETARY
+                switch_time = t
+            elif ihat in group:
+                hired = ihat
                 break
-        best_seen = max(best_seen, vs[i])
+        top = group[0]
+        if mode == SECRETARY and t > tau and vs[top] > best_seen:
+            if top != ihat or stream.uniform() < (gamma if t == switch_time else delta):
+                hired = top
+                break
+        best_seen = max(best_seen, vs[top])
 
     hired_value = vs[hired] if hired is not None else 0.0
     return TrialOutcome(
@@ -214,7 +219,7 @@ class _Draws:
 
     def times(self, rows, cols):
         """Arrival times of columns ``cols`` in rows ``rows``, as a
-        (columns, rows) array, and whether each row holds two equal ones."""
+        (columns, rows) array."""
         seeds = self.seeds[rows]
         shape = (len(cols), len(seeds))
         t = uniforms_at(
@@ -225,34 +230,12 @@ class _Draws:
         )
         if self.beta is not None:
             t[cols == self.pin] = self.beta
-        return t, _ties(t, self.scratch)
+        return t
 
     def groups(self, rows, width):
         """``rows`` in groups whose times on ``width`` columns fit a draw."""
         step = self.out.size // width
         return (rows[lo:lo + step] for lo in range(0, len(rows), step))
-
-
-def _ties(t, scratch):
-    """Whether each column of the (columns, rows) array ``t`` holds two
-    equal times.  Up to 17 columns every pair is compared, into a bool
-    view of the uint64 buffer ``scratch``, where the compares fit; wider
-    blocks are sorted by row on a copy there instead."""
-    w, k = t.shape
-    pairs = w * (w - 1) // 2
-    # a block holds at most scratch.size // w rows, so the compares fit
-    # while there are at most 8 for each column (w <= 17)
-    if pairs <= 8 * w:
-        equal = _view(scratch, (pairs, k), np.bool_)
-        lo = 0
-        for c in range(w - 1):
-            np.equal(t[c + 1:], t[c], out=equal[lo:lo + w - 1 - c])
-            lo += w - 1 - c
-        return equal.any(axis=0)
-    ordered = _view(scratch, (k, w), np.float64)
-    np.copyto(ordered, t.T)
-    ordered.sort(axis=1)
-    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
 
 
 def _first(mask):
@@ -280,7 +263,7 @@ def _scan(pre, opens, gstart, pos, fall):
     Columns run in decreasing value.  The best value outside the window is
     that of the first column j0 with ``t < opens``, and the candidates that
     beat it are the columns before ``gstart[j0]``, all in the window; the
-    hire is the earliest of them.  If that is ihat, at column ``pos``, and
+    hire is the earliest of them, the first column among equal times.  If that is ihat, at column ``pos``, and
     ``fall`` says the gate rejects it, the hire passes to the earliest of
     the columns before ``gstart[pos]``: each beats ihat and, being in the
     window, arrives after it.  Returns the hire's position (-1 if there is
@@ -311,7 +294,7 @@ def _scan(pre, opens, gstart, pos, fall):
 
 def _resolve_block(draws, stages, mistakes, gstart, params, gate_draw, hired, switched):
     """Each row's hired position (or -1) and switched flag, written into
-    ``hired`` and ``switched``; returns the rows to replay.
+    ``hired`` and ``switched``.
 
     ``stages`` holds (width, cols) pairs of widening column prefixes, the
     last the whole row.  Each stage draws the columns ``cols``: its prefix
@@ -323,14 +306,15 @@ def _resolve_block(draws, stages, mistakes, gstart, params, gate_draw, hired, sw
     Arrivals before max(tau, t_switch) are never hired, and each of them
     arrives before every arrival in the window after it.  So the first
     candidate the secretary mode takes is the earliest window arrival that
-    beats the best value outside the window.  The rows returned hold two
-    equal times among the columns they read.
+    beats the best value outside the window, the greatest of those at that
+    time.  A mistake at ihat's time switches the mode before ihat is
+    considered, and a top prediction at the switch time is gated by gamma.
     """
     pos_ihat = draws.pin
     width, cols = stages[0]
-    times, tied = draws.times(slice(None), cols)
+    times = draws.times(slice(None), cols)
     k = times.shape[1]
-    # the mistakes' times are gathered into scratch, which the ties no longer need
+    # the mistakes' times are gathered into scratch, which the draw no longer needs
     gathered = _view(draws.scratch, (len(mistakes), k), np.float64)
     np.take(times, mistakes, axis=0, mode="clip", out=gathered)
     t_switch = gathered.min(axis=0, initial=np.inf)
@@ -350,13 +334,11 @@ def _resolve_block(draws, stages, mistakes, gstart, params, gate_draw, hired, sw
     for width, cols in stages[1:]:
         left = []
         for group in draws.groups(rows, len(cols)):
-            times, group_ties = draws.times(group, cols)
-            tied[group] |= group_ties
+            times = draws.times(group, cols)
             first[group], done = _scan(times[:width], opens[group], gstart, pos_ihat, fall[group])
             left.append(group[~done])
         rows = np.concatenate(left) if left else rows
     np.copyto(hired, np.where(pred_hire, pos_ihat, first))
-    return np.flatnonzero(tied)
 
 
 def _stages(is_mistake, pos_ihat):
@@ -390,7 +372,7 @@ def run_trials_batch(
     ``TrialStream(trial_seed(base_seed, i))`` exactly.  Block column c
     holds candidate ``order[c]``, the candidates sorted by decreasing value
     (ties in index order); each column keeps its candidate's draw number,
-    so the streams are read as the scalar replay reads them.  Trials run in
+    so the streams are read as ``make_*_schedule`` reads them.  Trials run in
     blocks of ``ROW_ELEMENTS // len(cols)`` rows, ``cols`` being the
     columns of the 16-column stage, and a block draws only the columns a
     row's hire depends on, in stages (``_stages``): the 4-column prefix,
@@ -398,9 +380,8 @@ def run_trials_batch(
     the rows whose hire the first does not settle; then the whole row for
     the rows left.  A stage whose columns are more than half of the row
     reads it whole, and is the last.  The blocks run in order, each
-    drawing into the same two buffers.  The hires are mapped back through
-    ``order``, and the rows with two equal times among the columns they
-    read are then replayed by ``run_trial``, in row order.
+    drawing into the same two buffers, and the hires are mapped back
+    through ``order``.
 
     ``base_seed`` must lie in [0, 2**64), the seeds a stream can hold, and
     start and count are integers >= 0 with start + count <= 2**64, since
@@ -445,27 +426,14 @@ def run_trials_batch(
     # in again
     out = np.empty(max(ROW_ELEMENTS, n), dtype=np.uint64)
     scratch = np.empty_like(out)
-    replay = []
     for lo in range(0, count, rows):
         block = slice(lo, lo + rows)
         seeds = trial_seeds_vector(base_seed, start + lo, min(rows, count - lo))
         draws = _Draws(seeds, col_draw, pos_ihat, beta, out, scratch)
-        tied = _resolve_block(
+        _resolve_block(
             draws, stages, mistakes, gstart, params, gate_draw, hired[block], switched[block]
         )
-        replay += (lo + tied).tolist()
 
     hired = np.where(hired >= 0, order[hired], -1)
-    # a row with two equal times among those it read takes them in index
-    # order, as the scalar replay does
-    for r in replay:
-        stream = TrialStream(trial_seed(base_seed, start + r))
-        if beta is not None:
-            schedule = make_cosp_schedule(instance, beta, stream)
-        else:
-            schedule = make_rosp_schedule(instance, stream)
-        outcome = run_trial(instance, schedule, params, stream)
-        hired[r] = -1 if outcome.hired_index is None else outcome.hired_index
-        switched[r] = outcome.switch_time is not None
     ratios = np.where(hired >= 0, v[hired] / vstar, 0.0)
     return BatchResult(hired=hired, ratios=ratios, switched=switched)

@@ -146,14 +146,6 @@ def _axes(model: str, grid: GridSpec):
     return tau, beta, gamma, delta
 
 
-def _mesh(model: str, grid: GridSpec):
-    """The cells of ``_axes`` as flat (tau, beta, gamma, delta) columns, in
-    the search array's order: one flat mesh point evaluates every cell."""
-    axes = _axes(model, grid)
-    shape = np.broadcast_shapes(*(a.shape for a in axes if a is not None))
-    return tuple(None if a is None else np.broadcast_to(a, shape).ravel() for a in axes)
-
-
 # An entry is screened out at a pair when its least corner value exceeds the
 # least greatest corner value over all entries by more than this.  Each term
 # is affine in gamma and in delta, so its extremes over the pair's cells are
@@ -245,8 +237,9 @@ def _alive(found, top):
 
 def _search_bound(model, axes, thresholds, every=False):
     """The fixpoint B = f(B) (r = 0) at the cells of the mesh that can hold
-    its maximum, and -inf at the rest, flat in the order of ``_mesh``; with
-    ``every``, at every cell, which costs the full mesh.
+    its maximum, and -inf at the rest, flat in the order of the mesh that
+    ``_axes`` spans; with ``every``, at every cell, which costs the full
+    mesh.
 
     The pairs go through in blocks.  ``_screen`` runs on a block's gamma
     and delta corners and gives each pair's ``top``.  The full mesh runs

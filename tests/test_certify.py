@@ -22,10 +22,26 @@ from secpred.certificate import (
     entry,
     entry_groups,
     iter_entries,
-    iter_small_cells,
     small_cell_count,
 )
-from secpred.tune import GridSpec, _mesh
+from secpred.tune import GridSpec, _axes
+
+
+def _small_cells(tm, tk):
+    """The small (m, k, m2) cells in enumeration order: m <= tm, k <= tk and
+    max(0, m - k) <= m2 <= m."""
+    for m in range(tm + 1):
+        for k in range(tk + 1):
+            for m2 in range(max(0, m - k), m + 1):
+                yield m, k, m2
+
+
+def _flat_mesh(model, grid):
+    """The cells of the mesh ``tune._axes`` spans, as flat (tau, beta,
+    gamma, delta) columns in the search array's order."""
+    axes = _axes(model, grid)
+    shape = np.broadcast_shapes(*(a.shape for a in axes if a is not None))
+    return tuple(None if a is None else np.broadcast_to(a, shape).ravel() for a in axes)
 
 
 def cell_bounds(model, params, cell):
@@ -72,7 +88,7 @@ def test_k_free_entries_taken_once(model, params):
     point = _mesh_point(model) if params == "mesh" else Point.of(model, params)
     first = _mesh_point(model) if params == "mesh" else Point.of(model, params)
     c1, c6 = CASE_FORMS[model, 1], CASE_FORMS[model, 6]
-    for m, k, m2 in iter_small_cells(tm, tk):
+    for m, k, m2 in _small_cells(tm, tk):
         if m >= 1:
             want = c1(first, m, 0, m, tm, tk)
             assert np.array_equal(c1(point, m, k, m2, tm, tk), want), (m, k, m2)
@@ -85,7 +101,7 @@ def test_k_free_entries_taken_once(model, params):
 
 def test_cell_count_closed_form():
     assert small_cell_count(20, 20) == sum(
-        1 for _ in iter_small_cells(20, 20)
+        1 for _ in _small_cells(20, 20)
     )
     report = certify("cosp", P, 0.262, thresholds=(5, 5))
     assert report.cells_checked == small_cell_count(5, 5) + 7
@@ -149,7 +165,7 @@ def test_single_pass_matches_enumeration_minimum(model, params, target_b):
 
 
 def _mesh_point(model):
-    tau, beta, gamma, delta = _mesh(model, GridSpec.coarse(model, step=0.3))
+    tau, beta, gamma, delta = _flat_mesh(model, GridSpec.coarse(model, step=0.3))
     return Point(tau, gamma, delta, beta)
 
 
@@ -306,7 +322,7 @@ def _cell_entries(model, tm, tk):
     large regimes."""
     least = {c: m for (mod, c), m in certificate._LEAST_M.items() if mod == model}
     out = []
-    for m, k, m2 in iter_small_cells(tm, tk):
+    for m, k, m2 in _small_cells(tm, tk):
         if k == 0:
             out.append((1 if m >= least[1] else 6, "exact", m, k, m2))
             continue

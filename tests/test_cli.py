@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -258,12 +259,15 @@ def test_simulate_malformed_instance_exit_two(tmp_path, capsys, body):
         ('{"values": [1' + "0" * 400 + ', 2], "predictions": [1, 2]}', "fit in a float"),
         ('{"values": ' + "[" * 200_000 + "]" * 200_000 + ', "predictions": [1]}',
          "nested too deeply to parse"),
+        ('{"values": [%r, %r, 1.0], "predictions": [1, 2, 3]}' % (sys.float_info.max, sys.float_info.max),
+         "stay finite"),
     ],
-    ids=["overflow", "recursion"],
+    ids=["overflow", "recursion", "perturbed-overflow"],
 )
 def test_simulate_unreadable_instance_exit_two(tmp_path, capsys, text, message):
-    # an integer beyond the float range and brackets nested past the parser's
-    # recursion limit are usage errors, not tracebacks
+    # an integer beyond the float range, brackets nested past the parser's
+    # recursion limit and a duplicate value that its perturbation takes past
+    # the float maximum are usage errors, not tracebacks or a NaN ratio
     inst = tmp_path / "inst.json"
     inst.write_text(text)
     code = main(["simulate", "--instance", str(inst), *COSP_FLAGS, "--trials", "10"])
@@ -350,14 +354,15 @@ def test_tune_emit_all(tmp_path, capsys):
 
 def test_tune_refine_emit_all_lists_refine_cells(tmp_path, capsys):
     # with --refine the file holds the refine search's cells, not the coarse ones
-    from secpred.tune import GridSpec, _mesh, _refined_grid, grid_search
+    from secpred.tune import GridSpec, _axes, _refined_grid, grid_search
 
     path = tmp_path / "cells.csv"
     code = main(["tune", "--model", "rosp", "--step", "0.3", "--tm", "8", "--tk", "8",
                  "--refine", "--emit-all", str(path)])
     assert code == 0
     coarse, _ = grid_search("rosp", GridSpec.coarse("rosp", 0.3), thresholds=(8, 8))
-    cells = len(_mesh("rosp", _refined_grid(coarse, 0.3))[0])
+    tau, _, gamma, delta = _axes("rosp", _refined_grid(coarse, 0.3))
+    cells = tau.size * gamma.size * delta.size
     assert cells != 4**3
     assert len(path.read_text().splitlines()) == 1 + cells
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -192,13 +193,16 @@ def test_instance_file_round_trip(tmp_path):
         load_instance(str(bad))
 
 
-# an integer beyond the float range, and brackets nested past the parser's
-# recursion limit: each is a ValueError, not an OverflowError or a
-# RecursionError
+# an integer beyond the float range, brackets nested past the parser's
+# recursion limit, and a duplicate value at the float maximum, which its
+# perturbation takes to inf: each is a ValueError, not an OverflowError, a
+# RecursionError or a silent inf
 UNREADABLE_FILES = {
     "overflow": ('{"values": [1' + "0" * 400 + ', 2], "predictions": [1, 2]}', "fit in a float"),
     "recursion": ('{"values": ' + "[" * 200_000 + "]" * 200_000 + ', "predictions": [1]}',
                   "nested too deeply to parse"),
+    "perturbed-overflow": ('{"values": [%r, %r, 1.0], "predictions": [1, 2, 3]}'
+                           % (sys.float_info.max, sys.float_info.max), "stay finite"),
 }
 
 

@@ -212,18 +212,6 @@ def test_batch_matches_scalar(model, inst, params):
         assert batch.switched[i] == (out.switch_time is not None), i
 
 
-def _counted_replays(monkeypatch):
-    """The schedules ``policy.run_trial`` is called on, in call order."""
-    calls = []
-
-    def counted(inst, schedule, params, stream):
-        calls.append(schedule)
-        return run_trial(inst, schedule, params, stream)
-
-    monkeypatch.setattr(policy, "run_trial", counted)
-    return calls
-
-
 def _gated_tie(seed=3):
     # beta is trial 0's first uniform, which candidate 0 draws as well, so
     # trial 0's schedule is (beta, beta).  The top prediction is the only
@@ -241,15 +229,12 @@ def _gated_tie(seed=3):
     return inst, params
 
 
-def test_batch_redraws_colliding_schedule_like_scalar(monkeypatch):
+def test_batch_redraws_colliding_schedule_like_scalar():
     seed = 3
     inst, params = _gated_tie(seed)
     sched = make_cosp_schedule(inst, params.beta, TrialStream(trial_seed(seed, 0)))
     assert sched.arrival_times == (params.beta, params.beta)
-    calls = _counted_replays(monkeypatch)
     batch = run_trials_batch(inst, "cosp", params, seed, 0, 8)
-    # trial 0 is replayed once, and nothing else is
-    assert [s.arrival_times for s in calls] == [sched.arrival_times]
     assert batch.hired[0] == 1
     for i in range(8):
         stream = TrialStream(trial_seed(seed, i))
@@ -259,12 +244,11 @@ def test_batch_redraws_colliding_schedule_like_scalar(monkeypatch):
         assert batch.switched[i] == (out.switch_time is not None), i
 
 
-def test_batch_reads_redrawn_times(monkeypatch):
-    # trial 0's schedule is (beta, beta) as above.  Candidate 0, the true
-    # best and no mistake, is taken first, in prediction mode; the top
-    # prediction then switches the mode at the same time, and nobody beats
-    # candidate 0 after it, so nobody is hired.  Taking the top prediction
-    # first would gate it and then hire candidate 0
+def test_batch_reads_redrawn_times():
+    # trial 0's schedule is (beta, beta) as above.  The two arrive at one
+    # time: the top prediction, candidate 1, is a mistake and switches the
+    # mode before either is considered, and candidate 0, the greater value
+    # and no top prediction, is then hired outright
     seed = 3
     beta = TrialStream(trial_seed(seed, 0)).uniform()
     params = PolicyParams(theta=0.5, tau=0.2, gamma=0.5, delta=0.5, beta=beta)
@@ -272,19 +256,51 @@ def test_batch_reads_redrawn_times(monkeypatch):
     inst = build_instance([100.0, 1.0], [100.0, 190.0])
     assert inst.top_predicted_index == 1
 
-    calls = _counted_replays(monkeypatch)
     batch = run_trials_batch(inst, "cosp", params, seed, 0, 8)
-    assert [s.arrival_times for s in calls] == [(beta, beta)]
     for i in range(8):
         stream = TrialStream(trial_seed(seed, i))
         sched = make_cosp_schedule(inst, params.beta, stream)
         out = run_trial(inst, sched, params, stream)
         if i == 0:
             assert sched.arrival_times == (beta, beta)
-            assert out.hired_index is None and out.switch_time == beta
+            assert out.hired_index == 0 and out.switch_time == beta
         assert batch.hired[i] == (out.hired_index if out.hired_index is not None else -1), i
         assert batch.ratios[i] == out.ratio, i
         assert batch.switched[i] == (out.switch_time is not None), i
+
+
+def _tie_rule_setups(count=1500):
+    # the pair of test_batch_reads_redrawn_times, then random instances of
+    # distinct values with every time on a grid of 2^-3, so that most
+    # schedules hold ties, ties with tau among them
+    yield [100.0, 1.0], [100.0, 190.0], (0.5, 0.5), PolicyParams(0.5, 0.2, 0.5, 0.5)
+    rng = np.random.default_rng(35)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        values = rng.uniform(0.5, 3.0, n)
+        preds = values * rng.choice([1.0, 0.3, 1.6], n)
+        times = tuple(rng.integers(0, 8, n) / 8)
+        params = PolicyParams(0.5, int(rng.integers(0, 8)) / 8, rng.uniform(), rng.uniform())
+        yield values.tolist(), preds.tolist(), times, params
+
+
+def test_tie_rule_ignores_labels():
+    # candidate j of the relabelled run is candidate perm[j] of the first;
+    # both runs read the same gate stream
+    rng = np.random.default_rng(53)
+    tied = 0
+    for s, (values, preds, times, params) in enumerate(_tie_rule_setups()):
+        perm = rng.permutation(len(values)) if s else np.array([1, 0])
+        inst = build_instance(values, preds)
+        out = run_trial(inst, Schedule(times), params, TrialStream(s))
+        relabelled = build_instance([values[i] for i in perm], [preds[i] for i in perm])
+        moved = Schedule(tuple(times[i] for i in perm))
+        got = run_trial(relabelled, moved, params, TrialStream(s))
+        want = None if out.hired_index is None else int(np.flatnonzero(perm == out.hired_index)[0])
+        assert got.hired_index == want, (s, values, preds, times, perm)
+        assert got.switch_time == out.switch_time, s
+        tied += len(set(times)) < len(times)
+    assert tied > 0
 
 
 def test_batch_memory_bounded():
@@ -323,21 +339,6 @@ def test_batch_matches_scalar_over_partial_blocks(model):
         assert batch.switched[i] == (out.switch_time is not None), i
 
 
-def test_only_colliding_rows_replayed(monkeypatch):
-    calls = _counted_replays(monkeypatch)
-    # trial 0 of test_batch_redraws_colliding_schedule_like_scalar holds a
-    # tie, and is replayed from its one round
-    seed = 3
-    inst, params = _gated_tie(seed)
-    run_trials_batch(inst, "cosp", params, seed, 0, 8)
-    assert [s.arrival_times for s in calls] == [(params.beta, params.beta)]
-    # rows of a long instance whose times are distinct are not replayed
-    calls.clear()
-    inst = gen_case_family(4, 2, 1, 1, 2**14, THEOREM_ROSP_PARAMS.theta)
-    run_trials_batch(inst, "rosp", THEOREM_ROSP_PARAMS, 5, 0, 200)
-    assert calls == []
-
-
 def _tie_runs():
     seed = 3
     # trial 0 of test_batch_redraws_colliding_schedule_like_scalar and of
@@ -353,26 +354,24 @@ def _tie_runs():
     high = build_instance([100.0, 1.0], [100.0, 190.0])
     cosp = gen_case_family(4, 2, 1, 1, 50, P.theta)
     rosp = gen_case_family(4, 2, 1, 1, 50, THEOREM_ROSP_PARAMS.theta)
-    # instance, model, parameters and the number of trials replayed
+    # instance, model and parameters
     return [
-        pytest.param(cosp, "cosp", P, 0, id="cosp"),
-        pytest.param(rosp, "rosp", THEOREM_ROSP_PARAMS, 0, id="rosp"),
-        pytest.param(low, "cosp", gated, 1, id="redraws-trial0"),
-        pytest.param(high, "cosp", tied, 1, id="reads-redrawn-trial0"),
-        pytest.param(high, "cosp", late, 1, id="redraws-trial700"),
+        pytest.param(cosp, "cosp", P, id="cosp"),
+        pytest.param(rosp, "rosp", THEOREM_ROSP_PARAMS, id="rosp"),
+        pytest.param(low, "cosp", gated, id="redraws-trial0"),
+        pytest.param(high, "cosp", tied, id="reads-redrawn-trial0"),
+        pytest.param(high, "cosp", late, id="redraws-trial700"),
     ]
 
 
 @pytest.mark.parametrize("row_elements", [997, policy.ROW_ELEMENTS], ids=["uneven", "default"])
-@pytest.mark.parametrize("inst,model,params,replayed", _tie_runs())
-def test_each_tie_replayed_once(monkeypatch, row_elements, inst, model, params, replayed):
+@pytest.mark.parametrize("inst,model,params", _tie_runs())
+def test_each_tie_replayed_once(monkeypatch, row_elements, inst, model, params):
     # at ROW_ELEMENTS = 997 the 3000 trials run in 7 (n = 2) or 51 (n = 50)
     # blocks, the last a partial one; at the default in one
     want = run_trials_batch(inst, model, params, 3, 0, 3000)
     monkeypatch.setattr(policy, "ROW_ELEMENTS", row_elements)
-    calls = _counted_replays(monkeypatch)
     got = run_trials_batch(inst, model, params, 3, 0, 3000)
-    assert len(calls) == replayed
     assert np.array_equal(got.hired, want.hired)
     assert np.array_equal(got.ratios, want.ratios)
     assert np.array_equal(got.switched, want.switched)
@@ -480,21 +479,6 @@ def test_every_stage_matches_scalar(monkeypatch, inst, model, params, widths):
         assert batch.hired[i] == (out.hired_index if out.hired_index is not None else -1), i
         assert batch.ratios[i] == out.ratio, i
         assert batch.switched[i] == (out.switch_time is not None), i
-
-
-@pytest.mark.parametrize("width", [1, 2, 4, 16, 17, 18, 50])
-def test_ties_found_by_pairs_and_by_sorting(width):
-    # up to 17 columns every pair is compared, above that each row is sorted
-    rng = np.random.default_rng(width)
-    rows = 300
-    t = rng.random((width, rows))
-    for r in range(0, rows, 3):
-        a, b = rng.integers(0, width, 2)
-        t[a, r] = t[b, r]
-    want = [len(set(t[:, r])) < width for r in range(rows)]
-    scratch = np.empty(max(policy.ROW_ELEMENTS, width * rows), dtype=np.uint64)
-    assert policy._ties(t, scratch).tolist() == want
-    assert width == 1 or any(want)
 
 
 def test_batch_memory_is_its_buffers():

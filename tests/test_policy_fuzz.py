@@ -152,13 +152,6 @@ def test_batch_matches_scalar_on_ties(monkeypatch, trials_per_setup=600):
         return u
 
     monkeypatch.setattr(policy, "uniforms_at", floored)
-    replayed = []
-
-    def counted(inst, schedule, params, stream):
-        replayed.append(schedule.arrival_times)
-        return run_trial(inst, schedule, params, stream)
-
-    monkeypatch.setattr(policy, "run_trial", counted)
 
     setups = []
     for model, params in (("cosp", THEOREM_COSP_PARAMS), ("rosp", THEOREM_ROSP_PARAMS)):
@@ -187,10 +180,7 @@ def test_batch_matches_scalar_on_ties(monkeypatch, trials_per_setup=600):
             assert batch.hired[i] == want, (s, i)
             assert batch.ratios[i] == out.ratio, (s, i)
             assert batch.switched[i] == (out.switch_time is not None), (s, i)
-    # only rows with a tie are replayed, and a tie among columns a row does
-    # not read leaves the row to the engine
-    assert all(len(set(times)) < len(times) for times in replayed)
-    assert 0 < len(replayed) < tied, (len(replayed), tied)
+    assert tied > 0
 
 
 def test_outcome_invariants_fuzz():

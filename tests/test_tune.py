@@ -4,9 +4,17 @@ import pytest
 from secpred import GridSpec, PolicyParams, THEOREM_COSP_PARAMS as P, THEOREM_ROSP_PARAMS as Q
 from secpred import certify, grid_search
 from secpred.certificate import MAX_THRESHOLD
-from secpred.tune import MAX_GRID_POINTS
+from secpred.tune import MAX_GRID_POINTS, _axes
 
 FAST = (6, 6)  # search thresholds for quick tests
+
+
+def _flat_mesh(model, grid):
+    """The cells of the mesh ``tune._axes`` spans, as flat (tau, beta,
+    gamma, delta) columns in the search array's order."""
+    axes = _axes(model, grid)
+    shape = np.broadcast_shapes(*(a.shape for a in axes if a is not None))
+    return tuple(None if a is None else np.broadcast_to(a, shape).ravel() for a in axes)
 
 
 def test_degenerate_grid_returns_theorem_params():
@@ -173,11 +181,11 @@ def test_mesh_pow_over_x_matches_scalar_at_small_tau():
     # pow_over_x_integral itself, so its values equal the scalar ones, up to
     # the exponents a search at SEARCH_THRESHOLDS reaches.
     from secpred.analytic import Point, _pox, pow_over_x_integral
-    from secpred.tune import SEARCH_THRESHOLDS, _mesh
+    from secpred.tune import SEARCH_THRESHOLDS
 
     tm, tk = SEARCH_THRESHOLDS
     grid = GridSpec(tau=(0.001, 0.002), beta=(0.003, 0.5), gamma=(0.3,), delta=(0.5,))
-    tau, beta, gamma, delta = _mesh("cosp", grid)
+    tau, beta, gamma, delta = _flat_mesh("cosp", grid)
     point = Point(tau, gamma, delta, beta)
     spans = {
         "t1": (tau, np.ones_like(tau), 2 * tm + tk + 3),
@@ -250,10 +258,10 @@ def test_factored_search_equals_flat_mesh(model, grid, thresholds):
     # cell must give the same array, bit for bit
     from secpred.analytic import Point, case6_coef, case_bound
     from secpred.certificate import iter_entries
-    from secpred.tune import SEARCH_THRESHOLDS, _mesh, _search_once
+    from secpred.tune import SEARCH_THRESHOLDS, _search_once
 
     thresholds = thresholds or SEARCH_THRESHOLDS
-    tau, beta, gamma, delta = _mesh(model, grid)
+    tau, beta, gamma, delta = _flat_mesh(model, grid)
     point = Point(tau, gamma, delta, beta)
     flat = np.full(tau.shape, np.inf)
     for case_id, _, m, k, m2 in iter_entries(model, *thresholds):
