@@ -23,8 +23,8 @@ depends on (tau, beta) alone, is taken once per pair and only the terms
 with gamma or delta span the full mesh.  The pairs are walked in blocks,
 each on a fresh Point, so the points' columns stay a fixed size.
 
-Most entries never bind, so a screen runs first and the full mesh sees only
-the entries that can.  With (tau, beta) fixed, every case form is affine in
+Most entries never bind, so a screen runs before the full mesh, which sees
+only the entries that can.  With (tau, beta) fixed, every case form is affine in
 gamma and in delta (no gamma * delta term), and the case-6 divisor 1 - coef
 reads (tau, beta) alone, so an entry's extremes over a pair's cells lie at
 the corners of its gamma x delta grid.  The screen walks certify's pieces of
@@ -39,26 +39,32 @@ columns, with a mask over its block's pairs; on each sub-block the full pass
 evaluates, one at a time, the entries kept at some pair of it, on a point
 that shares the screen's pow-over-x rows.  ``np.minimum`` then picks the
 same values, so each cell is bit-identical to the one over every entry.
-On the step-0.05 grid the screen keeps 66 of 1 495 cosp entries and 25 of
-1 506 rosp entries, and the full mesh, run only on the pairs below, evaluates
-33 and 22 of them.
+On the step-0.05 grid the screens keep 35 of the 1 495 cosp entries and 24
+of the 1 506 rosp entries, and the full mesh, run only on the pairs below,
+evaluates 33 and 22 of them.
 
 Most pairs cannot hold the greatest cell either, so the search is a branch
 and bound over the pairs.  The same corners bound the fixpoint at every cell
 of a pair by ``top``, the least over entries of an entry's greatest corner
-value, up to a few ulps.  The full mesh runs first on the pair with the
-greatest ``top``, which gives ``best``, an exact search value, and then only
-on the pairs whose ``top`` is not more than ``_SCREEN_SLACK`` below ``best``;
-the cells of the others hold -inf.  So no pair holding a cell equal to the
-maximum is left out, and the maximum, the cells tied at it and the winner
-are those of the search over every cell.  On the step-0.05 grid the full
-mesh runs on 3 of the 171 cosp pairs and on 1 of the 19 rosp pairs.
+value, up to a few ulps.  A probe first walks only the exact cells with m
+and k up to 3 (51 cosp and 54 rosp entries) on the corners of every pair.
+An exact form ignores the thresholds, so these are entries of the search's
+own enumeration, and the probe's bound ``top0`` is at least ``top``.  The
+pair with the greatest ``top0`` is screened and meshed first, which gives
+``best``, an exact search value.  Then only the pairs whose ``top0`` is not
+more than ``_SCREEN_SLACK`` below ``best`` are screened, and the full mesh
+runs only on those whose ``top`` is not either; the cells of the others hold
+-inf.  So no pair holding a cell equal to the maximum is left out, and the
+maximum, the cells tied at it and the winner are those of the search over
+every cell.  On the step-0.05 grid the screen sees 3 of the 171 cosp pairs
+and 1 of the 19 rosp pairs, and the full mesh runs on the same pairs.
 ``grid_search(..., emit_all=True)`` lists every cell, so its last search
-costs the full mesh.
+screens every pair and costs the full mesh.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -183,7 +189,22 @@ def _block_pairs(cells, thresholds):
 _CHUNK = 1 << 14
 
 
-def _screen(model, point, thresholds):
+# The probe walks the exact cells with m and k up to this
+_PROBE = 3
+
+
+def _probe_groups(model, tm, tk, size):
+    """The pieces the probe walks: the exact cells of ``entry_groups`` at
+    (min(_PROBE, tm), min(_PROBE, tk)), in pieces of at most ``size``
+    entries.  An exact form ignores the thresholds, so these are entries of
+    the search's own enumeration at (tm, tk), with the same values; no
+    large-regime group is read, as a floor at a low threshold lies below the
+    entries it stands for at a higher one."""
+    tm, tk = min(_PROBE, tm), min(_PROBE, tk)
+    return itertools.takewhile(lambda g: g[1] == "exact", entry_groups(model, tm, tk, size=size))
+
+
+def _screen(model, point, thresholds, probe=False):
     """The entries that can bind at some (tau, beta) pair of ``point``, and
     ``top``, as (keep, top).  ``keep`` lists (entry, where): the entry's ints
     as ``certificate.entry`` gives them, and a bool array over the pairs that
@@ -199,14 +220,16 @@ def _screen(model, point, thresholds):
     value exceeds it (plus ``_SCREEN_SLACK``) cannot be the minimum anywhere
     there.  Entries are tested as their piece lands and, as ``top`` only
     falls, the survivors again against the final ``top``.  A NaN keeps the
-    entry.
+    entry.  With ``probe`` only ``_probe_groups`` is walked, a subset of the
+    entries, so its ``top`` is at least the full one at every pair.
     """
     shape = np.broadcast_shapes(point.gamma.shape, point.delta.shape, point.tau.shape)
     corners, pairs = shape[0] * shape[1], shape[2]
     top = np.full(pairs, np.inf)
     values = np.empty((max(1, _CHUNK // (corners * pairs)), *shape))
     found = []
-    for piece in entry_groups(model, *thresholds, size=len(values)):
+    walk = _probe_groups if probe else entry_groups
+    for piece in walk(model, *thresholds, size=len(values)):
         case_id, regime, m, k, m2 = piece
         if case_id == 6 and isinstance(m, int) and m == 0:
             continue
@@ -241,15 +264,19 @@ def _search_bound(model, axes, thresholds, every=False):
     ``_axes`` spans; with ``every``, at every cell, which costs the full
     mesh.
 
-    The pairs go through in blocks.  ``_screen`` runs on a block's gamma
-    and delta corners and gives each pair's ``top``.  The full mesh runs
-    first on the pair with the greatest ``top``, alone, and then on the
-    block's other pairs whose ``top`` is not ``_SCREEN_SLACK`` below
-    ``best``, the greatest cell so far, in sub-blocks; ``best`` carries
-    across blocks, and a NaN in ``top`` or ``best`` keeps a pair.  Each
-    sub-block sees only the entries the screen keeps at some pair of it, and
-    the points of a block share their pow-over-x rows.  Every cell computed
-    is the same as with every entry, bit for bit.
+    The pairs go through in blocks.  With ``every``, ``_screen`` runs on all
+    of a block's gamma and delta corners at once, and the full mesh on every
+    pair.  Otherwise the probe (``_screen`` over ``_probe_groups``) runs on
+    the block's corners first and gives each pair ``top0``, at least its
+    ``top``.  The pair with the greatest ``top0`` is screened and meshed
+    first, alone; then the block's other pairs whose ``top0`` is not
+    ``_SCREEN_SLACK`` below ``best``, the greatest cell so far, are
+    screened, and the full mesh runs on those whose ``top`` is not either,
+    in sub-blocks.  ``best`` carries across blocks, and a NaN in ``top0``,
+    ``top`` or ``best`` keeps a pair.  Each sub-block sees only the entries
+    the screen keeps at some pair of it, and the points of a block share
+    their pow-over-x rows.  Every cell computed is the same as with every
+    entry, bit for bit.
     """
     tau, beta, gam, dlt = axes
     b = np.full((tau.shape[0], gam.size, dlt.size), -np.inf)
@@ -259,27 +286,40 @@ def _search_bound(model, axes, thresholds, every=False):
                np.array([dlt.min(), dlt.max()])[None, :, None])
     outer_size, inner_size = (_block_pairs(n, thresholds) for n in (4, gam.size * dlt.size))
     best = -np.inf
+
+    def screen(pairs, probe=False):
+        point = Point(tau[pairs].T, *corners, None if beta is None else beta[pairs].T, rows=rows)
+        return _screen(model, point, thresholds, probe)
+
+    def mesh(local):
+        # screen the pairs local, then run the full mesh on those that can
+        # still hold the greatest cell (every pair with ``every``)
+        nonlocal best
+        keep, top = screen(local)
+        live = np.arange(local.size) if every else np.flatnonzero(~(top + _SCREEN_SLACK < best))
+        for i in range(0, live.size, inner_size):
+            sub = live[i:i + inner_size]
+            block = local[sub]
+            point = Point(tau[block], gam, dlt, None if beta is None else beta[block], rows=rows)
+            out = np.full((sub.size, gam.size, dlt.size), np.inf)
+            for entry, where in keep:
+                if where[sub].any():
+                    np.minimum(out, _term(model, point, entry, thresholds), out=out)
+            b[block] = out
+            best = np.maximum(best, out.max())
+
     for lo in range(0, len(b), outer_size):
-        outer = slice(lo, lo + outer_size)
-        rows = {}
-        point = Point(tau[outer].T, *corners, None if beta is None else beta[outer].T, rows=rows)
-        keep, top = _screen(model, point, thresholds)
-        del point
-        pairs = np.arange(top.size)
-        lead = int(np.argmax(top))
-        for local in [pairs] if every else [pairs[lead:lead + 1], np.delete(pairs, lead)]:
-            if not every:  # best includes the lead pair here
-                local = local[~(top[local] + _SCREEN_SLACK < best)]
-            for i in range(0, local.size, inner_size):
-                sub = local[i:i + inner_size]
-                block = lo + sub
-                point = Point(tau[block], gam, dlt, None if beta is None else beta[block], rows=rows)
-                out = np.full((sub.size, gam.size, dlt.size), np.inf)
-                for entry, where in keep:
-                    if where[sub].any():
-                        np.minimum(out, _term(model, point, entry, thresholds), out=out)
-                b[block] = out
-                best = np.maximum(best, out.max())
+        pairs = np.arange(lo, min(lo + outer_size, len(b)))
+        rows = {}  # the pow-over-x rows that screen's and mesh's points share
+        if every:
+            mesh(pairs)
+            continue
+        _, top0 = screen(pairs, probe=True)
+        lead = int(np.argmax(top0))
+        for local in pairs[lead:lead + 1], np.delete(pairs, lead):
+            local = local[~(top0[local - lo] + _SCREEN_SLACK < best)]  # best includes the lead here
+            if local.size:
+                mesh(local)
     return b.ravel()
 
 
@@ -342,10 +382,10 @@ def grid_search(
     never a stale search-time value).  With ``emit_all`` a third element
     lists ``(params, search_bound)`` for every cell of the last search:
     with ``refine``, the refine grid's cells only, not the coarse grid's.
-    Without it the search computes only the (tau, beta) pairs whose screen
-    bound can reach the greatest cell; ``emit_all`` costs the full mesh of
-    the search whose cells it lists, and changes neither the winner nor the
-    bound.
+    Without it the search computes only the (tau, beta) pairs whose probe
+    and screen bounds can reach the greatest cell; ``emit_all`` costs the
+    full mesh of the search whose cells it lists, and changes neither the
+    winner nor the bound.
 
     The winner's theta comes from the fixpoint at ``search_thresholds``, so
     at larger ``thresholds`` its certified bound can come out lower than the

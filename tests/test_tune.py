@@ -275,6 +275,28 @@ def test_factored_search_equals_flat_mesh(model, grid, thresholds):
     assert np.array_equal(b, flat)
 
 
+def _pairs(tau, beta):
+    """The (tau, beta) pairs of a search point's or the mesh's tau and beta,
+    beta None in random order."""
+    taus = np.ravel(tau).tolist()
+    return list(zip(taus, [None] * len(taus) if beta is None else np.ravel(beta).tolist()))
+
+
+def _probe_and_screen(tops0, tops, monkeypatch):
+    """Record each (tau, beta) pair's bound from the probe in ``tops0`` and
+    from the full screen in ``tops``."""
+    from secpred import tune
+
+    screen = tune._screen
+
+    def recorded(model, point, thresholds, probe=False):
+        keep, top = screen(model, point, thresholds, probe)
+        (tops0 if probe else tops).update(zip(_pairs(point.tau, point.beta), top.tolist()))
+        return keep, top
+
+    monkeypatch.setattr(tune, "_screen", recorded)
+
+
 @pytest.mark.parametrize(
     "model, grid, thresholds",
     _SEARCH_GRIDS + [(m, GridSpec.coarse(m, step=0.05), None) for m in ("cosp", "rosp")],
@@ -282,25 +304,19 @@ def test_factored_search_equals_flat_mesh(model, grid, thresholds):
 )
 def test_pruned_search_equals_every_cell(model, grid, thresholds, monkeypatch):
     # without every=True the full mesh runs only on the (tau, beta) pairs
-    # whose screen bound top can reach the greatest cell, and the others hold
-    # -inf.  The maximum, the cells equal to it (90 on the rosp step-0.05
-    # grid), the winner and every computed cell must be those of the search
-    # over every cell, and each pair left out must have its top more than
-    # the slack below the maximum
+    # whose bounds can reach the greatest cell, and the others hold -inf.
+    # The maximum, the cells equal to it (90 on the rosp step-0.05 grid), the
+    # winner and every computed cell must be those of the search over every
+    # cell, and each pair left out must have the bound that left it out, its
+    # screen top or, if it was never screened, its probe top0, more than the
+    # slack below the maximum
     from secpred import tune
 
     thresholds = thresholds or tune.SEARCH_THRESHOLDS
-    tops = []
-    screen = tune._screen
-
-    def recorded(*args):
-        keep, top = screen(*args)
-        tops.append(top)
-        return keep, top
-
-    monkeypatch.setattr(tune, "_screen", recorded)
+    tops0, tops = {}, {}
+    _probe_and_screen(tops0, tops, monkeypatch)
     params_all, best_all, (b_all, _) = tune._search_once(model, grid, thresholds, every=True)
-    assert (b_all > -np.inf).all()
+    assert (b_all > -np.inf).all() and not tops0
     tops.clear()
     params, best, (b, axes) = tune._search_once(model, grid, thresholds)
     assert best == best_all and params == params_all
@@ -308,33 +324,76 @@ def test_pruned_search_equals_every_cell(model, grid, thresholds, monkeypatch):
     computed = (b > -np.inf).reshape(axes[0].shape[0], -1)
     assert (computed.all(axis=1) | ~computed.any(axis=1)).all()  # whole pairs
     assert np.array_equal(b[computed.ravel()], b_all[computed.ravel()])
-    top = np.concatenate(tops)
-    assert (top[~computed[:, 0]] + 1e-12 < best).all()
+    pairs = _pairs(*axes[:2])
+    assert set(tops0) == set(pairs) and set(tops) <= set(pairs)
+    out = [pair for pair, run in zip(pairs, computed[:, 0]) if not run]
+    assert all(tops.get(pair, tops0[pair]) + 1e-12 < best for pair in out)
 
 
 @pytest.mark.parametrize("model, pairs, most", [("cosp", 171, 3), ("rosp", 19, 1)])
 def test_full_mesh_runs_on_few_pairs(model, pairs, most, monkeypatch):
-    # on the step-0.05 grids the screen sees every (tau, beta) pair, and the
-    # full gamma x delta mesh at most 3 of the 171 cosp pairs and 1 of the 19
-    # rosp pairs
+    # on the step-0.05 grids the probe sees every (tau, beta) pair, the full
+    # corner screen at most 4 of the 171 cosp pairs and 1 of the 19 rosp
+    # pairs, and the full gamma x delta mesh at most 3 and 1 of them
     from secpred import tune
 
+    screens = {"cosp": 4, "rosp": 1}[model]
     grid = GridSpec.coarse(model, step=0.05)
-    full, screened = set(), set()  # pairs evaluated on the mesh, on the corners
+    tops0, tops = {}, {}  # pairs probed, screened
+    _probe_and_screen(tops0, tops, monkeypatch)
+    full = set()  # pairs evaluated on the mesh
 
     def counted(form):
         def run(p, m, k, m2, tm, tk):
-            taus = np.ravel(p.tau).tolist()
-            betas = [None] * len(taus) if p.beta is None else np.ravel(p.beta).tolist()
-            (full if p.gamma.size == len(grid.gamma) else screened).update(zip(taus, betas))
+            if p.gamma.size == len(grid.gamma):
+                full.update(_pairs(p.tau, p.beta))
             return form(p, m, k, m2, tm, tk)
         return run
 
     monkeypatch.setattr(tune, "CASE_FORMS", {key: counted(form)
                                              for key, form in tune.CASE_FORMS.items()})
     tune._search_once(model, grid, tune.SEARCH_THRESHOLDS)
-    assert len(screened) == pairs
-    assert full <= screened and 1 <= len(full) <= most, len(full)
+    assert len(tops0) == pairs
+    assert set(tops) <= set(tops0) and 1 <= len(tops) <= screens, len(tops)
+    assert full <= set(tops) and 1 <= len(full) <= most, len(full)
+
+
+@pytest.mark.parametrize("model", ["cosp", "rosp"])
+def test_probe_walks_exact_cells_of_the_search(model):
+    # the probe's entries are exact cells of the search's own enumeration,
+    # at every threshold, the tests' (1, 1) included
+    from secpred.certificate import entry, iter_entries
+    from secpred.tune import _probe_groups
+
+    for t in (1, 2, 3, 6, 10, 20):
+        probed = [entry(piece, i) for piece in _probe_groups(model, t, t, 7)
+                  for i in range(np.size(piece[2]))]
+        assert probed and all(e[1] == "exact" for e in probed)
+        assert set(probed) <= set(iter_entries(model, t, t)), t
+
+
+@pytest.mark.parametrize(
+    "model, grid",
+    [("cosp", _COARSE_COSP), ("rosp", GridSpec.coarse("rosp", step=0.1)), ("cosp", _REFINE_COSP)],
+    ids=["cosp-grid0", "rosp-grid1", "cosp-refine"],
+)
+def test_probe_bound_at_least_screen_bound(model, grid):
+    # the probe walks a subset of the screen's entries on the same corners,
+    # so its top0 is at least the screen's top at every pair, and the full
+    # mesh's cells lie below both up to the slack
+    from secpred.analytic import Point
+    from secpred.tune import SEARCH_THRESHOLDS, _screen, _search_once
+
+    tau, beta, gam, dlt = _axes(model, grid)
+    corners = (np.array([gam.min(), gam.max()])[:, None, None],
+               np.array([dlt.min(), dlt.max()])[None, :, None])
+    point = Point(tau.T, *corners, None if beta is None else beta.T)
+    _, top = _screen(model, point, SEARCH_THRESHOLDS)
+    _, top0 = _screen(model, point, SEARCH_THRESHOLDS, probe=True)
+    assert top.shape == top0.shape == (tau.shape[0],)
+    assert (top0 >= top).all()
+    _, _, (b, _) = _search_once(model, grid, SEARCH_THRESHOLDS, every=True)
+    assert (b.reshape(top.size, -1).max(axis=1) <= top + 1e-12).all()
 
 
 @pytest.mark.parametrize("model", ["cosp", "rosp"])
