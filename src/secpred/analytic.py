@@ -128,6 +128,8 @@ class Point:
             return params
         if params.tau <= 0.0:
             raise ValueError(f"analytic bounds need tau > 0, got tau={params.tau}")
+        if not math.isfinite(1.0 / params.tau):  # ln(b / tau) would be inf, and inf - inf NaN
+            raise ValueError(f"analytic bounds need 1 / tau finite, got tau={params.tau}")
         beta = None
         if model == COSP:
             beta = params.require_beta()
@@ -141,10 +143,10 @@ class Point:
 def _column(p, key, size, build):
     # build(size), the values at 0, ..., size - 1 along a new leading axis,
     # kept in the point's columns under key; rebuilt at least twice as long
-    # (and never shorter than 16) when shorter than size
+    # (and never shorter than 8) when shorter than size
     values = p.columns.get(key)
     if values is None or len(values) < size:
-        size = max(size, 16, 0 if values is None else 2 * len(values))
+        size = max(size, 8, 0 if values is None else 2 * len(values))
         values = p.columns[key] = np.asarray(build(size))
     return values
 

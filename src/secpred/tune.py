@@ -24,40 +24,40 @@ with gamma or delta span the full mesh.  The pairs are walked in blocks,
 each on a fresh Point, so the points' columns stay a fixed size.
 
 Most entries never bind, so a screen runs before the full mesh, which sees
-only the entries that can.  With (tau, beta) fixed, every case form is affine in
-gamma and in delta (no gamma * delta term), and the case-6 divisor 1 - coef
-reads (tau, beta) alone, so an entry's extremes over a pair's cells lie at
-the corners of its gamma x delta grid.  The screen walks certify's pieces of
-entries on those corners, each sized to about ``_CHUNK`` values per call,
-with m, k and m2 as arrays over the piece's entries.  The least over
-entries of an entry's greatest corner value bounds the fixpoint at every
-cell of the pair; an entry whose least corner value exceeds it by more than
-a rounding slack is above the fixpoint at every cell there, tested as its
-piece lands and against the final bound.  The screen hands each
-entry it keeps to the full pass as ints, a plain index into the point's
-columns, with a mask over its block's pairs; on each sub-block the full pass
-evaluates, one at a time, the entries kept at some pair of it, on a point
-that shares the screen's pow-over-x rows.  ``np.minimum`` then picks the
-same values, so each cell is bit-identical to the one over every entry.
-On the step-0.05 grid the screens keep 35 of the 1 495 cosp entries and 24
-of the 1 506 rosp entries, and the full mesh, run only on the pairs below,
-evaluates 33 and 22 of them.
+only the entries that can.  With (tau, beta) fixed, every case form is
+affine in gamma and in delta (no gamma * delta term), and the case-6 divisor
+1 - coef reads (tau, beta) alone, so an entry's extremes over a pair's cells
+lie at the corners of its gamma x delta grid.  The screen walks certify's
+pieces of entries on those corners, each sized to about ``_CHUNK`` values
+per call, with m, k and m2 as arrays over the piece's entries.  ``top``,
+the least over entries of an entry's greatest corner value, bounds the
+fixpoint at every cell of the pair up to a few ulps, and an entry whose
+least corner value exceeds it by more than a rounding slack is above the
+fixpoint at every cell there.  Each piece's survivors go on as one piece,
+with a mask over the block's pairs for each entry, and the full pass
+evaluates such a piece on a sub-block in one form call and a min over the
+entry axis, on a point that shares the screen's pow-over-x rows.
+``np.minimum`` picks the same values, so each cell is bit-identical to the
+one over every entry.
 
 Most pairs cannot hold the greatest cell either, so the search is a branch
-and bound over the pairs.  The same corners bound the fixpoint at every cell
-of a pair by ``top``, the least over entries of an entry's greatest corner
-value, up to a few ulps.  A probe first walks only the exact cells with m
+and bound over the pairs.  A probe first walks only the exact cells with m
 and k up to 3 (51 cosp and 54 rosp entries) on the corners of every pair.
 An exact form ignores the thresholds, so these are entries of the search's
 own enumeration, and the probe's bound ``top0`` is at least ``top``.  The
-pair with the greatest ``top0`` is screened and meshed first, which gives
-``best``, an exact search value.  Then only the pairs whose ``top0`` is not
-more than ``_SCREEN_SLACK`` below ``best`` are screened, and the full mesh
-runs only on those whose ``top`` is not either; the cells of the others hold
--inf.  So no pair holding a cell equal to the maximum is left out, and the
-maximum, the cells tied at it and the winner are those of the search over
-every cell.  On the step-0.05 grid the screen sees 3 of the 171 cosp pairs
-and 1 of the 19 rosp pairs, and the full mesh runs on the same pairs.
+pair with the greatest ``top0`` leads: its full mesh over the entries the
+probe kept there gives ``est``, at least its greatest cell.  One screen then
+walks every entry for the lead and the pairs whose ``top0`` is not more
+than ``_SCREEN_SLACK`` below ``est``, and the full mesh runs on the lead and
+on those whose ``top`` is not either.  ``best``, the greatest cell once the
+lead is meshed, is at most ``est``: the pairs whose ``top0`` and ``top``
+reach it but not ``est`` are meshed next, through a second screen for
+those the first left out.  So the meshed pairs are those whose bounds
+reach ``best``, and the maximum, the cells tied at it and the winner are
+those of the search over every cell.  On the step-0.05 grid ``est`` is the
+greatest cell itself: the one screen sees 3 of the 171 cosp pairs and 1 of
+the 19 rosp pairs, and the full mesh runs on the same pairs in 9 and 8 form
+calls, the 2 for ``est`` included.
 ``grid_search(..., emit_all=True)`` lists every cell, so its last search
 screens every pair and costs the full mesh.
 """
@@ -114,10 +114,10 @@ def _axes(model: str, grid: GridSpec):
     beta > tau, in nested grid order (random order: P is the tau axis and
     beta is None); gamma is (1, G, 1) and delta (1, 1, D).  The (P, G, D)
     mesh they span, flattened, is the cells in nested axis order.  A grid
-    over ``MAX_GRID_POINTS``, a NaN, a tau or beta outside (0, 1), a beta
-    with 1 - beta == 1 (beta <= 2**-54) and a gamma or delta outside [0, 1]
-    are refused before a mesh is built, as is a model that ``check_model``
-    refuses.
+    over ``MAX_GRID_POINTS``, a NaN, a tau or beta outside (0, 1), a tau
+    with 1 / tau == inf (tau <= 2**-1024), a beta with 1 - beta == 1
+    (beta <= 2**-54) and a gamma or delta outside [0, 1] are refused before
+    a mesh is built, as is a model that ``check_model`` refuses.
     """
     cosp = check_model(model) == COSP
     if cosp and grid.beta is None:
@@ -137,6 +137,10 @@ def _axes(model: str, grid: GridSpec):
         if not inside.all():  # NaN compares false, so it is refused too
             span = "[0, 1]" if closed else "(0, 1)"
             raise ValueError(f"grid {name} values must lie in {span}, got {a[~inside][0]}")
+    # 1 / tau rounds to inf for tau <= 2**-1024, and ln(beta / tau) with it
+    tiny = tau <= 2.0**-1024
+    if tiny.any():
+        raise ValueError(f"grid tau values must leave 1 / tau finite, got {tau[tiny][0]}")
     if cosp:
         # 1 - beta rounds to 1 for beta <= 2**-54, and case 6's divisor
         # 1 - (1-beta)^m to 0
@@ -167,12 +171,23 @@ _SCREEN_SLACK = 1e-12
 def _term(model, point, entry, thresholds):
     """One entry's bound on the fixpoint at ``point`` (r = 0): the case form,
     or for case 6 the form over 1 - coef.  ``entry`` is as ``certificate.entry``
-    gives it, or a piece of entries; its regime is not read."""
-    case_id, _, m, k, m2 = entry
+    gives it, or a piece of entries, whose arrays run along a new leading
+    axis before the point's three; its regime is not read."""
+    case_id, _, *params = entry
+    m, k, m2 = (a[:, None, None, None] if isinstance(a, np.ndarray) else a for a in params)
     value = CASE_FORMS[model, case_id](point, m, k, m2, *thresholds)
     if case_id == 6:
         value = value / (1.0 - case6_coef(model, m, point))
     return value
+
+
+def _take(piece, index):
+    """The entries ``index`` of ``piece`` as a piece, or for one entry as
+    its ints (``certificate.entry``)."""
+    if len(index) == 1:
+        return entry(piece, index[0])
+    case_id, regime, *params = piece
+    return (case_id, regime, *(None if a is None else a[index] for a in params))
 
 
 def _block_pairs(cells, thresholds):
@@ -185,7 +200,9 @@ def _block_pairs(cells, thresholds):
 
 
 # The screen evaluates pieces of entries that fill about this many values of
-# its point.
+# its point, and the full mesh pieces of about as many values.  Calls of
+# 2**20 values made a search over every cell 6 % slower on a 2-vCPU VM (its
+# arrays leave the cache) and added 3.7 MB to its peak RSS.
 _CHUNK = 1 << 14
 
 
@@ -206,22 +223,20 @@ def _probe_groups(model, tm, tk, size):
 
 def _screen(model, point, thresholds, probe=False):
     """The entries that can bind at some (tau, beta) pair of ``point``, and
-    ``top``, as (keep, top).  ``keep`` lists (entry, where): the entry's ints
-    as ``certificate.entry`` gives them, and a bool array over the pairs that
-    says where it can.
+    ``top``, the least over entries of an entry's greatest corner value, as
+    (keep, top).  ``keep`` lists (piece, where): the entries kept of a piece
+    of the walk, as a piece (one entry's ints, as ``certificate.entry``
+    gives them, for one), and a bool array of entries by pairs that says
+    where each can: where its least corner value is not above ``top`` plus
+    ``_SCREEN_SLACK``.
 
     The point holds the corners of each pair's gamma x delta grid along its
     leading axes and the pairs along its last.  Every entry of
-    ``entry_groups`` is evaluated there, in pieces that fill ``values``
-    (arrays shaped (count, 1, 1, 1), or one entry's ints), less case 6 at
-    m = 0, which is identically r and met by construction.  ``top`` is the
-    least over entries of an entry's greatest corner value, which bounds
-    the fixpoint at every cell of the pair; an entry whose least corner
-    value exceeds it (plus ``_SCREEN_SLACK``) cannot be the minimum anywhere
-    there.  Entries are tested as their piece lands and, as ``top`` only
-    falls, the survivors again against the final ``top``.  A NaN keeps the
-    entry.  With ``probe`` only ``_probe_groups`` is walked, a subset of the
-    entries, so its ``top`` is at least the full one at every pair.
+    ``entry_groups`` but case 6 at m = 0 (r itself, met by construction) is
+    evaluated there in pieces that fill ``values``, tested as its piece
+    lands and again against the final ``top``, which only falls.  A NaN
+    keeps the entry.  With ``probe`` only ``_probe_groups`` is walked, a
+    subset of the entries, so its ``top`` is at least the full one.
     """
     shape = np.broadcast_shapes(point.gamma.shape, point.delta.shape, point.tau.shape)
     corners, pairs = shape[0] * shape[1], shape[2]
@@ -234,28 +249,47 @@ def _screen(model, point, thresholds, probe=False):
         if case_id == 6 and isinstance(m, int) and m == 0:
             continue
         count = _size(piece)
-        form = entry(piece, 0) if count == 1 else (
-            case_id, regime, *(None if a is None else a[:, None, None, None] for a in (m, k, m2)))
         at = values[:count]
-        at[...] = _term(model, point, form, thresholds)
+        at[...] = _term(model, point, piece if count > 1 else entry(piece, 0), thresholds)
         at = at.reshape(count, corners, pairs)
         np.minimum(top, at.max(axis=1).min(axis=0), out=top)
-        found += _alive([(piece, np.arange(count), at.min(axis=1))], top)
-    keep = [(entry(piece, i), ~(row > top + _SCREEN_SLACK))
-            for piece, index, least in _alive(found, top) for i, row in zip(index, least)]
+        found += _alive([(piece, at.min(axis=1))], top)
+    keep = [(piece, ~(least > top + _SCREEN_SLACK)) for piece, least in _alive(found, top)]
     return keep, top
 
 
 def _alive(found, top):
-    """The records (piece, index, least) of ``found`` cut to the entries
-    whose least corner value ``least`` is within ``_SCREEN_SLACK`` of ``top``
-    at some pair.  A NaN keeps the entry."""
+    """The records (piece, least) of ``found``, each cut to the entries whose
+    least corner value ``least`` is within ``_SCREEN_SLACK`` of ``top`` at
+    some pair, and dropped if none is.  A NaN keeps the entry."""
     kept = []
-    for piece, index, least in found:
-        rows = (~(least > top + _SCREEN_SLACK)).any(axis=1)
-        if rows.any():
-            kept.append((piece, index[rows], least[rows]))
+    for piece, least in found:
+        rows = np.flatnonzero((~(least > top + _SCREEN_SLACK)).any(axis=1))
+        if rows.size:
+            kept.append((_take(piece, rows), least[rows]))
     return kept
+
+
+def _least(model, point, keep, sub, thresholds):
+    """The least over the entries of ``keep`` that its screen kept at some of
+    its pairs ``sub``, at ``point``, the full mesh of those pairs.  Each
+    piece's entries go through in one ``_term`` call and a min over the
+    entry axis, in calls of about ``_CHUNK`` values, entries times cells, or
+    one entry where a call of one fills more."""
+    out = np.full(np.broadcast(point.tau, point.gamma, point.delta).shape, np.inf)
+    most = max(1, _CHUNK // out.size)
+    for piece, where in keep:
+        rows = np.flatnonzero(where[:, sub].any(axis=1))
+        for i in range(0, rows.size, most):
+            value = _term(model, point, _take(piece, rows[i:i + most]), thresholds)
+            np.minimum(out, value.min(axis=0) if np.ndim(value) > out.ndim else value, out=out)
+    return out
+
+
+def _estimate(model, point, keep, lead, thresholds):
+    """``est``: the greatest cell of the lead pair at ``point`` over the probe's
+    entries ``keep``, a subset of the search's, so at least its greatest cell."""
+    return _least(model, point, keep, lead, thresholds).max()
 
 
 def _search_bound(model, axes, thresholds, every=False):
@@ -264,19 +298,14 @@ def _search_bound(model, axes, thresholds, every=False):
     ``_axes`` spans; with ``every``, at every cell, which costs the full
     mesh.
 
-    The pairs go through in blocks.  With ``every``, ``_screen`` runs on all
-    of a block's gamma and delta corners at once, and the full mesh on every
-    pair.  Otherwise the probe (``_screen`` over ``_probe_groups``) runs on
-    the block's corners first and gives each pair ``top0``, at least its
-    ``top``.  The pair with the greatest ``top0`` is screened and meshed
-    first, alone; then the block's other pairs whose ``top0`` is not
-    ``_SCREEN_SLACK`` below ``best``, the greatest cell so far, are
-    screened, and the full mesh runs on those whose ``top`` is not either,
-    in sub-blocks.  ``best`` carries across blocks, and a NaN in ``top0``,
-    ``top`` or ``best`` keeps a pair.  Each sub-block sees only the entries
-    the screen keeps at some pair of it, and the points of a block share
-    their pow-over-x rows.  Every cell computed is the same as with every
-    entry, bit for bit.
+    The pairs go through in blocks, each as the module docstring says: the
+    probe, ``_estimate`` on the lead, one ``_screen`` walk, the full mesh in
+    sub-blocks on the entries kept at some pair of each (``_least``), and a
+    second screen only for the pairs left out whose ``top0`` reaches ``best``
+    after the lead.  To reach is to lie not more than ``_SCREEN_SLACK``
+    below; ``best`` carries across blocks, a NaN keeps a pair, and the
+    points of a block share their pow-over-x rows.  With ``every`` the
+    screen and the full mesh see every pair.
     """
     tau, beta, gam, dlt = axes
     b = np.full((tau.shape[0], gam.size, dlt.size), -np.inf)
@@ -287,39 +316,48 @@ def _search_bound(model, axes, thresholds, every=False):
     outer_size, inner_size = (_block_pairs(n, thresholds) for n in (4, gam.size * dlt.size))
     best = -np.inf
 
-    def screen(pairs, probe=False):
-        point = Point(tau[pairs].T, *corners, None if beta is None else beta[pairs].T, rows=rows)
+    def screen(local, probe=False):
+        point = Point(tau[local].T, *corners, None if beta is None else beta[local].T, rows=rows)
         return _screen(model, point, thresholds, probe)
 
-    def mesh(local):
-        # screen the pairs local, then run the full mesh on those that can
-        # still hold the greatest cell (every pair with ``every``)
+    def cells(local):
+        return Point(tau[local], gam, dlt, None if beta is None else beta[local], rows=rows)
+
+    def mesh(keep, local, live):
+        # the full mesh of the screened pairs local[live], in sub-blocks
         nonlocal best
-        keep, top = screen(local)
-        live = np.arange(local.size) if every else np.flatnonzero(~(top + _SCREEN_SLACK < best))
         for i in range(0, live.size, inner_size):
             sub = live[i:i + inner_size]
-            block = local[sub]
-            point = Point(tau[block], gam, dlt, None if beta is None else beta[block], rows=rows)
-            out = np.full((sub.size, gam.size, dlt.size), np.inf)
-            for entry, where in keep:
-                if where[sub].any():
-                    np.minimum(out, _term(model, point, entry, thresholds), out=out)
-            b[block] = out
+            out = b[local[sub]] = _least(model, cells(local[sub]), keep, sub, thresholds)
             best = np.maximum(best, out.max())
 
     for lo in range(0, len(b), outer_size):
         pairs = np.arange(lo, min(lo + outer_size, len(b)))
-        rows = {}  # the pow-over-x rows that screen's and mesh's points share
+        rows = {}  # the pow-over-x rows that the block's points share
         if every:
-            mesh(pairs)
+            mesh(screen(pairs)[0], pairs, np.arange(pairs.size))
             continue
-        _, top0 = screen(pairs, probe=True)
+        keep, top0 = screen(pairs, probe=True)
         lead = int(np.argmax(top0))
-        for local in pairs[lead:lead + 1], np.delete(pairs, lead):
-            local = local[~(top0[local - lo] + _SCREEN_SLACK < best)]  # best includes the lead here
-            if local.size:
-                mesh(local)
+        if top0[lead] + _SCREEN_SLACK < best:
+            continue
+        bar = best
+        est = np.maximum(bar, _estimate(model, cells(pairs[[lead]]), keep, [lead], thresholds))
+        del keep  # nothing of the probe is held while the screen runs
+        others = pairs != lo + lead
+        near = others & ~(top0 + _SCREEN_SLACK < est)
+        local = np.concatenate((pairs[[lead]], pairs[near]))
+        keep, top = screen(local)
+        first = ~(top + _SCREEN_SLACK < est)  # so these reach best after the lead too
+        first[0] = not top[0] + _SCREEN_SLACK < bar
+        mesh(keep, local, np.flatnonzero(first))
+        bar = np.maximum(bar, b[lo + lead].max())  # best after the lead alone
+        mesh(keep, local, np.flatnonzero(~first & ~(top + _SCREEN_SLACK < bar)))
+        rest = pairs[others & ~near & ~(top0 + _SCREEN_SLACK < bar)]
+        if rest.size:  # est was above the lead's greatest cell
+            del keep
+            keep, top = screen(rest)
+            mesh(keep, rest, np.flatnonzero(~(top + _SCREEN_SLACK < bar)))
     return b.ravel()
 
 

@@ -98,6 +98,18 @@ BAD_CALLS = {
         partial(case6_coef, "cosp", np.array([2, -1]), P),
         "exponent must be a nonnegative integer, got -1",
     ),
+    # 1 / tau overflows, so ln(b / tau) is inf and the forms would give NaN
+    "rosp tau 1e-310": (
+        partial(case_bound, "rosp", 4, 2, 1, 1, PolicyParams(0.5, 1e-310, 0.5, 0.5)),
+        "analytic bounds need 1 / tau finite, got tau=1e-310",
+    ),
+    "cosp tau 2**-1024": (
+        partial(case_bound, "cosp", 5, 2, 1, 1, PolicyParams(0.5, 2.0**-1024, 0.5, 0.5, 0.5)),
+        "analytic bounds need 1 / tau finite",
+    ),
+    "case6_coef, tau 1e-310": (
+        partial(case6_coef, "rosp", 2, PolicyParams(0.5, 1e-310, 0.5, 0.5)), "1 / tau finite"
+    ),
     "pow_over_x_integral, m=-1": (
         partial(pow_over_x_integral, 0.2, 0.5, -1), "m must be >= 0, got -1"
     ),

@@ -57,6 +57,32 @@ def test_submodules_load_on_first_use(code, loaded):
     assert _run(f"import sys\n{code}\n{LOADED}") == repr(want)
 
 
+# set-up as perfbench's worker does it (import, then the inputs), then the
+# timed calls; simulate-n800's call at 200 of its 80 000 trials
+_TIMED_CALLS = {
+    "tune-grid05": """import secpred
+grids = {m: secpred.GridSpec.coarse(m, step=0.05) for m in ("cosp", "rosp")}
+before = set(sys.modules)
+for model, grid in grids.items():
+    secpred.tune.grid_search(model, grid)
+secpred.certificate.certify("cosp", secpred.THEOREM_COSP_PARAMS, secpred.THEOREM_COSP_BOUND)""",
+    "simulate-n800": """import secpred
+params = secpred.THEOREM_ROSP_PARAMS
+instance = secpred.gen_case_family(4, 2, 1, 1, 800, params.theta)
+before = set(sys.modules)
+secpred.simulate.estimate_ratio(instance, "rosp", params, trials=200, seed=1)""",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_TIMED_CALLS))
+def test_timed_calls_load_no_module(workload):
+    # a module loaded inside a benchmark's timed call is compiled and run on
+    # the clock: numpy.ma, which np.unique's first call imports, takes 7-35 ms
+    # to import on a 2-vCPU VM, up to a whole tune-grid05 call
+    code = f"import sys\n{_TIMED_CALLS[workload]}\nprint(sorted(set(sys.modules) - before))"
+    assert _run(code).splitlines()[-1] == "[]"
+
+
 def test_cli_gen_loads_neither_tune_certify_nor_derand(tmp_path):
     out = tmp_path / "inst.json"
     argv = ["gen", "--family", "overest-top", "--n", "4", "--theta", "0.63", "--out", str(out)]

@@ -291,6 +291,9 @@ def test_precondition_errors():
         certify("cosp", PolicyParams(theta=0.5, tau=0.0, gamma=0.3, delta=0.4, beta=0.4), 0.2)
     with pytest.raises(ValueError, match="tau > 0"):
         certify("rosp", PolicyParams(theta=0.5, tau=0.0, gamma=0.3, delta=0.4), 0.2)
+    # refused before the walk, which ended in "case 1 (exact) gave NaN"
+    with pytest.raises(ValueError, match="1 / tau finite"):
+        certify("rosp", PolicyParams(theta=0.5, tau=1e-310, gamma=0.5, delta=0.5), 0.2)
 
 
 @pytest.mark.parametrize("args,match", [

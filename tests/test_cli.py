@@ -198,6 +198,16 @@ def test_evaluate_tau_zero_exit_two(capsys):
     assert "tau > 0" in capsys.readouterr().err
 
 
+def test_evaluate_subnormal_tau_exit_two(capsys):
+    # 1 / tau overflows at tau = 1e-310, which gave NaN bounds; 1e-308 is fine
+    flags = ["--model", "rosp", "--theta", "0.5", "--gamma", "0.5", "--delta", "0.5"]
+    case = ["evaluate", "--case", "4", "--m", "2", "--k", "1", "--m2", "1"]
+    assert main([*case, *flags, "--tau", "1e-310"]) == 2
+    assert "1 / tau finite, got tau=1e-310" in capsys.readouterr().err
+    assert main([*case, *flags, "--tau", "1e-308"]) == 0
+    assert "nan" not in capsys.readouterr().out
+
+
 def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--model", "bogus"])

@@ -91,9 +91,15 @@ def test_oversized_inputs_rejected_before_search():
          "grid beta values must leave 1 - beta below 1, got 5.55"),
         ("cosp", GridSpec(tau=(1e-20, 0.3), beta=(1e-19, 0.5), gamma=(0.3,), delta=(0.5,)),
          "grid beta values must leave 1 - beta below 1, got 1e-19"),
+        # 1 / tau rounds to inf, so ln(beta / tau) would be inf and a cell NaN
+        ("rosp", GridSpec(tau=(1e-310,), gamma=(0.5,), delta=(0.5,)),
+         "grid tau values must leave 1 / tau finite, got 1e-310"),
+        ("cosp", GridSpec(tau=(0.3, 2.0**-1024), beta=(0.5,), gamma=(0.3,), delta=(0.5,)),
+         "grid tau values must leave 1 / tau finite, got 5.56"),
     ],
     ids=["nan gamma", "gamma 1.5", "tau 1.2", "beta 1", "delta -inf", "unknown model",
-         "cosp without beta", "beta 2**-54", "beta 1e-19 beside a sound pair"],
+         "cosp without beta", "beta 2**-54", "beta 1e-19 beside a sound pair", "tau 1e-310",
+         "tau 2**-1024 beside a sound pair"],
 )
 def test_bad_grid_values_rejected_before_search(model, grid, message, monkeypatch):
     from secpred import tune
@@ -313,8 +319,15 @@ def test_pruned_search_equals_every_cell(model, grid, thresholds, monkeypatch):
     from secpred import tune
 
     thresholds = thresholds or tune.SEARCH_THRESHOLDS
-    tops0, tops = {}, {}
+    tops0, tops, ests = {}, {}, {}
     _probe_and_screen(tops0, tops, monkeypatch)
+    estimate = tune._estimate
+
+    def recorded(model, point, keep, lead, thresholds):
+        ests[_pairs(point.tau, point.beta)[0]] = est = estimate(model, point, keep, lead, thresholds)
+        return est
+
+    monkeypatch.setattr(tune, "_estimate", recorded)
     params_all, best_all, (b_all, _) = tune._search_once(model, grid, thresholds, every=True)
     assert (b_all > -np.inf).all() and not tops0
     tops.clear()
@@ -328,25 +341,34 @@ def test_pruned_search_equals_every_cell(model, grid, thresholds, monkeypatch):
     assert set(tops0) == set(pairs) and set(tops) <= set(pairs)
     out = [pair for pair, run in zip(pairs, computed[:, 0]) if not run]
     assert all(tops.get(pair, tops0[pair]) + 1e-12 < best for pair in out)
+    # est, from the probe's entries alone, is at least its lead's greatest cell
+    greatest = dict(zip(pairs, b_all.reshape(len(pairs), -1).max(axis=1).tolist()))
+    assert ests and all(est >= greatest[pair] for pair, est in ests.items())
 
 
 @pytest.mark.parametrize("model, pairs, most", [("cosp", 171, 3), ("rosp", 19, 1)])
 def test_full_mesh_runs_on_few_pairs(model, pairs, most, monkeypatch):
-    # on the step-0.05 grids the probe sees every (tau, beta) pair, the full
-    # corner screen at most 4 of the 171 cosp pairs and 1 of the 19 rosp
-    # pairs, and the full gamma x delta mesh at most 3 and 1 of them
+    # on the step-0.05 grids the probe sees every (tau, beta) pair, one
+    # full corner screen at most 4 of the 171 cosp pairs and 1 of the 19 rosp
+    # pairs, and the full gamma x delta mesh at most 3 and 1 of them, in at
+    # most 10 form calls (one per kept entry made 68 and 24)
     from secpred import tune
 
     screens = {"cosp": 4, "rosp": 1}[model]
     grid = GridSpec.coarse(model, step=0.05)
     tops0, tops = {}, {}  # pairs probed, screened
     _probe_and_screen(tops0, tops, monkeypatch)
+    walks, calls = [], []  # each screen's probe flag, each mesh form call
+    recorded = tune._screen
+    monkeypatch.setattr(tune, "_screen", lambda model, point, thresholds, probe=False:
+                        walks.append(probe) or recorded(model, point, thresholds, probe))
     full = set()  # pairs evaluated on the mesh
 
     def counted(form):
         def run(p, m, k, m2, tm, tk):
             if p.gamma.size == len(grid.gamma):
                 full.update(_pairs(p.tau, p.beta))
+                calls.append(1)
             return form(p, m, k, m2, tm, tk)
         return run
 
@@ -356,6 +378,53 @@ def test_full_mesh_runs_on_few_pairs(model, pairs, most, monkeypatch):
     assert len(tops0) == pairs
     assert set(tops) <= set(tops0) and 1 <= len(tops) <= screens, len(tops)
     assert full <= set(tops) and 1 <= len(full) <= most, len(full)
+    assert walks == [True, False] and len(calls) <= 10, (walks, len(calls))
+
+
+@pytest.mark.parametrize("model, grid, thresholds, above, screens", [
+    ("cosp", GridSpec.coarse("cosp", step=0.05), None, np.inf, [1, 2]),
+    (*_SEARCH_GRIDS[3], np.inf, [1, 1]),
+    (*_SEARCH_GRIDS[6], np.inf, [1, 20]),
+    (*_SEARCH_GRIDS[7], np.inf, [1, 8]),
+    # est 0.262806 lies between the (0.4, 0.7) pair's top and top0 (0.262656
+    # and 0.262947), and above the (0.5, 0.8) pair's top0 (0.261599)
+    ("cosp", GridSpec.coarse("cosp", step=0.05), None, 2.1e-3, [2, 1]),
+], ids=["cosp-step 0.05", *(_SEARCH_GRID_IDS[i] for i in (3, 6, 7)), "cosp-step 0.05, est + 2.1e-3"])
+def test_search_with_estimate_too_high(model, grid, thresholds, above, screens, monkeypatch):
+    # est is only an upper bound on the lead's greatest cell.  Above every
+    # cell, the first screen holds the lead alone and the pairs whose probe
+    # bound reaches the lead's greatest cell go through a second screen; a
+    # little above it, a pair screened with the lead may reach the lead's
+    # greatest cell but not est, and is meshed after the lead.  Either way
+    # the winner, the maximum, the cells tied at it and every computed cell
+    # must be those of the search over every cell, and each pair left out
+    # must have a bound more than the slack below the maximum
+    from secpred import tune
+
+    thresholds = thresholds or tune.SEARCH_THRESHOLDS
+    params_all, best_all, (b_all, axes) = tune._search_once(model, grid, thresholds, every=True)
+    tops0, tops = {}, {}
+    _probe_and_screen(tops0, tops, monkeypatch)
+    screened = []  # the pairs of each screen after the probe
+    screen = tune._screen
+
+    def recorded(model, point, thresholds, probe=False):
+        if not probe:
+            screened.append(np.size(point.tau))
+        return screen(model, point, thresholds, probe)
+
+    estimate = tune._estimate
+    monkeypatch.setattr(tune, "_screen", recorded)
+    monkeypatch.setattr(tune, "_estimate", lambda *args: estimate(*args) + above)
+    params, best, (b, _) = tune._search_once(model, grid, thresholds)
+    assert screened == screens
+    assert best == best_all and params == params_all
+    assert np.array_equal(np.nonzero(b == best), np.nonzero(b_all == best))
+    computed = b > -np.inf
+    assert np.array_equal(b[computed], b_all[computed])
+    out = [pair for pair, run in zip(_pairs(*axes[:2]), computed.reshape(len(tops0), -1)[:, 0])
+           if not run]
+    assert all(tops.get(pair, tops0[pair]) + 1e-12 < best for pair in out)
 
 
 @pytest.mark.parametrize("model", ["cosp", "rosp"])
@@ -486,8 +555,9 @@ def test_screen_drops_most_entries(monkeypatch):
     monkeypatch.setattr(tune, "_screen", lambda *args: kept.append(screen(*args)) or kept[-1])
     tune._search_once("cosp", grid, tune.SEARCH_THRESHOLDS)
     assert full <= screened and len(screened) > 1000
-    # every entry returned can bind at some pair
-    assert kept and all(where.ndim == 1 and where.any() for keep, _ in kept for _, where in keep)
+    # every entry returned, a row of its piece's mask, can bind at some pair
+    assert kept and all(where.ndim == 1 and where.any()
+                        for keep, _ in kept for _, rows in keep for where in rows)
     assert len(full) < 0.1 * len(screened), (len(full), len(screened))
 
 
